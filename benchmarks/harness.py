@@ -934,12 +934,10 @@ def compare_engines(
     it from the reported rows.  Shared by :func:`run_engines` and
     ``benchmarks/bench_engines.py``.
     """
-    from repro.engine import available_engines, get_engine
+    from repro.engine import get_engine, list_engines
 
     scoring = scoring or _SCORING
-    # Default sweep covers what can actually be built: optional engines
-    # whose dependency is missing (e.g. compiled without numba) are skipped.
-    names = list(engines) if engines else available_engines()
+    names = list(engines) if engines else list_engines()
     ref_batch = get_engine("reference", scoring=scoring, xdrop=xdrop).align_batch(jobs)
     ref_scores = ref_batch.scores()
 

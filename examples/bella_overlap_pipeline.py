@@ -3,9 +3,11 @@
 
 Simulates a small long-read dataset from a synthetic genome (with planted
 repeats, the classic source of spurious candidate overlaps), runs the full
-BELLA pipeline twice — once with the SeqAn-style CPU kernel and once with the
-LOGAN GPU-model kernel — and verifies the two produce identical overlap sets
-while reporting how the alignment stage dominates the pipeline runtime.
+BELLA pipeline twice — once with the SeqAn-style scalar CPU kernel (the
+``reference`` engine) and once with the LOGAN GPU-model kernel — and verifies
+the two produce identical overlap sets while reporting how the alignment stage
+dominates the pipeline runtime.  The POWER9 time of the SeqAn run is modeled
+after the fact from its work summary, as the paper tables do.
 
 Run with::
 
@@ -14,6 +16,8 @@ Run with::
 
 from __future__ import annotations
 
+from repro.api import AlignConfig
+from repro.baselines import SeqAnBatchAligner
 from repro.bella import BellaPipeline
 from repro.data import ErrorModel, RepeatSpec, simulate_genome, simulate_reads, true_overlap
 
@@ -39,12 +43,10 @@ def main() -> None:
           f"~{sum(len(r) for r in reads) / len(genome):.1f}x coverage, "
           f"{len(genome.repeat_positions)} planted repeat copies")
 
-    from repro.api import AlignConfig
-
     # Two pipelines differing only in the alignment kernel — the same
     # AlignConfig with a different engine name.
     seqan_pipeline = BellaPipeline(
-        config=AlignConfig(engine="seqan", xdrop=25),
+        config=AlignConfig(engine="reference", xdrop=25),
         k=15, error_rate=0.12, min_overlap=500,
     )
     logan_pipeline = BellaPipeline(
@@ -73,8 +75,9 @@ def main() -> None:
     ]
     print(f"BELLA+SeqAn and BELLA+LOGAN produce identical overlaps: {same_pairs}")
     print(f"... and identical alignment scores                    : {same_scores}")
+    power9_seconds = SeqAnBatchAligner(xdrop=25).modeled_seconds_for(seqan_result.work)
     print(f"modeled alignment stage (POWER9, 168 threads) : "
-          f"{seqan_result.alignment_modeled_seconds:10.4f} s")
+          f"{power9_seconds:10.4f} s")
     print(f"modeled alignment stage (6x V100, LOGAN)      : "
           f"{logan_result.alignment_modeled_seconds:10.4f} s")
 

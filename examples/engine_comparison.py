@@ -1,13 +1,11 @@
 #!/usr/bin/env python
-"""Side-by-side comparison of the batched, compiled and wavefront engines.
+"""Side-by-side comparison of the batched and wavefront engines.
 
 Generates an ont-profile long-read workload (the wavefront engine's home
-turf: unit scoring, high-identity pairs) and runs it through the three
+turf: unit scoring, high-identity pairs) and runs it through the two fast
 kernel strategies behind the engine registry:
 
 * ``batched``   — pure-NumPy inter-sequence batched sweep (the default),
-* ``compiled``  — numba-JIT per-pair banded sweep (skipped with a pointer
-  at ``pip install numba`` when the optional dependency is missing),
 * ``wavefront`` — WFA-style furthest-reaching-point extension.
 
 Every engine's scores are checked bit-identical against the scalar
@@ -24,7 +22,7 @@ import sys
 import time
 
 from repro.api import AlignConfig, Aligner
-from repro.engine import describe_engines, get_engine
+from repro.engine import get_engine
 from repro.workloads import WorkloadSpec, generate_workload
 
 
@@ -43,15 +41,10 @@ def main(num_pairs: int = 16, xdrop: int = 20) -> None:
 
     reference = get_engine("reference", xdrop=xdrop).align_batch(jobs).scores()
 
-    rows = {row["name"]: row for row in describe_engines()}
     timings: dict[str, float] = {}
-    for name in ("batched", "compiled", "wavefront"):
-        row = rows[name]
-        if not row["available"]:
-            print(f"{name:>10s}: skipped — {row['reason']}")
-            continue
+    for name in ("batched", "wavefront"):
         aligner = Aligner(AlignConfig(engine=name, xdrop=xdrop))
-        aligner.align_batch(jobs)  # warm-up (JIT compilation, allocations)
+        aligner.align_batch(jobs)  # warm-up (allocations)
         start = time.perf_counter()
         scores = aligner.align_batch(jobs).scores()
         timings[name] = time.perf_counter() - start
@@ -62,11 +55,8 @@ def main(num_pairs: int = 16, xdrop: int = 20) -> None:
         if scores != reference:
             raise SystemExit(f"engine {name!r} broke bit-identity")
 
-    if "batched" in timings:
-        print()
-        for name, seconds in timings.items():
-            if name != "batched":
-                print(f"{name:>10s}: {timings['batched'] / seconds:5.2f}x vs batched")
+    print()
+    print(f"wavefront: {timings['batched'] / timings['wavefront']:5.2f}x vs batched")
 
 
 if __name__ == "__main__":

@@ -91,7 +91,7 @@ def main() -> None:
     print()
     print(f"available engines: {', '.join(list_engines())}")
     print(f"{'engine':>12s} {'seconds':>9s} {'GCUPS':>8s}")
-    for name in ("reference", "vectorized", "batched"):
+    for name in ("reference", "batched", "wavefront"):
         engine = get_engine(name, scoring=scoring, xdrop=100)
         batch = engine.align_batch(jobs)
         assert len(set(batch.scores())) == 1  # identical jobs, identical scores

@@ -11,8 +11,8 @@ pure Python/NumPy:
 * :mod:`repro.core` — the X-drop extension algorithm (scalar reference,
   per-pair vectorised kernel and inter-sequence batched kernel), scoring
   schemes, seed-and-extend;
-* :mod:`repro.engine` — the unified alignment-engine layer: a registry that
-  exposes every batch aligner behind one
+* :mod:`repro.engine` — the unified alignment-engine layer: a registry of
+  five engines (reference, batched, wavefront, ksw2, logan) behind one
   ``align_batch(jobs, scoring, xdrop)`` interface
   (:func:`repro.get_engine`, :func:`repro.list_engines`);
 * :mod:`repro.baselines` — Smith–Waterman, Needleman–Wunsch, banded SW,

@@ -330,9 +330,9 @@ class AlignConfig:
         Registered engine name (see :func:`repro.engine.list_engines`).
     engine_options:
         Free-form factory options forwarded to the engine constructor
-        (e.g. ``{"gpus": 6}`` for the LOGAN engine).  Keep the values
-        JSON-serialisable if the config must round-trip through
-        :meth:`to_dict`.
+        (e.g. ``{"gpus": 6}`` for the LOGAN engine, ``{"bandwidth": 64}``
+        for ksw2's static band).  Keep the values JSON-serialisable if the
+        config must round-trip through :meth:`to_dict`.
     scoring:
         Linear-gap scoring scheme shared by every layer.
     xdrop:
@@ -348,9 +348,6 @@ class AlignConfig:
     bin_width:
         Length-bin width in bases, shared by BELLA's diagonal binning and
         the service batcher (0 disables binning).
-    bandwidth:
-        Static band half-width for engines that support one (the ksw2
-        engine); ``None`` leaves the engine's own default.
     service:
         Nested serving-layer configuration (:class:`ServiceConfig`).
     """
@@ -363,7 +360,6 @@ class AlignConfig:
     trace: bool = False
     seed_policy: str = "start"
     bin_width: int = 500
-    bandwidth: int | None = None
     service: ServiceConfig = field(default_factory=ServiceConfig)
 
     def __post_init__(self) -> None:
@@ -408,13 +404,6 @@ class AlignConfig:
             f"must be >= 0 (0 disables binning), got {self.bin_width}",
         )
         object.__setattr__(self, "bin_width", int(self.bin_width))
-        if self.bandwidth is not None:
-            _require(
-                int(self.bandwidth) >= 1,
-                "bandwidth",
-                f"must be >= 1 (or None for the engine default), got {self.bandwidth}",
-            )
-            object.__setattr__(self, "bandwidth", int(self.bandwidth))
         if isinstance(self.service, Mapping):
             object.__setattr__(self, "service", ServiceConfig.from_dict(self.service))
         _require(
@@ -440,7 +429,6 @@ class AlignConfig:
             "trace": self.trace,
             "seed_policy": self.seed_policy,
             "bin_width": self.bin_width,
-            "bandwidth": self.bandwidth,
             "service": self.service.to_dict(),
         }
 
@@ -651,7 +639,6 @@ _CONFIG_FLAGS = (
     ("workers", "--workers", int, "local worker processes"),
     ("seed_policy", "--seed-policy", str, "default seed anchor (start|middle)"),
     ("bin_width", "--bin-width", int, "length/diagonal bin width in bases"),
-    ("bandwidth", "--bandwidth", int, "static band half-width (ksw2 engine)"),
 )
 
 #: (field, flag, type, help) rows for the ScoringScheme sub-fields.

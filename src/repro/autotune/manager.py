@@ -45,8 +45,8 @@ def tunable_knobs(engine) -> tuple[str, ...]:
 
     Engines advertise their result-invariant tuning surface via a
     ``TUNABLE_KNOBS`` class attribute (the batched engine exposes
-    ``tile_width``/``compact_threshold``; the per-pair compiled kernel
-    has neither compaction nor column tiling, so it advertises none).
+    ``tile_width``/``compact_threshold``; the other engines have neither
+    compaction nor column tiling, so they advertise none).
     ``None`` — e.g. the process transport, whose workers rebuild engines
     in their own interpreters — yields an empty surface.
     """

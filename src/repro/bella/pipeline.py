@@ -11,27 +11,23 @@ The pipeline chains the four BELLA stages implemented in this subpackage —
 — and exposes the alignment kernel as a plug-in, exactly the modification
 the paper makes to BELLA: the original version hands alignments to SeqAn one
 by one inside an OpenMP loop, the LOGAN version batches the entire set of
-candidate alignments and ships them to the GPU(s).  Both batch aligners in
-this library (:class:`~repro.baselines.seqan_like.SeqAnBatchAligner` and
-:class:`~repro.logan.batch.LoganAligner`) implement the required
-``align_batch(jobs)`` interface and produce identical scores, so the
-pipeline output is independent of the kernel choice — the property the
-paper states as "our optimized BELLA version with LOGAN integration produces
-equivalent results as the original version", and which the integration tests
-check.
+candidate alignments and ships them to the GPU(s).  The kernel is whichever
+registered engine the pipeline's :class:`repro.api.AlignConfig` names; every
+exact engine produces identical scores, so the pipeline output is
+independent of the kernel choice — the property the paper states as "our
+optimized BELLA version with LOGAN integration produces equivalent results
+as the original version", and which the integration tests check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .._compat import warn_once
 from ..core.job import AlignmentJob, BatchWorkSummary, summarize_results
 from ..core.result import SeedAlignmentResult
-from ..core.scoring import ScoringScheme
 from ..errors import ConfigurationError
 from ..obs.runtime import get_observability
 from ..perf.timers import StageTimer
@@ -40,15 +36,7 @@ from .kmer import KmerIndex, build_kmer_index
 from .overlap import CandidateOverlap, OverlapMatrix, find_candidate_overlaps
 from .threshold import AdaptiveThreshold
 
-__all__ = ["BellaOverlap", "BellaResult", "BatchAlignerProtocol", "BellaPipeline"]
-
-
-class BatchAlignerProtocol(Protocol):
-    """Interface the pipeline expects from an alignment kernel."""
-
-    def align_batch(self, jobs: Sequence[AlignmentJob]):  # pragma: no cover - protocol
-        """Align a batch of jobs, returning an object with a ``results`` list."""
-        ...
+__all__ = ["BellaOverlap", "BellaResult", "BellaPipeline"]
 
 
 @dataclass
@@ -81,9 +69,9 @@ class BellaResult:
     timer:
         Per-stage wall-clock breakdown of the Python run.
     alignment_modeled_seconds:
-        Modeled alignment-stage time on the aligner's native platform
-        (POWER9 for the SeqAn-like kernel, V100(s) for LOGAN), if the
-        aligner reports one.
+        Modeled alignment-stage time on the engine's native platform
+        (V100(s) for ``logan``, Skylake for ``ksw2``); ``None`` for engines
+        without a platform model and for service-backed runs.
     prefilter:
         Admission-triage summary of the optional prefilter stage
         (``{"mode": ..., "decisions": {outcome: count}}``), ``None``
@@ -114,55 +102,35 @@ class BellaResult:
 
 
 class BellaPipeline:
-    """Configurable BELLA overlapper with a pluggable pairwise aligner.
+    """Configurable BELLA overlapper with a pluggable alignment engine.
 
     Parameters
     ----------
-    aligner:
-        Any object implementing ``align_batch(jobs)``.  Mutually exclusive
-        with *engine*; when neither is given the pipeline resolves the
-        default ``"seqan"`` engine from the registry.
     k:
         k-mer length (BELLA default 17).
     reliable_lower, reliable_upper:
         Multiplicity bounds of the reliable-k-mer filter.
     min_shared_kmers:
         Minimum shared reliable k-mers for a candidate pair.
-    bin_width:
-        Diagonal bin width of the seed-selection stage.
-    scoring:
-        Scoring scheme shared by seeding and alignment.
     threshold:
         Adaptive classification threshold; a default one is built from
-        ``error_rate``.
+        ``error_rate`` and the config's scoring.
     error_rate:
         Assumed per-read error rate (drives the default threshold).
     min_overlap:
         Minimum estimated overlap length to accept.
-    engine:
-        Name of a registered alignment engine (see
-        :func:`repro.engine.list_engines`) or an
-        :class:`~repro.engine.AlignmentEngine` instance.  Named engines are
-        built lazily with the pipeline's *scoring* and *xdrop*.
-    xdrop:
-        X-drop threshold handed to engines built by name (ignored when an
-        *aligner* instance or engine instance is supplied — those carry
-        their own threshold).
+    config:
+        The :class:`repro.api.AlignConfig` supplying the whole alignment
+        surface — engine (plus options), scoring, xdrop and the diagonal
+        ``bin_width`` — in one object (default: ``AlignConfig()``, the
+        ``batched`` engine).
     service:
         An :class:`~repro.service.AlignmentService` to route stage-4
         alignments through instead of a direct ``align_batch`` call: jobs
         are submitted individually and gathered via :meth:`map`, so
         repeated pipeline runs benefit from the service's result cache and
-        batching.  Mutually exclusive with *aligner* and *engine*.
-    config:
-        An :class:`repro.api.AlignConfig` supplying the whole alignment
-        surface — engine (plus options), scoring, xdrop and the diagonal
-        ``bin_width`` — in one object.  Mutually exclusive with *aligner*
-        and *engine*; combinable with *service* (the config describes the
-        alignment parameters, the service is the execution backend — build
-        one with ``Aligner(config).open_service()`` to keep them in sync).
-        The loose alignment kwargs keep working but are deprecated (they
-        warn once per process).
+        batching.  The pipeline then classifies with the service's own
+        config; a *config* that differs from it raises.
     prefilter:
         Admission triage mode of the optional k-mer-sketch stage between
         seed selection and alignment: ``"off"`` (default), ``"advise"``
@@ -179,18 +147,14 @@ class BellaPipeline:
 
     def __init__(
         self,
-        aligner: BatchAlignerProtocol | None = None,
+        *,
         k: int = 17,
         reliable_lower: int = 2,
         reliable_upper: int | None = None,
         min_shared_kmers: int = 1,
-        bin_width: int = 500,
-        scoring: ScoringScheme | None = None,
         threshold: AdaptiveThreshold | None = None,
         error_rate: float = 0.15,
         min_overlap: int = 500,
-        engine: str | BatchAlignerProtocol | None = None,
-        xdrop: int = 100,
         service=None,
         config=None,
         prefilter: str = "off",
@@ -203,62 +167,41 @@ class BellaPipeline:
                 "prefilter must be one of off, advise, enforce, "
                 f"got {prefilter!r}"
             )
-        if aligner is not None and engine is not None:
-            raise ConfigurationError(
-                "pass either an aligner instance or an engine, not both"
-            )
-        if service is not None and (aligner is not None or engine is not None):
-            raise ConfigurationError(
-                "pass either a service or an aligner/engine, not both"
-            )
-        if config is not None:
-            if aligner is not None or engine is not None:
+        if service is not None:
+            if config is not None and config != service.config:
                 raise ConfigurationError(
-                    "pass either config= or an aligner/engine, not both"
+                    "config: differs from the service's config; the pipeline "
+                    "classifies with the scoring the service aligns with, so "
+                    "pass only service= (or the same config to both)"
                 )
-            if scoring is not None or xdrop != 100 or bin_width != 500:
-                raise ConfigurationError(
-                    "pass either config= or loose scoring/xdrop/bin_width, "
-                    "not both (the config carries all three)"
-                )
-            scoring = config.scoring
-            xdrop = config.xdrop
-            bin_width = config.bin_width
-        elif (
-            aligner is not None
-            or engine is not None
-            or scoring is not None
-            or xdrop != 100
-        ):
-            warn_once(
-                "bella-loose-kwargs",
-                "configuring BellaPipeline's alignment stage through loose "
-                "kwargs (aligner/engine/scoring/xdrop) is deprecated; "
-                "pass config=repro.api.AlignConfig(...)",
-            )
-        if int(bin_width) <= 0:
+            config = service.config
+        elif config is None:
+            from ..api import AlignConfig
+
+            config = AlignConfig()
+        if config.bin_width <= 0:
             # AlignConfig allows bin_width=0 (disables *service* batch
             # binning); BELLA's diagonal seed binning needs a real width,
             # so fail here with the field named instead of deep in run().
             raise ConfigurationError(
                 f"bin_width: must be positive for BELLA's diagonal seed "
-                f"binning (0 only disables service batch binning), got {bin_width}"
+                f"binning (0 only disables service batch binning), "
+                f"got {config.bin_width}"
             )
         self.k = int(k)
         self.reliable_lower = int(reliable_lower)
         self.reliable_upper = reliable_upper
         self.min_shared_kmers = int(min_shared_kmers)
-        self.bin_width = int(bin_width)
-        self.scoring = scoring if scoring is not None else ScoringScheme()
-        self.xdrop = int(xdrop)
+        self.config = config
+        self.bin_width = config.bin_width
+        self.scoring = config.scoring
+        self.xdrop = config.xdrop
         self.threshold = threshold or AdaptiveThreshold(
             error_rate=error_rate, scoring=self.scoring, min_overlap=min_overlap
         )
-        self.config = config
         self.prefilter = prefilter
         self._prefilter_policy = prefilter_policy
-        self._aligner = aligner
-        self._engine = engine
+        self._aligner = None
         self._service = service
 
     @property
@@ -290,20 +233,13 @@ class BellaPipeline:
 
     # ------------------------------------------------------------------ #
     @property
-    def aligner(self) -> BatchAlignerProtocol:
-        """The alignment kernel in use (default: the ``"seqan"`` engine)."""
+    def aligner(self):
+        """The configured alignment engine (built lazily on first use)."""
         if self._aligner is None:
             # Deferred import: repro.engine pulls in every aligner layer.
-            from ..engine import get_engine
             from ..engine.base import engine_from_config
 
-            if self.config is not None:
-                self._aligner = engine_from_config(self.config)
-                return self._aligner
-            engine = self._engine if self._engine is not None else "seqan"
-            if isinstance(engine, str):
-                engine = get_engine(engine, scoring=self.scoring, xdrop=self.xdrop)
-            self._aligner = engine
+            self._aligner = engine_from_config(self.config)
         return self._aligner
 
     # ------------------------------------------------------------------ #

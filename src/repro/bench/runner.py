@@ -13,7 +13,7 @@ from typing import Any, Sequence
 from ..core.job import AlignmentJob
 from ..core.scoring import ScoringScheme
 from ..data import PairSetSpec, generate_pair_set
-from ..engine import available_engines, get_engine, list_engines
+from ..engine import get_engine, list_engines
 from ..errors import ConfigurationError
 from ..obs.provenance import build_provenance
 from ..obs.runtime import get_observability
@@ -86,8 +86,7 @@ def run_engine_bench(
     for the regression gate).  ``quick`` shrinks the workload to the CI
     smoke scale and restricts the default engine set to
     ``reference``/``batched``; otherwise the default set is every
-    *available* engine (optional engines whose dependency is missing are
-    skipped unless named explicitly, which raises with the reason).
+    registered engine.
 
     With *profile* set, the batch comes from the workload bank
     (:func:`repro.workloads.generate_workload`) instead of the default
@@ -111,7 +110,7 @@ def run_engine_bench(
         pairs = min(pairs, _QUICK_PAIRS)
     scoring = scoring if scoring is not None else ScoringScheme()
     names = list(engines) if engines else (
-        list(_QUICK_ENGINES) if quick else available_engines()
+        list(_QUICK_ENGINES) if quick else list_engines()
     )
     unknown = sorted(set(names) - set(list_engines()))
     if unknown:

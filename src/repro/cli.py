@@ -50,14 +50,12 @@ exactness, summary) and exit.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from typing import Sequence
 
 import numpy as np
 
-from ._compat import warn_once
 from .api import AlignConfig, add_config_arguments, config_from_args, default_seed
 from .baselines import SeqAnBatchAligner
 from .bella import BellaPipeline
@@ -87,11 +85,7 @@ class _ListEnginesAction(argparse.Action):
     def __call__(self, parser, namespace, values, option_string=None):
         for row in describe_engines():
             exact = {True: "exact", False: "inexact", None: "?"}[row["exact"]]
-            status = ""
-            if not row["available"]:
-                reason = row["reason"] or "optional dependency missing"
-                status = f"  [unavailable: {reason}]"
-            print(f"{row['name']:>12s}  {exact:<8s} {row['summary']}{status}")
+            print(f"{row['name']:>12s}  {exact:<8s} {row['summary']}")
         parser.exit(0)
 
 
@@ -270,12 +264,6 @@ def main_bella(argv: Sequence[str] | None = None) -> int:
     )
     parser.add_argument("--fasta", type=str, default=None, help="use reads from this FASTA")
     parser.add_argument("--kmer", "-k", type=int, default=17)
-    parser.add_argument(
-        "--aligner",
-        choices=["seqan", "logan"],
-        default=None,
-        help="deprecated alias of --engine",
-    )
     parser.add_argument("--gpus", type=int, default=None)
     parser.add_argument("--min-overlap", type=int, default=500)
     parser.add_argument(
@@ -290,14 +278,9 @@ def main_bella(argv: Sequence[str] | None = None) -> int:
     _add_engine_discovery(parser)
     args = parser.parse_args(argv)
 
-    config = config_from_args(args, _BELLA_DEFAULTS, exclude=("seed_policy",))
-    if args.engine is None and args.aligner is not None:
-        warn_once(
-            "cli-bella-aligner",
-            "repro-bella --aligner is deprecated; use --engine (or --config)",
-        )
-        config = config.replace(engine=args.aligner)
-    config = _with_gpus(config, args)
+    config = _with_gpus(
+        config_from_args(args, _BELLA_DEFAULTS, exclude=("seed_policy",)), args
+    )
 
     if args.fasta:
         reads = [r.sequence for r in read_fasta(args.fasta)]
@@ -378,7 +361,7 @@ def main_bench_perf(argv: Sequence[str] | None = None) -> int:
         nargs="*",
         default=None,
         help=(
-            "subset of engines to time (default: all available; "
+            "subset of engines to time (default: all registered; "
             "quick: reference+batched)"
         ),
     )
@@ -754,32 +737,6 @@ _SERVE_DEFAULTS = AlignConfig(engine="batched", seed_policy="middle")
 _SUBMIT_DEFAULTS = AlignConfig(engine="batched", seed_policy="start")
 
 
-def _service_config_from_args(
-    args: argparse.Namespace, defaults: AlignConfig
-) -> AlignConfig:
-    """Resolve the service subcommand's config from the shared group."""
-    # --workers is resolved by hand: the historic repro-service spelling
-    # meant worker *shards*, which the shared group now calls --num-workers.
-    config = config_from_args(args, defaults, exclude=("workers",))
-    if args.workers is not None:
-        if args.num_workers is None:
-            warn_once(
-                "cli-service-workers",
-                "repro-service --workers is interpreted as service worker "
-                "shards for backwards compatibility; use --num-workers for "
-                "shards (or the config file's 'workers' field for engine "
-                "worker processes)",
-            )
-            config = config.replace(
-                service=dataclasses.replace(
-                    config.service, num_workers=args.workers
-                ),
-            )
-        else:
-            config = config.replace(workers=args.workers)
-    return config
-
-
 def _add_service_arguments(
     parser: argparse.ArgumentParser, defaults: AlignConfig
 ) -> None:
@@ -981,7 +938,7 @@ def _run_serve(args, parser) -> int:
     from .perf.timers import Timer
     from .service import AlignmentService
 
-    config = _service_config_from_args(args, _SERVE_DEFAULTS)
+    config = config_from_args(args, _SERVE_DEFAULTS)
     if args.trace or args.flight_recorder_out:
         obs_mod.configure(tracing=True, flight_recorder=True)
     if args.listen:
@@ -1071,7 +1028,7 @@ def _run_serve(args, parser) -> int:
 def _run_submit(args, parser) -> int:
     from .service import AlignmentService
 
-    config = _service_config_from_args(args, _SUBMIT_DEFAULTS)
+    config = config_from_args(args, _SUBMIT_DEFAULTS)
     if args.query and args.target:
         jobs = [
             AlignmentJob(

@@ -86,8 +86,8 @@ def ensure_unit_scoring(scoring: ScoringScheme) -> None:
             "wavefront engine requires unit scoring "
             "(match=1, mismatch=-1, gap=-1); got "
             f"match={scoring.match}, mismatch={scoring.mismatch}, "
-            f"gap={scoring.gap}. Use the 'batched' or 'compiled' engine "
-            "for non-unit schemes."
+            f"gap={scoring.gap}. Use the 'batched' engine for non-unit "
+            "schemes."
         )
 
 

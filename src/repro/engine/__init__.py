@@ -1,9 +1,9 @@
 """Unified alignment-engine layer.
 
-One registry, one interface, every aligner in the library: engines wrap the
-scalar reference, the per-pair vectorised kernel, the inter-sequence batched
-kernel, the SeqAn-like and ksw2 CPU baselines and the LOGAN GPU-model
-aligner behind ``align_batch(jobs, scoring, xdrop)``.  Consumers — the BELLA
+One registry, one interface, five engines: the scalar reference (the
+oracle), the inter-sequence batched kernel, the WFA-style wavefront kernel,
+the ksw2 affine Z-drop runner and the LOGAN GPU-model aligner, all behind
+``align_batch(jobs, scoring, xdrop)``.  Consumers — the BELLA
 pipeline, the CLI and the benchmark harness — select an engine by name:
 
 >>> from repro.engine import get_engine
@@ -17,7 +17,6 @@ See :mod:`repro.engine.base` for the protocol/registry and
 from .base import (
     AlignmentEngine,
     EngineBatchResult,
-    available_engines,
     describe_engines,
     engine_from_config,
     get_engine,
@@ -27,12 +26,9 @@ from .base import (
 )
 from .engines import (
     BatchedEngine,
-    CompiledEngine,
     Ksw2Engine,
     LoganEngine,
     ReferenceEngine,
-    SeqAnEngine,
-    VectorizedEngine,
     WavefrontEngine,
 )
 
@@ -44,14 +40,10 @@ __all__ = [
     "get_engine",
     "engine_from_config",
     "list_engines",
-    "available_engines",
     "describe_engines",
     "ReferenceEngine",
-    "VectorizedEngine",
     "BatchedEngine",
-    "CompiledEngine",
     "WavefrontEngine",
-    "SeqAnEngine",
     "Ksw2Engine",
     "LoganEngine",
 ]

@@ -1,9 +1,9 @@
 """Alignment-engine protocol and registry.
 
-Every batch aligner in the library — the scalar reference loop, the per-pair
-vectorised kernel, the inter-sequence batched kernel, the SeqAn-like and
-ksw2 CPU baselines and the LOGAN GPU-model aligner — is exposed through one
-uniform interface so that consumers (the BELLA pipeline, the CLI, the
+Every engine in the library — the scalar reference loop (the oracle), the
+inter-sequence batched kernel, the WFA-style wavefront kernel, the ksw2
+affine Z-drop runner and the LOGAN GPU-model aligner — is exposed through
+one uniform interface so that consumers (the BELLA pipeline, the CLI, the
 benchmark harness) select an implementation by *name* instead of importing a
 concrete class:
 
@@ -15,16 +15,6 @@ concrete class:
 The registry is open: downstream code can plug in its own engine with
 :func:`register_engine` (usable as a decorator) and the CLI / benchmarks
 pick it up automatically via :func:`list_engines`.
-
-Engines backed by *optional* dependencies register with
-``available=False`` and a human-readable ``reason`` (e.g. the ``compiled``
-engine when numba is not installed).  Unavailable engines stay visible —
-:func:`list_engines` and :func:`describe_engines` still report them, so
-configs naming one validate and ``--list-engines`` can explain what is
-missing — but instantiating one through :func:`get_engine` /
-:func:`engine_from_config` raises a :class:`ConfigurationError` carrying
-the recorded reason.  :func:`available_engines` lists only the engines
-that can actually be built.
 """
 
 from __future__ import annotations
@@ -46,7 +36,6 @@ __all__ = [
     "get_engine",
     "engine_from_config",
     "list_engines",
-    "available_engines",
     "describe_engines",
 ]
 
@@ -66,9 +55,9 @@ class EngineBatchResult:
     elapsed_seconds:
         Measured wall-clock of the Python run.
     modeled_seconds:
-        Modeled wall-clock on the engine's native platform (POWER9 for the
-        SeqAn-like engine, Skylake for ksw2, V100(s) for LOGAN) when the
-        engine has a platform model, otherwise ``None``.
+        Modeled wall-clock on the engine's native platform (Skylake for
+        ksw2, V100(s) for LOGAN) when the engine has a platform model,
+        otherwise ``None``.
     extras:
         Engine-specific detail (e.g. the full LOGAN batch result) for
         callers that need more than the uniform surface.
@@ -112,42 +101,24 @@ class AlignmentEngine(Protocol):
         ...
 
 
-@dataclass(frozen=True)
-class _EngineEntry:
-    """Registry slot: the factory plus its optional-dependency status."""
-
-    factory: Callable[..., AlignmentEngine]
-    available: bool = True
-    reason: str | None = None
-
-
-_REGISTRY: dict[str, _EngineEntry] = {}
+_REGISTRY: dict[str, Callable[..., AlignmentEngine]] = {}
 
 
 def register_engine(
-    name: str,
-    factory: Callable[..., AlignmentEngine] | None = None,
-    *,
-    available: bool = True,
-    reason: str | None = None,
+    name: str, factory: Callable[..., AlignmentEngine] | None = None
 ):
     """Register an engine *factory* (a class or callable) under *name*.
 
     Usable directly (``register_engine("logan", LoganEngine)``) or as a
     class decorator (``@register_engine("logan")``).  Names are
     case-insensitive and must be unique.
-
-    An engine whose optional dependency is missing registers with
-    ``available=False`` and a *reason* naming the missing extra; it stays
-    listed but :func:`get_engine` refuses to build it, surfacing the reason
-    instead of an ``ImportError``.
     """
 
     def _register(obj: Callable[..., AlignmentEngine]):
         key = str(name).lower()
         if key in _REGISTRY:
             raise ConfigurationError(f"engine {key!r} is already registered")
-        _REGISTRY[key] = _EngineEntry(obj, bool(available), reason)
+        _REGISTRY[key] = obj
         return obj
 
     if factory is None:
@@ -160,11 +131,6 @@ def unregister_engine(name: str) -> None:
     _REGISTRY.pop(str(name).lower(), None)
 
 
-def _unavailable_message(key: str, entry: _EngineEntry) -> str:
-    reason = entry.reason or "its optional dependency is not installed"
-    return f"engine {key!r} is registered but unavailable: {reason}"
-
-
 def get_engine(name: str, **options: Any) -> AlignmentEngine:
     """Instantiate the engine registered under *name*.
 
@@ -172,15 +138,12 @@ def get_engine(name: str, **options: Any) -> AlignmentEngine:
     ``scoring``, ``xdrop``, ``workers``; the LOGAN engine also accepts
     ``system``).
     """
-    key = str(name).lower()
-    entry = _REGISTRY.get(key)
-    if entry is None:
+    factory = _REGISTRY.get(str(name).lower())
+    if factory is None:
         raise ConfigurationError(
             f"unknown engine {name!r}; available: {', '.join(list_engines())}"
         )
-    if not entry.available:
-        raise ConfigurationError(_unavailable_message(key, entry))
-    return entry.factory(**options)
+    return factory(**options)
 
 
 def engine_from_config(config: Any) -> AlignmentEngine:
@@ -188,24 +151,21 @@ def engine_from_config(config: Any) -> AlignmentEngine:
 
     Also reachable as ``get_engine.from_config(config)``.  The config's
     ``scoring``/``xdrop``/``workers``/``trace`` become the uniform factory
-    options, ``engine_options`` are forwarded verbatim, and ``bandwidth``
-    (when set) reaches factories that accept one.  Anything duck-typed with
-    those attributes works — the registry never imports :mod:`repro.api`.
+    options and ``engine_options`` are forwarded verbatim (e.g.
+    ``{"bandwidth": 64}`` for ksw2).  Anything duck-typed with those
+    attributes works — the registry never imports :mod:`repro.api`.
 
     Unknown ``engine_options`` keys raise a :class:`ConfigurationError`
     naming the option and the factory's accepted parameters instead of a
     bare ``TypeError`` from deep inside the constructor.
     """
     key = str(config.engine).lower()
-    entry = _REGISTRY.get(key)
-    if entry is None:
+    factory = _REGISTRY.get(key)
+    if factory is None:
         raise ConfigurationError(
             f"engine: unknown engine {config.engine!r}; "
             f"available: {', '.join(list_engines())}"
         )
-    if not entry.available:
-        raise ConfigurationError(f"engine: {_unavailable_message(key, entry)}")
-    factory = entry.factory
     options: dict[str, Any] = {
         "scoring": config.scoring,
         "xdrop": config.xdrop,
@@ -220,7 +180,6 @@ def engine_from_config(config: Any) -> AlignmentEngine:
             "uniform config fields of the same name; set them on the config "
             "itself (scoring/xdrop/workers/trace) so every layer agrees"
         )
-    bandwidth = getattr(config, "bandwidth", None)
 
     target = factory.__init__ if inspect.isclass(factory) else factory
     parameters = inspect.signature(target).parameters
@@ -236,10 +195,6 @@ def engine_from_config(config: Any) -> AlignmentEngine:
                 f"by engine {key!r}; accepted: {', '.join(sorted(accepted))}"
             )
         options = {k: v for k, v in options.items() if k in accepted}
-        if bandwidth is not None and "bandwidth" in accepted:
-            extra.setdefault("bandwidth", bandwidth)
-    elif bandwidth is not None:
-        extra.setdefault("bandwidth", bandwidth)
     options.update(extra)
     return factory(**options)
 
@@ -248,18 +203,8 @@ get_engine.from_config = engine_from_config  # the config-first spelling
 
 
 def list_engines() -> list[str]:
-    """Sorted names of every registered engine, unavailable ones included.
-
-    Unavailable engines stay listed so configs naming them validate and the
-    actionable build-time error (see :func:`get_engine`) is reachable; use
-    :func:`available_engines` for the buildable subset.
-    """
+    """Sorted names of every registered engine."""
     return sorted(_REGISTRY)
-
-
-def available_engines() -> list[str]:
-    """Sorted names of the registered engines that can actually be built."""
-    return sorted(name for name, entry in _REGISTRY.items() if entry.available)
 
 
 def describe_engines() -> list[dict[str, Any]]:
@@ -269,15 +214,13 @@ def describe_engines() -> list[dict[str, Any]]:
     (``None`` when the factory does not declare one, e.g. a plain callable),
     ``work_exact`` (whether work accounting and band traces are also
     bit-identical to the reference; defaults to the ``exact`` flag when the
-    factory does not declare it), ``available``/``reason`` (optional-
-    dependency status) and the first line of its docstring as a
+    factory does not declare it) and the first line of its docstring as a
     human-readable ``summary``.  Introspection only — no engine is
     instantiated.
     """
     rows: list[dict[str, Any]] = []
     for name in list_engines():
-        entry = _REGISTRY[name]
-        factory = entry.factory
+        factory = _REGISTRY[name]
         doc = inspect.getdoc(factory) or ""
         exact = getattr(factory, "exact", None)
         rows.append(
@@ -285,8 +228,6 @@ def describe_engines() -> list[dict[str, Any]]:
                 "name": name,
                 "exact": exact,
                 "work_exact": getattr(factory, "work_exact", exact),
-                "available": entry.available,
-                "reason": entry.reason,
                 "summary": doc.splitlines()[0] if doc else "",
             }
         )

@@ -1,25 +1,21 @@
-"""Concrete alignment engines wrapping every aligner in the library.
+"""Concrete alignment engines.
 
-Eight engines ship with the package (names as registered):
+Five engines ship with the package (names as registered):
 
 ==============  =====================================================  ======
 name            implementation                                         exact
 ==============  =====================================================  ======
-``reference``   per-job Python loop over the scalar reference kernel   yes
-``vectorized``  per-job loop over the per-pair vectorised kernel       yes
+``reference``   per-job Python loop over the scalar reference kernel
+                — the semantic oracle                                  yes
 ``batched``     inter-sequence batched kernel — the whole batch is
                 packed into padded arrays and swept together
                 (:func:`repro.core.xdrop_batch.xdrop_extend_batch`)    yes
-``compiled``    numba-JIT per-pair banded sweep sharing the batched
-                kernel's dtype tiers; registered unavailable (with
-                the reason) when numba is not installed
-                (:func:`repro.core.xdrop_compiled.xdrop_extend_compiled`)  yes
 ``wavefront``   WFA-style furthest-reaching-point extension, unit
                 scoring only
                 (:func:`repro.core.wavefront.wavefront_extend_batch`)  yes*
-``seqan``       SeqAn-like CPU batch runner + POWER9 platform model    yes
 ``ksw2``        ksw2-style affine Z-drop runner + Skylake model        no
-``logan``       LOGAN batch aligner + V100 multi-GPU execution model   yes
+``logan``       LOGAN batch aligner (the batched kernel) + V100
+                multi-GPU execution model                              yes
 ==============  =====================================================  ======
 
 "exact" engines return scores, end positions and work accounting identical
@@ -38,19 +34,12 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..baselines.ksw2_batch import Ksw2BatchAligner
-from ..baselines.seqan_like import SeqAnBatchAligner
 from ..core.job import AlignmentJob, summarize_results
 from ..core.result import ExtensionResult, SeedAlignmentResult
 from ..core.scoring import AffineScoringScheme, ScoringScheme
 from ..core.seed_extend import extend_seed
 from ..core.wavefront import ensure_unit_scoring, wavefront_extend_batch
 from ..core.xdrop import xdrop_extend_reference
-from ..core.xdrop_compiled import (
-    HAVE_NUMBA,
-    NUMBA_IMPORT_ERROR,
-    xdrop_extend_compiled,
-)
-from ..core.xdrop_vectorized import xdrop_extend
 from ..logan.host import prepare_batch
 from ..logan.kernel import empty_extension, execute_tasks_batched
 from ..obs.runtime import (
@@ -64,22 +53,42 @@ from .base import EngineBatchResult, register_engine
 
 __all__ = [
     "ReferenceEngine",
-    "VectorizedEngine",
     "BatchedEngine",
-    "CompiledEngine",
     "WavefrontEngine",
-    "SeqAnEngine",
     "Ksw2Engine",
     "LoganEngine",
 ]
 
 
-def _extend_job(job, scoring, xdrop, trace, kernel) -> SeedAlignmentResult:
-    """Worker: one seed-and-extend alignment (module-level, picklable)."""
+def _extend_job(job, scoring, xdrop, trace) -> SeedAlignmentResult:
+    """Worker: one reference seed-and-extend alignment (picklable)."""
     return extend_seed(
         job.query, job.target, job.seed, scoring=scoring, xdrop=xdrop,
-        kernel=kernel, trace=trace,
+        kernel=xdrop_extend_reference, trace=trace,
     )
+
+
+def _seed_results(jobs, prepared, sides) -> list[SeedAlignmentResult]:
+    """Join each job's ``(index, "left"/"right")`` extensions at its seed."""
+    results = []
+    for index, job in enumerate(jobs):
+        left = sides[(index, "left")]
+        right = sides[(index, "right")]
+        anchor = prepared.seed_scores[index]
+        seed = job.seed
+        results.append(
+            SeedAlignmentResult(
+                score=int(left.best_score + right.best_score + anchor),
+                left=left,
+                right=right,
+                seed_score=anchor,
+                query_begin=seed.query_pos - left.query_end,
+                query_end=seed.query_end + right.query_end,
+                target_begin=seed.target_pos - left.target_end,
+                target_end=seed.target_end + right.target_end,
+            )
+        )
+    return results
 
 
 class _EngineBase:
@@ -88,9 +97,8 @@ class _EngineBase:
     name = "abstract"
     exact = True
     #: Result-invariant tuning attributes the autotune layer may override
-    #: in place on a live instance.  Empty by default: the per-pair
-    #: kernels (compiled/wavefront) have neither active-row compaction
-    #: nor column tiling, so they expose no online tuning surface.
+    #: in place on a live instance.  Empty by default: only the batched
+    #: kernel has active-row compaction and column tiling to tune.
     TUNABLE_KNOBS: tuple = ()
 
     def __init__(
@@ -179,10 +187,10 @@ class _EngineBase:
         return f"{type(self).__name__}(xdrop={self.xdrop})"
 
 
-class _PerJobEngine(_EngineBase):
-    """Engines that loop over jobs, one extension kernel call per side."""
+class ReferenceEngine(_EngineBase):
+    """Per-job scalar reference loop — the semantic oracle, and the slowest."""
 
-    kernel = staticmethod(xdrop_extend)
+    name = "reference"
 
     def _align_batch(
         self,
@@ -196,7 +204,7 @@ class _PerJobEngine(_EngineBase):
             results = parallel_map(
                 _extend_job,
                 list(jobs),
-                args=(scoring, xdrop, self.trace, self.kernel),
+                args=(scoring, xdrop, self.trace),
                 workers=self.workers,
             )
         return EngineBatchResult(
@@ -205,20 +213,6 @@ class _PerJobEngine(_EngineBase):
             summary=summarize_results(results),
             elapsed_seconds=timer.elapsed,
         )
-
-
-class ReferenceEngine(_PerJobEngine):
-    """Per-job scalar reference loop — the semantic oracle, and the slowest."""
-
-    name = "reference"
-    kernel = staticmethod(xdrop_extend_reference)
-
-
-class VectorizedEngine(_PerJobEngine):
-    """Per-job loop over the per-pair vectorised kernel (intra-sequence only)."""
-
-    name = "vectorized"
-    kernel = staticmethod(xdrop_extend)
 
 
 class BatchedEngine(_EngineBase):
@@ -286,24 +280,7 @@ class BatchedEngine(_EngineBase):
                 (task.job_index, task.direction): ext
                 for task, ext in zip(tasks, extensions)
             }
-            results = []
-            for index, job in enumerate(jobs):
-                left = sides[(index, "left")]
-                right = sides[(index, "right")]
-                anchor = prepared.seed_scores[index]
-                seed = job.seed
-                results.append(
-                    SeedAlignmentResult(
-                        score=int(left.best_score + right.best_score + anchor),
-                        left=left,
-                        right=right,
-                        seed_score=anchor,
-                        query_begin=seed.query_pos - left.query_end,
-                        query_end=seed.query_end + right.query_end,
-                        target_begin=seed.target_pos - left.target_end,
-                        target_end=seed.target_end + right.target_end,
-                    )
-                )
+            results = _seed_results(jobs, prepared, sides)
         return EngineBatchResult(
             engine=self.name,
             results=results,
@@ -313,95 +290,7 @@ class BatchedEngine(_EngineBase):
         )
 
 
-class _PairKernelEngine(_EngineBase):
-    """Engines that run one batch-kernel call over the prepared extensions.
-
-    Jobs are split at their seeds exactly like :class:`BatchedEngine`;
-    zero-length sides never reach the kernel (the shared batch-runner
-    contract) and are reinserted as zero-score extensions in task order.
-    Subclasses provide :meth:`_extend_pairs` mapping the live
-    ``(query, target)`` pairs to per-pair :class:`ExtensionResult`\\ s.
-    """
-
-    def _extend_pairs(self, pairs, scoring, xdrop) -> list[ExtensionResult]:
-        raise NotImplementedError  # pragma: no cover - abstract
-
-    def _align_batch(
-        self,
-        jobs: Sequence[AlignmentJob],
-        scoring: ScoringScheme | None = None,
-        xdrop: int | None = None,
-    ) -> EngineBatchResult:
-        scoring, xdrop = self._resolve(scoring, xdrop)
-        timer = Timer()
-        with timer:
-            prepared = prepare_batch(jobs, scoring)
-            tasks = prepared.left_tasks + prepared.right_tasks
-            live = [task for task in tasks if not task.is_empty]
-            pairs = [(task.query, task.target) for task in live]
-            live_results = iter(
-                self._extend_pairs(pairs, scoring, xdrop) if pairs else []
-            )
-            sides: dict[tuple[int, str], ExtensionResult] = {}
-            for task in tasks:
-                ext = (
-                    empty_extension(self.trace)
-                    if task.is_empty
-                    else next(live_results)
-                )
-                sides[(task.job_index, task.direction)] = ext
-            results = []
-            for index, job in enumerate(jobs):
-                left = sides[(index, "left")]
-                right = sides[(index, "right")]
-                anchor = prepared.seed_scores[index]
-                seed = job.seed
-                results.append(
-                    SeedAlignmentResult(
-                        score=int(left.best_score + right.best_score + anchor),
-                        left=left,
-                        right=right,
-                        seed_score=anchor,
-                        query_begin=seed.query_pos - left.query_end,
-                        query_end=seed.query_end + right.query_end,
-                        target_begin=seed.target_pos - left.target_end,
-                        target_end=seed.target_end + right.target_end,
-                    )
-                )
-        return EngineBatchResult(
-            engine=self.name,
-            results=results,
-            summary=summarize_results(results),
-            elapsed_seconds=timer.elapsed,
-        )
-
-
-class CompiledEngine(_PairKernelEngine):
-    """numba-JIT per-pair banded sweep — the batched semantics without interpreter cost.
-
-    Runs :func:`repro.core.xdrop_compiled.xdrop_extend_compiled`: the scalar
-    reference recurrence compiled per pair, touching exactly the live band
-    (the effect the batched kernel's compaction/tiling approximates) with
-    the same dtype-tier overflow guard.  Bit-identical to the reference on
-    every scoring scheme, including work accounting and band traces.
-
-    The registry marks this engine unavailable when numba is not installed
-    (``repro-align --list-engines`` shows the reason); the class itself
-    still works everywhere by falling back to the pure-Python kernel, which
-    is what the test-suite exercises on numba-less environments.  ``workers``
-    is accepted for signature uniformity and ignored (the compiled loop is
-    already single-pass per pair).
-    """
-
-    name = "compiled"
-
-    def _extend_pairs(self, pairs, scoring, xdrop) -> list[ExtensionResult]:
-        return xdrop_extend_compiled(
-            pairs, scoring=scoring, xdrop=xdrop, trace=self.trace
-        )
-
-
-class WavefrontEngine(_PairKernelEngine):
+class WavefrontEngine(_EngineBase):
     """WFA-style furthest-reaching-point X-drop extension (unit scoring only).
 
     Runs :func:`repro.core.wavefront.wavefront_extend_batch`: snake-walking
@@ -409,6 +298,10 @@ class WavefrontEngine(_PairKernelEngine):
     anti-diagonals, so work scales with accumulated *cost* rather than
     sequence length — on high-identity reads this removes almost all of the
     anti-diagonal stepping and beats the batched kernel outright.
+
+    Jobs are split at their seeds exactly like :class:`BatchedEngine`;
+    zero-length sides never reach the kernel (the shared batch-runner
+    contract) and are reinserted as zero-score extensions in task order.
 
     Exact on scores, end positions and early-termination for the unit
     scheme (match=+1, mismatch=-1, gap=-1) only; any other scheme raises
@@ -432,18 +325,6 @@ class WavefrontEngine(_PairKernelEngine):
         super().__init__(scoring=scoring, xdrop=xdrop, workers=workers, trace=trace)
         ensure_unit_scoring(self.scoring)
 
-    def _extend_pairs(self, pairs, scoring, xdrop) -> list[ExtensionResult]:
-        ensure_unit_scoring(scoring)
-        return wavefront_extend_batch(
-            pairs, scoring=scoring, xdrop=xdrop, trace=self.trace
-        )
-
-
-class SeqAnEngine(_EngineBase):
-    """SeqAn-like CPU batch runner with the modeled POWER9 runtime."""
-
-    name = "seqan"
-
     def _align_batch(
         self,
         jobs: Sequence[AlignmentJob],
@@ -451,17 +332,32 @@ class SeqAnEngine(_EngineBase):
         xdrop: int | None = None,
     ) -> EngineBatchResult:
         scoring, xdrop = self._resolve(scoring, xdrop)
-        aligner = SeqAnBatchAligner(
-            scoring=scoring, xdrop=xdrop, workers=self.workers, trace=self.trace
-        )
-        batch = aligner.align_batch(jobs)
+        timer = Timer()
+        with timer:
+            prepared = prepare_batch(jobs, scoring)
+            tasks = prepared.left_tasks + prepared.right_tasks
+            pairs = [(task.query, task.target) for task in tasks if not task.is_empty]
+            # The kernel re-checks unit scoring, so per-call overrides are
+            # validated whenever a live extension reaches it.
+            live = iter(
+                wavefront_extend_batch(
+                    pairs, scoring=scoring, xdrop=xdrop, trace=self.trace
+                )
+                if pairs
+                else []
+            )
+            sides = {
+                (task.job_index, task.direction): (
+                    empty_extension(self.trace) if task.is_empty else next(live)
+                )
+                for task in tasks
+            }
+            results = _seed_results(jobs, prepared, sides)
         return EngineBatchResult(
             engine=self.name,
-            results=batch.results,
-            summary=batch.summary,
-            elapsed_seconds=batch.elapsed_seconds,
-            modeled_seconds=batch.modeled_seconds,
-            extras={"batch": batch},
+            results=results,
+            summary=summarize_results(results),
+            elapsed_seconds=timer.elapsed,
         )
 
 
@@ -565,8 +461,9 @@ class Ksw2Engine(_EngineBase):
 class LoganEngine(_EngineBase):
     """LOGAN batch aligner with the modeled V100 multi-GPU runtime.
 
-    ``trace`` is accepted for signature uniformity; LOGAN always traces
-    (the GPU execution model replays the band traces).
+    Runs the batched kernel (every extension one row of a fused sweep) and
+    replays its band traces through the V100 execution model.  ``trace`` is
+    accepted for signature uniformity; LOGAN always traces.
     """
 
     name = "logan"
@@ -580,7 +477,6 @@ class LoganEngine(_EngineBase):
         system=None,
         gpus: int | None = None,
         threads_per_block: int | None = None,
-        execution: str = "batched",
     ) -> None:
         super().__init__(scoring=scoring, xdrop=xdrop, workers=workers, trace=trace)
         from ..gpusim.multi_gpu import MultiGpuSystem
@@ -594,7 +490,6 @@ class LoganEngine(_EngineBase):
             xdrop=self.xdrop,
             threads_per_block=threads_per_block,
             workers=self.workers,
-            engine=execution,
         )
 
     def _align_batch(
@@ -614,7 +509,6 @@ class LoganEngine(_EngineBase):
                 xdrop=xdrop,
                 threads_per_block=aligner._explicit_threads,
                 workers=aligner.workers,
-                engine=aligner.engine,
             )
         batch = aligner.align_batch(jobs)
         return EngineBatchResult(
@@ -628,20 +522,7 @@ class LoganEngine(_EngineBase):
 
 
 register_engine("reference", ReferenceEngine)
-register_engine("vectorized", VectorizedEngine)
 register_engine("batched", BatchedEngine)
-register_engine(
-    "compiled",
-    CompiledEngine,
-    available=HAVE_NUMBA,
-    reason=None
-    if HAVE_NUMBA
-    else (
-        "the optional dependency numba is not installed "
-        f"(pip install numba): {NUMBA_IMPORT_ERROR}"
-    ),
-)
 register_engine("wavefront", WavefrontEngine)
-register_engine("seqan", SeqAnEngine)
 register_engine("ksw2", Ksw2Engine)
 register_engine("logan", LoganEngine)

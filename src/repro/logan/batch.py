@@ -9,8 +9,8 @@ seed alignments:
    work (:mod:`repro.logan.scheduler`);
 3. per-device execution — one GPU block per extension, two streams (left and
    right extensions), threads per block scheduled proportionally to X
-   (:mod:`repro.logan.kernel` for the functional work,
-   :mod:`repro.gpusim` for the modeled V100 timing);
+   (:mod:`repro.logan.kernel` runs the functional work on the batched
+   kernel, :mod:`repro.gpusim` models the V100 timing);
 4. result collection — per-job seed alignment scores identical to the
    SeqAn-style reference.
 
@@ -127,15 +127,10 @@ class LoganAligner:
         Instruction-cost constants of the GPU model (exposed for ablations).
     balancer_policy:
         ``"cells"`` (default) or ``"count"`` — see :class:`LoadBalancer`.
-    engine:
-        Functional execution strategy for the extension streams:
-        ``"batched"`` (default — the inter-sequence batch kernel, every
-        extension one row of a single fused sweep, mirroring the GPU
-        layout), ``"vectorized"`` (one per-pair kernel call per extension),
-        or a custom callable (see
-        :func:`repro.logan.kernel.run_extension_stream`).  The choice never
-        affects scores, traces or the modeled runtimes — only the measured
-        Python wall-clock.
+
+    The extension streams always run on the inter-sequence batched kernel:
+    every extension is one row of a single fused sweep, mirroring the GPU
+    layout (see :func:`repro.logan.kernel.run_extension_stream`).
     """
 
     def __init__(
@@ -148,17 +143,9 @@ class LoganAligner:
         host_model: HostModel = HostModel(),
         kernel_params: KernelCostParameters | None = None,
         balancer_policy: str = "cells",
-        engine: str = "batched",
     ) -> None:
         if xdrop < 0:
             raise ConfigurationError("xdrop must be non-negative")
-        from .kernel import EXTENSION_EXECUTORS
-
-        if not callable(engine) and engine not in EXTENSION_EXECUTORS:
-            raise ConfigurationError(
-                f"unknown extension engine {engine!r}; "
-                f"available: {sorted(EXTENSION_EXECUTORS)}"
-            )
         self.system = system or MultiGpuSystem.homogeneous(1)
         self.scoring = scoring if scoring is not None else ScoringScheme()
         self.xdrop = int(xdrop)
@@ -166,7 +153,6 @@ class LoganAligner:
         self.host_model = host_model
         self.kernel_params = kernel_params or KernelCostParameters()
         self.balancer_policy = balancer_policy
-        self.engine = engine
         self._explicit_threads = threads_per_block
         self._models = [
             KernelExecutionModel(device, params=self.kernel_params)
@@ -179,11 +165,10 @@ class LoganAligner:
 
         ``engine_options`` may carry the LOGAN-specific knobs: ``gpus``
         (shorthand for a homogeneous system), ``system``,
-        ``threads_per_block``, ``balancer_policy``, ``host_model``,
-        ``kernel_params`` and ``execution`` (the functional execution
-        strategy, mapped to the ``engine`` kwarg).  Unknown or shadowing
-        options raise a :class:`ConfigurationError` naming the option, the
-        same contract as :func:`repro.engine.base.engine_from_config`.
+        ``threads_per_block``, ``balancer_policy``, ``host_model`` and
+        ``kernel_params``.  Unknown or shadowing options raise a
+        :class:`ConfigurationError` naming the option, the same contract as
+        :func:`repro.engine.base.engine_from_config`.
         """
         import inspect
 
@@ -200,7 +185,7 @@ class LoganAligner:
             name
             for name in inspect.signature(cls.__init__).parameters
             if name != "self"
-        } | {"gpus", "execution"}
+        } | {"gpus"}
         unknown = sorted(set(options) - accepted)
         if unknown:
             raise ConfigurationError(
@@ -211,8 +196,6 @@ class LoganAligner:
         gpus = options.pop("gpus", None)
         if system is None and gpus is not None:
             system = MultiGpuSystem.homogeneous(int(gpus))
-        if "execution" in options:
-            options["engine"] = options.pop("execution")
         return cls(
             system=system,
             scoring=config.scoring,
@@ -306,7 +289,6 @@ class LoganAligner:
                         xdrop=self.xdrop,
                         replication=replication,
                         workers=self.workers,
-                        engine=self.engine,
                     )
                     for task, result in zip(tasks, execution.results):
                         sink[task.job_index] = result

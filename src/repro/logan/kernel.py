@@ -2,10 +2,10 @@
 
 The CUDA kernel of the paper assigns each extension to a GPU block and
 computes its anti-diagonals with Algorithm 2.  In this reproduction the same
-work is performed by the vectorised NumPy X-drop kernel
-(:func:`repro.core.xdrop_vectorized.xdrop_extend`), and every extension
-additionally records its anti-diagonal width trace, which is what the GPU
-execution model replays to estimate V100 time.
+work is performed by the inter-sequence batched NumPy X-drop kernel
+(:func:`repro.core.xdrop_batch.xdrop_extend_batch`), one batch row per
+extension, and every extension additionally records its anti-diagonal width
+trace, which is what the GPU execution model replays to estimate V100 time.
 
 The kernel is *functionally exact*: the scores and end positions it returns
 are the library's single source of truth and are identical to the scalar
@@ -16,15 +16,13 @@ SeqAn-style reference (tests enforce this), which reproduces the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..core.result import ExtensionResult
 from ..core.scoring import ScoringScheme
 from ..core.xdrop_batch import BatchKernelStats, xdrop_extend_batch
-from ..core.xdrop_vectorized import xdrop_extend
-from ..errors import ConfigurationError
 from ..gpusim.trace import BlockWorkTrace, KernelWorkload
 from ..perf.parallel import chunk_evenly, parallel_map
 from .host import ExtensionTask
@@ -34,7 +32,6 @@ __all__ = [
     "run_extension_stream",
     "execute_tasks_batched",
     "empty_extension",
-    "EXTENSION_EXECUTORS",
 ]
 
 
@@ -66,22 +63,6 @@ def empty_extension(trace: bool = True) -> ExtensionResult:
         terminated_early=False,
         band_widths=np.asarray([1], dtype=np.int64) if trace else None,
     )
-
-
-def _run_task(
-    task: ExtensionTask, scoring: ScoringScheme, xdrop: int
-) -> ExtensionResult:
-    """Worker: execute one extension with tracing enabled (picklable)."""
-    if task.is_empty:
-        return empty_extension()
-    return xdrop_extend(task.query, task.target, scoring=scoring, xdrop=xdrop, trace=True)
-
-
-def _execute_vectorized(
-    tasks: Sequence[ExtensionTask], scoring: ScoringScheme, xdrop: int, workers: int
-) -> list[ExtensionResult]:
-    """Per-task execution: one vectorised kernel call per extension."""
-    return parallel_map(_run_task, list(tasks), args=(scoring, xdrop), workers=workers)
 
 
 def _run_pair_chunk(
@@ -159,27 +140,12 @@ def execute_tasks_batched(
     ]
 
 
-def _execute_batched(
-    tasks: Sequence[ExtensionTask], scoring: ScoringScheme, xdrop: int, workers: int
-) -> list[ExtensionResult]:
-    """Stream executor wrapper: batched execution with tracing on."""
-    return execute_tasks_batched(tasks, scoring, xdrop, workers=workers, trace=True)
-
-
-#: Named functional-execution strategies for a stream of extension tasks.
-EXTENSION_EXECUTORS: dict[str, Callable[..., list[ExtensionResult]]] = {
-    "vectorized": _execute_vectorized,
-    "batched": _execute_batched,
-}
-
-
 def run_extension_stream(
     tasks: Sequence[ExtensionTask],
     scoring: ScoringScheme,
     xdrop: int,
     replication: float = 1.0,
     workers: int = 1,
-    engine: str | Callable[..., list[ExtensionResult]] = "batched",
 ) -> StreamExecution:
     """Execute one stream of extensions and collect the traced workload.
 
@@ -196,23 +162,11 @@ def run_extension_stream(
     workers:
         Local worker processes used to execute the extensions (affects only
         the measured wall-clock, never the scores or the traces).
-    engine:
-        Functional execution strategy: ``"batched"`` (default — the
-        inter-sequence batch kernel), ``"vectorized"`` (one kernel call per
-        extension), or a callable ``(tasks, scoring, xdrop, workers) ->
-        list[ExtensionResult]``.  Scores and traces are identical for every
-        strategy; only the measured Python wall-clock differs.
+
+    The extensions run through :func:`execute_tasks_batched` with tracing
+    on, since the GPU execution model replays the band traces.
     """
-    if callable(engine):
-        executor = engine
-    else:
-        executor = EXTENSION_EXECUTORS.get(str(engine))
-        if executor is None:
-            raise ConfigurationError(
-                f"unknown extension engine {engine!r}; "
-                f"available: {sorted(EXTENSION_EXECUTORS)}"
-            )
-    results = executor(list(tasks), scoring, xdrop, workers)
+    results = execute_tasks_batched(tasks, scoring, xdrop, workers=workers, trace=True)
     workload = KernelWorkload(replication=replication)
     for task, result in zip(tasks, results):
         if task.is_empty:

@@ -27,13 +27,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .._compat import warn_once
 from ..core.job import AlignmentJob
 from ..core.xdrop_batch import WindowedKernelStats
 from ..core.result import SeedAlignmentResult
-from ..core.scoring import ScoringScheme
-from ..engine import get_engine
-from ..engine.base import AlignmentEngine, engine_from_config
+from ..engine.base import engine_from_config
 from ..errors import ServiceError
 from ..obs.provenance import build_provenance
 from ..obs.runtime import get_observability
@@ -153,157 +150,72 @@ class AlignmentService:
 
     Parameters
     ----------
-    engine:
-        Registered engine name (built with *scoring*/*xdrop*) or a
-        ready-made engine instance.
-    scoring, xdrop:
-        Alignment parameters; also part of every cache key.
-    num_workers:
-        Worker shards of the pool (load-balanced by estimated cells).
-    policy:
-        The :class:`BatchPolicy` of the adaptive batcher.
-    cache_capacity:
-        LRU result-cache entries (0 disables caching).
-    queue_capacity:
-        Bound of the submission queue (backpressure limit).
-    worker_policy:
-        Load-balancing policy of the pool, ``"cells"`` or ``"count"``.
-    submit_timeout:
-        Seconds ``submit`` may block on a full queue before raising.
     config:
-        An :class:`repro.api.AlignConfig`; when given it is the *sole*
-        configuration source (mixing it with the loose kwargs above raises)
-        and the nested :class:`repro.api.ServiceConfig` supplies every
-        serving knob.  The loose-kwarg spelling keeps working but is
-        deprecated — it warns once per process.
+        The :class:`repro.api.AlignConfig` to serve (default:
+        ``AlignConfig()``).  Its engine, scoring and xdrop define every
+        alignment (and every cache key); the nested
+        :class:`repro.api.ServiceConfig` supplies every serving knob —
+        worker shards, batch policy, cache and queue bounds, transport,
+        durable state, prefilter and autotune.
     """
 
-    def __init__(
-        self,
-        engine: str | AlignmentEngine = "batched",
-        scoring: ScoringScheme | None = None,
-        xdrop: int = 100,
-        *,
-        num_workers: int = 1,
-        policy: BatchPolicy | None = None,
-        cache_capacity: int = 4096,
-        queue_capacity: int = 1024,
-        worker_policy: str = "cells",
-        submit_timeout: float = 5.0,
-        config=None,
-    ) -> None:
-        if config is not None:
-            legacy = (
-                engine != "batched"
-                or scoring is not None
-                or xdrop != 100
-                or num_workers != 1
-                or policy is not None
-                or cache_capacity != 4096
-                or queue_capacity != 1024
-                or worker_policy != "cells"
-                or submit_timeout != 5.0
-            )
-            if legacy:
-                raise ServiceError(
-                    "pass either config= or the loose service kwargs, not both"
-                )
-            svc = config.service
-            engine = engine_from_config(config)
-            scoring = config.scoring
-            xdrop = config.xdrop
-            num_workers = svc.num_workers
-            policy = BatchPolicy(
-                max_batch_size=svc.max_batch_size,
-                max_wait_seconds=svc.max_wait_seconds,
-                bin_width=config.bin_width,
-            )
-            cache_capacity = svc.cache_capacity
-            queue_capacity = svc.queue_capacity
-            worker_policy = svc.worker_policy
-            submit_timeout = svc.submit_timeout
-            transport = svc.transport
-            state_path = svc.state_path
-            prefilter_mode = svc.prefilter
-            prefilter_options = svc.prefilter_options
-            autotune_mode = svc.autotune
-            autotune_options = svc.autotune_options
-        elif (
-            engine != "batched"
-            or scoring is not None
-            or xdrop != 100
-            or num_workers != 1
-            or policy is not None
-            or cache_capacity != 4096
-            or queue_capacity != 1024
-            or worker_policy != "cells"
-            or submit_timeout != 5.0
-        ):
-            warn_once(
-                "service-loose-kwargs",
-                "configuring AlignmentService through loose kwargs is "
-                "deprecated; pass config=repro.api.AlignConfig(...) (or use "
-                "repro.api.Aligner.open_service)",
-            )
+    def __init__(self, config=None) -> None:
         if config is None:
-            # The distributed knobs have no loose-kwarg form: the legacy
-            # surface always means in-process threads with no durability
-            # and no admission triage.
-            transport = "thread"
-            state_path = None
-            prefilter_mode = "off"
-            prefilter_options = {}
-            autotune_mode = "off"
-            autotune_options = {}
+            from ..api import AlignConfig
+
+            config = AlignConfig()
+        svc = config.service
         self.config = config
-        self.scoring = scoring if scoring is not None else ScoringScheme()
-        self.xdrop = int(xdrop)
-        if isinstance(engine, str):
-            engine = get_engine(engine, scoring=self.scoring, xdrop=self.xdrop)
-        self.engine = engine
-        self.policy = policy or BatchPolicy()
+        self.scoring = config.scoring
+        self.xdrop = config.xdrop
+        self.engine = engine_from_config(config)
+        self.policy = BatchPolicy(
+            max_batch_size=svc.max_batch_size,
+            max_wait_seconds=svc.max_wait_seconds,
+            bin_width=config.bin_width,
+        )
         # Every service gets a private metrics registry (two services never
         # mix series) sharing the process-wide tracer and flight recorder.
         # ServiceStats is a *view* over this registry.
         self.obs = get_observability().scoped()
-        self.queue = SubmissionQueue(capacity=queue_capacity, obs=self.obs)
+        self.queue = SubmissionQueue(capacity=svc.queue_capacity, obs=self.obs)
         self.batcher = AdaptiveBatcher(self.policy, obs=self.obs)
-        self.cache = ResultCache(capacity=cache_capacity, obs=self.obs)
-        self.transport = transport
-        if transport == "process":
+        self.cache = ResultCache(capacity=svc.cache_capacity, obs=self.obs)
+        self.transport = svc.transport
+        if svc.transport == "process":
             # Spawned worker processes fed through shared memory; they
             # rebuild the engine from the config in their own interpreter.
             from ..distrib.pool import ProcessWorkerPool
 
             self.pool = ProcessWorkerPool(
                 config,
-                num_workers=num_workers,
-                policy=worker_policy,
+                num_workers=svc.num_workers,
+                policy=svc.worker_policy,
                 xdrop=self.xdrop,
                 obs=self.obs,
             )
         else:
             self.pool = ShardedWorkerPool(
                 engine=self.engine,
-                num_workers=num_workers,
-                policy=worker_policy,
+                num_workers=svc.num_workers,
+                policy=svc.worker_policy,
                 xdrop=self.xdrop,
                 obs=self.obs,
             )
-        self.submit_timeout = submit_timeout
-        self.prefilter_mode = prefilter_mode
+        self.submit_timeout = svc.submit_timeout
+        self.prefilter_mode = svc.prefilter
         self.prefilter = None
-        if prefilter_mode != "off":
+        if svc.prefilter != "off":
             from ..prefilter import PrefilterPolicy
 
-            self.prefilter = PrefilterPolicy.from_options(prefilter_options)
+            self.prefilter = PrefilterPolicy.from_options(svc.prefilter_options)
         self.store = None
         self._key_json = None
-        if state_path:
+        if svc.state_path:
             from ..distrib.store import DurableStore
             from ..distrib.wire import cache_key_to_json
 
-            self.store = DurableStore(state_path, obs=self.obs)
+            self.store = DurableStore(svc.state_path, obs=self.obs)
             self._key_json = cache_key_to_json
         self._lock = threading.RLock()
         self._thread: threading.Thread | None = None
@@ -338,20 +250,20 @@ class AlignmentService:
         # signal the controllers (and the stats() hints) read.  A lifetime
         # accumulator would let hours-old traffic outvote the last minute.
         self._kernel_stats = WindowedKernelStats()
-        self.autotune_mode = autotune_mode
+        self.autotune_mode = svc.autotune
         self.autotune = None
-        if autotune_mode != "off":
+        if svc.autotune != "off":
             from ..autotune import AutotuneManager, AutotuneOptions
 
             self.autotune = AutotuneManager(
-                mode=autotune_mode,
-                options=AutotuneOptions.from_options(autotune_options),
+                mode=svc.autotune,
+                options=AutotuneOptions.from_options(svc.autotune_options),
                 batcher=self.batcher,
                 # Engine-knob overrides only reach a kernel running in
                 # this interpreter; process-transport workers rebuild
                 # their engines in their own processes, so only the
                 # batch-size knob tunes there.
-                engine=self.engine if transport != "process" else None,
+                engine=self.engine if svc.transport != "process" else None,
                 base_batch_size=self.policy.max_batch_size,
                 obs=self.obs,
             )

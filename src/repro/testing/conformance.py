@@ -291,10 +291,8 @@ class ConformanceRunner:
         and ``trace`` (shared by every engine) plus the engine/serving
         parameters of the service path.  Defaults to ``AlignConfig()``.
     engines:
-        Engine names to test (default: every *available* registered
-        engine; explicitly naming an unavailable optional engine raises
-        with the recorded reason).  The oracle (``reference``) is always
-        available and never compared to itself.
+        Engine names to test (default: every registered engine).  The
+        oracle (``reference``) is never compared to itself.
     include_service:
         Also run the :class:`~repro.service.AlignmentService` path and a
         second, cache-served round.
@@ -328,31 +326,13 @@ class ConformanceRunner:
             config = AlignConfig()
         self.config = config
         registered = list_engines()
-        rows = {row["name"]: row for row in describe_engines()}
-        if engines is not None:
-            names = list(engines)
-            unknown = sorted(set(n.lower() for n in names) - set(registered))
-            if unknown:
-                raise ConfigurationError(
-                    f"unknown engine(s) {', '.join(map(repr, unknown))}; "
-                    f"available: {', '.join(registered)}"
-                )
-            unavailable = sorted(
-                n.lower() for n in names if not rows[n.lower()]["available"]
+        names = list(engines) if engines is not None else registered
+        unknown = sorted(set(n.lower() for n in names) - set(registered))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown engine(s) {', '.join(map(repr, unknown))}; "
+                f"available: {', '.join(registered)}"
             )
-            if unavailable:
-                details = "; ".join(
-                    f"{n}: {rows[n]['reason'] or 'optional dependency missing'}"
-                    for n in unavailable
-                )
-                raise ConfigurationError(
-                    f"engine(s) {', '.join(map(repr, unavailable))} are "
-                    f"registered but unavailable ({details})"
-                )
-        else:
-            # Default sweep covers everything that can actually be built;
-            # optional engines whose dependency is missing are skipped.
-            names = [n for n in registered if rows[n]["available"]]
         self.engine_names = [n.lower() for n in names]
         self.include_service = include_service
         self.include_network = include_network
@@ -648,7 +628,6 @@ class ConformanceRunner:
         """
         if (
             not self.config.engine_options
-            and self.config.bandwidth is None
             and self._is_exact(self.config.engine)
             and self._is_work_exact(self.config.engine)
         ):

@@ -2,8 +2,8 @@
 
 Covers the config round-trip guarantee, field-naming validation errors,
 bit-identical parity between the facade and the direct engine/service
-paths for every registered engine, and the warn-once deprecation shims on
-the legacy kwarg seams.
+paths for every registered engine, and the config-only construction of the
+service and BELLA layers.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ import dataclasses
 import json
 import warnings
 
+import numpy as np
 import pytest
 
-from repro._compat import reset_deprecation_warnings
 from repro.api import (
     SEED_POLICIES,
     AlignConfig,
@@ -24,9 +24,9 @@ from repro.api import (
 )
 from repro.bella import BellaPipeline
 from repro.core import ScoringScheme, Seed, extend_seed
-from repro.engine import available_engines, get_engine, list_engines
+from repro.engine import get_engine, list_engines
 from repro.engine.base import engine_from_config
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError
 from repro.logan import LoganAligner
 from repro.service import AlignmentService
 
@@ -43,7 +43,6 @@ def fancy_config() -> AlignConfig:
         trace=True,
         seed_policy="middle",
         bin_width=250,
-        bandwidth=64,
         service=ServiceConfig(
             num_workers=2,
             max_batch_size=16,
@@ -107,7 +106,6 @@ class TestAlignConfigValidation:
             ({"workers": 0}, "workers"),
             ({"seed_policy": "anywhere"}, "seed_policy"),
             ({"bin_width": -5}, "bin_width"),
-            ({"bandwidth": 0}, "bandwidth"),
             ({"engine_options": {1: "x"}}, "engine_options"),
         ],
     )
@@ -170,7 +168,7 @@ class TestEngineFromConfig:
     def test_get_engine_gains_from_config(self):
         assert get_engine.from_config is engine_from_config
 
-    @pytest.mark.parametrize("name", sorted(["batched", "reference", "seqan"]))
+    @pytest.mark.parametrize("name", ["batched", "reference", "wavefront"])
     def test_builds_configured_engine(self, name):
         engine = engine_from_config(AlignConfig(engine=name, xdrop=33))
         assert engine.name == name
@@ -183,8 +181,20 @@ class TestEngineFromConfig:
         assert engine.aligner.system.num_devices == 3
 
     def test_bandwidth_reaches_ksw2(self):
-        engine = engine_from_config(AlignConfig(engine="ksw2", bandwidth=77))
+        engine = engine_from_config(
+            AlignConfig(engine="ksw2", engine_options={"bandwidth": 77})
+        )
         assert engine.bandwidth == 77
+
+    def test_bandwidth_is_an_engine_option_only(self):
+        # engine_options is the one spelling: the config field is gone, and
+        # an engine without a static band rejects the option by name.
+        with pytest.raises(ConfigurationError, match="bandwidth"):
+            AlignConfig.from_dict({"engine": "ksw2", "bandwidth": 77})
+        with pytest.raises(ConfigurationError, match="bandwidth"):
+            engine_from_config(
+                AlignConfig(engine="batched", engine_options={"bandwidth": 5})
+            )
 
     def test_engine_options_may_not_shadow_uniform_fields(self):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -205,9 +215,7 @@ class TestEngineFromConfig:
 
 class TestAlignerParity:
     def test_align_batch_bit_identical_for_every_engine(self, small_jobs):
-        # every engine that can be built here; optional engines whose
-        # dependency is missing are covered by the availability tests
-        for name in available_engines():
+        for name in list_engines():
             direct = get_engine(name, xdrop=20).align_batch(small_jobs)
             facade = Aligner(AlignConfig(engine=name, xdrop=20)).align_batch(small_jobs)
             assert facade.scores() == direct.scores(), name
@@ -284,50 +292,49 @@ class TestAlignerParity:
 
 
 class TestConsumersFromConfig:
-    def test_service_config_path_matches_legacy(self, small_jobs):
-        config = AlignConfig(engine="batched", xdrop=20)
-        with AlignmentService(config=config) as svc:
-            via_config = [r.score for r in svc.map(small_jobs)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with AlignmentService(engine="batched", xdrop=20) as svc:
-                via_kwargs = [r.score for r in svc.map(small_jobs)]
-        assert via_config == via_kwargs
-
-    def test_service_rejects_mixed_config_and_kwargs(self):
-        with pytest.raises(ReproError):
-            AlignmentService(xdrop=50, config=AlignConfig())
+    def test_service_rejects_loose_kwargs(self):
+        with pytest.raises(TypeError):
+            AlignmentService(xdrop=5)
+        with pytest.raises(TypeError):
+            AlignmentService(engine="batched", config=AlignConfig())
 
     def test_service_from_config_classmethod(self, small_jobs):
         svc = AlignmentService.from_config(AlignConfig(engine="batched", xdrop=20))
         with svc:
             assert len(svc.map(small_jobs)) == len(small_jobs)
 
-    def test_pipeline_config_path_matches_legacy(self, tiny_reads):
-        config = AlignConfig(engine="seqan", xdrop=25)
-        accepted_config = (
-            BellaPipeline(config=config, k=13).run(tiny_reads).accepted_pairs()
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            accepted_legacy = (
-                BellaPipeline(engine="seqan", xdrop=25, k=13)
-                .run(tiny_reads)
-                .accepted_pairs()
-            )
-        assert accepted_config == accepted_legacy
+    def test_service_config_path_matches_engine(self, small_jobs):
+        config = AlignConfig(engine="batched", xdrop=20)
+        with AlignmentService(config=config) as svc:
+            via_service = svc.map(small_jobs)
+        direct = engine_from_config(config).align_batch(small_jobs).results
+        assert [r.score for r in via_service] == [r.score for r in direct]
+        assert [(r.query_end, r.target_end) for r in via_service] == [
+            (r.query_end, r.target_end) for r in direct
+        ]
 
-    def test_pipeline_rejects_mixed_config_and_engine(self):
-        with pytest.raises(ConfigurationError):
-            BellaPipeline(engine="seqan", config=AlignConfig())
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"engine": "batched"},
+            {"aligner": None},
+            {"xdrop": 50},
+            {"scoring": ScoringScheme()},
+            {"bin_width": 250},
+        ],
+    )
+    def test_pipeline_rejects_loose_kwargs(self, kwargs):
+        with pytest.raises(TypeError):
+            BellaPipeline(**kwargs)
 
-    def test_pipeline_rejects_mixed_config_and_alignment_kwargs(self):
-        with pytest.raises(ConfigurationError):
-            BellaPipeline(config=AlignConfig(), xdrop=50)
-        with pytest.raises(ConfigurationError):
-            BellaPipeline(config=AlignConfig(), scoring=ScoringScheme())
-        with pytest.raises(ConfigurationError):
-            BellaPipeline(config=AlignConfig(), bin_width=250)
+    def test_pipeline_from_config_matches_constructor(self, tiny_reads):
+        config = AlignConfig(engine="reference", xdrop=25)
+        via_classmethod = BellaPipeline.from_config(config, k=13).run(tiny_reads)
+        via_constructor = BellaPipeline(config=config, k=13).run(tiny_reads)
+        assert via_classmethod.accepted_pairs() == via_constructor.accepted_pairs()
+        assert [o.score for o in via_classmethod.overlaps] == [
+            o.score for o in via_constructor.overlaps
+        ]
 
     def test_pipeline_config_composes_with_service(self, tiny_reads):
         config = AlignConfig(engine="batched", xdrop=25)
@@ -339,6 +346,36 @@ class TestConsumersFromConfig:
             )
         direct = BellaPipeline(config=config, k=13).run(tiny_reads).accepted_pairs()
         assert via_service == direct
+
+    def test_pipeline_rejects_config_differing_from_service(self):
+        with Aligner(AlignConfig(engine="batched", xdrop=25)).open_service() as svc:
+            with pytest.raises(ConfigurationError, match="service"):
+                BellaPipeline(config=AlignConfig(engine="batched", xdrop=30), service=svc)
+
+    def test_pipeline_classifies_with_the_service_scoring(self):
+        # Regression: service= used to classify (adaptive threshold and
+        # prefilter placeholder) with ScoringScheme() whatever the service
+        # aligned with, accepting 187 pairs here instead of 181.
+        from repro.data import load_dataset
+
+        reads = load_dataset(
+            "ecoli_like", scale=0.05, rng=np.random.default_rng(3)
+        ).reads[:20]
+        config = AlignConfig(
+            engine="batched",
+            xdrop=25,
+            scoring=ScoringScheme(match=2, mismatch=-3, gap=-3),
+        )
+        direct = BellaPipeline(config=config, k=13, min_overlap=200).run(reads)
+        with Aligner(config).open_service() as svc:
+            pipeline = BellaPipeline(service=svc, k=13, min_overlap=200)
+            via_service = pipeline.run(reads)
+        assert pipeline.scoring == config.scoring
+        assert [o.score for o in via_service.overlaps] == [
+            o.score for o in direct.overlaps
+        ]
+        assert via_service.accepted_pairs() == direct.accepted_pairs()
+        assert len(direct.accepted) == 181
 
     def test_logan_from_config_rejects_unknown_option_by_name(self):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -362,47 +399,20 @@ class TestConsumersFromConfig:
         aligner = LoganAligner.from_config(config)
         assert aligner.system.num_devices == 2
         assert aligner.xdrop == 20
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = LoganAligner(xdrop=20)
-        assert aligner.align_batch(start_seed_jobs).scores() == legacy.align_batch(
+        direct = LoganAligner(xdrop=20)
+        assert aligner.align_batch(start_seed_jobs).scores() == direct.align_batch(
             start_seed_jobs
         ).scores()
 
     def test_pipeline_scoring_default_is_fresh_per_instance(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            first = BellaPipeline()
-            second = BellaPipeline()
+        first = BellaPipeline()
+        second = BellaPipeline()
         assert first.scoring == second.scoring
         assert first.scoring is not second.scoring
 
 
-class TestDeprecationShims:
-    def test_service_loose_kwargs_warn_once(self):
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            AlignmentService(xdrop=50)
-            AlignmentService(xdrop=60)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_pipeline_loose_kwargs_warn_once(self):
-        reset_deprecation_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            BellaPipeline(engine="seqan")
-            BellaPipeline(engine="seqan")
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
+class TestNoDeprecationWarnings:
     def test_config_paths_never_warn(self, small_jobs):
-        reset_deprecation_warnings()
         config = AlignConfig(engine="batched", xdrop=20)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -416,7 +426,7 @@ class TestDeprecationShims:
 
     def test_api_import_is_shim_free(self):
         # Mirrors the CI gate: importing the front door in a fresh
-        # interpreter must not trip any deprecation shim.
+        # interpreter must not emit any DeprecationWarning.
         import os
         import subprocess
         import sys
@@ -445,13 +455,13 @@ class TestConfigFromArgs:
         from repro.api import add_config_arguments
 
         path = tmp_path / "config.json"
-        AlignConfig(engine="seqan", xdrop=33).save(path)
+        AlignConfig(engine="logan", xdrop=33).save(path)
         parser = argparse.ArgumentParser()
         add_config_arguments(parser, include_service=True)
         args = parser.parse_args(
             ["--config", str(path), "--xdrop", "44", "--batch-size", "8"]
         )
         cfg = config_from_args(args)
-        assert cfg.engine == "seqan"  # from the file
+        assert cfg.engine == "logan"  # from the file
         assert cfg.xdrop == 44  # flag wins
         assert cfg.service.max_batch_size == 8

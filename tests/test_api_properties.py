@@ -19,15 +19,14 @@ from hypothesis import strategies as st
 
 from repro.api import AlignConfig, ServiceConfig
 from repro.core.scoring import ScoringScheme
-from repro.engine import available_engines, engine_from_config, list_engines
+from repro.engine import engine_from_config, list_engines
 from repro.errors import ConfigurationError
 
 _ENGINES = list_engines()
 #: Engines the build-the-config tests can construct with *arbitrary*
-#: scoring: available (optional deps present) and scoring-agnostic —
-#: wavefront is unit-scoring-only, so its build round-trip is covered by
-#: the dedicated wavefront tests instead.
-_BUILDABLE_ENGINES = [n for n in available_engines() if n != "wavefront"]
+#: scoring — wavefront is unit-scoring-only, so its build round-trip is
+#: covered by the dedicated wavefront tests instead.
+_BUILDABLE_ENGINES = [n for n in _ENGINES if n != "wavefront"]
 
 scorings = st.builds(
     ScoringScheme,
@@ -67,7 +66,11 @@ configs = st.builds(
     trace=st.booleans(),
     seed_policy=st.sampled_from(["start", "middle"]),
     bin_width=st.integers(min_value=0, max_value=5000),
-    bandwidth=st.one_of(st.none(), st.integers(min_value=1, max_value=1000)),
+    # ksw2's static band is an engine option, not a config field.
+    engine_options=st.one_of(
+        st.just({}),
+        st.fixed_dictionaries({"bandwidth": st.integers(min_value=1, max_value=1000)}),
+    ),
     service=service_configs,
 )
 
@@ -104,14 +107,17 @@ class TestConfigRoundTripProperties:
     @settings(max_examples=30, deadline=None)
     @given(config=configs, engine=st.sampled_from(_BUILDABLE_ENGINES))
     def test_round_tripped_config_builds_same_engine_type(self, config, engine):
-        # No engine_options here, so every engine factory accepts the
-        # uniform fields; the restored config must build the same type.
-        config = config.replace(engine=engine)
+        # Only ksw2 keeps its (bandwidth) engine_options; every factory
+        # accepts the uniform fields, so the restored config must build
+        # the same type with the same parameters.
+        options = config.engine_options if engine == "ksw2" else {}
+        config = config.replace(engine=engine, engine_options=options)
         rebuilt = AlignConfig.from_json(config.to_json())
         a = engine_from_config(config)
         b = engine_from_config(rebuilt)
         assert type(a) is type(b)
         assert a.xdrop == b.xdrop and a.scoring == b.scoring
+        assert getattr(a, "bandwidth", None) == getattr(b, "bandwidth", None)
 
 
 class TestEngineFromConfigErrorMessages:
@@ -129,7 +135,7 @@ class TestEngineFromConfigErrorMessages:
 
         from repro.engine.base import _REGISTRY
 
-        params = set(inspect.signature(_REGISTRY[engine].factory.__init__).parameters)
+        params = set(inspect.signature(_REGISTRY[engine].__init__).parameters)
         if option in params or option in ("scoring", "xdrop", "workers", "trace"):
             return  # hypothesis found a real parameter name; not this test's target
         config = AlignConfig(engine=engine, engine_options={option: 1})
@@ -148,7 +154,7 @@ class TestEngineFromConfigErrorMessages:
         with pytest.raises(ConfigurationError, match="'xdrop'.*shadow"):
             engine_from_config(config)
 
-    @pytest.mark.parametrize("engine", available_engines())
+    @pytest.mark.parametrize("engine", list_engines())
     def test_every_engine_reports_its_accepted_params(self, engine):
         config = AlignConfig(
             engine=engine, engine_options={"definitely_not_an_option": True}

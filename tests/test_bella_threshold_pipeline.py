@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import SeqAnBatchAligner
+from repro.api import AlignConfig
 from repro.bella import AdaptiveThreshold, BellaPipeline
 from repro.data import true_overlap
 from repro.errors import ConfigurationError
-from repro.logan import LoganAligner
 
 
 class TestAdaptiveThreshold:
@@ -49,18 +48,19 @@ class TestBellaPipeline:
     def pipeline_kwargs(self):
         return dict(k=13, xdrop=15, min_overlap=200, error_rate=0.08)
 
-    def _make_pipeline(self, aligner, **kwargs):
+    def _make_pipeline(self, engine, xdrop, **kwargs):
         defaults = dict(k=13, min_overlap=200, error_rate=0.08)
         defaults.update(kwargs)
-        return BellaPipeline(aligner=aligner, **defaults)
+        config = AlignConfig(engine=engine, xdrop=xdrop)
+        return BellaPipeline(config=config, **defaults)
 
     def test_needs_at_least_two_reads(self, tiny_reads):
-        pipeline = self._make_pipeline(SeqAnBatchAligner(xdrop=10))
+        pipeline = self._make_pipeline("batched", 10)
         with pytest.raises(ConfigurationError):
             pipeline.run(tiny_reads[:1])
 
-    def test_end_to_end_with_seqan_kernel(self, tiny_reads):
-        pipeline = self._make_pipeline(SeqAnBatchAligner(xdrop=10))
+    def test_end_to_end_with_logan_engine(self, tiny_reads):
+        pipeline = self._make_pipeline("logan", 10)
         result = pipeline.run(tiny_reads)
         assert result.index.retained_kmers > 0
         assert result.candidates.num_candidates > 0
@@ -71,7 +71,7 @@ class TestBellaPipeline:
         assert result.alignment_modeled_seconds is not None
 
     def test_recall_against_ground_truth(self, tiny_reads):
-        pipeline = self._make_pipeline(SeqAnBatchAligner(xdrop=15))
+        pipeline = self._make_pipeline("batched", 15)
         result = pipeline.run(tiny_reads)
         truth = {
             (i, j)
@@ -85,17 +85,21 @@ class TestBellaPipeline:
         assert recall >= 0.7
 
     def test_equivalent_results_with_logan_kernel(self, tiny_reads):
-        """The paper's claim: BELLA + LOGAN == BELLA + SeqAn output."""
-        seqan_result = self._make_pipeline(SeqAnBatchAligner(xdrop=10)).run(tiny_reads)
-        logan_result = self._make_pipeline(LoganAligner(xdrop=10)).run(tiny_reads)
+        """The paper's claim: BELLA + LOGAN == BELLA + SeqAn output.
+
+        The ``reference`` engine is the SeqAn-style scalar X-drop loop.
+        """
+        seqan_result = self._make_pipeline("reference", 10).run(tiny_reads)
+        logan_result = self._make_pipeline("logan", 10).run(tiny_reads)
         assert seqan_result.accepted_pairs() == logan_result.accepted_pairs()
         assert [o.score for o in seqan_result.overlaps] == [
             o.score for o in logan_result.overlaps
         ]
 
     def test_alignment_dominates_runtime(self, tiny_reads):
-        # Section V: pairwise alignment is ~90 % of BELLA's runtime.
-        pipeline = self._make_pipeline(SeqAnBatchAligner(xdrop=15))
+        # Section V: pairwise alignment is ~90 % of BELLA's runtime with
+        # the SeqAn-style scalar kernel.
+        pipeline = self._make_pipeline("reference", 15)
         result = pipeline.run(tiny_reads)
         assert result.timer.fraction("alignment") > 0.5
 
@@ -104,17 +108,17 @@ class TestBellaPipeline:
             BellaPipeline(k=0)
 
     def test_higher_x_never_reduces_scores(self, tiny_reads):
-        low = self._make_pipeline(SeqAnBatchAligner(xdrop=5)).run(tiny_reads)
-        high = self._make_pipeline(SeqAnBatchAligner(xdrop=25)).run(tiny_reads)
+        low = self._make_pipeline("batched", 5).run(tiny_reads)
+        high = self._make_pipeline("batched", 25).run(tiny_reads)
         low_scores = {(o.read_i, o.read_j): o.score for o in low.overlaps}
         high_scores = {(o.read_i, o.read_j): o.score for o in high.overlaps}
         for pair, score in low_scores.items():
             assert high_scores[pair] >= score
 
-    def test_default_aligner_is_lazy_seqan(self):
+    def test_default_aligner_is_lazy_batched(self):
         pipeline = BellaPipeline()
         assert pipeline._aligner is None  # built lazily on first access
-        from repro.engine import SeqAnEngine
+        from repro.engine import BatchedEngine
 
-        assert isinstance(pipeline.aligner, SeqAnEngine)
-        assert pipeline.aligner.name == "seqan"
+        assert isinstance(pipeline.aligner, BatchedEngine)
+        assert pipeline.aligner.name == "batched"

@@ -6,8 +6,13 @@ import json
 
 import pytest
 
+from repro.api import AlignConfig
 from repro.cli import main_align, main_bella, main_bench, main_fuzz, main_service
 from repro.data import SequenceRecord, write_fasta
+from repro.engine import describe_engines, list_engines
+from repro.errors import ConfigurationError
+
+FIVE_ENGINES = ["batched", "ksw2", "logan", "reference", "wavefront"]
 
 
 class TestReproAlign:
@@ -80,7 +85,7 @@ class TestReproBella:
                 "--scale", "0.03",
                 "--kmer", "13",
                 "--xdrop", "10",
-                "--aligner", "logan",
+                "--engine", "logan",
                 "--min-overlap", "300",
                 "--json",
             ]
@@ -91,7 +96,7 @@ class TestReproBella:
         assert payload["aligner"] == "logan"
         assert "alignment" in payload["stage_seconds"] or payload["aligned"] == 0
 
-    def test_fasta_input_with_seqan_kernel(self, tmp_path, capsys):
+    def test_fasta_input_with_batched_engine(self, tmp_path, capsys):
         # Three overlapping reads carved from one template.
         template = ("ACGT" * 200)
         reads = [
@@ -106,7 +111,7 @@ class TestReproBella:
                 "--fasta", str(path),
                 "--kmer", "13",
                 "--xdrop", "10",
-                "--aligner", "seqan",
+                "--engine", "batched",
                 "--min-overlap", "100",
                 "--json",
             ]
@@ -125,9 +130,38 @@ class TestEngineDiscovery:
             entry(["--list-engines"])
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
-        for name in ("batched", "reference", "seqan", "ksw2", "logan"):
+        for name in FIVE_ENGINES:
             assert name in out
         assert "inexact" in out  # ksw2's flag is rendered
+
+    def test_registry_holds_five_engines(self):
+        assert list_engines() == FIVE_ENGINES
+
+    def test_describe_engines_rows_carry_no_availability(self):
+        rows = describe_engines()
+        assert [row["name"] for row in rows] == FIVE_ENGINES
+        for row in rows:
+            assert set(row) == {"name", "exact", "work_exact", "summary"}
+
+    @pytest.mark.parametrize("name", ["seqan", "vectorized", "compiled"])
+    def test_removed_engine_names_rejected(self, name):
+        with pytest.raises(ConfigurationError) as excinfo:
+            AlignConfig(engine=name)
+        message = str(excinfo.value)
+        for engine in FIVE_ENGINES:
+            assert engine in message
+
+    def test_list_engines_prints_five_rows(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main_align(["--list-engines"])
+        assert excinfo.value.code == 0
+        rows = capsys.readouterr().out.strip().splitlines()
+        assert [row.split()[0] for row in rows] == FIVE_ENGINES
+
+    def test_bella_aligner_flag_removed(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main_bella(["--aligner", "seqan"])
+        assert excinfo.value.code == 2
 
 
 class TestModuleDispatcher:
@@ -308,17 +342,15 @@ class TestReproService:
         middle = json.loads(capsys.readouterr().out)["scores"]
         assert middle != start
 
-    def test_legacy_workers_flag_means_shards(self, capsys):
-        # Historic repro-service spelling: --workers configured the worker
-        # shards (now --num-workers); the shim keeps that behaviour.
-        exit_code = main_service(
-            ["serve", "--pairs", "4", "--min-length", "100",
-             "--max-length", "200", "--workers", "2",
-             "--repeat", "1", "--inline", "--json"]
-        )
-        assert exit_code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert len(payload["workers"]) == 2
+    def test_workers_flag_means_engine_processes(self, capsys):
+        # --workers sets the engine's worker processes, as on every other
+        # subcommand; --num-workers sets the service's worker shards.
+        base = ["serve", "--pairs", "4", "--min-length", "100",
+                "--max-length", "200", "--repeat", "1", "--inline", "--json"]
+        assert main_service(base + ["--workers", "2"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["workers"]) == 1
+        assert main_service(base + ["--num-workers", "2"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["workers"]) == 2
 
 
 class TestReproFuzz:

@@ -1,9 +1,11 @@
 """Tests of the differential conformance/fuzz harness (repro.testing).
 
 The tier-2 matrix (`-m tier2`) replays every workload-bank profile
-through every registered engine and the service path; the remaining
-tests exercise the harness machinery itself — shrink-on-failure with an
-injected off-by-one engine, fuzz determinism and bounds.
+through every registered engine, the service path and the two exact
+aligners that live outside the registry (the per-pair kernel and the
+SeqAn-like baseline); the remaining tests exercise the harness machinery
+itself — shrink-on-failure with an injected off-by-one engine, fuzz
+determinism and bounds.
 """
 
 from __future__ import annotations
@@ -11,7 +13,15 @@ from __future__ import annotations
 import pytest
 
 from repro.api import AlignConfig
-from repro.engine import available_engines, register_engine, unregister_engine
+from repro.baselines import SeqAnBatchAligner
+from repro.core import extend_seed
+from repro.core.job import summarize_results
+from repro.engine import (
+    EngineBatchResult,
+    list_engines,
+    register_engine,
+    unregister_engine,
+)
 from repro.engine.engines import ReferenceEngine
 from repro.errors import ConfigurationError
 from repro.testing import (
@@ -23,6 +33,7 @@ from repro.testing import (
 from repro.workloads import WorkloadSpec, generate_workload, list_profiles
 
 CONFIG = AlignConfig(engine="batched", xdrop=15)
+TRACE_CONFIG = CONFIG.replace(trace=True)
 SMALL = WorkloadSpec(count=4, seed=11, min_length=50, max_length=120, xdrop=15)
 
 
@@ -30,7 +41,7 @@ SMALL = WorkloadSpec(count=4, seed=11, min_length=50, max_length=120, xdrop=15)
 # Tier-2 matrix: workload bank x engine grid, plus the service path
 # --------------------------------------------------------------------------- #
 @pytest.mark.tier2
-@pytest.mark.parametrize("engine", sorted(set(available_engines()) - {"reference"}))
+@pytest.mark.parametrize("engine", sorted(set(list_engines()) - {"reference"}))
 @pytest.mark.parametrize("profile", list_profiles())
 class TestConformanceMatrix:
     def test_profile_engine_conformance(self, profile, engine):
@@ -54,14 +65,91 @@ class TestServiceConformance:
 
 
 @pytest.mark.tier2
-def test_trace_conformance_on_one_profile():
-    """Band traces are part of the exactness contract when tracing is on."""
-    config = AlignConfig(engine="batched", xdrop=15, trace=True)
-    runner = ConformanceRunner(
-        config, engines=["reference", "vectorized", "batched"], include_service=False
-    )
-    report = runner.run_workload(generate_workload("pacbio", SMALL))
-    assert report.ok, report.summary()
+@pytest.mark.parametrize("profile", list_profiles())
+class TestTraceConformanceMatrix:
+    def test_band_traces_bit_identical(self, profile):
+        """Band traces are part of the exactness contract when tracing is on.
+
+        ``wavefront`` is left out: it computes in cost space and reports no
+        exact band traces (``work_exact = False``).
+        """
+        runner = ConformanceRunner(
+            TRACE_CONFIG,
+            engines=["reference", "batched", "logan"],
+            include_service=False,
+        )
+        report = runner.run_workload(generate_workload(profile, SMALL))
+        assert report.ok, report.summary()
+
+
+class _PerPairKernelEngine(ReferenceEngine):
+    """Per-job loop over ``xdrop_extend``, the per-pair vectorised kernel."""
+
+    name = "per_pair_kernel"
+
+    def _align_batch(self, jobs, scoring=None, xdrop=None):
+        scoring, xdrop = self._resolve(scoring, xdrop)
+        # extend_seed's default kernel is xdrop_extend.
+        results = [
+            extend_seed(
+                job.query, job.target, job.seed,
+                scoring=scoring, xdrop=xdrop, trace=self.trace,
+            )
+            for job in jobs
+        ]
+        return EngineBatchResult(
+            engine=self.name,
+            results=results,
+            summary=summarize_results(results),
+            elapsed_seconds=0.0,
+        )
+
+
+class _SeqAnBaselineEngine(ReferenceEngine):
+    """The SeqAn-like CPU baseline the paper tables model (POWER9)."""
+
+    name = "seqan_baseline"
+
+    def _align_batch(self, jobs, scoring=None, xdrop=None):
+        scoring, xdrop = self._resolve(scoring, xdrop)
+        batch = SeqAnBatchAligner(
+            scoring=scoring, xdrop=xdrop, trace=self.trace
+        ).align_batch(jobs)
+        return EngineBatchResult(
+            engine=self.name,
+            results=batch.results,
+            summary=batch.summary,
+            elapsed_seconds=batch.elapsed_seconds,
+            modeled_seconds=batch.modeled_seconds,
+        )
+
+
+@pytest.mark.tier2
+@pytest.mark.parametrize(
+    "engine_cls", [_PerPairKernelEngine, _SeqAnBaselineEngine], ids=lambda c: c.name
+)
+@pytest.mark.parametrize("profile", list_profiles())
+class TestUnregisteredAlignerConformance:
+    """Exact aligners outside the registry, under temporary registrations.
+
+    ``xdrop_extend`` is ``extend_seed``'s default kernel and
+    ``SeqAnBatchAligner`` produces the work summaries behind the paper
+    tables' POWER9 numbers, so both are held to the full-field (band
+    traces included) contract on every profile.
+    """
+
+    def test_profile_conformance_with_traces(self, profile, engine_cls):
+        register_engine(engine_cls.name, engine_cls)
+        try:
+            runner = ConformanceRunner(
+                TRACE_CONFIG,
+                engines=["reference", engine_cls.name],
+                include_service=False,
+            )
+            report = runner.run_workload(generate_workload(profile, SMALL))
+        finally:
+            unregister_engine(engine_cls.name)
+        assert report.ok, report.summary()
 
 
 # --------------------------------------------------------------------------- #
@@ -310,7 +398,7 @@ class TestFuzzRunner:
     def test_fuzz_is_reproducible(self):
         kwargs = dict(
             seed=5, count=16, batch_size=8, min_length=50, max_length=100,
-            engines=["reference", "vectorized"], include_service=False,
+            engines=["reference", "batched"], include_service=False,
         )
         a = run_fuzz(CONFIG, **kwargs)
         b = run_fuzz(CONFIG, **kwargs)

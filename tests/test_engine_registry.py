@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import AlignConfig
 from repro.bella import BellaPipeline
 from repro.core import ScoringScheme, Seed, extend_seed
 from repro.core.job import AlignmentJob
@@ -18,6 +19,7 @@ from repro.core.xdrop import xdrop_extend_reference
 from repro.data import PairSetSpec, generate_pair_set
 from repro.engine import (
     EngineBatchResult,
+    engine_from_config,
     get_engine,
     list_engines,
     register_engine,
@@ -26,7 +28,8 @@ from repro.engine import (
 from repro.errors import ConfigurationError
 from repro.logan import LoganAligner
 
-BUNDLED_ENGINES = {"reference", "vectorized", "batched", "seqan", "ksw2", "logan"}
+BUNDLED_ENGINES = {"reference", "batched", "wavefront", "ksw2", "logan"}
+# The parity tests use the default (unit) scoring, which wavefront requires.
 EXACT_ENGINES = sorted(BUNDLED_ENGINES - {"ksw2"})
 
 
@@ -155,7 +158,7 @@ class TestEngineParity:
         scoring = ScoringScheme()
         jobs = job_batch(6, seed_placement="start")
         oracle = reference_results(jobs, scoring, 20)
-        for engine_name in ("batched", "vectorized"):
+        for engine_name in ("batched", "logan"):
             batch = get_engine(engine_name, scoring=scoring, xdrop=20).align_batch(jobs)
             assert batch.scores() == [r.score for r in oracle]
 
@@ -186,41 +189,43 @@ class TestEngineParity:
 
 
 class TestConsumersRouteThroughEngines:
-    def test_logan_aligner_batched_matches_vectorized(self):
+    def test_logan_aligner_matches_batched_engine(self):
         jobs = job_batch(8, num_pairs=5)
-        batched = LoganAligner(xdrop=20, engine="batched").align_batch(jobs)
-        vectorized = LoganAligner(xdrop=20, engine="vectorized").align_batch(jobs)
-        assert batched.scores() == vectorized.scores()
-        for a, b in zip(batched.results, vectorized.results):
+        logan = LoganAligner(xdrop=20).align_batch(jobs)
+        batched = get_engine("batched", xdrop=20, trace=True).align_batch(jobs)
+        assert logan.scores() == batched.scores()
+        for a, b in zip(logan.results, batched.results):
             assert np.array_equal(a.left.band_widths, b.left.band_widths)
             assert np.array_equal(a.right.band_widths, b.right.band_widths)
-        # Identical traces => identical modeled GPU time.
-        assert batched.modeled_seconds == pytest.approx(vectorized.modeled_seconds)
 
-    def test_logan_aligner_rejects_unknown_engine(self):
-        with pytest.raises(ConfigurationError, match="unknown extension engine"):
-            LoganAligner(engine="warp-drive")
+    def test_logan_aligner_rejects_engine_keyword(self):
+        # The batched kernel is the only one LOGAN runs.
+        with pytest.raises(TypeError, match="engine"):
+            LoganAligner(engine="vectorized")
+
+    def test_logan_engine_rejects_execution_option(self):
+        config = AlignConfig(engine="logan", engine_options={"execution": "vectorized"})
+        with pytest.raises(ConfigurationError, match="'execution' not accepted"):
+            engine_from_config(config)
 
     def test_bella_pipeline_accepts_engine_name(self, make_rng):
         reads = self._overlapping_reads(make_rng)
-        by_name = BellaPipeline(engine="batched", k=13, xdrop=10, min_overlap=100)
-        by_instance = BellaPipeline(
-            aligner=get_engine("seqan", xdrop=10), k=13, min_overlap=100
+        batched = BellaPipeline(
+            config=AlignConfig(engine="batched", xdrop=10), k=13, min_overlap=100
         )
-        res_name = by_name.run(reads)
-        res_instance = by_instance.run(reads)
-        assert res_name.accepted_pairs() == res_instance.accepted_pairs()
-        assert [o.score for o in res_name.overlaps] == [
-            o.score for o in res_instance.overlaps
+        logan = BellaPipeline(
+            config=AlignConfig(engine="logan", xdrop=10), k=13, min_overlap=100
+        )
+        res_batched = batched.run(reads)
+        res_logan = logan.run(reads)
+        assert res_batched.accepted_pairs() == res_logan.accepted_pairs()
+        assert [o.score for o in res_batched.overlaps] == [
+            o.score for o in res_logan.overlaps
         ]
 
-    def test_bella_pipeline_rejects_aligner_and_engine(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            BellaPipeline(aligner=get_engine("seqan"), engine="batched")
-
-    def test_bella_pipeline_default_engine_is_seqan(self):
+    def test_bella_pipeline_default_engine_is_batched(self):
         pipeline = BellaPipeline()
-        assert pipeline.aligner.name == "seqan"
+        assert pipeline.aligner.name == "batched"
 
     @staticmethod
     def _overlapping_reads(make_rng):

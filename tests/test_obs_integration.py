@@ -195,19 +195,17 @@ class TestEngineInstrumentation:
         assert snap.value("repro_kernel_batches_total", kernel="wavefront") >= 1.0
         assert snap.value("repro_kernel_cells_total", kernel="wavefront") > 0.0
 
-    def test_compiled_kernel_emits_dtype_tier(self, small_jobs):
-        from repro.engine.engines import CompiledEngine
-
-        CompiledEngine(xdrop=20).align_batch(small_jobs)
+    def test_batched_kernel_emits_dtype_tier(self, small_jobs):
+        get_engine("batched", xdrop=20).align_batch(small_jobs)
         snap = obs.get_observability().registry.snapshot()
-        assert snap.value("repro_kernel_batches_total", kernel="compiled") == 1.0
+        assert snap.value("repro_kernel_batches_total", kernel="batched") == 1.0
         dtypes = [
             s.labels["dtype"]
             for s in snap.series
             if s.name == "repro_kernel_dtype_total"
-            and s.labels.get("kernel") == "compiled"
+            and s.labels.get("kernel") == "batched"
         ]
-        assert dtypes, "compiled kernel must report its dtype tier"
+        assert dtypes, "batched kernel must report its dtype tier"
 
 
 # --------------------------------------------------------------------------- #

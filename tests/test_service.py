@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.api import AlignConfig, ServiceConfig
 from repro.bella import BellaPipeline
 from repro.core import ScoringScheme, Seed
 from repro.core.job import AlignmentJob
@@ -46,6 +47,17 @@ def mixed_jobs(num_pairs=16, rng_seed=11, min_length=120, max_length=700):
             seed_placement="middle",
             rng_seed=rng_seed,
         )
+    )
+
+
+def batched_config(xdrop=100, bin_width=500, **service) -> AlignConfig:
+    """Batched-engine config with ``SCORING`` and the given service knobs."""
+    return AlignConfig(
+        engine="batched",
+        scoring=SCORING,
+        xdrop=xdrop,
+        bin_width=bin_width,
+        service=ServiceConfig(**service),
     )
 
 
@@ -166,9 +178,9 @@ class TestCacheKeyConfigRegression:
         assert len(cache) == 3
 
     def test_engine_instance_with_other_defaults_cannot_poison_cache(self):
-        # The service aligns with ITS OWN scoring/xdrop even when handed an
-        # engine instance constructed with different defaults, so cached
-        # results always match what the cache key claims.
+        # The service hands the pool ITS OWN scoring/xdrop on every batch,
+        # so a pool wrapping an engine constructed with different defaults
+        # still computes exactly what the cache key claims.
         jobs = mixed_jobs(num_pairs=6, rng_seed=37, min_length=120, max_length=300)
         expected = get_engine("batched", scoring=SCORING, xdrop=7).align_batch(jobs)
         mismatched_engine = get_engine("batched", scoring=SCORING, xdrop=500)
@@ -184,15 +196,10 @@ class TestCacheKeyConfigRegression:
         assert work(mismatched_engine.align_batch(jobs).results) != work(
             expected.results
         )
-        service = AlignmentService(engine=mismatched_engine, scoring=SCORING, xdrop=7)
-        results = service.map(jobs)
+        pool = ShardedWorkerPool(engine=mismatched_engine, num_workers=2)
+        results = pool.run_batch(jobs, scoring=SCORING, xdrop=7).results
         assert [r.score for r in results] == expected.scores()
         assert work(results) == work(expected.results)
-        # And the cache serves the xdrop=7 results, not xdrop=500 ones.
-        again = service.map(jobs)
-        assert service.stats().cache.hits == len(jobs)
-        assert work(again) == work(expected.results)
-        service.shutdown()
 
 
 class TestSubmissionQueue:
@@ -323,11 +330,9 @@ class TestAlignmentServiceEndToEnd:
         direct = get_engine("batched", scoring=SCORING, xdrop=30).align_batch(jobs)
 
         service = AlignmentService(
-            engine="batched",
-            scoring=SCORING,
-            xdrop=30,
-            num_workers=2,
-            policy=BatchPolicy(max_batch_size=6, bin_width=600),
+            config=batched_config(
+                xdrop=30, bin_width=600, num_workers=2, max_batch_size=6
+            )
         )
         tickets = [service.submit(job) for job in jobs]
         service.drain()
@@ -364,10 +369,7 @@ class TestAlignmentServiceEndToEnd:
         jobs = mixed_jobs(num_pairs=9, rng_seed=17)
         direct = get_engine("batched", scoring=SCORING, xdrop=25).align_batch(jobs)
         service = AlignmentService(
-            engine="batched",
-            scoring=SCORING,
-            xdrop=25,
-            policy=BatchPolicy(max_batch_size=4, max_wait_seconds=0.01),
+            config=batched_config(xdrop=25, max_batch_size=4, max_wait_seconds=0.01)
         ).start()
         try:
             tickets = service.submit_many(jobs)
@@ -380,19 +382,19 @@ class TestAlignmentServiceEndToEnd:
 
     def test_map_convenience(self):
         jobs = mixed_jobs(num_pairs=6, rng_seed=19)
-        with AlignmentService(engine="batched", scoring=SCORING, xdrop=20) as svc:
+        with AlignmentService(config=batched_config(xdrop=20)) as svc:
             results = svc.map(jobs)
         direct = get_engine("batched", scoring=SCORING, xdrop=20).align_batch(jobs)
         assert [r.score for r in results] == direct.scores()
 
     def test_submit_after_shutdown_raises(self):
-        service = AlignmentService(engine="batched")
+        service = AlignmentService(config=batched_config())
         service.shutdown()
         with pytest.raises(ServiceError, match="shut down"):
             service.submit(tiny_job())
 
     def test_stats_snapshot_shape(self):
-        service = AlignmentService(engine="batched", num_workers=2)
+        service = AlignmentService(config=batched_config(num_workers=2))
         service.map(mixed_jobs(num_pairs=4, rng_seed=23))
         payload = service.stats().to_dict()
         for key in (
@@ -413,12 +415,9 @@ class TestAlignmentServiceEndToEnd:
         # trigger a synchronous drain rather than a backpressure timeout:
         # submitting far more jobs than queue_capacity has to succeed.
         service = AlignmentService(
-            engine="batched",
-            scoring=SCORING,
-            xdrop=20,
-            queue_capacity=3,
-            submit_timeout=0.1,
-            policy=BatchPolicy(max_batch_size=64),
+            config=batched_config(
+                xdrop=20, queue_capacity=3, submit_timeout=0.1, max_batch_size=64
+            )
         )
         jobs = mixed_jobs(num_pairs=8, rng_seed=29)
         results = service.map(jobs)
@@ -429,10 +428,7 @@ class TestAlignmentServiceEndToEnd:
     def test_background_submit_counters_are_consistent(self):
         jobs = mixed_jobs(num_pairs=12, rng_seed=31)
         service = AlignmentService(
-            engine="batched",
-            scoring=SCORING,
-            xdrop=20,
-            policy=BatchPolicy(max_batch_size=3, max_wait_seconds=0.005),
+            config=batched_config(xdrop=20, max_batch_size=3, max_wait_seconds=0.005)
         ).start()
         try:
             tickets = service.submit_many(jobs + jobs)  # duplicates race the loop
@@ -469,11 +465,9 @@ class TestServiceUnderLoad:
         jobs = self._skewed_jobs()
         direct = get_engine("batched", scoring=SCORING, xdrop=25).align_batch(jobs)
         service = AlignmentService(
-            engine="batched",
-            scoring=SCORING,
-            xdrop=25,
-            num_workers=2,
-            policy=BatchPolicy(max_batch_size=5, max_wait_seconds=0.005),
+            config=batched_config(
+                xdrop=25, num_workers=2, max_batch_size=5, max_wait_seconds=0.005
+            )
         ).start()
         try:
             per_thread: list[list] = [[] for _ in range(self.NUM_PRODUCERS)]
@@ -541,8 +535,7 @@ class TestServiceUnderLoad:
     def test_resubmission_after_settle_is_all_hits(self):
         jobs = self._skewed_jobs()[:12]
         service = AlignmentService(
-            engine="batched", scoring=SCORING, xdrop=25,
-            policy=BatchPolicy(max_batch_size=4, max_wait_seconds=0.005),
+            config=batched_config(xdrop=25, max_batch_size=4, max_wait_seconds=0.005)
         ).start()
         try:
             for t in service.submit_many(jobs):
@@ -581,13 +574,12 @@ class TestServiceUnderLoad:
 
 class TestServiceBackedPipeline:
     def test_pipeline_via_service_matches_engine_path(self, tiny_reads):
-        engine_pipeline = BellaPipeline(engine="batched", k=13, xdrop=15, min_overlap=300)
+        config = batched_config(xdrop=15)
+        engine_pipeline = BellaPipeline(config=config, k=13, min_overlap=300)
         expected = engine_pipeline.run(tiny_reads)
 
-        service = AlignmentService(engine="batched", xdrop=15)
-        service_pipeline = BellaPipeline(
-            service=service, k=13, xdrop=15, min_overlap=300
-        )
+        service = AlignmentService(config=config)
+        service_pipeline = BellaPipeline(service=service, k=13, min_overlap=300)
         got = service_pipeline.run(tiny_reads)
         assert got.accepted_pairs() == expected.accepted_pairs()
         assert [o.score for o in got.overlaps] == [o.score for o in expected.overlaps]
@@ -598,9 +590,7 @@ class TestServiceBackedPipeline:
         service.shutdown()
 
     def test_service_conflicts_with_engine(self):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError, match="not both"):
+        with pytest.raises(TypeError):
             BellaPipeline(service=AlignmentService(), engine="batched")
 
 
@@ -628,10 +618,7 @@ class TestDispatchResultCountGuard:
     def test_truncated_results_fail_every_ticket_loudly(self):
         jobs = mixed_jobs(num_pairs=6, rng_seed=19)
         service = AlignmentService(
-            engine="batched",
-            scoring=SCORING,
-            xdrop=30,
-            policy=BatchPolicy(max_batch_size=16, bin_width=0),
+            config=batched_config(xdrop=30, bin_width=0, max_batch_size=16)
         )
         try:
             self.truncate_pool(service)
@@ -653,10 +640,7 @@ class TestDispatchResultCountGuard:
     def test_service_survives_and_serves_after_the_failure(self):
         jobs = mixed_jobs(num_pairs=4, rng_seed=23)
         service = AlignmentService(
-            engine="batched",
-            scoring=SCORING,
-            xdrop=30,
-            policy=BatchPolicy(max_batch_size=8, bin_width=0),
+            config=batched_config(xdrop=30, bin_width=0, max_batch_size=8)
         )
         try:
             original = self.truncate_pool(service)
@@ -678,8 +662,6 @@ class TestDispatchResultCountGuard:
             service.shutdown()
 
     def test_durable_rows_are_released_for_redelivery(self, tmp_path):
-        from repro.api import AlignConfig, ServiceConfig
-
         jobs = mixed_jobs(num_pairs=4, rng_seed=29)
         config = AlignConfig(
             engine="batched",

@@ -72,7 +72,6 @@ def test_registry_row_declares_inexact_work():
     row = rows["wavefront"]
     assert row["exact"] is True
     assert row["work_exact"] is False
-    assert row["available"] is True
 
 
 # --------------------------------------------------------------------------- #

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import AlignConfig
-from repro.core import ScoringScheme
+from repro.core import ScoringScheme, xdrop_extend
 from repro.core.xdrop import xdrop_extend_reference
 from repro.core.xdrop_batch import (
     DEFAULT_COMPACT_THRESHOLD,
@@ -249,18 +249,18 @@ def test_dtype_tiers_agree_with_reference():
         assert_identical(got, ref)
 
 
-def _run_compiled(pairs, scoring=None, xdrop=100):
-    from repro.core.xdrop_compiled import xdrop_extend_compiled
-
-    return xdrop_extend_compiled(pairs, scoring=scoring, xdrop=xdrop, trace=True)
-
-
 def _run_batched(pairs, scoring=None, xdrop=100):
     return xdrop_extend_batch(pairs, scoring=scoring, xdrop=xdrop, trace=True)
 
 
+def _run_per_pair(pairs, scoring=None, xdrop=100):
+    return [
+        xdrop_extend(a, b, scoring=scoring, xdrop=xdrop, trace=True) for a, b in pairs
+    ]
+
+
 @pytest.mark.parametrize(
-    "run_kernel", [_run_batched, _run_compiled], ids=["batched", "compiled"]
+    "run_kernel", [_run_batched, _run_per_pair], ids=["batched", "per_pair"]
 )
 @pytest.mark.parametrize(
     "length, scoring, xdrop, expected_dtype",
@@ -279,9 +279,10 @@ def test_overflow_guard_on_near_identical_pairs(
 ):
     """Wavefront-shaped adversarial input: long, almost-identical pairs.
 
-    The ``batched`` and ``compiled`` kernels share ``_select_dtype``; both
-    must pick the same widened tier and stay bit-identical to the scalar
-    reference (which always computes in Python ints).
+    The batched kernel must pick the widened dtype tier, and both it and
+    the per-pair kernel (``xdrop_extend``, int64 throughout) must stay
+    bit-identical to the scalar reference (which always computes in Python
+    ints).
     """
     from repro.core.xdrop_batch import _select_dtype
 
