@@ -61,7 +61,6 @@ def main() -> None:
         service=ServiceConfig(
             num_workers=2,
             transport="process",
-            worker_policy="batch",
             max_batch_size=16,
             state_path=state_path,
         ),
@@ -95,9 +94,7 @@ def main() -> None:
     # -- restart: the durable result table answers everything -------------
     with AlignmentService(
         config=config.replace(
-            service=ServiceConfig(
-                num_workers=1, state_path=state_path  # thread transport is fine now
-            )
+            service=ServiceConfig(state_path=state_path)
         )
     ) as reborn:
         tickets = reborn.submit_many(jobs)

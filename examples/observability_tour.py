@@ -4,7 +4,7 @@
 Walks the whole :mod:`repro.obs` surface on a small served workload:
 
 * the always-live metrics registry — queue depth, batcher occupancy,
-  cache hit rate, per-shard worker heat, kernel live fraction — exported
+  cache hit rate, worker heat, kernel live fraction — exported
   as Prometheus text and JSON-lines snapshots with provenance,
 * opt-in structured tracing: one trace tree per submission, spans nested
   ``service.submit -> service.dispatch -> pool.shard -> engine.align_batch``,
@@ -58,8 +58,7 @@ config = AlignConfig(
     engine="batched",
     xdrop=XDROP,
     bin_width=500,
-    service=ServiceConfig(num_workers=2, max_batch_size=16,
-                          cache_capacity=4 * len(jobs)),
+    service=ServiceConfig(max_batch_size=16, cache_capacity=4 * len(jobs)),
 )
 
 with AlignmentService(config=config) as service:

@@ -48,7 +48,7 @@ def config(mode: str) -> AlignConfig:
         engine="batched",
         scoring=SCORING,
         xdrop=XDROP,
-        service=ServiceConfig(num_workers=2, max_batch_size=8, prefilter=mode),
+        service=ServiceConfig(max_batch_size=8, prefilter=mode),
     )
 
 

@@ -45,7 +45,7 @@ with AlignmentService(
         engine="batched",
         xdrop=XDROP,
         bin_width=500,
-        service=ServiceConfig(num_workers=2, max_batch_size=16),
+        service=ServiceConfig(max_batch_size=16),
     )
 ) as service:
     # Round 1: every job is new — batched and aligned.

@@ -70,8 +70,6 @@ __all__ = [
 #: seed is synthesised when :meth:`Aligner.align` is called without one.
 SEED_POLICIES = ("start", "middle")
 
-_WORKER_POLICIES = ("cells", "count", "batch")
-
 _TRANSPORTS = ("thread", "process")
 
 _PREFILTER_MODES = ("off", "advise", "enforce")
@@ -113,7 +111,12 @@ class ServiceConfig:
     Attributes
     ----------
     num_workers:
-        Worker shards of the pool (load-balanced by estimated DP cells).
+        Worker processes of the process transport, fed whole formed
+        batches round-robin.  Must be 1 on the thread transport, which
+        runs every batch inline: threads cannot overlap the GIL-bound
+        kernel, so splitting a batch across them only slowed it down.
+        Dispatch is serialized, so extra processes take turns; two
+        measured within host noise of one.
     max_batch_size:
         Adaptive batcher flush bound (engine-sized batch).
     max_wait_seconds:
@@ -123,17 +126,17 @@ class ServiceConfig:
     queue_capacity:
         Bound of the submission queue (backpressure limit).
     worker_policy:
-        Load-balancing policy of the pool: ``"cells"`` or ``"count"``
-        split every batch across workers; ``"batch"`` (process transport
-        only) ships whole batches round-robin, pipelining consecutive
-        batches across worker processes.
+        Dispatch policy; ``"batch"`` (each formed batch runs whole on one
+        worker) is the default and only value, kept so configs that name
+        it still load.
     submit_timeout:
         Seconds ``submit`` may block on a full queue before raising.
     transport:
-        ``"thread"`` runs worker shards on threads inside the coordinator
-        (the historical behaviour); ``"process"`` spawns worker processes
-        fed through shared memory (``repro.distrib``), taking engine
-        dispatch out of the coordinator's GIL.
+        ``"thread"`` (default) runs each formed batch inline in the
+        coordinator, on the thread that dispatches it; ``"process"``
+        spawns ``num_workers`` worker processes fed through shared memory
+        (``repro.distrib``), taking engine dispatch out of the
+        coordinator's GIL.
     state_path:
         Optional path of the durable SQLite store.  When set, submissions
         and results survive restarts: unfinished jobs are redelivered and
@@ -169,7 +172,7 @@ class ServiceConfig:
     max_wait_seconds: float = 0.05
     cache_capacity: int = 4096
     queue_capacity: int = 1024
-    worker_policy: str = "cells"
+    worker_policy: str = "batch"
     submit_timeout: float = 5.0
     transport: str = "thread"
     state_path: str | None = None
@@ -210,9 +213,10 @@ class ServiceConfig:
         )
         object.__setattr__(self, "queue_capacity", int(self.queue_capacity))
         _require(
-            self.worker_policy in _WORKER_POLICIES,
+            self.worker_policy == "batch",
             "service.worker_policy",
-            f"must be one of {', '.join(_WORKER_POLICIES)}, got {self.worker_policy!r}",
+            "must be 'batch' (formed batches are never split), "
+            f"got {self.worker_policy!r}",
         )
         _require(
             float(self.submit_timeout) > 0.0,
@@ -226,10 +230,10 @@ class ServiceConfig:
             f"must be one of {', '.join(_TRANSPORTS)}, got {self.transport!r}",
         )
         _require(
-            self.worker_policy != "batch" or self.transport == "process",
-            "service.worker_policy",
-            "'batch' ships whole batches to worker processes and requires "
-            "transport='process'",
+            self.num_workers == 1 or self.transport == "process",
+            "service.num_workers",
+            f"must be 1 with transport='thread', got {self.num_workers}; "
+            "use transport='process' for more workers",
         )
         if self.state_path is not None:
             _require(
@@ -650,12 +654,11 @@ _SCORING_FLAGS = (
 
 #: (field, flag, type, help) rows for the nested ServiceConfig.
 _SERVICE_FLAGS = (
-    ("num_workers", "--num-workers", int, "service worker shards"),
+    ("num_workers", "--num-workers", int, "worker processes (--transport process)"),
     ("max_batch_size", "--batch-size", int, "engine-sized batch (flush bound)"),
     ("max_wait_seconds", "--max-wait", float, "max seconds a job may wait"),
     ("cache_capacity", "--cache-capacity", int, "LRU result-cache entries"),
     ("queue_capacity", "--queue-capacity", int, "submission queue bound"),
-    ("worker_policy", "--worker-policy", str, "shard policy (cells/count/batch)"),
     ("transport", "--transport", str, "worker transport (thread/process)"),
     ("state_path", "--state", str, "durable SQLite state file"),
     ("prefilter", "--prefilter", str, "admission triage (off/advise/enforce)"),
@@ -728,8 +731,6 @@ def add_config_arguments(
             if name in exclude:
                 continue
             extra = {}
-            if name == "worker_policy":
-                extra["choices"] = list(_WORKER_POLICIES)
             if name == "transport":
                 extra["choices"] = list(_TRANSPORTS)
             if name == "prefilter":

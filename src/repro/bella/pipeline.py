@@ -306,7 +306,7 @@ class BellaPipeline:
                         )
                     elif self._service is not None:
                         # Service-backed path: per-job submission; the service
-                        # batches, caches and shards behind the scenes.
+                        # batches and caches behind the scenes.
                         results = self._service.map(jobs)
                         modeled = None
                     else:

@@ -322,7 +322,6 @@ def _run_autotune_bench(
     xdrop: int,
     seed: int,
     batch_size: int,
-    workers: int,
     quick: bool,
     label: str,
     options: dict | None,
@@ -387,7 +386,6 @@ def _run_autotune_bench(
             xdrop=xdrop,
             bin_width=500,
             service=ServiceConfig(
-                num_workers=workers,
                 cache_capacity=0,
                 **service_kwargs,
             ),
@@ -470,7 +468,7 @@ def _run_autotune_bench(
     extra = {
         "service_config": {
             "batch_size": batch_size,
-            "workers": workers,
+            "workers": 1,
             "bin_width": 500,
             "fixed_batch_sizes": fixed_sizes,
         },
@@ -530,7 +528,6 @@ def run_service_bench(
     xdrop: int = 50,
     seed: int = 2020,
     batch_size: int = 48,
-    workers: int = 1,
     quick: bool = False,
     label: str = "",
     process_workers: int = 0,
@@ -592,7 +589,6 @@ def run_service_bench(
             xdrop=xdrop,
             seed=seed,
             batch_size=autotune_batch_size,
-            workers=workers,
             quick=quick,
             label=label,
             options=autotune_options,
@@ -628,7 +624,6 @@ def run_service_bench(
             xdrop=xdrop,
             bin_width=500,
             service=ServiceConfig(
-                num_workers=workers,
                 max_batch_size=batch_size,
                 cache_capacity=4 * len(jobs),
             ),
@@ -664,7 +659,6 @@ def run_service_bench(
                     max_batch_size=batch_size,
                     cache_capacity=4 * len(jobs),
                     transport="process",
-                    worker_policy="batch",
                 ),
             )
         )
@@ -701,7 +695,6 @@ def run_service_bench(
                 xdrop=xdrop,
                 bin_width=500,
                 service=ServiceConfig(
-                    num_workers=workers,
                     max_batch_size=batch_size,
                     cache_capacity=4 * len(jobs),
                     prefilter=prefilter,
@@ -746,7 +739,9 @@ def run_service_bench(
     extra = {
         "service_config": {
             "batch_size": batch_size,
-            "workers": workers,
+            # The thread transport's one inline worker, kept in the record
+            # so fresh entries read like the recorded trajectory.
+            "workers": 1,
             "bin_width": 500,
         },
         "batches_formed": stats.batches_formed,
@@ -764,7 +759,7 @@ def run_service_bench(
         # process-transport runs start their own baseline series instead
         # of gating (or loosening) the default thread-transport one.
         extra["workload"] = {
-            "workers": workers,
+            "workers": 1,
             "process_workers": process_workers,
             "worker_policy": "batch",
         }

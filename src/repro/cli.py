@@ -405,12 +405,6 @@ def main_bench_perf(argv: Sequence[str] | None = None) -> int:
         help="also benchmark the serving layer (BENCH_service.json)",
     )
     parser.add_argument(
-        "--service-workers",
-        type=int,
-        default=1,
-        help="thread workers of the benchmarked service (default 1)",
-    )
-    parser.add_argument(
         "--process-workers",
         type=int,
         default=0,
@@ -594,7 +588,6 @@ def main_bench_perf(argv: Sequence[str] | None = None) -> int:
             seed=args.seed,
             quick=args.quick,
             label=args.label,
-            workers=args.service_workers,
             process_workers=args.process_workers,
             prefilter=args.prefilter,
             autotune=args.autotune,

@@ -1,32 +1,24 @@
 """Multi-process worker pool with shared-memory dispatch and crash recovery.
 
 Drop-in peer of :class:`repro.service.ShardedWorkerPool` (same ``run_batch``
--> ``PoolRun`` contract, same per-shard metrics), but the shards are spawned
-interpreter processes instead of threads, so engine dispatch runs outside
-the coordinator's GIL.
+-> ``PoolRun`` contract, same per-shard metrics), but the workers are
+spawned interpreter processes instead of the calling thread, so engine
+dispatch runs outside the coordinator's GIL.
 
-Dispatch policies:
+Each formed batch ships whole to one worker, round-robin across workers,
+so no batch pays the per-step cost of being split into smaller kernel
+calls.  Dispatch is serialized: the service calls :meth:`run_batch` under
+its lock and the call blocks until the batch's results are back, so extra
+workers take turns rather than overlap.  Two workers measured within host
+noise of one on a 2-vCPU host (1.21 s against 1.25-1.40 s at batch 32,
+1.49-1.61 s at batch 64); more workers pay only once dispatches overlap.
 
-``"batch"`` (default)
-    Ship the whole formed batch to one worker, round-robin across workers.
-    Batches are the pool's unit of parallelism: consecutive batches pipeline
-    across processes, and no batch pays the efficiency penalty of being
-    split into smaller kernel invocations.  This is the policy the bench
-    records, and the honest reason the process tier beats the thread tier
-    even on one core — the thread pool must split a batch to use two
-    workers, and split batches cost more total kernel time.
-``"cells"`` / ``"count"``
-    Split each batch across all workers with the multi-GPU load balancer,
-    exactly like the thread pool — intra-batch parallelism for multicore
-    hosts.
-
-Crash handling: a worker that dies mid-shard (detected by liveness checks
-while waiting on the result queue) is respawned and the shard — whose
+Crash handling: a worker that dies mid-batch (detected by liveness checks
+while waiting on the result queue) is respawned and the batch — whose
 shared-memory block the coordinator still owns — is redelivered, up to
-``max_redeliveries`` times per shard.  Worker exceptions are *not*
-redelivered (they are deterministic); the reply's traceback and
-flight-recorder dump surface through :class:`~repro.errors.ServiceError`
-and ``last_crash_dump``.
+``max_redeliveries`` times.  Worker exceptions are *not* redelivered (they
+are deterministic); the reply's traceback and flight-recorder dump surface
+through :class:`~repro.errors.ServiceError` and ``last_crash_dump``.
 """
 
 from __future__ import annotations
@@ -38,10 +30,7 @@ from typing import Sequence
 
 from ..api import AlignConfig
 from ..core.job import AlignmentJob, BatchWorkSummary
-from ..core.result import SeedAlignmentResult
-from ..core.xdrop_batch import BatchKernelStats
 from ..errors import ConfigurationError, ServiceError
-from ..logan.scheduler import LoadBalancer
 from ..perf.timers import Timer
 from ..service.workers import PoolRun, WorkerStats
 from .shm import SharedJobBlock, unpack_results
@@ -54,17 +43,16 @@ _POLL_SECONDS = 0.2
 
 @dataclass
 class _Shard:
-    """One dispatched shard: its worker, job slice and shm block."""
+    """One dispatched batch: its worker, shm block and task."""
 
     worker_index: int
-    job_indices: list[int]
     block: SharedJobBlock
     task: dict
     redeliveries: int = 0
 
 
 class ProcessWorkerPool:
-    """Spawned-process sharded worker pool.
+    """Spawned worker processes, each formed batch sent whole to one of them.
 
     Parameters
     ----------
@@ -73,26 +61,20 @@ class ProcessWorkerPool:
         ``config.to_dict()`` in its own interpreter.  Trace mode is
         rejected — packed result tables carry no band-width traces.
     num_workers:
-        Number of worker processes.
-    policy:
-        ``"batch"``, ``"cells"`` or ``"count"`` (see module docstring).
-    xdrop:
-        X value for the load balancer's cell estimates (split policies).
+        Number of worker processes, fed round-robin.
     fault_injection:
         Test hook: ``{worker_index: {"after": n}}`` makes that worker
         hard-exit on its *n*-th task.  Consumed on first spawn only, so a
         respawned worker runs clean.
     max_redeliveries:
-        How many times one shard may be redelivered after worker deaths
-        before the batch fails.
+        How many times one batch may be redelivered after worker deaths
+        before it fails.
     """
 
     def __init__(
         self,
         config: AlignConfig,
         num_workers: int = 2,
-        policy: str = "batch",
-        xdrop: int = 100,
         obs=None,
         fault_injection: dict | None = None,
         max_redeliveries: int = 2,
@@ -107,22 +89,9 @@ class ProcessWorkerPool:
                 "result tables are fixed-width; use transport='thread' for "
                 "trace mode"
             )
-        if policy not in ("batch", "cells", "count"):
-            raise ConfigurationError(
-                f"process pool policy must be one of 'batch', 'cells', "
-                f"'count', got {policy!r}"
-            )
         self.config = config
         self.num_workers = int(num_workers)
-        self.policy = policy
         self.max_redeliveries = int(max_redeliveries)
-        self.balancer = (
-            None
-            if policy == "batch"
-            else LoadBalancer(
-                num_devices=self.num_workers, policy=policy, xdrop=xdrop
-            )
-        )
         self.worker_stats = [
             WorkerStats(worker_index=i) for i in range(self.num_workers)
         ]
@@ -230,183 +199,108 @@ class ProcessWorkerPool:
         scoring=None,
         xdrop: int | None = None,
     ) -> PoolRun:
-        """Align *jobs* across the worker processes; results in job order."""
+        """Align *jobs* on the next worker process; results in job order."""
         if self._closed:
             raise ServiceError("process pool is shut down")
         jobs = list(jobs)
         if not jobs:
-            return PoolRun(
-                results=[],
-                summary=BatchWorkSummary(),
-                elapsed_seconds=0.0,
-                shards_used=0,
-            )
+            return PoolRun(results=[], summary=BatchWorkSummary(), elapsed_seconds=0.0)
         self.start()
         timer = Timer()
         with timer:
-            outstanding = self._dispatch(jobs, scoring, xdrop)
-            finished = self._collect(outstanding)
-        return self._merge(jobs, finished, timer.elapsed)
-
-    def _dispatch(self, jobs, scoring, xdrop) -> dict[int, _Shard]:
-        shards: list[tuple[int, list[int]]] = []
-        if self.policy == "batch":
-            worker = self._round_robin % self.num_workers
-            self._round_robin += 1
-            shards.append((worker, list(range(len(jobs)))))
-        else:
-            for assignment in self.balancer.split(jobs):
-                if assignment.num_jobs > 0:
-                    shards.append(
-                        (assignment.device_index, list(assignment.job_indices))
-                    )
-        outstanding: dict[int, _Shard] = {}
-        for worker_index, indices in shards:
-            block = SharedJobBlock.create([jobs[i] for i in indices])
-            task = {
-                "seq": self._next_seq(),
-                "shm": block.name,
-                "count": len(indices),
-                "scoring": None if scoring is None else scoring.as_tuple(),
-                "xdrop": None if xdrop is None else int(xdrop),
-            }
-            shard = _Shard(
-                worker_index=worker_index,
-                job_indices=indices,
-                block=block,
-                task=task,
-            )
-            outstanding[task["seq"]] = shard
-            self._task_queues[worker_index].put(task)
-        return outstanding
-
-    def _collect(
-        self, outstanding: dict[int, _Shard]
-    ) -> list[tuple[_Shard, dict]]:
-        finished: list[tuple[_Shard, dict]] = []
-        try:
-            while outstanding:
-                try:
-                    reply = self._result_queue.get(timeout=_POLL_SECONDS)
-                except queue_mod.Empty:
-                    self._handle_dead_workers(outstanding)
-                    continue
-                self._absorb_reply(reply, outstanding, finished)
-        except BaseException:
-            for shard in outstanding.values():
+            shard = self._dispatch(jobs, scoring, xdrop)
+            try:
+                reply = self._collect(shard)
+            finally:
                 shard.block.close()
                 shard.block.unlink()
-            raise
-        return finished
+        return self._merge(shard, reply, timer.elapsed)
 
-    def _absorb_reply(self, reply, outstanding, finished) -> None:
-        seq = reply.get("seq")
-        if not reply.get("ok", False):
-            self.last_crash_dump = reply.get("flight_recorder")
-            detail = reply.get("error", "unknown worker failure")
-            trace = reply.get("traceback")
-            if seq is not None and seq in outstanding:
-                shard = outstanding.pop(seq)
-                shard.block.close()
-                shard.block.unlink()
-            raise ServiceError(
-                f"worker {reply.get('worker')} failed: {detail}"
-                + (f"\n{trace}" if trace else "")
-            )
-        if seq not in outstanding:
-            return  # stale duplicate after a redelivery race
-        shard = outstanding.pop(seq)
-        shard.block.close()
-        shard.block.unlink()
-        finished.append((shard, reply))
-
-    def _handle_dead_workers(self, outstanding: dict[int, _Shard]) -> None:
-        dead = {
-            shard.worker_index
-            for shard in outstanding.values()
-            if not self._procs[shard.worker_index].is_alive()
+    def _dispatch(self, jobs, scoring, xdrop) -> _Shard:
+        worker_index = self._round_robin % self.num_workers
+        self._round_robin += 1
+        block = SharedJobBlock.create(jobs)
+        task = {
+            "seq": self._next_seq(),
+            "shm": block.name,
+            "count": len(jobs),
+            "scoring": None if scoring is None else scoring.as_tuple(),
+            "xdrop": None if xdrop is None else int(xdrop),
         }
-        if not dead:
-            return
-        for worker_index in dead:
-            self.crashes += 1
-            if self._crash_c is not None:
-                self._crash_c.inc()
-            if self._obs is not None:
-                self._obs.event(
-                    "worker_process_died",
-                    worker=worker_index,
-                    exitcode=self._procs[worker_index].exitcode,
-                )
-            self._spawn(worker_index)
-        for seq in [
-            s
-            for s, shard in outstanding.items()
-            if shard.worker_index in dead
-        ]:
-            shard = outstanding.pop(seq)
-            if shard.redeliveries >= self.max_redeliveries:
-                shard.block.close()
-                shard.block.unlink()
-                # Put the rest back so the caller's cleanup still sees them.
-                raise ServiceError(
-                    f"worker {shard.worker_index} died "
-                    f"{shard.redeliveries + 1} times on the same shard "
-                    f"({len(shard.job_indices)} jobs); giving up after "
-                    f"{self.max_redeliveries} redeliveries"
-                )
-            shard.redeliveries += 1
-            shard.task = dict(shard.task, seq=self._next_seq())
-            outstanding[shard.task["seq"]] = shard
-            self._task_queues[shard.worker_index].put(shard.task)
+        self._task_queues[worker_index].put(task)
+        return _Shard(worker_index=worker_index, block=block, task=task)
 
-    def _merge(self, jobs, finished, elapsed: float) -> PoolRun:
-        results: list[SeedAlignmentResult | None] = [None] * len(jobs)
-        summary = BatchWorkSummary()
-        kernel_stats: BatchKernelStats | None = None
-        for shard, reply in finished:
-            shard_results = unpack_results(reply["results"])
-            if len(shard_results) != len(shard.job_indices):
+    def _collect(self, shard: _Shard) -> dict:
+        """Wait for *shard*'s reply, redelivering it if its worker dies."""
+        while True:
+            try:
+                reply = self._result_queue.get(timeout=_POLL_SECONDS)
+            except queue_mod.Empty:
+                if not self._procs[shard.worker_index].is_alive():
+                    self._respawn_and_redeliver(shard)
+                continue
+            if not reply.get("ok", False):
+                self.last_crash_dump = reply.get("flight_recorder")
+                detail = reply.get("error", "unknown worker failure")
+                trace = reply.get("traceback")
                 raise ServiceError(
-                    f"worker {reply['worker']} returned "
-                    f"{len(shard_results)} results for a "
-                    f"{len(shard.job_indices)}-job shard"
+                    f"worker {reply.get('worker')} failed: {detail}"
+                    + (f"\n{trace}" if trace else "")
                 )
-            for local, job_index in enumerate(shard.job_indices):
-                results[job_index] = shard_results[local]
-            summary = summary.merge(BatchWorkSummary(*reply["summary"]))
-            stats = self.worker_stats[shard.worker_index]
-            stats.batches += 1
-            stats.jobs += len(shard.job_indices)
-            stats.cells += int(reply["summary"][2])
-            stats.seconds += float(reply["elapsed"])
-            if self._shard_batches is not None:
-                label = str(shard.worker_index)
-                self._shard_batches.inc(shard=label)
-                self._shard_jobs.inc(len(shard.job_indices), shard=label)
-                self._shard_cells.inc(int(reply["summary"][2]), shard=label)
-                self._shard_seconds.inc(float(reply["elapsed"]), shard=label)
-            self._merge_counters(reply.get("counters") or ())
-            shard_stats = reply.get("kernel_stats")
-            if shard_stats is not None:
-                if kernel_stats is None:
-                    kernel_stats = BatchKernelStats()
-                kernel_stats.merge(shard_stats)
-        missing = [i for i, r in enumerate(results) if r is None]
-        if missing:
-            raise ServiceError(
-                f"{len(missing)} job(s) received no result from the pool"
+            if reply.get("seq") == shard.task["seq"]:
+                return reply
+            # Otherwise a stale duplicate after a redelivery race.
+
+    def _respawn_and_redeliver(self, shard: _Shard) -> None:
+        worker_index = shard.worker_index
+        self.crashes += 1
+        if self._crash_c is not None:
+            self._crash_c.inc()
+        if self._obs is not None:
+            self._obs.event(
+                "worker_process_died",
+                worker=worker_index,
+                exitcode=self._procs[worker_index].exitcode,
             )
+        self._spawn(worker_index)
+        if shard.redeliveries >= self.max_redeliveries:
+            raise ServiceError(
+                f"worker {worker_index} died "
+                f"{shard.redeliveries + 1} times on the same batch "
+                f"({shard.task['count']} jobs); giving up after "
+                f"{self.max_redeliveries} redeliveries"
+            )
+        shard.redeliveries += 1
+        shard.task = dict(shard.task, seq=self._next_seq())
+        self._task_queues[worker_index].put(shard.task)
+
+    def _merge(self, shard: _Shard, reply: dict, elapsed: float) -> PoolRun:
+        results = unpack_results(reply["results"])
+        count = shard.task["count"]
+        if len(results) != count:
+            raise ServiceError(
+                f"worker {reply['worker']} returned {len(results)} results "
+                f"for a {count}-job batch"
+            )
+        cells = int(reply["summary"][2])
+        stats = self.worker_stats[shard.worker_index]
+        stats.batches += 1
+        stats.jobs += count
+        stats.cells += cells
+        stats.seconds += float(reply["elapsed"])
+        if self._shard_batches is not None:
+            label = str(shard.worker_index)
+            self._shard_batches.inc(shard=label)
+            self._shard_jobs.inc(count, shard=label)
+            self._shard_cells.inc(cells, shard=label)
+            self._shard_seconds.inc(float(reply["elapsed"]), shard=label)
+        self._merge_counters(reply.get("counters") or ())
+        kernel_stats = reply.get("kernel_stats")
         return PoolRun(
-            results=results,  # type: ignore[arg-type]
-            summary=summary,
+            results=results,
+            summary=BatchWorkSummary(*reply["summary"]),
             elapsed_seconds=elapsed,
-            shards_used=len(finished),
-            extras=(
-                {"kernel_stats": kernel_stats}
-                if kernel_stats is not None
-                else {}
-            ),
+            extras={"kernel_stats": kernel_stats} if kernel_stats is not None else {},
         )
 
     def _merge_counters(self, entries) -> None:

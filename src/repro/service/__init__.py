@@ -3,9 +3,9 @@
 The serving layer over the engine registry.  Individually submitted
 :class:`~repro.core.job.AlignmentJob` requests are content-addressed against
 an LRU result cache, coalesced by an adaptive length-binned batcher into
-engine-sized batches, and sharded across a load-balanced worker pool — the
-paper's host-side batching and multi-GPU partitioning (Section IV) recast
-as a production front door.
+engine-sized batches, and each formed batch runs whole as one engine call —
+the paper's host-side batching (Section IV) recast as a production front
+door.
 
 >>> from repro.api import AlignConfig
 >>> from repro.service import AlignmentService

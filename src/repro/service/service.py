@@ -8,9 +8,10 @@ individually submitted alignment requests:
    (backpressure);
 2. the processing loop feeds tickets into the adaptive batcher, which
    coalesces them into length-binned, engine-sized batches;
-3. formed batches run on the sharded worker pool (load-balanced by
-   estimated DP cells, the paper's host-side policy), results are scattered
-   back to the tickets and inserted into the cache.
+3. each formed batch runs whole, as one engine call, on the worker pool
+   (inline on the thread transport, one worker process at a time on the
+   process transport); results are scattered back to the tickets and
+   inserted into the cache.
 
 The service runs in two modes.  *Inline* (default): nothing happens until
 :meth:`drain`, which processes everything synchronously — deterministic,
@@ -64,7 +65,9 @@ class ServiceStats:
         Total aligned DP cells, wall-clock spent inside worker batches, and
         the resulting GCUPS (0.0 before any work ran).
     workers:
-        Per-shard accounting (batches, jobs, cells, seconds).
+        Per-worker accounting (batches, jobs, cells, seconds): one entry
+        on the thread transport, one per worker process on the process
+        transport.
     kernel_live_fraction:
         Mean live-row fraction reported by the batched kernel's compaction
         telemetry over the recent-batch window (``None`` until an engine
@@ -155,8 +158,8 @@ class AlignmentService:
         ``AlignConfig()``).  Its engine, scoring and xdrop define every
         alignment (and every cache key); the nested
         :class:`repro.api.ServiceConfig` supplies every serving knob —
-        worker shards, batch policy, cache and queue bounds, transport,
-        durable state, prefilter and autotune.
+        transport and worker processes, batch policy, cache and queue
+        bounds, durable state, prefilter and autotune.
     """
 
     def __init__(self, config=None) -> None:
@@ -188,20 +191,10 @@ class AlignmentService:
             from ..distrib.pool import ProcessWorkerPool
 
             self.pool = ProcessWorkerPool(
-                config,
-                num_workers=svc.num_workers,
-                policy=svc.worker_policy,
-                xdrop=self.xdrop,
-                obs=self.obs,
+                config, num_workers=svc.num_workers, obs=self.obs
             )
         else:
-            self.pool = ShardedWorkerPool(
-                engine=self.engine,
-                num_workers=svc.num_workers,
-                policy=svc.worker_policy,
-                xdrop=self.xdrop,
-                obs=self.obs,
-            )
+            self.pool = ShardedWorkerPool(engine=self.engine, obs=self.obs)
         self.submit_timeout = svc.submit_timeout
         self.prefilter_mode = svc.prefilter
         self.prefilter = None

@@ -1,27 +1,25 @@
-"""Sharded worker pool: route formed batches through the engine registry.
+"""Inline worker pool: run each formed batch as one engine call.
 
-One formed batch is split across ``num_workers`` shards by the multi-GPU
-load balancer (:class:`repro.logan.scheduler.LoadBalancer`, ``"cells"``
-policy by default) — the paper's host-side device partitioning reused as a
-worker-sharding policy, so each worker/simulated device receives a similar
-number of estimated DP cells rather than a similar job count.  Every shard
-runs through the same :class:`~repro.engine.AlignmentEngine`, and results
-are scattered back into submission order, so sharding never changes what a
-caller observes (exact engines stay bit-identical).
+The formed batch is the service's only unit of dispatch.
+:class:`ShardedWorkerPool` hands it whole to
+:meth:`~repro.engine.AlignmentEngine.align_batch` on the calling thread.
+LOGAN splits a batch across GPUs because the devices then run their shares
+at the same time; GIL-bound threads cannot, and every share would pay the
+kernel's per-anti-diagonal-step floor again (on a 2-vCPU host, 1, 2 and 4
+thread shards took 1.11 s, 2.60 s and 6.03 s on the same batch-32 service
+workload).  More workers go through the process transport
+(:class:`repro.distrib.ProcessWorkerPool`) instead.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..core.job import AlignmentJob, BatchWorkSummary
 from ..core.result import SeedAlignmentResult
-from ..core.xdrop_batch import BatchKernelStats
 from ..engine.base import AlignmentEngine
-from ..errors import ServiceError
-from ..logan.scheduler import LoadBalancer
 from ..perf.timers import Timer
 
 __all__ = ["WorkerStats", "ShardedWorkerPool"]
@@ -29,7 +27,7 @@ __all__ = ["WorkerStats", "ShardedWorkerPool"]
 
 @dataclass
 class WorkerStats:
-    """Cumulative accounting of one worker shard."""
+    """Cumulative accounting of one worker."""
 
     worker_index: int
     batches: int = 0
@@ -40,52 +38,33 @@ class WorkerStats:
 
 @dataclass
 class PoolRun:
-    """Result of pushing one formed batch through the pool.
+    """Result of pushing one formed batch through a pool.
 
-    ``results`` is in the order of the *input* jobs, regardless of how the
-    load balancer sharded them.
+    ``results`` is in the order of the input jobs.
     """
 
     results: list[SeedAlignmentResult]
     summary: BatchWorkSummary
     elapsed_seconds: float
-    shards_used: int = 1
     extras: dict = field(default_factory=dict)
 
 
 class ShardedWorkerPool:
-    """Runs engine batches across N load-balanced worker shards.
+    """One inline worker that aligns each formed batch with one engine call.
 
     Parameters
     ----------
     engine:
-        The alignment engine every shard calls.
-    num_workers:
-        Number of shards.  ``1`` runs inline; more shards run concurrently
-        on threads (the engines release no GIL, so this models — rather
-        than delivers — device parallelism, exactly like the GPU layer).
-    policy:
-        Load-balancing policy, ``"cells"`` (default) or ``"count"``.
-    xdrop:
-        X value used by the balancer's per-job cell estimate.
+        The alignment engine the worker calls.
+    obs:
+        Optional observability scope for the per-worker counters and the
+        ``pool.shard`` span (labelled ``shard="0"``, like the process
+        pool's workers).
     """
 
-    def __init__(
-        self,
-        engine: AlignmentEngine,
-        num_workers: int = 1,
-        policy: str = "cells",
-        xdrop: int = 100,
-        obs=None,
-    ) -> None:
-        if num_workers <= 0:
-            raise ServiceError(f"num_workers must be positive, got {num_workers}")
+    def __init__(self, engine: AlignmentEngine, obs=None) -> None:
         self.engine = engine
-        self.num_workers = int(num_workers)
-        self.balancer = LoadBalancer(
-            num_devices=self.num_workers, policy=policy, xdrop=xdrop
-        )
-        self.worker_stats = [WorkerStats(worker_index=i) for i in range(self.num_workers)]
+        self.worker_stats = [WorkerStats(worker_index=0)]
         self._obs = obs
         if obs is not None:
             shard = ("shard",)
@@ -101,8 +80,6 @@ class ShardedWorkerPool:
             self._shard_seconds = obs.counter(
                 "repro_worker_busy_seconds_total", "wall seconds busy per shard", shard
             )
-        else:
-            self._shard_batches = None
 
     def run_batch(
         self,
@@ -110,7 +87,7 @@ class ShardedWorkerPool:
         scoring=None,
         xdrop: int | None = None,
     ) -> PoolRun:
-        """Align *jobs*, sharded across the pool; results in job order.
+        """Align *jobs* in one engine call; results in job order.
 
         *scoring*/*xdrop*, when given, override the engine's own defaults
         for this batch (forwarded to ``align_batch``).  The service always
@@ -121,64 +98,31 @@ class ShardedWorkerPool:
         """
         jobs = list(jobs)
         if not jobs:
-            return PoolRun(results=[], summary=BatchWorkSummary(), elapsed_seconds=0.0,
-                           shards_used=0)
+            return PoolRun(results=[], summary=BatchWorkSummary(), elapsed_seconds=0.0)
         timer = Timer()
-        with timer:
-            assignments = [
-                a for a in self.balancer.split(jobs) if a.num_jobs > 0
-            ]
-
-            def align(assignment):
-                if self._obs is not None:
-                    with self._obs.span(
-                        "pool.shard",
-                        shard=assignment.device_index,
-                        jobs=assignment.num_jobs,
-                    ):
-                        return self.engine.align_batch(
-                            assignment.take(jobs), scoring=scoring, xdrop=xdrop
-                        )
-                return self.engine.align_batch(
-                    assignment.take(jobs), scoring=scoring, xdrop=xdrop
-                )
-
-            if len(assignments) == 1:
-                batches = [align(assignments[0])]
-            else:
-                with ThreadPoolExecutor(max_workers=len(assignments)) as pool:
-                    batches = list(pool.map(align, assignments))
-        results: list[SeedAlignmentResult | None] = [None] * len(jobs)
-        summary = BatchWorkSummary()
-        kernel_stats: BatchKernelStats | None = None
-        for assignment, batch in zip(assignments, batches):
-            for local, job_index in enumerate(assignment.job_indices):
-                results[job_index] = batch.results[local]
-            summary = summary.merge(batch.summary)
-            stats = self.worker_stats[assignment.device_index]
-            stats.batches += 1
-            stats.jobs += assignment.num_jobs
-            stats.cells += batch.summary.cells
-            stats.seconds += batch.elapsed_seconds
-            if self._shard_batches is not None:
-                shard = str(assignment.device_index)
-                self._shard_batches.inc(shard=shard)
-                self._shard_jobs.inc(assignment.num_jobs, shard=shard)
-                self._shard_cells.inc(batch.summary.cells, shard=shard)
-                self._shard_seconds.inc(batch.elapsed_seconds, shard=shard)
-            # Fold per-shard kernel telemetry into one fresh accumulator
-            # (never mutate the engine-owned stats object); the service
-            # consumes it from the run's extras for batch-sizing hints.
-            shard_stats = batch.extras.get("kernel_stats")
-            if shard_stats is not None:
-                if kernel_stats is None:
-                    kernel_stats = BatchKernelStats()
-                kernel_stats.merge(shard_stats)
-        assert all(r is not None for r in results)
+        span = (
+            self._obs.span("pool.shard", shard=0, jobs=len(jobs))
+            if self._obs is not None
+            else nullcontext()
+        )
+        with timer, span:
+            batch = self.engine.align_batch(jobs, scoring=scoring, xdrop=xdrop)
+        stats = self.worker_stats[0]
+        stats.batches += 1
+        stats.jobs += len(jobs)
+        stats.cells += batch.summary.cells
+        stats.seconds += batch.elapsed_seconds
+        if self._obs is not None:
+            self._shard_batches.inc(shard="0")
+            self._shard_jobs.inc(len(jobs), shard="0")
+            self._shard_cells.inc(batch.summary.cells, shard="0")
+            self._shard_seconds.inc(batch.elapsed_seconds, shard="0")
+        # The batched engine returns a fresh per-call kernel accumulator;
+        # the service windows it for batch-sizing hints and autotune.
+        kernel_stats = batch.extras.get("kernel_stats")
         return PoolRun(
-            results=results,  # type: ignore[arg-type]
-            summary=summary,
+            results=batch.results,
+            summary=batch.summary,
             elapsed_seconds=timer.elapsed,
-            shards_used=len(assignments),
             extras={"kernel_stats": kernel_stats} if kernel_stats is not None else {},
         )

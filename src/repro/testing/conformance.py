@@ -11,7 +11,7 @@ of jobs through:
   and run-to-run determinism for the rest (the ksw2 Z-drop engine is
   *comparable*, not identical, by design);
 * the :class:`~repro.service.AlignmentService` path (queue -> batcher ->
-  cache -> sharded workers), asserting bit-identity with the direct
+  cache -> workers), asserting bit-identity with the direct
   engine call, then a second cache-served round asserting the cache
   returns exactly what the engine computed.
 

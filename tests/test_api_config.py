@@ -49,8 +49,9 @@ def fancy_config() -> AlignConfig:
             max_wait_seconds=0.01,
             cache_capacity=128,
             queue_capacity=64,
-            worker_policy="count",
+            worker_policy="batch",
             submit_timeout=2.0,
+            transport="process",
         ),
     )
 
@@ -128,8 +129,10 @@ class TestAlignConfigValidation:
             ({"max_wait_seconds": -0.1}, "service.max_wait_seconds"),
             ({"cache_capacity": -1}, "service.cache_capacity"),
             ({"queue_capacity": 0}, "service.queue_capacity"),
-            ({"worker_policy": "roulette"}, "service.worker_policy"),
+            ({"worker_policy": "cells"}, "service.worker_policy"),
             ({"submit_timeout": 0.0}, "service.submit_timeout"),
+            ({"worker_policy": "count"}, "service.worker_policy"),
+            ({"num_workers": 2}, "service.num_workers"),
         ],
     )
     def test_service_field_named_in_message(self, kwargs, field_name):
@@ -143,7 +146,7 @@ class TestAlignConfigValidation:
         assert "engnie" in str(excinfo.value)
 
     def test_service_values_are_coerced(self):
-        svc = ServiceConfig(num_workers=2.5, max_wait_seconds=1)
+        svc = ServiceConfig(num_workers=2.5, max_wait_seconds=1, transport="process")
         assert svc.num_workers == 2 and isinstance(svc.num_workers, int)
         assert svc.max_wait_seconds == 1.0 and isinstance(svc.max_wait_seconds, float)
 

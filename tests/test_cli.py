@@ -344,13 +344,19 @@ class TestReproService:
 
     def test_workers_flag_means_engine_processes(self, capsys):
         # --workers sets the engine's worker processes, as on every other
-        # subcommand; --num-workers sets the service's worker shards.
+        # subcommand; --num-workers sets the service's worker processes.
         base = ["serve", "--pairs", "4", "--min-length", "100",
                 "--max-length", "200", "--repeat", "1", "--inline", "--json"]
         assert main_service(base + ["--workers", "2"]) == 0
         assert len(json.loads(capsys.readouterr().out)["workers"]) == 1
-        assert main_service(base + ["--num-workers", "2"]) == 0
-        assert len(json.loads(capsys.readouterr().out)["workers"]) == 2
+        with pytest.raises(ConfigurationError, match="service.num_workers") as excinfo:
+            main_service(base + ["--num-workers", "2"])
+        assert "transport='process'" in str(excinfo.value)
+
+    def test_worker_policy_flag_removed(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main_service(["serve", "--worker-policy", "batch"])
+        assert excinfo.value.code == 2
 
 
 class TestReproFuzz:

@@ -53,7 +53,7 @@ def server():
         engine="batched",
         scoring=_SCORING,
         xdrop=XDROP,
-        service=ServiceConfig(num_workers=2, max_batch_size=8),
+        service=ServiceConfig(max_batch_size=8),
     )
     with AlignmentServer(config=config) as srv:
         srv.start()

@@ -1,8 +1,8 @@
 """AlignmentService with the distributed knobs: process transport, durable
 SQLite state, crash/restart recovery, and cache persistence.
 
-The one process-transport service here is module-scoped (spawning two
-interpreters costs seconds); every durable-state test runs on the cheap
+The one process-transport service here is class-scoped (spawning a worker
+interpreter costs seconds); every durable-state test runs on the cheap
 thread transport — the store integration is transport-independent.
 """
 
@@ -15,7 +15,6 @@ from repro.core.scoring import ScoringScheme
 from repro.distrib.store import DurableStore
 from repro.distrib.wire import cache_key_to_json
 from repro.engine import get_engine
-from repro.errors import ConfigurationError
 from repro.obs import get_observability
 from repro.service import AlignmentService
 from repro.service.cache import ResultCache, job_cache_key
@@ -30,11 +29,9 @@ def _config(state_path=None, transport="thread", **service_overrides) -> AlignCo
         scoring=_SCORING,
         xdrop=XDROP,
         service=ServiceConfig(
-            num_workers=2,
             max_batch_size=8,
             transport=transport,
             state_path=state_path,
-            worker_policy="batch" if transport == "process" else "cells",
             **service_overrides,
         ),
     )
@@ -82,10 +79,7 @@ class TestProcessTransport:
     ):
         _run(mp_service, module_jobs)
         snap = mp_service.metrics_snapshot()
-        shard_jobs = sum(
-            snap.value("repro_worker_jobs_total", default=0.0, shard=str(i))
-            for i in range(2)
-        )
+        shard_jobs = snap.value("repro_worker_jobs_total", default=0.0, shard="0")
         assert shard_jobs >= len(module_jobs)
         # Engine counters tick inside the worker interpreters and are
         # folded back as deltas — nonzero proves the merge happened.
@@ -93,9 +87,11 @@ class TestProcessTransport:
             len(module_jobs)
         )
 
-    def test_batch_policy_requires_process_transport(self):
-        with pytest.raises(ConfigurationError, match="batch"):
-            ServiceConfig(worker_policy="batch", transport="thread")
+    def test_batch_policy_is_the_default_on_the_thread_transport(self):
+        config = ServiceConfig()
+        assert config.worker_policy == "batch"
+        assert config.transport == "thread"
+        assert ServiceConfig(worker_policy="batch", transport="thread") == config
 
 
 class TestDurableState:

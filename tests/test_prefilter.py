@@ -53,7 +53,6 @@ def _service_config(mode: str, **options) -> AlignConfig:
         scoring=SCORING,
         xdrop=XDROP,
         service=ServiceConfig(
-            num_workers=2,
             max_batch_size=8,
             prefilter=mode,
             prefilter_options=options,
@@ -365,7 +364,7 @@ def test_advise_conformance_stays_bit_identical(profile):
     config = AlignConfig(
         engine="batched",
         xdrop=15,
-        service=ServiceConfig(num_workers=2, max_batch_size=8, prefilter="advise"),
+        service=ServiceConfig(max_batch_size=8, prefilter="advise"),
     )
     runner = ConformanceRunner(
         config, engines=["reference"], include_service=True, include_network=True
@@ -382,7 +381,7 @@ def test_enforce_conformance_forgives_sound_rejections():
         engine="batched",
         xdrop=XDROP,
         scoring=SCORING,
-        service=ServiceConfig(num_workers=2, max_batch_size=8, prefilter="enforce"),
+        service=ServiceConfig(max_batch_size=8, prefilter="enforce"),
     )
     runner = ConformanceRunner(
         config, engines=["reference"], include_service=True, include_network=True

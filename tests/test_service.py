@@ -196,7 +196,7 @@ class TestCacheKeyConfigRegression:
         assert work(mismatched_engine.align_batch(jobs).results) != work(
             expected.results
         )
-        pool = ShardedWorkerPool(engine=mismatched_engine, num_workers=2)
+        pool = ShardedWorkerPool(engine=mismatched_engine)
         results = pool.run_batch(jobs, scoring=SCORING, xdrop=7).results
         assert [r.score for r in results] == expected.scores()
         assert work(results) == work(expected.results)
@@ -289,37 +289,28 @@ class TestShardedWorkerPool:
     def test_results_stay_in_job_order(self):
         jobs = mixed_jobs(num_pairs=10, rng_seed=5)
         engine = get_engine("batched", scoring=SCORING, xdrop=30)
-        pool = ShardedWorkerPool(engine, num_workers=3, xdrop=30)
+        pool = ShardedWorkerPool(engine)
         run = pool.run_batch(jobs)
         direct = engine.align_batch(jobs)
         assert [r.score for r in run.results] == direct.scores()
         assert run.summary.cells == direct.summary.cells
-        assert run.shards_used == 3
-
-    def test_more_workers_than_jobs(self):
-        jobs = mixed_jobs(num_pairs=2, rng_seed=6)
-        engine = get_engine("batched", scoring=SCORING, xdrop=20)
-        pool = ShardedWorkerPool(engine, num_workers=6, xdrop=20)
-        run = pool.run_batch(jobs)
-        assert len(run.results) == 2
-        assert run.shards_used == 2
 
     def test_empty_batch(self):
-        pool = ShardedWorkerPool(get_engine("batched"), num_workers=2)
+        pool = ShardedWorkerPool(get_engine("batched"))
         run = pool.run_batch([])
-        assert run.results == [] and run.shards_used == 0
+        assert run.results == []
+        assert pool.worker_stats[0].batches == 0
 
     def test_per_worker_accounting(self):
         jobs = mixed_jobs(num_pairs=8, rng_seed=7)
         engine = get_engine("batched", scoring=SCORING, xdrop=25)
-        pool = ShardedWorkerPool(engine, num_workers=2, xdrop=25)
+        pool = ShardedWorkerPool(engine)
         run = pool.run_batch(jobs)
-        assert sum(w.jobs for w in pool.worker_stats) == len(jobs)
-        assert sum(w.cells for w in pool.worker_stats) == run.summary.cells
-
-    def test_invalid_worker_count(self):
-        with pytest.raises(ServiceError):
-            ShardedWorkerPool(get_engine("batched"), num_workers=0)
+        # One inline worker: the whole formed batch is one engine call.
+        (stats,) = pool.worker_stats
+        assert stats.batches == 1
+        assert stats.jobs == len(jobs)
+        assert stats.cells == run.summary.cells
 
 
 class TestAlignmentServiceEndToEnd:
@@ -331,7 +322,7 @@ class TestAlignmentServiceEndToEnd:
 
         service = AlignmentService(
             config=batched_config(
-                xdrop=30, bin_width=600, num_workers=2, max_batch_size=6
+                xdrop=30, bin_width=600, max_batch_size=6
             )
         )
         tickets = [service.submit(job) for job in jobs]
@@ -394,7 +385,7 @@ class TestAlignmentServiceEndToEnd:
             service.submit(tiny_job())
 
     def test_stats_snapshot_shape(self):
-        service = AlignmentService(config=batched_config(num_workers=2))
+        service = AlignmentService(config=batched_config())
         service.map(mixed_jobs(num_pairs=4, rng_seed=23))
         payload = service.stats().to_dict()
         for key in (
@@ -407,7 +398,7 @@ class TestAlignmentServiceEndToEnd:
         ):
             assert key in payload
         assert payload["throughput_gcups"] >= 0
-        assert len(payload["workers"]) == 2
+        assert len(payload["workers"]) == 1
         service.shutdown()
 
     def test_inline_overflow_drains_instead_of_deadlocking(self):
@@ -455,8 +446,7 @@ class TestServiceUnderLoad:
 
     @staticmethod
     def _skewed_jobs():
-        # A few huge jobs among many small ones (the distribution the
-        # "cells" balancer exists for), mid-read seeds.
+        # A few huge jobs among many small ones, mid-read seeds.
         big = mixed_jobs(num_pairs=3, rng_seed=41, min_length=900, max_length=1200)
         small = mixed_jobs(num_pairs=21, rng_seed=43, min_length=80, max_length=220)
         return big + small
@@ -466,7 +456,7 @@ class TestServiceUnderLoad:
         direct = get_engine("batched", scoring=SCORING, xdrop=25).align_batch(jobs)
         service = AlignmentService(
             config=batched_config(
-                xdrop=25, num_workers=2, max_batch_size=5, max_wait_seconds=0.005
+                xdrop=25, max_batch_size=5, max_wait_seconds=0.005
             )
         ).start()
         try:
