@@ -242,7 +242,7 @@ def _prefilter_bench_jobs(
 
 #: The autotune bench's fixed-knob sweep, as multiples of the configured
 #: batch size: the operator guesses the self-tuned row must beat.
-_AUTOTUNE_FIXED_FACTORS = (0.5, 1.0, 2.0)
+_AUTOTUNE_FIXED_FACTORS = (0.5, 1.0, 2.0, 4.0, 8.0)
 
 #: The static batch size the autotune bench configures its services with.
 #: Deliberately conservative — the scenario the axis measures is a
