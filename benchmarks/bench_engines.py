@@ -13,7 +13,7 @@ Run from the repository root::
 
 The headline reproduction of the paper's Table I story: the inter-sequence
 ``batched`` engine must be at least 3x faster than the scalar per-job loop
-(with active-row compaction + tiling it lands near 10x on mid-seed pairs)
+(with active-row compaction it lands near 10x on mid-seed pairs)
 while producing identical scores.  The full history lives in the
 trajectory file; ``repro-bench perf`` is the subsystem's first-class CLI.
 """

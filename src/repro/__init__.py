@@ -45,12 +45,7 @@ pure Python/NumPy:
   registry (always live), opt-in structured tracing with context
   propagation, a flight-recorder crash ring, JSON-lines/Prometheus
   exporters and provenance stamping (``repro-obs`` CLI, CI
-  ``metrics-smoke``);
-* :mod:`repro.autotune` — the closed telemetry loop: per-length-bin
-  feedback controllers over windowed kernel telemetry that actuate
-  batch size and kernel knobs online, a ``gpusim``-backed what-if
-  planner gating growths, and a GCUPS-regression kill switch
-  (``ServiceConfig(autotune=...)``, CI ``autotune-smoke``).
+  ``metrics-smoke``).
 
 Quickstart
 ----------

@@ -74,8 +74,6 @@ _TRANSPORTS = ("thread", "process")
 
 _PREFILTER_MODES = ("off", "advise", "enforce")
 
-_AUTOTUNE_MODES = ("off", "advise", "on")
-
 
 def default_seed(policy: str, query_length: int, target_length: int) -> Seed:
     """The anchor seed a *policy* synthesises for an unseeded pair.
@@ -152,19 +150,6 @@ class ServiceConfig:
         Keyword overrides for :class:`repro.prefilter.PrefilterPolicy`
         (``k``, ``metric``, ``reject_distance``, ...).  Validated at
         config construction whenever the prefilter is on.
-    autotune:
-        Self-tuning mode.  ``"off"`` runs the static knobs; ``"advise"``
-        runs the :mod:`repro.autotune` controllers and counts every
-        decision without actuating anything; ``"on"`` additionally
-        actuates — per-bin batch sizes on the batcher and the batched
-        kernel's ``tile_width``/``compact_threshold`` engine overrides —
-        guarded by the what-if planner and the measured-GCUPS
-        kill-switch.  Every tuned knob is result-invariant, so all three
-        modes return bit-identical alignments.
-    autotune_options:
-        Keyword overrides for :class:`repro.autotune.AutotuneOptions`
-        (``window``, ``cooldown_batches``, ``revert_fraction``, ...).
-        Validated at config construction whenever autotune is on.
     """
 
     num_workers: int = 1
@@ -178,8 +163,6 @@ class ServiceConfig:
     state_path: str | None = None
     prefilter: str = "off"
     prefilter_options: dict[str, Any] = dataclasses.field(default_factory=dict)
-    autotune: str = "off"
-    autotune_options: dict[str, Any] = dataclasses.field(default_factory=dict)
 
     def __post_init__(self) -> None:
         _require(
@@ -267,33 +250,6 @@ class ServiceConfig:
             except TypeError as exc:
                 raise ConfigurationError(
                     f"service.prefilter_options: {exc}"
-                ) from exc
-        _require(
-            self.autotune in _AUTOTUNE_MODES,
-            "service.autotune",
-            f"must be one of {', '.join(_AUTOTUNE_MODES)}, "
-            f"got {self.autotune!r}",
-        )
-        _require(
-            isinstance(self.autotune_options, Mapping)
-            and all(isinstance(k, str) for k in self.autotune_options),
-            "service.autotune_options",
-            "must be a mapping with string keys, "
-            f"got {self.autotune_options!r}",
-        )
-        object.__setattr__(
-            self, "autotune_options", dict(self.autotune_options)
-        )
-        if self.autotune != "off" or self.autotune_options:
-            # Same eager validation as the prefilter: a bad knob fails at
-            # construction, naming the config field.
-            from .autotune import AutotuneOptions
-
-            try:
-                AutotuneOptions.from_options(self.autotune_options)
-            except (TypeError, ConfigurationError) as exc:
-                raise ConfigurationError(
-                    f"service.autotune_options: {exc}"
                 ) from exc
 
     def to_dict(self) -> dict[str, Any]:
@@ -662,7 +618,6 @@ _SERVICE_FLAGS = (
     ("transport", "--transport", str, "worker transport (thread/process)"),
     ("state_path", "--state", str, "durable SQLite state file"),
     ("prefilter", "--prefilter", str, "admission triage (off/advise/enforce)"),
-    ("autotune", "--autotune", str, "self-tuning controllers (off/advise/on)"),
 )
 
 
@@ -735,8 +690,6 @@ def add_config_arguments(
                 extra["choices"] = list(_TRANSPORTS)
             if name == "prefilter":
                 extra["choices"] = list(_PREFILTER_MODES)
-            if name == "autotune":
-                extra["choices"] = list(_AUTOTUNE_MODES)
             group.add_argument(
                 flag,
                 type=ftype,

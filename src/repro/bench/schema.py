@@ -41,8 +41,8 @@ class BenchResult:
     cells:
         DP cells computed (the GCUPS numerator).
     kernel:
-        Optional kernel telemetry dict (the batched engine's compaction /
-        tiling stats).
+        Optional kernel telemetry dict (the batched engine's
+        :class:`~repro.core.xdrop_batch.BatchKernelStats`).
     """
 
     engine: str

@@ -425,32 +425,6 @@ def main_bench_perf(argv: Sequence[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--autotune",
-        choices=["off", "advise", "on"],
-        default="off",
-        help=(
-            "with --service: run the wave-based self-tuning axis instead — "
-            "a fixed-knob service spread plus a service_autotune row whose "
-            "controllers run in this mode (own series)"
-        ),
-    )
-    parser.add_argument(
-        "--autotune-profile",
-        choices=["skewed", "mixed"],
-        default="skewed",
-        help="with --autotune: workload profile of the self-tuning axis",
-    )
-    parser.add_argument(
-        "--autotune-waves",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "with --autotune: waves of the self-tuning axis "
-            "(default: the profile's own scale)"
-        ),
-    )
-    parser.add_argument(
         "--baseline",
         type=str,
         default="BENCH_engines.json",
@@ -590,25 +564,10 @@ def main_bench_perf(argv: Sequence[str] | None = None) -> int:
             label=args.label,
             process_workers=args.process_workers,
             prefilter=args.prefilter,
-            autotune=args.autotune,
-            autotune_profile=args.autotune_profile,
-            autotune_waves=args.autotune_waves,
         )
         payload["service"] = service_entry.to_dict()
         if not args.json:
             print(service_entry.formatted())
-        if args.autotune == "on" and not args.quick:
-            autotune_extra = service_entry.extra.get("autotune", {})
-            payload["autotune_beats_fixed"] = autotune_extra.get(
-                "beats_fixed", False
-            )
-            if not payload["autotune_beats_fixed"]:
-                failed = True
-                if not args.json:
-                    print(
-                        "FAIL: service_autotune did not beat every "
-                        "fixed-knob service row"
-                    )
         service_store = BaselineStore(args.service_baseline)
         if not args.no_compare:
             failed = gate(service_entry, service_store, "service_comparison") or failed

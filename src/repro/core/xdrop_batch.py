@@ -1,4 +1,4 @@
-"""Inter-sequence batched X-drop extension kernel (compacting + tiled).
+"""Inter-sequence batched X-drop extension kernel (compacting).
 
 The LOGAN paper's central observation (Section IV) is that X-drop extension
 only scales when *inter-sequence* parallelism is exploited: one GPU block per
@@ -20,14 +20,14 @@ batch:
   row retires when its band empties (early termination) or its DP matrix is
   exhausted.
 
-Three hot-path mechanisms keep the work proportional to what is actually
+Two hot-path mechanisms keep the work proportional to what is actually
 alive, without changing a single output bit:
 
 **Active-row compaction.**  Extensions retire at wildly different
 anti-diagonals (a one-base pair is done at ``d = 2`` while a 600 bp pair
 runs for over a thousand steps).  Whenever the live fraction of the packed
-rows drops below ``compact_threshold``, retired rows are scattered into the
-result arrays and every per-row array is physically compacted to the
+rows drops below :data:`COMPACT_THRESHOLD`, retired rows are scattered into
+the result arrays and every per-row array is physically compacted to the
 survivors — so a retired extension stops costing band derivation, masking
 and buffer traffic on every subsequent step.  Compacting at a fractional
 threshold keeps the total copy cost geometric (``O(batch)`` rows copied
@@ -46,19 +46,15 @@ reachable X-drop cutoff, so masked cells can never fake a finite score.
 Batches that could overflow fall back to int64 automatically (the
 overflow guard).
 
-**Column tiling.**  A very wide union band (thousands of columns) is swept
-in ``tile_width``-column tiles so each tile's operands stay cache-resident;
-per-row maxima, argmaxima and band trims are folded across tiles with
-first-occurrence semantics identical to a single full-width pass.
+Only the union of the live per-row bands is computed at every step, in one
+pass over its columns, so the work per anti-diagonal is
+``O(live_rows * union_band_width)``.  Scores, end positions, cell counts
+and band traces are bit-identical to the scalar reference for every row —
+and invariant to :data:`COMPACT_THRESHOLD` — the properties the
+conformance suite enforces.
 
-Only the union of the live per-row bands is computed at every step, so the
-work per anti-diagonal is ``O(live_rows * union_band_width)``.  Scores, end
-positions, cell counts and band traces are bit-identical to the scalar
-reference for every row — and invariant to ``compact_threshold`` and
-``tile_width`` — the properties the conformance suite enforces.
-
-Pass a :class:`BatchKernelStats` as ``stats`` to collect compaction /
-tiling telemetry; the serving layer uses it to derive batch-sizing hints.
+Pass a :class:`BatchKernelStats` as ``stats`` to collect the sweep's work
+telemetry (steps, carried and live row-steps, compactions, cells).
 """
 
 from __future__ import annotations
@@ -75,23 +71,14 @@ from .scoring import ScoringScheme
 
 __all__ = [
     "BatchKernelStats",
-    "WindowedKernelStats",
-    "DEFAULT_COMPACT_THRESHOLD",
-    "DEFAULT_TILE_WIDTH",
-    "MAX_SUGGESTED_BATCH_SIZE",
+    "COMPACT_THRESHOLD",
     "xdrop_extend_batch",
 ]
 
-#: Compact the packed arrays when the live fraction drops below this.
-DEFAULT_COMPACT_THRESHOLD = 0.5
-
-#: Column-tile width of the anti-diagonal sweep (cache-friendly tiles).
-DEFAULT_TILE_WIDTH = 2048
-
-#: Absolute ceiling of :meth:`BatchKernelStats.suggested_batch_size` — no
-#: amount of consecutive high-live-fraction windows may walk the hint past
-#: this many extensions per batch.
-MAX_SUGGESTED_BATCH_SIZE = 1024
+#: Compact the packed arrays when the live fraction drops below this
+#: (``0`` never compacts, ``1`` compacts at every retirement).  Read at
+#: call time; results are invariant to it.
+COMPACT_THRESHOLD = 0.5
 
 _NEG64 = np.int64(NEG_INF)
 #: Pruned-cell sentinels: a quarter of each dtype's range, so adding any
@@ -102,8 +89,6 @@ _NEG16 = np.int16(-(2**14))
 #: accepts; beyond the int32 limit the kernel falls back to int64.
 _INT32_SCORE_LIMIT = 2**30 - 1
 _INT16_SCORE_LIMIT = 2**14 - 1
-
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -124,8 +109,6 @@ class BatchKernelStats:
         Sum over steps of the rows actually still extending.
     compactions:
         Physical compaction events.
-    tiles:
-        Column tiles swept.
     peak_window:
         Widest union band window seen (columns).
     cells:
@@ -133,15 +116,6 @@ class BatchKernelStats:
     dtype:
         DP buffer dtype chosen by the overflow guard (``int16``/``int32``/
         ``int64``; ``mixed`` after merging sweeps that chose differently).
-    weighted_rows, weighted_live:
-        Row-weighted accumulators of the per-sweep live fraction:
-        ``weighted_rows`` sums the rows of every sweep that recorded one,
-        ``weighted_live`` sums ``per-sweep live fraction × that sweep's
-        rows``.  Their ratio (:attr:`rows_weighted_live_fraction`) weights
-        each *sweep* by how many extensions it carried, so one tiny batch
-        of very long stragglers — few rows, but many anti-diagonal steps —
-        cannot dominate the merged signal the way it skews the raw
-        row-step ratio.
     """
 
     rows: int = 0
@@ -149,12 +123,9 @@ class BatchKernelStats:
     row_steps: int = 0
     active_row_steps: int = 0
     compactions: int = 0
-    tiles: int = 0
     peak_window: int = 0
     cells: int = 0
     dtype: str = ""
-    weighted_rows: int = 0
-    weighted_live: float = 0.0
 
     @property
     def live_fraction(self) -> float:
@@ -163,57 +134,6 @@ class BatchKernelStats:
             return 1.0
         return self.active_row_steps / self.row_steps
 
-    @property
-    def rows_weighted_live_fraction(self) -> float:
-        """Per-sweep live fractions averaged with *row* weights.
-
-        Falls back to :attr:`live_fraction` for accumulators that never
-        recorded per-sweep detail (e.g. hand-built in tests).
-        """
-        if self.weighted_rows <= 0:
-            return self.live_fraction
-        return self.weighted_live / self.weighted_rows
-
-    @property
-    def padding_row_steps(self) -> int:
-        """Row-steps spent carrying retired rows (what compaction avoids)."""
-        return self.row_steps - self.active_row_steps
-
-    def suggested_batch_size(
-        self, current: int, max_batch_size: int | None = None
-    ) -> int:
-        """Batch-sizing hint for the serving layer's adaptive batcher.
-
-        A low live fraction means retirement times are very uneven, so a
-        smaller batch wastes fewer union-window columns and row slots on
-        stragglers; a consistently high live fraction means the batch could
-        grow and amortise per-step overhead further.  The hint is bounded
-        to at most double *current* and never drops below half of it (with
-        an absolute floor of 8).
-
-        The growth side is clamped: the hint never exceeds
-        *max_batch_size* (default ``4 * current``, i.e. four times the
-        configured batch size at the service call sites) nor the absolute
-        cap :data:`MAX_SUGGESTED_BATCH_SIZE` — a controller obeying the
-        hint on repeated high-live windows must converge, not walk the
-        batch size off to infinity.
-
-        The signal is the *rows-weighted* live fraction: each merged
-        sweep contributes in proportion to how many extensions it carried,
-        so one tiny long-running batch cannot flip the hint for a service
-        that mostly forms large well-behaved batches.
-        """
-        if current <= 0 or self.row_steps == 0:
-            return max(current, 1)
-        ceiling = 4 * current if max_batch_size is None else int(max_batch_size)
-        ceiling = max(1, min(ceiling, MAX_SUGGESTED_BATCH_SIZE))
-        fraction = self.rows_weighted_live_fraction
-        if fraction < 0.5:
-            return min(max(8, current // 2), ceiling)
-        if fraction > 0.85:
-            return min(current * 2, ceiling)
-        return min(current, ceiling)
-
     def merge(self, other: "BatchKernelStats") -> "BatchKernelStats":
         """Fold *other* into this accumulator (in place) and return self."""
         self.rows += other.rows
@@ -221,11 +141,8 @@ class BatchKernelStats:
         self.row_steps += other.row_steps
         self.active_row_steps += other.active_row_steps
         self.compactions += other.compactions
-        self.tiles += other.tiles
         self.peak_window = max(self.peak_window, other.peak_window)
         self.cells += other.cells
-        self.weighted_rows += other.weighted_rows
-        self.weighted_live += other.weighted_live
         if other.dtype:
             self.dtype = other.dtype if not self.dtype else self.dtype
             if other.dtype != self.dtype:
@@ -240,119 +157,11 @@ class BatchKernelStats:
             "row_steps": self.row_steps,
             "active_row_steps": self.active_row_steps,
             "live_fraction": self.live_fraction,
-            "rows_weighted_live_fraction": self.rows_weighted_live_fraction,
             "compactions": self.compactions,
-            "tiles": self.tiles,
             "peak_window": self.peak_window,
             "cells": self.cells,
             "dtype": self.dtype,
         }
-
-
-class WindowedKernelStats:
-    """Ring buffer of the most recent per-batch :class:`BatchKernelStats`.
-
-    The lifetime accumulator the serving layer used to keep answers "what
-    has the kernel done since the process started" — a signal that goes
-    stale the moment traffic shifts, because hours of history outvote the
-    last minute.  Controllers need the opposite: *windowed* telemetry over
-    the last ``window`` batches, so a change in live fraction shows up
-    within a handful of dispatches.
-
-    :meth:`observe` appends one batch's accumulator; properties aggregate
-    over the current window only (via :meth:`merged`), while
-    :attr:`total_batches` still counts every batch ever observed so
-    lifetime throughput accounting stays possible.
-    """
-
-    def __init__(self, window: int = 32) -> None:
-        if window < 1:
-            raise ConfigurationError(
-                f"window must be positive, got {window}"
-            )
-        self.window = int(window)
-        self._entries: list[BatchKernelStats] = []
-        self.total_batches = 0
-
-    def observe(self, stats: BatchKernelStats) -> None:
-        """Append one batch's accumulator (oldest entry falls off)."""
-        self._entries.append(stats)
-        if len(self._entries) > self.window:
-            del self._entries[0]
-        self.total_batches += 1
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def batches(self) -> int:
-        """Batches currently inside the window."""
-        return len(self._entries)
-
-    def merged(self) -> BatchKernelStats:
-        """Fold the window into one fresh accumulator."""
-        merged = BatchKernelStats()
-        for entry in self._entries:
-            merged.merge(entry)
-        return merged
-
-    @property
-    def rows(self) -> int:
-        return sum(e.rows for e in self._entries)
-
-    @property
-    def cells(self) -> int:
-        return sum(e.cells for e in self._entries)
-
-    @property
-    def live_fraction(self) -> float:
-        """Mean live fraction over the window (1.0 when empty)."""
-        row_steps = sum(e.row_steps for e in self._entries)
-        if row_steps == 0:
-            return 1.0
-        active = sum(e.active_row_steps for e in self._entries)
-        return active / row_steps
-
-    @property
-    def rows_weighted_live_fraction(self) -> float:
-        """Rows-weighted live fraction over the window."""
-        return self.merged().rows_weighted_live_fraction
-
-    def suggested_batch_size(
-        self, current: int, max_batch_size: int | None = None
-    ) -> int:
-        """The windowed version of the batch-sizing hint."""
-        return self.merged().suggested_batch_size(
-            current, max_batch_size=max_batch_size
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-ready representation (windowed aggregate + window meta)."""
-        payload = self.merged().to_dict()
-        payload["window"] = self.window
-        payload["window_batches"] = self.batches
-        payload["total_batches"] = self.total_batches
-        return payload
-
-
-def _resolve_tuning(
-    compact_threshold: float | None, tile_width: int | None
-) -> tuple[float, int]:
-    """Validate and default the kernel tuning knobs."""
-    threshold = (
-        DEFAULT_COMPACT_THRESHOLD
-        if compact_threshold is None
-        else float(compact_threshold)
-    )
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigurationError(
-            f"compact_threshold must be in [0.0, 1.0] (0 disables compaction), "
-            f"got {compact_threshold}"
-        )
-    width = DEFAULT_TILE_WIDTH if tile_width is None else int(tile_width)
-    if width < 1:
-        raise ConfigurationError(f"tile_width must be positive, got {tile_width}")
-    return threshold, width
 
 
 def _select_dtype(max_m: int, max_n: int, scoring: ScoringScheme, xdrop: int):
@@ -401,8 +210,6 @@ def xdrop_extend_batch(
     xdrop: int = 100,
     trace: bool = False,
     *,
-    compact_threshold: float | None = None,
-    tile_width: int | None = None,
     stats: BatchKernelStats | None = None,
 ) -> list[ExtensionResult]:
     """X-drop-extend every (query, target) pair of a batch simultaneously.
@@ -422,15 +229,6 @@ def xdrop_extend_batch(
     trace:
         Record per-anti-diagonal band widths in every result (consumed by
         the GPU execution model).
-    compact_threshold:
-        Live fraction below which retired rows are physically compacted
-        away (``0`` disables compaction; default
-        :data:`DEFAULT_COMPACT_THRESHOLD`).  Tuning knob only — results
-        are invariant to it.
-    tile_width:
-        Column-tile width of the per-step sweep (default
-        :data:`DEFAULT_TILE_WIDTH`).  Tuning knob only — results are
-        invariant to it.
     stats:
         Optional :class:`BatchKernelStats` accumulator updated in place
         with the sweep's work telemetry.
@@ -443,7 +241,7 @@ def xdrop_extend_batch(
     """
     if xdrop < 0:
         raise ConfigurationError(f"X-drop threshold must be non-negative, got {xdrop}")
-    compact_threshold, tile_width = _resolve_tuning(compact_threshold, tile_width)
+    compact_threshold = COMPACT_THRESHOLD
     scoring = scoring if scoring is not None else ScoringScheme()
     if not pairs:
         return []
@@ -510,9 +308,6 @@ def xdrop_extend_batch(
     if stats is not None:
         stats.rows += batch
         stats.dtype = stats.dtype or np.dtype(dtype).name
-        # Snapshot for the per-sweep rows-weighted live fraction below.
-        sweep_row_steps0 = stats.row_steps
-        sweep_active0 = stats.active_row_steps
 
     for d in range(1, last_diag + 1):
         # Per-row band of anti-diagonal d: matrix bounds clipped by the rows
@@ -591,7 +386,7 @@ def xdrop_extend_batch(
         cutoff = (best - xdrop_c)[:, None]
         lo_col, hi_col = lo[:, None], hi[:, None]
         # Clear only the stale part of the recycled scratch diagonal the
-        # tiles will not overwrite (they fill [win_lo + 1, win_hi + 2)).
+        # sweep will not overwrite (it fills [win_lo + 1, win_hi + 2)).
         if cur_ext is not None:
             a, b = cur_ext
             if a < win_lo + 1:
@@ -600,67 +395,45 @@ def xdrop_extend_batch(
                 cur[:, max(a, win_hi + 2) : b] = neg
         cur_ext = (win_lo + 1, win_hi + 2)
 
-        # The horizontal parents of the whole window, computed once: column
-        # c holds prev[c] + gap, i.e. the gap-penalised diag-(d-1) cell of
-        # DP row c - 1.
+        # Guard-column packing makes both substitution operands plain
+        # slices: the query bases of DP rows win_lo..win_hi sit at columns
+        # win_lo..win_hi, the target bases of the matching anti-diagonal
+        # columns at d - i (a reversed slice).  Guard reads at i == 0 /
+        # j == 0 are harmless: the corresponding parents are -inf.
+        qa = q_mat[:, win_lo : win_hi + 1]
+        j_stop = d - win_hi - 1
+        ta = t_mat[:, d - win_lo : (j_stop if j_stop >= 0 else None) : -1]
+        vals = cur[:, win_lo + 1 : win_hi + 2]
+        np.multiply(
+            (qa == ta) & (qa != WILDCARD_CODE),
+            match - mismatch,
+            out=vals,
+            casting="unsafe",
+        )
+        vals += mismatch
+        vals += prev2[:, win_lo : win_hi + 1]  # parent (i-1, j-1)
+        # Horizontal parents: column c of prev holds the diag-(d-1) cell of
+        # DP row c - 1, so the window's (i-1, j) and (i, j-1) parents are
+        # two adjacent slices of one gap-penalised copy.
         prev_gap = prev[:, win_lo : win_hi + 2] + gap
+        np.maximum(vals, prev_gap[:, :width], out=vals)  # (i-1, j)
+        np.maximum(vals, prev_gap[:, 1:], out=vals)  # (i, j-1)
 
-        i_all = np.arange(win_lo, win_hi + 1, dtype=np.int64)
-        row_best = np.full(rows, neg, dtype=dtype)
-        row_arg = np.zeros(rows, dtype=np.int64)
-        first = np.full(rows, _INT64_MAX, dtype=np.int64)
-        last = np.full(rows, -1, dtype=np.int64)
-
-        # Sweep the window in cache-friendly column tiles; maxima, argmaxima
-        # and band trims fold across tiles with first-occurrence semantics
-        # identical to one full-width pass.
-        for t_lo in range(win_lo, win_hi + 1, tile_width):
-            t_hi = min(t_lo + tile_width - 1, win_hi)
-            i_idx = i_all[t_lo - win_lo : t_hi - win_lo + 1]
-            # Guard-column packing makes both substitution operands plain
-            # slices: the query bases of DP rows t_lo..t_hi sit at columns
-            # t_lo..t_hi, the target bases of the matching anti-diagonal
-            # columns at d - i (a reversed slice).  Guard reads at i == 0 /
-            # j == 0 are harmless: the corresponding parents are -inf.
-            qa = q_mat[:, t_lo : t_hi + 1]
-            j_stop = d - t_hi - 1
-            ta = t_mat[:, d - t_lo : (j_stop if j_stop >= 0 else None) : -1]
-            vals = cur[:, t_lo + 1 : t_hi + 2]
-            np.multiply(
-                (qa == ta) & (qa != WILDCARD_CODE),
-                match - mismatch,
-                out=vals,
-                casting="unsafe",
-            )
-            vals += mismatch
-            vals += prev2[:, t_lo : t_hi + 1]  # parent (i-1, j-1)
-            base = t_lo - win_lo
-            np.maximum(vals, prev_gap[:, base : base + len(i_idx)], out=vals)  # (i-1, j)
-            np.maximum(vals, prev_gap[:, base + 1 : base + 1 + len(i_idx)], out=vals)  # (i, j-1)
-
-            # Retired rows carry an empty band (lo > hi), so one pair of
-            # bound comparisons masks both out-of-band and retired cells.
-            np.copyto(
-                vals,
-                neg,
-                where=(i_idx < lo_col) | (i_idx > hi_col) | (vals < cutoff),
-            )
-            if stats is not None:
-                stats.tiles += 1
-
-            finite = vals > neg
-            t_any = finite.any(axis=1)
-            if not t_any.any():
-                continue
-            t_max = vals.max(axis=1)
-            t_arg = t_lo + vals.argmax(axis=1)
-            better = t_max > row_best
-            np.copyto(row_arg, t_arg, where=better)
-            np.copyto(row_best, t_max, where=better)
-            t_first = np.where(t_any, t_lo + finite.argmax(axis=1), _INT64_MAX)
-            np.minimum(first, t_first, out=first)
-            t_last = np.where(t_any, t_hi - finite[:, ::-1].argmax(axis=1), -1)
-            np.maximum(last, t_last, out=last)
+        # Retired rows carry an empty band (lo > hi), so one pair of
+        # bound comparisons masks both out-of-band and retired cells.
+        i_idx = np.arange(win_lo, win_hi + 1, dtype=np.int64)
+        np.copyto(
+            vals,
+            neg,
+            where=(i_idx < lo_col) | (i_idx > hi_col) | (vals < cutoff),
+        )
+        # Every unmasked cell scores at least the cutoff, which lies above
+        # the sentinel, so a row kept a finite cell iff its maximum does.
+        row_best = vals.max(axis=1)
+        row_arg = win_lo + vals.argmax(axis=1)
+        finite = vals > neg
+        first = win_lo + finite.argmax(axis=1)
+        last = win_hi - finite[:, ::-1].argmax(axis=1)
 
         band_width = np.where(active, hi - lo + 1, 0)
         cells += band_width
@@ -668,7 +441,7 @@ def xdrop_extend_batch(
         if widths_rec is not None:
             widths_rec[d, row_ids] = band_width
 
-        stopped = active & (last < 0)
+        stopped = active & (row_best == neg)
         if stopped.any():
             early |= stopped
             active &= ~stopped
@@ -682,8 +455,8 @@ def xdrop_extend_batch(
         np.copyto(best_j, d - row_arg, where=improved)
         np.copyto(best, row_best, where=improved)
 
-        # The tile fold already trimmed every row's band to its first/last
-        # finite cell; rotate the band state and the scratch buffers.
+        # Trim every row's band to its first/last finite cell; rotate the
+        # band state and the scratch buffers.
         # Retired rows get an *empty* band in both states so their bounds
         # derive to lo > hi on every later step — the masking above then
         # needs no separate active test, and a dead row can never resurrect
@@ -705,16 +478,6 @@ def xdrop_extend_batch(
     out_early[row_ids] = early
     if stats is not None:
         stats.cells += int(out_cells.sum())
-        # Per-sweep live fraction, weighted by the rows this sweep carried:
-        # the aggregation signal suggested_batch_size acts on (a tiny batch
-        # contributes little weight regardless of how long it stepped).
-        sweep_row_steps = stats.row_steps - sweep_row_steps0
-        sweep_active = stats.active_row_steps - sweep_active0
-        sweep_fraction = (
-            sweep_active / sweep_row_steps if sweep_row_steps > 0 else 1.0
-        )
-        stats.weighted_rows += batch
-        stats.weighted_live += sweep_fraction * batch
 
     results: list[ExtensionResult] = []
     for k in range(batch):

@@ -96,10 +96,6 @@ class _EngineBase:
 
     name = "abstract"
     exact = True
-    #: Result-invariant tuning attributes the autotune layer may override
-    #: in place on a live instance.  Empty by default: only the batched
-    #: kernel has active-row compaction and column tiling to tune.
-    TUNABLE_KNOBS: tuple = ()
 
     def __init__(
         self,
@@ -178,10 +174,10 @@ class _EngineBase:
             ).inc(stats.compactions, kernel="batched")
             reg.histogram(
                 "repro_kernel_live_fraction",
-                "rows-weighted live fraction per batch call",
+                "live fraction per batch call",
                 ("kernel",),
                 buckets=LIVE_FRACTION_BUCKETS,
-            ).observe(stats.rows_weighted_live_fraction, kernel="batched")
+            ).observe(stats.live_fraction, kernel="batched")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(xdrop={self.xdrop})"
@@ -225,32 +221,13 @@ class BatchedEngine(_EngineBase):
     GPU layout.  With ``workers > 1`` the sweep is chunked across worker
     processes (scores and traces are unaffected).
 
-    ``compact_threshold`` and ``tile_width`` tune the kernel's active-row
-    compaction and column tiling (see
-    :func:`repro.core.xdrop_batch.xdrop_extend_batch`); results are
-    invariant to both.  Single-process runs attach the kernel's
+    Single-process runs attach the kernel's
     :class:`~repro.core.xdrop_batch.BatchKernelStats` telemetry to the
-    batch result as ``extras["kernel_stats"]`` — the serving layer reads
-    it for batch-sizing hints.
+    batch result as ``extras["kernel_stats"]`` — the serving layer merges
+    it into its lifetime live fraction.
     """
 
     name = "batched"
-    #: Both knobs are read per align_batch call, so the autotune layer can
-    #: retune a live instance between dispatches (results are invariant).
-    TUNABLE_KNOBS = ("tile_width", "compact_threshold")
-
-    def __init__(
-        self,
-        scoring: ScoringScheme | None = None,
-        xdrop: int = 100,
-        workers: int = 1,
-        trace: bool = False,
-        compact_threshold: float | None = None,
-        tile_width: int | None = None,
-    ) -> None:
-        super().__init__(scoring=scoring, xdrop=xdrop, workers=workers, trace=trace)
-        self.compact_threshold = compact_threshold
-        self.tile_width = tile_width
 
     def _align_batch(
         self,
@@ -272,8 +249,6 @@ class BatchedEngine(_EngineBase):
                 xdrop,
                 workers=self.workers,
                 trace=self.trace,
-                compact_threshold=self.compact_threshold,
-                tile_width=self.tile_width,
                 stats=stats,
             )
             sides: dict[tuple[int, str], ExtensionResult] = {

@@ -70,18 +70,9 @@ def _run_pair_chunk(
     scoring: ScoringScheme,
     xdrop: int,
     trace: bool,
-    compact_threshold: float | None,
-    tile_width: int | None,
 ) -> list[ExtensionResult]:
     """Worker: one batched sweep over a chunk of pairs (picklable)."""
-    return xdrop_extend_batch(
-        pairs,
-        scoring=scoring,
-        xdrop=xdrop,
-        trace=trace,
-        compact_threshold=compact_threshold,
-        tile_width=tile_width,
-    )
+    return xdrop_extend_batch(pairs, scoring=scoring, xdrop=xdrop, trace=trace)
 
 
 def execute_tasks_batched(
@@ -90,8 +81,6 @@ def execute_tasks_batched(
     xdrop: int,
     workers: int = 1,
     trace: bool = True,
-    compact_threshold: float | None = None,
-    tile_width: int | None = None,
     stats: BatchKernelStats | None = None,
 ) -> list[ExtensionResult]:
     """Inter-sequence execution: every extension is one row of a batched
@@ -103,8 +92,6 @@ def execute_tasks_batched(
     empty side) never reach the kernel; they yield a zero-score extension,
     the shared contract of every batch runner.
 
-    ``compact_threshold`` / ``tile_width`` tune the kernel's active-row
-    compaction and column tiling (results are invariant to them), and
     ``stats`` — when given — collects the sweep's
     :class:`~repro.core.xdrop_batch.BatchKernelStats` telemetry.  Stats are
     only gathered on the in-process path; chunked multi-worker sweeps run in
@@ -117,7 +104,7 @@ def execute_tasks_batched(
         chunk_results = parallel_map(
             _run_pair_chunk,
             chunks,
-            args=(scoring, xdrop, trace, compact_threshold, tile_width),
+            args=(scoring, xdrop, trace),
             workers=workers,
             min_items_per_worker=1,
         )
@@ -125,13 +112,7 @@ def execute_tasks_batched(
     else:
         extensions = iter(
             xdrop_extend_batch(
-                pairs,
-                scoring=scoring,
-                xdrop=xdrop,
-                trace=trace,
-                compact_threshold=compact_threshold,
-                tile_width=tile_width,
-                stats=stats,
+                pairs, scoring=scoring, xdrop=xdrop, trace=trace, stats=stats
             )
         )
     return [

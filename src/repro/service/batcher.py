@@ -103,8 +103,10 @@ class AdaptiveBatcher:
     def __init__(self, policy: BatchPolicy | None = None, obs=None) -> None:
         self.policy = policy or BatchPolicy()
         self._bins: dict[int, _Bin] = {}
-        self._bin_limits: dict[int, int] = {}
         self.batches_formed = 0
+        #: Jobs in the flushed batches — the numerator of the mean batch
+        #: size (cache hits and prefilter rejects never reach a bin).
+        self.batched_jobs = 0
         self.flush_reasons: dict[str, int] = {"size": 0, "wait": 0, "drain": 0}
         self._obs = obs
         if obs is not None:
@@ -139,31 +141,6 @@ class AdaptiveBatcher:
             job.query_length + job.target_length, self.policy.bin_width
         )
 
-    def limit_for(self, index: int) -> int:
-        """Effective size-flush limit of a bin (per-bin override or policy)."""
-        return self._bin_limits.get(index, self.policy.max_batch_size)
-
-    def set_bin_limit(self, index: int, limit: int) -> None:
-        """Override one bin's size-flush limit (autotune actuation point).
-
-        The override only changes *when* a bin flushes, never what the
-        batches compute, so results stay bit-identical by construction.
-        A bin already holding more tickets than the new limit flushes on
-        its next admission (or wait/drain) rather than immediately.
-        """
-        if limit < 1:
-            raise ServiceError(f"bin limit must be positive, got {limit}")
-        self._bin_limits[index] = int(limit)
-
-    def clear_bin_limits(self) -> None:
-        """Drop every per-bin override (autotune kill-switch revert)."""
-        self._bin_limits.clear()
-
-    @property
-    def bin_limits(self) -> dict[int, int]:
-        """Snapshot of the per-bin overrides currently in force."""
-        return dict(self._bin_limits)
-
     def add(self, ticket: AlignmentTicket, now: float) -> FormedBatch | None:
         """Admit one ticket; return a batch iff its bin just filled up."""
         index = self._bin_of(ticket)
@@ -174,7 +151,7 @@ class AdaptiveBatcher:
             bucket = self._bins[index] = _Bin(oldest_arrival=now)
         bucket.tickets.append(ticket)
         formed = None
-        if len(bucket.tickets) >= self.limit_for(index):
+        if len(bucket.tickets) >= self.policy.max_batch_size:
             formed = self._flush_bin(index, "size")
         elif self._pending_gauge is not None:
             # The size-flush path refreshes the gauge inside _flush_bin;
@@ -216,6 +193,7 @@ class AdaptiveBatcher:
     def _flush_bin(self, index: int, reason: str) -> FormedBatch:
         bucket = self._bins.pop(index)
         self.batches_formed += 1
+        self.batched_jobs += len(bucket.tickets)
         self.flush_reasons[reason] += 1
         if self._formed_counter is not None:
             self._formed_counter.inc(reason=reason)

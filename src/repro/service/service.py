@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..core.job import AlignmentJob
-from ..core.xdrop_batch import WindowedKernelStats
+from ..core.xdrop_batch import BatchKernelStats
 from ..core.result import SeedAlignmentResult
 from ..engine.base import engine_from_config
 from ..errors import ServiceError
@@ -55,8 +55,10 @@ class ServiceStats:
         Jobs accepted / jobs resolved (cache hits count as both).
     queue_depth, batcher_pending:
         Work currently waiting in the queue / in the batcher bins.
-    batches_formed:
-        Batches the batcher has flushed, by any reason.
+    batches_formed, batched_jobs:
+        Batches the batcher has flushed, by any reason, and the jobs in
+        them (cache hits, durable-store hits and prefilter rejects never
+        enter a batch).
     flush_reasons:
         Breakdown of flushes: ``size`` / ``wait`` / ``drain``.
     cache:
@@ -69,21 +71,13 @@ class ServiceStats:
         on the thread transport, one per worker process on the process
         transport.
     kernel_live_fraction:
-        Mean live-row fraction reported by the batched kernel's compaction
-        telemetry over the recent-batch window (``None`` until an engine
+        Fraction of the carried kernel row-steps that were still extending,
+        over every batch the service has run — the value of the exported
+        ``repro_kernel_live_fraction`` gauge (``None`` until an engine
         reports kernel stats).
-    suggested_batch_size:
-        Batch-sizing hint derived from that windowed telemetry: the
-        ``max_batch_size`` the compaction stats suggest the batcher should
-        target (``None`` without kernel stats).
     prefilter_mode, prefilter_decisions:
         Admission triage mode (``"off"``/``"advise"``/``"enforce"``) and
         the per-outcome decision counts (empty when the prefilter is off).
-    autotune_mode, autotune:
-        Self-tuning mode (``"off"``/``"advise"``/``"on"``) and the
-        :meth:`repro.autotune.AutotuneManager.snapshot` — decision counts,
-        per-bin batch sizes, engine knobs, kill-switch state (empty when
-        autotune is off).
     """
 
     submitted: int = 0
@@ -91,6 +85,7 @@ class ServiceStats:
     queue_depth: int = 0
     batcher_pending: int = 0
     batches_formed: int = 0
+    batched_jobs: int = 0
     flush_reasons: dict = field(default_factory=dict)
     cache: CacheStats = field(default_factory=CacheStats)
     cells: int = 0
@@ -98,19 +93,15 @@ class ServiceStats:
     throughput_gcups: float = 0.0
     workers: list[WorkerStats] = field(default_factory=list)
     kernel_live_fraction: float | None = None
-    suggested_batch_size: int | None = None
     prefilter_mode: str = "off"
     prefilter_decisions: dict = field(default_factory=dict)
-    autotune_mode: str = "off"
-    autotune: dict = field(default_factory=dict)
 
     @property
     def mean_batch_size(self) -> float:
         """Mean jobs per formed batch (0.0 before the first batch)."""
-        aligned = self.completed - self.cache.hits
         if self.batches_formed == 0:
             return 0.0
-        return aligned / self.batches_formed
+        return self.batched_jobs / self.batches_formed
 
     def to_dict(self) -> dict:
         """JSON-ready representation (used by the CLI and benchmarks)."""
@@ -120,6 +111,7 @@ class ServiceStats:
             "queue_depth": self.queue_depth,
             "batcher_pending": self.batcher_pending,
             "batches_formed": self.batches_formed,
+            "batched_jobs": self.batched_jobs,
             "mean_batch_size": self.mean_batch_size,
             "flush_reasons": dict(self.flush_reasons),
             "cache_hits": self.cache.hits,
@@ -140,11 +132,8 @@ class ServiceStats:
                 for w in self.workers
             ],
             "kernel_live_fraction": self.kernel_live_fraction,
-            "suggested_batch_size": self.suggested_batch_size,
             "prefilter_mode": self.prefilter_mode,
             "prefilter_decisions": dict(self.prefilter_decisions),
-            "autotune_mode": self.autotune_mode,
-            "autotune": dict(self.autotune),
         }
 
 
@@ -159,7 +148,7 @@ class AlignmentService:
         alignment (and every cache key); the nested
         :class:`repro.api.ServiceConfig` supplies every serving knob —
         transport and worker processes, batch policy, cache and queue
-        bounds, durable state, prefilter and autotune.
+        bounds, durable state and prefilter.
     """
 
     def __init__(self, config=None) -> None:
@@ -228,38 +217,16 @@ class AlignmentService:
         )
         self._live_fraction_g = self.obs.gauge(
             "repro_kernel_live_fraction",
-            "rows-weighted live fraction of the batched kernel (accumulated)",
-        )
-        self._suggested_batch_g = self.obs.gauge(
-            "repro_kernel_suggested_batch_size",
-            "batch-size hint derived from kernel compaction telemetry",
+            "live fraction of the batched kernel's row-steps (lifetime)",
         )
         self._prefilter_c = self.obs.counter(
             "repro_prefilter_decisions_total",
             "admission triage decisions, by outcome",
             labelnames=("outcome",),
         )
-        # Windowed compaction telemetry over the most recent batches — the
-        # signal the controllers (and the stats() hints) read.  A lifetime
-        # accumulator would let hours-old traffic outvote the last minute.
-        self._kernel_stats = WindowedKernelStats()
-        self.autotune_mode = svc.autotune
-        self.autotune = None
-        if svc.autotune != "off":
-            from ..autotune import AutotuneManager, AutotuneOptions
-
-            self.autotune = AutotuneManager(
-                mode=svc.autotune,
-                options=AutotuneOptions.from_options(svc.autotune_options),
-                batcher=self.batcher,
-                # Engine-knob overrides only reach a kernel running in
-                # this interpreter; process-transport workers rebuild
-                # their engines in their own processes, so only the
-                # batch-size knob tunes there.
-                engine=self.engine if svc.transport != "process" else None,
-                base_batch_size=self.policy.max_batch_size,
-                obs=self.obs,
-            )
+        # Every batch's kernel telemetry merged into one lifetime
+        # accumulator (None until an engine reports kernel stats).
+        self._kernel_stats: BatchKernelStats | None = None
         self.crash_dump_path = None  # optional JSON path for crash dumps
         self.last_crash_dump: dict | None = None
         self._recovered_c = self.obs.counter(
@@ -440,26 +407,10 @@ class AlignmentService:
             self._completed_c.inc(batch.size)
             kernel_stats = run.extras.get("kernel_stats")
             if kernel_stats is not None:
-                # Windowed compaction telemetry: stats() turns it into
-                # the batch-sizing hint, the autotune controllers act on
-                # it.
-                self._kernel_stats.observe(kernel_stats)
-                self._live_fraction_g.set(
-                    self._kernel_stats.rows_weighted_live_fraction
-                )
-                self._suggested_batch_g.set(
-                    self._kernel_stats.suggested_batch_size(
-                        self.policy.max_batch_size
-                    )
-                )
-            if self.autotune is not None:
-                self.autotune.on_batch(
-                    length_bin=batch.length_bin,
-                    batch_size=batch.size,
-                    kernel_stats=kernel_stats,
-                    cells=run.summary.cells,
-                    elapsed_seconds=run.elapsed_seconds,
-                )
+                if self._kernel_stats is None:
+                    self._kernel_stats = BatchKernelStats()
+                self._kernel_stats.merge(kernel_stats)
+                self._live_fraction_g.set(self._kernel_stats.live_fraction)
             for ticket, result in zip(batch.tickets, run.results):
                 self.cache.put(ticket.cache_key, result)
         for ticket, result in zip(batch.tickets, run.results):
@@ -599,6 +550,7 @@ class AlignmentService:
                 queue_depth=self.queue.depth,
                 batcher_pending=self.batcher.pending,
                 batches_formed=self.batcher.batches_formed,
+                batched_jobs=self.batcher.batched_jobs,
                 flush_reasons=dict(self.batcher.flush_reasons),
                 cache=self.cache.stats(),
                 cells=cells,
@@ -607,12 +559,7 @@ class AlignmentService:
                 workers=list(self.pool.worker_stats),
                 kernel_live_fraction=(
                     kernel_stats.live_fraction
-                    if kernel_stats.total_batches > 0
-                    else None
-                ),
-                suggested_batch_size=(
-                    kernel_stats.suggested_batch_size(self.policy.max_batch_size)
-                    if kernel_stats.total_batches > 0
+                    if kernel_stats is not None
                     else None
                 ),
                 prefilter_mode=self.prefilter_mode,
@@ -622,12 +569,6 @@ class AlignmentService:
                         for outcome in PREFILTER_OUTCOMES
                     }
                     if self.prefilter is not None
-                    else {}
-                ),
-                autotune_mode=self.autotune_mode,
-                autotune=(
-                    self.autotune.snapshot()
-                    if self.autotune is not None
                     else {}
                 ),
             )

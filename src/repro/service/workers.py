@@ -118,7 +118,7 @@ class ShardedWorkerPool:
             self._shard_cells.inc(batch.summary.cells, shard="0")
             self._shard_seconds.inc(batch.elapsed_seconds, shard="0")
         # The batched engine returns a fresh per-call kernel accumulator;
-        # the service windows it for batch-sizing hints and autotune.
+        # the service merges it into its lifetime live fraction.
         kernel_stats = batch.extras.get("kernel_stats")
         return PoolRun(
             results=batch.results,

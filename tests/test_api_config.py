@@ -160,6 +160,10 @@ class TestAlignConfigValidation:
             ServiceConfig.from_dict({"shards": 3})
         assert "shards" in str(excinfo.value)
 
+    def test_service_from_dict_rejects_removed_autotune(self):
+        with pytest.raises(ConfigurationError, match="'autotune'"):
+            ServiceConfig.from_dict({"autotune": "on"})
+
     def test_invalid_json_raises_configuration_error(self):
         with pytest.raises(ConfigurationError):
             AlignConfig.from_json("{not json")

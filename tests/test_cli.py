@@ -358,6 +358,11 @@ class TestReproService:
             main_service(["serve", "--worker-policy", "batch"])
         assert excinfo.value.code == 2
 
+    def test_autotune_flag_removed(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main_service(["serve", "--autotune", "on"])
+        assert excinfo.value.code == 2
+
 
 class TestReproFuzz:
     FAST = [

@@ -405,55 +405,3 @@ class TestFuzzRunner:
         assert a.ok and b.ok
         assert a.jobs == b.jobs and a.comparisons == b.comparisons
         assert a.per_profile == b.per_profile
-
-
-# --------------------------------------------------------------------------- #
-# Autotune bit-identity: tuned services must change only *when* batches
-# flush, never what they compute.
-# --------------------------------------------------------------------------- #
-
-def _autotune_config() -> AlignConfig:
-    from repro.api import ServiceConfig
-
-    # Small batch bound + instant controller pacing so decisions actually
-    # fire inside a 4-job workload, exercising mid-run bin-limit changes.
-    return AlignConfig(
-        engine="batched",
-        xdrop=15,
-        bin_width=500,
-        service=ServiceConfig(
-            max_batch_size=2,
-            cache_capacity=0,
-            autotune="on",
-            autotune_options={
-                "window": 2,
-                "min_window_batches": 1,
-                "cooldown_batches": 0,
-            },
-        ),
-    )
-
-
-def test_autotuned_service_bit_identical_on_one_profile():
-    """Tier-1 canary for the tier-2 autotune matrix below."""
-    runner = ConformanceRunner(
-        _autotune_config(), engines=["reference"], include_service=True
-    )
-    report = runner.run_workload(generate_workload("length_skew", SMALL))
-    assert report.ok, report.summary()
-    assert report.service_checked
-
-
-@pytest.mark.tier2
-@pytest.mark.parametrize("profile", list_profiles())
-class TestAutotunedServiceConformance:
-    def test_autotuned_service_bit_identical(self, profile):
-        runner = ConformanceRunner(
-            _autotune_config(),
-            engines=["reference"],
-            include_service=True,
-            include_network=True,
-        )
-        report = runner.run_workload(generate_workload(profile, SMALL))
-        assert report.ok, report.summary()
-        assert report.service_checked

@@ -508,16 +508,7 @@ class TestBatcherPendingGauge:
         check()
         assert batcher.pending == 0
 
-        # A per-bin autotune override moves the size-flush boundary: one
-        # admission stays pending under limit 2, the second flushes.
-        batcher.set_bin_limit(0, 2)
-        batcher.add(self._ticket(), now=20.0)
-        check()
-        assert batcher.add(self._ticket(), now=20.0) is not None
-        check()
-
-        # Drain path: two bins pending, flush_all empties both.
-        batcher.clear_bin_limits()
+        # Drain path: two tickets pending in the one bin, flush_all empties it.
         batcher.add(self._ticket(), now=30.0)
         batcher.add(self._ticket(), now=30.0)
         check()

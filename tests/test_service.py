@@ -679,3 +679,44 @@ class TestDispatchResultCountGuard:
             assert service.store.pending_count() == pending_before
         finally:
             service.shutdown()
+
+
+class TestMeanBatchSize:
+    """The mean divides the jobs that entered a batch, nothing else."""
+
+    def test_durable_store_hits_stay_out_of_the_mean(self, tmp_path):
+        jobs = mixed_jobs(num_pairs=12, rng_seed=37)
+        config = batched_config(
+            xdrop=30, bin_width=0, state_path=str(tmp_path / "state.sqlite")
+        )
+        with AlignmentService(config=config) as first:
+            first.map(jobs[:8])
+        # A restarted service answers the first eight from disk; only the
+        # four new pairs form the one batch.
+        with AlignmentService(config=config) as restarted:
+            restarted.map(jobs)
+            stats = restarted.stats()
+        assert stats.completed == 12 and stats.cache.hits == 0
+        assert stats.batches_formed == 1
+        assert stats.mean_batch_size == 4.0
+
+    def test_prefilter_rejects_stay_out_of_the_mean(self):
+        from repro.prefilter import PrefilterPolicy
+        from repro.workloads import WorkloadSpec, generate_workload
+
+        spec = WorkloadSpec(count=12, seed=23, min_length=600, max_length=1200)
+        policy = PrefilterPolicy()
+        outcomes = {"reject": [], "contested": []}
+        for profile in ("unrelated", "pacbio"):
+            for job in generate_workload(profile, spec).jobs:
+                outcome = policy.classify(job, SCORING).outcome
+                outcomes.setdefault(outcome, []).append(job)
+        jobs = outcomes["reject"][:8] + outcomes["contested"][:4]
+        assert len(jobs) == 12
+        config = batched_config(bin_width=0, prefilter="enforce")
+        with AlignmentService(config=config) as service:
+            service.map(jobs)
+            stats = service.stats()
+        assert stats.prefilter_decisions["reject"] == 8
+        assert stats.batches_formed == 1
+        assert stats.mean_batch_size == 4.0

@@ -1,12 +1,12 @@
-"""Differential tests of the compacting/tiled batched X-drop kernel.
+"""Differential tests of the compacting batched X-drop kernel.
 
-The PR-5 hot-path overhaul (active-row compaction, int16/int32 downsizing,
-column tiling) must be invisible in every output bit: these tests replay
+The kernel's hot-path mechanisms (active-row compaction, int16/int32
+downsizing) must be invisible in every output bit: these tests replay
 workload-bank profiles through the :class:`repro.testing.ConformanceRunner`
 against the scalar oracle (tier-1 subset here, the full matrix under the
-``tier2`` marker), assert invariance of the results to the tuning knobs
-(including a Hypothesis sweep over random thresholds/tile widths), and pin
-the short-circuit behaviour for fully-retired rows on the ``degenerate``
+``tier2`` marker), check the results at forced compaction thresholds
+(including a Hypothesis sweep over random batches), and pin the
+short-circuit behaviour for fully-retired rows on the ``degenerate``
 profile.
 """
 
@@ -18,16 +18,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import AlignConfig
-from repro.core import ScoringScheme, xdrop_extend
+from repro.core import ScoringScheme, xdrop_batch, xdrop_extend
 from repro.core.xdrop import xdrop_extend_reference
 from repro.core.xdrop_batch import (
-    DEFAULT_COMPACT_THRESHOLD,
-    DEFAULT_TILE_WIDTH,
+    COMPACT_THRESHOLD,
     BatchKernelStats,
     xdrop_extend_batch,
 )
-from repro.engine import get_engine, register_engine, unregister_engine
-from repro.engine.engines import BatchedEngine
+from repro.engine import get_engine
 from repro.errors import ConfigurationError
 from repro.testing import ConformanceRunner
 from repro.workloads import WorkloadSpec, generate_workload, list_profiles
@@ -35,14 +33,16 @@ from repro.workloads import WorkloadSpec, generate_workload, list_profiles
 CONFIG = AlignConfig(engine="batched", xdrop=15, trace=True)
 SPEC = WorkloadSpec(count=6, seed=23, min_length=50, max_length=140, xdrop=15)
 
-#: Knob settings that force every mechanism on hard: compaction at every
-#: retirement, single-column tiles, and a mid-range tile.
-FORCED_TUNINGS = [
-    {"compact_threshold": 1.0, "tile_width": 1},
-    {"compact_threshold": 1.0, "tile_width": 7},
-    {"compact_threshold": 0.0, "tile_width": 3},
-    {"compact_threshold": 0.25, "tile_width": 64},
-]
+#: Compaction thresholds forced through the module constant: never
+#: compact, compact at every retirement, and a low mid-range threshold.
+FORCED_THRESHOLDS = [0.0, 1.0, 0.25]
+
+
+@pytest.fixture(params=FORCED_THRESHOLDS, ids=lambda t: f"threshold={t}")
+def forced_threshold(request, monkeypatch):
+    """Run the test with the kernel's compaction threshold forced."""
+    monkeypatch.setattr(xdrop_batch, "COMPACT_THRESHOLD", request.param)
+    return request.param
 
 
 def _pairs_from_workload(profile: str, spec: WorkloadSpec = SPEC):
@@ -90,11 +90,10 @@ def test_tier1_profile_conformance_default_knobs(profile):
     assert report.comparisons >= SPEC.count
 
 
-@pytest.mark.parametrize("tuning", FORCED_TUNINGS, ids=lambda t: str(t))
-def test_tier1_forced_knobs_bit_identical(tuning):
-    """Forced compaction/tiling settings on a mixed workload, per-pair."""
+def test_tier1_forced_knobs_bit_identical(forced_threshold):
+    """Forced compaction thresholds on a mixed workload, per-pair."""
     pairs = _pairs_from_workload("pacbio") + _pairs_from_workload("length_skew")
-    tuned = xdrop_extend_batch(pairs, xdrop=15, trace=True, **tuning)
+    tuned = xdrop_extend_batch(pairs, xdrop=15, trace=True)
     reference = [
         xdrop_extend_reference(q, t, xdrop=15, trace=True) for q, t in pairs
     ]
@@ -102,47 +101,34 @@ def test_tier1_forced_knobs_bit_identical(tuning):
 
 
 # --------------------------------------------------------------------------- #
-# Tier-2 full matrix: every profile x forced-knob engine via the runner
+# Tier-2 full matrix: every profile x forced threshold via the runner
 # --------------------------------------------------------------------------- #
 @pytest.mark.tier2
-@pytest.mark.parametrize("tuning", FORCED_TUNINGS, ids=lambda t: str(t))
 @pytest.mark.parametrize("profile", list_profiles())
 class TestCompactionConformanceMatrix:
-    def test_profile_conformance_with_forced_knobs(self, profile, tuning):
-        def factory(scoring=None, xdrop=100, workers=1, trace=False):
-            return BatchedEngine(
-                scoring=scoring, xdrop=xdrop, workers=workers, trace=trace, **tuning
-            )
-
-        factory.exact = True
-        factory.__doc__ = "Batched engine with forced compaction/tiling knobs."
-        register_engine("batched-tuned", factory)
-        try:
-            runner = ConformanceRunner(
-                CONFIG,
-                engines=["reference", "batched-tuned"],
-                include_service=False,
-            )
-            report = runner.run_workload(generate_workload(profile, SPEC))
-            assert report.ok, report.summary()
-        finally:
-            unregister_engine("batched-tuned")
+    def test_profile_conformance_with_forced_knobs(self, profile, forced_threshold):
+        runner = ConformanceRunner(
+            CONFIG, engines=["reference", "batched"], include_service=False
+        )
+        report = runner.run_workload(generate_workload(profile, SPEC))
+        assert report.ok, report.summary()
 
 
 # --------------------------------------------------------------------------- #
-# Hypothesis: results are invariant to any legal knob combination
+# Hypothesis: random batches match the scalar reference at every threshold
 # --------------------------------------------------------------------------- #
 @settings(
     max_examples=30,
     deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
+    # The fixture patches one module constant for the whole test, which is
+    # exactly what every generated example should see.
+    suppress_health_check=[
+        HealthCheck.too_slow,
+        HealthCheck.function_scoped_fixture,
+    ],
 )
-@given(
-    threshold=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-    tile=st.integers(min_value=1, max_value=256),
-    seed=st.integers(min_value=0, max_value=2**20),
-)
-def test_kernel_invariant_to_tuning_knobs(threshold, tile, seed):
+@given(seed=st.integers(min_value=0, max_value=2**20))
+def test_kernel_invariant_to_tuning_knobs(forced_threshold, seed):
     rng = np.random.default_rng(seed)
     batch = int(rng.integers(1, 10))
     pairs = []
@@ -156,15 +142,11 @@ def test_kernel_invariant_to_tuning_knobs(threshold, tile, seed):
             )
         )
     xdrop = int(rng.integers(0, 30))
-    baseline = xdrop_extend_batch(pairs, xdrop=xdrop, trace=True)
-    tuned = xdrop_extend_batch(
-        pairs,
-        xdrop=xdrop,
-        trace=True,
-        compact_threshold=threshold,
-        tile_width=tile,
-    )
-    assert_identical(tuned, baseline)
+    tuned = xdrop_extend_batch(pairs, xdrop=xdrop, trace=True)
+    reference = [
+        xdrop_extend_reference(q, t, xdrop=xdrop, trace=True) for q, t in pairs
+    ]
+    assert_identical(tuned, reference)
 
 
 # --------------------------------------------------------------------------- #
@@ -316,143 +298,50 @@ def test_overflow_guard_batched_stats_report_widened_tier():
     assert stats.dtype == "int32"
 
 
-def test_invalid_knobs_rejected():
-    pairs = [("ACGT", "ACGT")]
-    with pytest.raises(ConfigurationError):
-        xdrop_extend_batch(pairs, compact_threshold=1.5)
-    with pytest.raises(ConfigurationError):
-        xdrop_extend_batch(pairs, compact_threshold=-0.1)
-    with pytest.raises(ConfigurationError):
-        xdrop_extend_batch(pairs, tile_width=0)
-
-
 # --------------------------------------------------------------------------- #
-# Stats plumbing: engine options, merge, and the service hint
+# Stats plumbing: removed knobs, merge, and the service live fraction
 # --------------------------------------------------------------------------- #
-def test_engine_options_reach_the_kernel():
-    config = AlignConfig(
-        engine="batched",
-        xdrop=15,
-        engine_options={"compact_threshold": 1.0, "tile_width": 3},
-    )
-    engine = config.build_engine()
-    assert engine.compact_threshold == 1.0
-    assert engine.tile_width == 3
-    workload = generate_workload("pacbio", SPEC)
-    tuned = engine.align_batch(workload.jobs)
-    baseline = get_engine("batched", xdrop=15).align_batch(workload.jobs)
-    assert [r.score for r in tuned.results] == [r.score for r in baseline.results]
-    assert tuned.extras["kernel_stats"].compactions >= 0
+@pytest.mark.parametrize(
+    "options", [{"tile_width": 3}, {"compact_threshold": 1.0}], ids=str
+)
+def test_removed_kernel_knobs_rejected_as_engine_options(options):
+    (key,) = options
+    config = AlignConfig(engine="batched", xdrop=15, engine_options=options)
+    with pytest.raises(ConfigurationError, match=repr(key)):
+        config.build_engine()
 
 
-def test_stats_merge_and_suggestion():
+def test_stats_merge():
     a = BatchKernelStats(rows=4, steps=10, row_steps=40, active_row_steps=10,
-                         compactions=1, tiles=10, peak_window=8, cells=100,
+                         compactions=1, peak_window=8, cells=100,
                          dtype="int16")
     b = BatchKernelStats(rows=2, steps=5, row_steps=10, active_row_steps=10,
-                         compactions=0, tiles=5, peak_window=16, cells=50,
+                         compactions=0, peak_window=16, cells=50,
                          dtype="int16")
     merged = BatchKernelStats().merge(a).merge(b)
     assert merged.rows == 6 and merged.steps == 15
     assert merged.peak_window == 16
     assert merged.cells == 150
     assert merged.dtype == "int16"
-    assert 0.0 < merged.live_fraction < 1.0
-    # Uneven retirement (low live fraction) suggests shrinking the batch.
-    assert a.suggested_batch_size(64) == 32
-    # Uniform retirement (high live fraction) suggests growing it.
-    assert b.suggested_batch_size(64) == 128
-    assert BatchKernelStats().suggested_batch_size(64) == 64
+    assert merged.live_fraction == pytest.approx(20 / 50)
 
 
 def test_default_knob_constants_are_sane():
-    assert 0.0 < DEFAULT_COMPACT_THRESHOLD <= 1.0
-    assert DEFAULT_TILE_WIDTH >= 64
+    assert 0.0 < COMPACT_THRESHOLD <= 1.0
 
 
-def test_service_exposes_kernel_batch_hint():
+def test_service_live_fraction_matches_exported_gauge():
+    """One lifetime accumulator feeds both stats() and the gauge."""
     from repro.service import AlignmentService
 
-    workload = generate_workload("pacbio", SPEC)
-    with AlignmentService(config=AlignConfig(engine="batched", xdrop=15)) as service:
-        tickets = service.submit_many(workload.jobs)
-        service.drain()
-        for ticket in tickets:
-            ticket.result(timeout=30.0)
+    config = AlignConfig(engine="batched", xdrop=15, bin_width=0)
+    with AlignmentService(config=config) as service:
+        service.map(generate_workload("pacbio", SPEC).jobs)
+        skewed = WorkloadSpec(count=3, seed=4, min_length=20, max_length=400)
+        service.map(generate_workload("length_skew", skewed).jobs)
         stats = service.stats()
-    assert stats.kernel_live_fraction is not None
-    assert 0.0 < stats.kernel_live_fraction <= 1.0
-    assert stats.suggested_batch_size is not None
-    assert stats.suggested_batch_size >= 8
-    payload = stats.to_dict()
-    assert "kernel_live_fraction" in payload
-    assert "suggested_batch_size" in payload
-
-
-def _window_entry(rows: int, fraction: float) -> BatchKernelStats:
-    """One batch accumulator whose weighted live fraction is ``fraction``."""
-    return BatchKernelStats(
-        rows=rows,
-        steps=rows,
-        row_steps=rows * 10,
-        active_row_steps=int(rows * 10 * fraction),
-        cells=rows * 100,
-        peak_window=64,
-        weighted_rows=rows,
-        weighted_live=fraction * rows,
-    )
-
-
-def test_windowed_stats_trims_to_the_ring():
-    from repro.core.xdrop_batch import WindowedKernelStats
-
-    window = WindowedKernelStats(window=3)
-    for index in range(5):
-        window.observe(_window_entry(rows=8, fraction=0.1 * (index + 1)))
-    # Only the newest three batches survive; lifetime count keeps all five.
-    assert window.batches == 3 and len(window) == 3
-    assert window.total_batches == 5
-    assert window.rows == 24
-    # Mean of the surviving fractions (0.3, 0.4, 0.5), not the lifetime mean.
-    assert window.live_fraction == pytest.approx(0.4, abs=1e-9)
-    assert window.rows_weighted_live_fraction == pytest.approx(0.4, abs=1e-9)
-
-
-def test_windowed_stats_merged_matches_manual_fold():
-    from repro.core.xdrop_batch import WindowedKernelStats
-
-    entries = [_window_entry(rows=4, fraction=0.2), _window_entry(rows=12, fraction=0.9)]
-    window = WindowedKernelStats(window=8)
-    manual = BatchKernelStats()
-    for entry in entries:
-        window.observe(entry)
-        manual.merge(entry)
-    merged = window.merged()
-    assert merged.rows == manual.rows == 16
-    assert merged.cells == manual.cells
-    assert merged.rows_weighted_live_fraction == pytest.approx(
-        manual.rows_weighted_live_fraction
-    )
-    # The windowed hint is the merged accumulator's hint, nothing more.
-    assert window.suggested_batch_size(32) == merged.suggested_batch_size(32)
-
-
-def test_windowed_stats_edge_cases():
-    from repro.core.xdrop_batch import WindowedKernelStats
-
-    with pytest.raises(ConfigurationError):
-        WindowedKernelStats(window=0)
-    empty = WindowedKernelStats(window=4)
-    assert empty.batches == 0 and empty.total_batches == 0
-    assert empty.live_fraction == 1.0
-    assert empty.suggested_batch_size(64) == 64
-    payload = empty.to_dict()
-    assert payload["window"] == 4
-    assert payload["window_batches"] == 0
-    assert payload["total_batches"] == 0
-
-    window = WindowedKernelStats(window=2)
-    window.observe(_window_entry(rows=8, fraction=0.95))
-    payload = window.to_dict()
-    assert payload["window_batches"] == 1 and payload["total_batches"] == 1
-    assert payload["rows"] == 8
+        gauge = service.metrics_snapshot().value("repro_kernel_live_fraction")
+    assert stats.batches_formed == 2
+    assert 0.0 < stats.kernel_live_fraction < 1.0
+    assert stats.kernel_live_fraction == gauge
+    assert stats.to_dict()["kernel_live_fraction"] == gauge
