@@ -541,7 +541,6 @@ class AlignmentService:
         the same series :meth:`metrics_snapshot` exports.
         """
         with self._lock:
-            kernel_stats = self._kernel_stats
             cells = int(self._cells_c.value())
             busy = self._busy_c.value()
             return ServiceStats(
@@ -558,8 +557,8 @@ class AlignmentService:
                 throughput_gcups=gcups(cells, busy),
                 workers=list(self.pool.worker_stats),
                 kernel_live_fraction=(
-                    kernel_stats.live_fraction
-                    if kernel_stats is not None
+                    self._kernel_stats.live_fraction
+                    if self._kernel_stats is not None
                     else None
                 ),
                 prefilter_mode=self.prefilter_mode,
