@@ -164,6 +164,10 @@ class TestAlignConfigValidation:
         with pytest.raises(ConfigurationError, match="'autotune'"):
             ServiceConfig.from_dict({"autotune": "on"})
 
+    def test_service_from_dict_rejects_removed_autotune_options(self):
+        with pytest.raises(ConfigurationError, match="'autotune_options'"):
+            ServiceConfig.from_dict({"autotune_options": {"window": 4}})
+
     def test_invalid_json_raises_configuration_error(self):
         with pytest.raises(ConfigurationError):
             AlignConfig.from_json("{not json")

@@ -349,6 +349,21 @@ class TestRunnersAndCli:
             == 0
         )
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--autotune", "on"],
+            ["--autotune-profile", "mixed"],
+            ["--autotune-waves", "2"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_cli_perf_autotune_flags_removed(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main_bench_perf(["--service", *flag])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 @pytest.mark.benchmark
 class TestBenchmarkSmoke:

@@ -1,7 +1,8 @@
 """Tests of the differential conformance/fuzz harness (repro.testing).
 
 The tier-2 matrix (`-m tier2`) replays every workload-bank profile
-through every registered engine, the service path and the two exact
+through every registered engine, the service path (default and small
+fixed batches, the latter also over the network) and the two exact
 aligners that live outside the registry (the per-pair kernel and the
 SeqAn-like baseline); the remaining tests exercise the harness machinery
 itself — shrink-on-failure with an injected off-by-one engine, fuzz
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import AlignConfig
+from repro.api import AlignConfig, ServiceConfig
 from repro.baselines import SeqAnBatchAligner
 from repro.core import extend_seed
 from repro.core.job import summarize_results
@@ -405,3 +406,41 @@ class TestFuzzRunner:
         assert a.ok and b.ok
         assert a.jobs == b.jobs and a.comparisons == b.comparisons
         assert a.per_profile == b.per_profile
+
+
+# --------------------------------------------------------------------------- #
+# Small fixed batches: a service that flushes several batches per workload
+# changes only *when* batches flush, never what they compute.
+# --------------------------------------------------------------------------- #
+
+#: Batch bound 2 with length binning splits every 4-job workload into
+#: several batches; with the cache off, the resubmission round goes through
+#: the batcher again instead of being answered from memory.
+SMALL_BATCH_CONFIG = CONFIG.replace(
+    bin_width=500, service=ServiceConfig(max_batch_size=2, cache_capacity=0)
+)
+
+
+def test_small_batch_service_bit_identical_on_one_profile():
+    """Tier-1 canary for the tier-2 small-batch matrix below."""
+    runner = ConformanceRunner(
+        SMALL_BATCH_CONFIG, engines=["reference"], include_service=True
+    )
+    report = runner.run_workload(generate_workload("length_skew", SMALL))
+    assert report.ok, report.summary()
+    assert report.service_checked
+
+
+@pytest.mark.tier2
+@pytest.mark.parametrize("profile", list_profiles())
+class TestSmallBatchServiceConformance:
+    def test_small_batch_service_bit_identical(self, profile):
+        with ConformanceRunner(
+            SMALL_BATCH_CONFIG,
+            engines=["reference"],
+            include_service=True,
+            include_network=True,
+        ) as runner:
+            report = runner.run_workload(generate_workload(profile, SMALL))
+        assert report.ok, report.summary()
+        assert report.service_checked and report.network_checked

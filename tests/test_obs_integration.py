@@ -88,6 +88,21 @@ class TestServiceInstrumentation:
         # Settled service: no queue backlog left behind.
         assert snap.value("repro_queue_depth") == 0.0
 
+    def test_batch_occupancy_histogram_matches_batched_jobs(self, small_jobs):
+        service = _service(small_jobs, max_batch_size=3)
+        try:
+            _serve(service, small_jobs)
+            _serve(service, small_jobs)  # cache round: no new batch
+            stats = service.stats()
+            snap = service.metrics_snapshot()
+        finally:
+            service.shutdown()
+        hist = snap.get("repro_batch_occupancy").histogram
+        assert stats.batches_formed > 1
+        assert hist["count"] == stats.batches_formed
+        assert hist["sum"] == stats.batched_jobs == len(small_jobs)
+        assert stats.to_dict()["batched_jobs"] == stats.batched_jobs
+
     def test_snapshot_carries_provenance(self, small_jobs):
         service = _service(small_jobs)
         try:
@@ -171,6 +186,15 @@ class TestEngineInstrumentation:
         )
         hist = snap.get("repro_kernel_live_fraction", kernel="batched")
         assert hist is not None and hist.histogram["count"] == 1
+
+    def test_engine_live_fraction_histogram_observes_the_call(self, small_jobs):
+        batch = get_engine("batched", xdrop=20).align_batch(small_jobs)
+        stats = batch.extras["kernel_stats"]
+        snap = obs.get_observability().registry.snapshot()
+        hist = snap.get("repro_kernel_live_fraction", kernel="batched")
+        assert hist.histogram["count"] == 1
+        assert hist.histogram["sum"] == stats.live_fraction
+        assert stats.live_fraction == stats.active_row_steps / stats.row_steps
 
     def test_engine_spans_when_tracing_enabled(self, small_jobs):
         ob = obs.configure(tracing=True)

@@ -278,6 +278,34 @@ class TestAdaptiveBatcher:
         assert len(due) == 1 and due[0].reason == "wait"
         assert batcher.next_deadline(now=10.6) is None
 
+    def test_batched_jobs_counts_size_flushes(self):
+        batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=2, bin_width=0))
+        for _ in range(5):
+            batcher.add(self._ticket(100), now=0.0)
+        # Two full batches flushed; the fifth ticket still waits in its bin.
+        assert batcher.batches_formed == 2
+        assert batcher.batched_jobs == 4
+        assert batcher.pending == 1
+
+    def test_batched_jobs_counts_wait_flushes(self):
+        batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=8, max_wait_seconds=0.5))
+        batcher.add(self._ticket(100), now=0.0)
+        batcher.add(self._ticket(100), now=0.1)
+        assert batcher.batched_jobs == 0
+        (due,) = batcher.due(now=1.0)
+        assert due.size == 2
+        assert batcher.batches_formed == 1 and batcher.batched_jobs == 2
+
+    def test_batched_jobs_counts_drain_flushes_across_bins(self):
+        batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=8, bin_width=500))
+        batcher.add(self._ticket(100), now=0.0)   # bin 0
+        batcher.add(self._ticket(100), now=0.0)   # bin 0
+        batcher.add(self._ticket(400), now=0.0)   # bin 1
+        batches = batcher.flush_all()
+        assert sorted(b.size for b in batches) == [1, 2]
+        assert batcher.batches_formed == 2 and batcher.batched_jobs == 3
+        assert batcher.pending == 0
+
     def test_invalid_policy(self):
         with pytest.raises(ServiceError):
             BatchPolicy(max_batch_size=0)
@@ -720,3 +748,57 @@ class TestMeanBatchSize:
         assert stats.prefilter_decisions["reject"] == 8
         assert stats.batches_formed == 1
         assert stats.mean_batch_size == 4.0
+
+    def test_memory_cache_hits_stay_out_of_the_mean(self):
+        jobs = mixed_jobs(num_pairs=6, rng_seed=31)
+        config = batched_config(xdrop=30, bin_width=0, max_batch_size=8)
+        with AlignmentService(config=config) as service:
+            service.map(jobs)
+            service.map(jobs)  # every pair answered from the result cache
+            stats = service.stats()
+        assert stats.completed == 12 and stats.cache.hits == 6
+        assert stats.batches_formed == 1 and stats.batched_jobs == 6
+        assert stats.mean_batch_size == 6.0
+
+
+class TestBatchFormationInvariance:
+    """Batch bound and length binning decide only how jobs are grouped.
+
+    Results, total DP cells and the kernel's row accounting must not
+    depend on how the batcher splits one workload into batches.
+    """
+
+    @pytest.mark.parametrize("bin_width", [0, 500])
+    @pytest.mark.parametrize("max_batch_size", [1, 3, 64])
+    def test_results_independent_of_batch_formation(
+        self, max_batch_size, bin_width
+    ):
+        jobs = mixed_jobs(num_pairs=16, rng_seed=19)
+        direct = get_engine("batched", scoring=SCORING, xdrop=30).align_batch(jobs)
+        config = batched_config(
+            xdrop=30, bin_width=bin_width, max_batch_size=max_batch_size
+        )
+        with AlignmentService(config=config) as service:
+            tickets = service.submit_many(jobs)
+            service.drain()
+            results = [t.result(timeout=30.0) for t in tickets]
+            stats = service.stats()
+
+        for got, ref in zip(results, direct.results):
+            assert got.score == ref.score
+            assert (got.query_begin, got.query_end) == (ref.query_begin, ref.query_end)
+            assert (got.target_begin, got.target_end) == (
+                ref.target_begin,
+                ref.target_end,
+            )
+            assert got.left.best_score == ref.left.best_score
+            assert got.right.best_score == ref.right.best_score
+        assert stats.cells == direct.summary.cells
+        assert all(t.batch_size <= max_batch_size for t in tickets)
+        assert stats.batched_jobs == len(jobs)
+        if bin_width == 0:
+            assert stats.batches_formed == -(-len(jobs) // max_batch_size)
+        else:
+            assert stats.batches_formed >= -(-len(jobs) // max_batch_size)
+        assert stats.mean_batch_size == len(jobs) / stats.batches_formed
+        assert 0.0 < stats.kernel_live_fraction <= 1.0

@@ -26,6 +26,7 @@ from repro.core.xdrop_batch import (
     xdrop_extend_batch,
 )
 from repro.engine import get_engine
+from repro.engine.engines import BatchedEngine
 from repro.errors import ConfigurationError
 from repro.testing import ConformanceRunner
 from repro.workloads import WorkloadSpec, generate_workload, list_profiles
@@ -147,6 +148,69 @@ def test_kernel_invariant_to_tuning_knobs(forced_threshold, seed):
         xdrop_extend_reference(q, t, xdrop=xdrop, trace=True) for q, t in pairs
     ]
     assert_identical(tuned, reference)
+
+
+# --------------------------------------------------------------------------- #
+# Telemetry: the sweep's counters are the scalar reference's own accounting
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("profile", list_profiles())
+def test_kernel_stats_match_reference_accounting(profile, forced_threshold):
+    """Steps, live row-steps and cells follow from the per-pair reference.
+
+    Rows stay live on a contiguous run of anti-diagonals from ``d = 1``,
+    so the sweep runs ``max(anti_diagonals) - 1`` steps (the origin
+    diagonal is not a step) and its live row-steps are the per-row step
+    counts summed.  Only ``row_steps``/``compactions`` may depend on the
+    threshold, and the two extremes pin them exactly.
+    """
+    pairs = _pairs_from_workload(profile)
+    reference = [
+        xdrop_extend_reference(q, t, xdrop=15, trace=True) for q, t in pairs
+    ]
+    stats = BatchKernelStats()
+    xdrop_extend_batch(pairs, xdrop=15, stats=stats)
+
+    assert stats.rows == len(pairs)
+    assert stats.steps == max(r.anti_diagonals for r in reference) - 1
+    assert stats.active_row_steps == sum(r.anti_diagonals - 1 for r in reference)
+    assert stats.cells == sum(r.cells_computed for r in reference)
+    # The union window holds every live band and no more than one query.
+    widest_band = max(int(r.band_widths.max()) for r in reference)
+    longest_query = max(len(q) for q, _ in pairs)
+    assert widest_band <= stats.peak_window <= longest_query + 1
+    assert stats.active_row_steps <= stats.row_steps <= stats.rows * stats.steps
+    if forced_threshold == 0.0:
+        assert stats.compactions == 0
+        assert stats.row_steps == stats.rows * stats.steps
+    if forced_threshold == 1.0:
+        # Every retirement compacts, so only live rows are ever carried.
+        assert stats.row_steps == stats.active_row_steps
+        assert stats.live_fraction == 1.0
+
+
+@pytest.mark.parametrize("profile", list_profiles())
+def test_kernel_window_invariant_to_threshold(profile, monkeypatch):
+    """Compaction drops only retired rows, which the window never covers."""
+    pairs = _pairs_from_workload(profile)
+    runs = {}
+    for threshold in (0.0, 0.25, COMPACT_THRESHOLD, 1.0):
+        monkeypatch.setattr(xdrop_batch, "COMPACT_THRESHOLD", threshold)
+        stats = BatchKernelStats()
+        xdrop_extend_batch(pairs, xdrop=15, stats=stats)
+        runs[threshold] = stats
+
+    def invariant(stats):
+        return (
+            stats.steps,
+            stats.active_row_steps,
+            stats.peak_window,
+            stats.cells,
+            stats.dtype,
+        )
+
+    assert len({invariant(stats) for stats in runs.values()}) == 1
+    assert runs[0.0].compactions == 0
+    assert runs[1.0].compactions >= 1
 
 
 # --------------------------------------------------------------------------- #
@@ -309,6 +373,20 @@ def test_removed_kernel_knobs_rejected_as_engine_options(options):
     config = AlignConfig(engine="batched", xdrop=15, engine_options=options)
     with pytest.raises(ConfigurationError, match=repr(key)):
         config.build_engine()
+
+
+@pytest.mark.parametrize("key", ["compact_threshold", "tile_width"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda **kw: xdrop_extend_batch([("ACGT", "ACGT")], **kw),
+        lambda **kw: BatchedEngine(xdrop=15, **kw),
+    ],
+    ids=["xdrop_extend_batch", "BatchedEngine"],
+)
+def test_removed_kernel_knobs_are_not_keywords(call, key):
+    with pytest.raises(TypeError, match=key):
+        call(**{key: 1})
 
 
 def test_stats_merge():
