@@ -36,8 +36,9 @@ Quickstart
 8
 
 Every consumer accepts the same object: ``get_engine.from_config(cfg)``,
-``AlignmentService(config=cfg)``, ``BellaPipeline(config=cfg)``,
-``LoganAligner.from_config(cfg)``.
+``AlignmentService(config=cfg)``, ``BellaPipeline(config=cfg)``.  The LOGAN
+aligner with its V100 model is ``cfg.build_engine().aligner`` for
+``engine="logan"``, so one config gets one answer everywhere.
 """
 
 from __future__ import annotations
@@ -279,10 +280,11 @@ class AlignConfig:
     Every layer consumes the same object — the engine registry
     (``get_engine.from_config``), the :class:`~repro.service.AlignmentService`
     (``config=``), the :class:`~repro.bella.pipeline.BellaPipeline`
-    (``config=``), :class:`~repro.logan.batch.LoganAligner.from_config` and
-    all five CLI subcommands (``--config config.json``) — so adding a
-    scenario means adding a field here instead of plumbing a kwarg through
-    five layers.
+    (``config=``) and all five CLI subcommands (``--config config.json``) —
+    so adding a scenario means adding a field here instead of plumbing a
+    kwarg through five layers.  ``engine_options`` are checked in one place,
+    :func:`~repro.engine.engine_from_config`; ``repro-align`` takes its
+    :class:`~repro.logan.LoganAligner` from the built ``logan`` engine.
 
     Attributes
     ----------

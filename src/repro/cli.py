@@ -63,7 +63,6 @@ from .core import encode
 from .core.job import AlignmentJob
 from .data import PairSetSpec, generate_pair_set, load_dataset, read_fasta
 from .engine import describe_engines, list_engines
-from .logan import LoganAligner
 
 __all__ = [
     "main_align",
@@ -178,7 +177,7 @@ def main_align(argv: Sequence[str] | None = None) -> int:
         replication = max(1.0, args.replicate_to / len(jobs))
 
     if config.engine == "logan":
-        aligner = LoganAligner.from_config(config)
+        aligner = config.build_engine().aligner
         result = aligner.align_batch(jobs, replication=replication)
         payload = {
             "pairs": len(jobs),

@@ -14,7 +14,7 @@ name            implementation                                         exact
                 scoring only
                 (:func:`repro.core.wavefront.wavefront_extend_batch`)  yes*
 ``ksw2``        ksw2-style affine Z-drop runner + Skylake model        no
-``logan``       LOGAN batch aligner (the batched kernel) + V100
+``logan``       the ``batched`` sweep, traced, + post-hoc V100
                 multi-GPU execution model                              yes
 ==============  =====================================================  ======
 
@@ -40,6 +40,8 @@ from ..core.scoring import AffineScoringScheme, ScoringScheme
 from ..core.seed_extend import extend_seed
 from ..core.wavefront import ensure_unit_scoring, wavefront_extend_batch
 from ..core.xdrop import xdrop_extend_reference
+from ..gpusim.multi_gpu import MultiGpuSystem
+from ..logan.batch import LoganAligner
 from ..logan.host import prepare_batch
 from ..logan.kernel import empty_extension, execute_tasks_batched
 from ..obs.runtime import (
@@ -433,12 +435,17 @@ class Ksw2Engine(_EngineBase):
         )
 
 
-class LoganEngine(_EngineBase):
-    """LOGAN batch aligner with the modeled V100 multi-GPU runtime.
+class LoganEngine(BatchedEngine):
+    """LOGAN: the batched sweep with the modeled V100 multi-GPU runtime.
 
-    Runs the batched kernel (every extension one row of a fused sweep) and
-    replays its band traces through the V100 execution model.  ``trace`` is
-    accepted for signature uniformity; LOGAN always traces.
+    A :class:`BatchedEngine` with tracing forced on (``trace`` is accepted
+    for signature uniformity and ignored): every extension is one row of
+    the fused sweep, and the band traces of its results are replayed
+    through :meth:`repro.logan.LoganAligner.model_existing` on the
+    configured system (``system``, or ``gpus`` homogeneous V100s).  The
+    modeled time lands in ``modeled_seconds``, the full
+    :class:`~repro.logan.LoganBatchResult` in ``extras["batch"]``.
+    ``aligner`` is that model's :class:`~repro.logan.LoganAligner`.
     """
 
     name = "logan"
@@ -449,16 +456,14 @@ class LoganEngine(_EngineBase):
         xdrop: int = 100,
         workers: int = 1,
         trace: bool = False,
-        system=None,
+        system: MultiGpuSystem | None = None,
         gpus: int | None = None,
         threads_per_block: int | None = None,
     ) -> None:
-        super().__init__(scoring=scoring, xdrop=xdrop, workers=workers, trace=trace)
-        from ..gpusim.multi_gpu import MultiGpuSystem
-        from ..logan.batch import LoganAligner
-
+        super().__init__(scoring=scoring, xdrop=xdrop, workers=workers, trace=True)
         if system is None and gpus is not None:
             system = MultiGpuSystem.homogeneous(gpus)
+        self.threads_per_block = threads_per_block
         self.aligner = LoganAligner(
             system=system,
             scoring=self.scoring,
@@ -467,33 +472,30 @@ class LoganEngine(_EngineBase):
             workers=self.workers,
         )
 
-    def _align_batch(
+    def align_batch(
         self,
         jobs: Sequence[AlignmentJob],
         scoring: ScoringScheme | None = None,
         xdrop: int | None = None,
     ) -> EngineBatchResult:
+        """The traced batched sweep, then the V100 model of its results."""
+        batch = super().align_batch(jobs, scoring=scoring, xdrop=xdrop)
         scoring, xdrop = self._resolve(scoring, xdrop)
-        aligner = self.aligner
-        if scoring is not aligner.scoring or xdrop != aligner.xdrop:
-            from ..logan.batch import LoganAligner
-
-            aligner = LoganAligner(
-                system=aligner.system,
+        model = self.aligner
+        if (scoring, xdrop) != (model.scoring, model.xdrop):
+            # X and the gap penalty set the thread schedule and the
+            # balancer's work estimate, so an override is modeled with them.
+            model = LoganAligner(
+                system=model.system,
                 scoring=scoring,
                 xdrop=xdrop,
-                threads_per_block=aligner._explicit_threads,
-                workers=aligner.workers,
+                threads_per_block=self.threads_per_block,
             )
-        batch = aligner.align_batch(jobs)
-        return EngineBatchResult(
-            engine=self.name,
-            results=batch.results,
-            summary=batch.summary,
-            elapsed_seconds=batch.elapsed_seconds,
-            modeled_seconds=batch.modeled_seconds,
-            extras={"batch": batch, "modeled_gcups": batch.modeled_gcups},
-        )
+        modeled = model.model_existing(jobs, batch.results)
+        modeled.elapsed_seconds = batch.elapsed_seconds
+        batch.modeled_seconds = modeled.modeled_seconds
+        batch.extras.update(batch=modeled, modeled_gcups=modeled.modeled_gcups)
+        return batch
 
 
 register_engine("reference", ReferenceEngine)

@@ -2,8 +2,9 @@
 
 Public surface:
 
-* :class:`repro.logan.LoganAligner` — batch seed-and-extend aligner with the
-  multi-GPU execution model (the reproduction of the paper's contribution);
+* :class:`repro.logan.LoganAligner` — one traced sweep of the ``batched``
+  engine plus the V100 multi-GPU execution model replayed over its band
+  traces (the reproduction of the paper's contribution);
 * :class:`repro.logan.LoadBalancer` — the multi-GPU work splitter;
 * :func:`repro.logan.threads_for_xdrop` — the X-proportional thread
   scheduling rule;
@@ -18,7 +19,6 @@ from .host import (
     prepare_batch,
     threads_for_xdrop,
 )
-from .kernel import StreamExecution, run_extension_stream
 from .scheduler import DeviceAssignment, LoadBalancer
 
 __all__ = [
@@ -31,6 +31,4 @@ __all__ = [
     "ExtensionTask",
     "prepare_batch",
     "threads_for_xdrop",
-    "StreamExecution",
-    "run_extension_stream",
 ]

@@ -1,20 +1,20 @@
 """LOGAN batch aligner: the library's main public entry point.
 
-``LoganAligner`` reproduces the full LOGAN execution flow for a batch of
-seed alignments:
+``LoganAligner`` reproduces a LOGAN batch run as two steps:
 
-1. host preprocessing — seed split, left-pair reversal, buffer packing
-   (:mod:`repro.logan.host`);
-2. multi-GPU load balancing — jobs are divided across devices by estimated
-   work (:mod:`repro.logan.scheduler`);
-3. per-device execution — one GPU block per extension, two streams (left and
-   right extensions), threads per block scheduled proportionally to X
-   (:mod:`repro.logan.kernel` runs the functional work on the batched
-   kernel, :mod:`repro.gpusim` models the V100 timing);
-4. result collection — per-job seed alignment scores identical to the
-   SeqAn-style reference.
+1. alignment — one traced sweep of the ``batched`` engine
+   (:class:`repro.engine.engines.BatchedEngine`): the host preprocessing
+   splits every job at its seed (:mod:`repro.logan.host`) and every left
+   and right extension is one row of the inter-sequence batched kernel,
+   LOGAN's one-block-per-extension layout.  Scores are identical to the
+   SeqAn-style reference;
+2. the V100 replay (:meth:`LoganAligner.model_existing`) — jobs are divided
+   across devices by estimated work (:mod:`repro.logan.scheduler`), each
+   device runs its left and right extensions as two concurrent streams,
+   threads per block are scheduled proportionally to X, and
+   :mod:`repro.gpusim` models the time from the extensions' band traces.
 
-Every run returns both the *measured* wall-clock of the Python execution and
+Every run returns both the *measured* wall-clock of the Python sweep and
 the *modeled* wall-clock on the paper's V100 platform, plus the breakdown
 (host, per-device, load-balancer overhead) needed by the benchmarks.
 """
@@ -32,10 +32,9 @@ from ..gpusim.device import DeviceSpec
 from ..gpusim.kernel import KernelExecutionModel, KernelTiming
 from ..gpusim.multi_gpu import MultiGpuSystem, MultiGpuTiming
 from ..gpusim.stream import StreamedTiming, compose_streams
+from ..gpusim.trace import BlockWorkTrace, KernelWorkload
 from ..gpusim.warp import KernelCostParameters
-from ..perf.timers import Timer
-from .host import HostModel, PreparedBatch, prepare_batch, threads_for_xdrop
-from .kernel import run_extension_stream
+from .host import HostModel, threads_for_xdrop
 from .scheduler import DeviceAssignment, LoadBalancer
 
 __all__ = ["LoganBatchResult", "LoganAligner"]
@@ -52,7 +51,9 @@ class LoganBatchResult:
     summary:
         Aggregate work accounting (cells, extensions, iterations).
     elapsed_seconds:
-        Measured wall-clock of the Python run.
+        Measured wall-clock of the Python alignment sweep only; the model
+        replay is not timed.  ``0.0`` from
+        :meth:`LoganAligner.model_existing`, which aligns nothing.
     host_seconds:
         Modeled host preprocessing time on the paper's platform.
     multi_gpu:
@@ -120,7 +121,8 @@ class LoganAligner:
         Threads scheduled per block; ``None`` (default) picks the
         X-proportional count the paper describes.
     workers:
-        Local worker processes for the functional execution.
+        Local worker processes for the alignment sweep (passed to the
+        ``batched`` engine; never changes scores or traces).
     host_model:
         Host preprocessing cost model.
     kernel_params:
@@ -128,9 +130,11 @@ class LoganAligner:
     balancer_policy:
         ``"cells"`` (default) or ``"count"`` — see :class:`LoadBalancer`.
 
-    The extension streams always run on the inter-sequence batched kernel:
-    every extension is one row of a single fused sweep, mirroring the GPU
-    layout (see :func:`repro.logan.kernel.run_extension_stream`).
+    :meth:`align_batch` is one traced sweep of the ``batched`` engine
+    followed by :meth:`model_existing`; the GPU configuration only
+    changes the modeled time, never the alignments.  Config-driven callers
+    build the ``logan`` engine (``AlignConfig(engine="logan").build_engine()``)
+    and use its ``aligner``.
     """
 
     def __init__(
@@ -159,51 +163,6 @@ class LoganAligner:
             for device in self.system.devices
         ]
 
-    @classmethod
-    def from_config(cls, config) -> "LoganAligner":
-        """Build an aligner from an :class:`repro.api.AlignConfig`.
-
-        ``engine_options`` may carry the LOGAN-specific knobs: ``gpus``
-        (shorthand for a homogeneous system), ``system``,
-        ``threads_per_block``, ``balancer_policy``, ``host_model`` and
-        ``kernel_params``.  Unknown or shadowing options raise a
-        :class:`ConfigurationError` naming the option, the same contract as
-        :func:`repro.engine.base.engine_from_config`.
-        """
-        import inspect
-
-        options = dict(getattr(config, "engine_options", None) or {})
-        uniform = {"scoring", "xdrop", "workers"}
-        shadowed = sorted(set(options) & uniform)
-        if shadowed:
-            raise ConfigurationError(
-                f"engine_options: {', '.join(map(repr, shadowed))} shadow the "
-                "uniform config fields of the same name; set them on the "
-                "config itself"
-            )
-        accepted = {
-            name
-            for name in inspect.signature(cls.__init__).parameters
-            if name != "self"
-        } | {"gpus"}
-        unknown = sorted(set(options) - accepted)
-        if unknown:
-            raise ConfigurationError(
-                f"engine_options: {', '.join(map(repr, unknown))} not accepted "
-                f"by LoganAligner; accepted: {', '.join(sorted(accepted - uniform))}"
-            )
-        system = options.pop("system", None)
-        gpus = options.pop("gpus", None)
-        if system is None and gpus is not None:
-            system = MultiGpuSystem.homogeneous(int(gpus))
-        return cls(
-            system=system,
-            scoring=config.scoring,
-            xdrop=config.xdrop,
-            workers=config.workers,
-            **options,
-        )
-
     # ------------------------------------------------------------------ #
     def threads_per_block_for(self, device: DeviceSpec) -> int:
         """Thread count scheduled per block on *device*."""
@@ -214,24 +173,6 @@ class LoganAligner:
         return threads_for_xdrop(self.xdrop, device, gap_penalty=abs(self.scoring.gap))
 
     # ------------------------------------------------------------------ #
-    def _combine_streams(
-        self, per_device_streams: Sequence[StreamedTiming | None]
-    ) -> MultiGpuTiming:
-        """Fold per-device timings, tolerating a batch with no kernel work.
-
-        Every extension of a batch can be empty (seeds flush against both
-        sequence ends — e.g. one-base pairs): no kernel launches, so the
-        modeled GPU time is zero rather than a configuration error.
-        """
-        if any(stream is not None for stream in per_device_streams):
-            return self.system.combine(per_device_streams)
-        return MultiGpuTiming(
-            per_device_seconds=(),
-            host_overhead_seconds=0.0,
-            total_seconds=0.0,
-            cells=0,
-        )
-
     def align_batch(
         self, jobs: Sequence[AlignmentJob], replication: float = 1.0
     ) -> LoganBatchResult:
@@ -251,99 +192,37 @@ class LoganAligner:
             raise ConfigurationError("align_batch requires at least one job")
         if replication <= 0:
             raise ConfigurationError("replication must be positive")
+        # Imported here: repro.engine imports this package's host layer.
+        from ..engine.engines import BatchedEngine
 
-        timer = Timer()
-        balancer = LoadBalancer(
-            num_devices=self.system.num_devices,
-            policy=self.balancer_policy,
-            xdrop=self.xdrop,
-            gap_penalty=abs(self.scoring.gap),
-        )
+        sweep = BatchedEngine(
+            scoring=self.scoring, xdrop=self.xdrop, workers=self.workers, trace=True
+        ).align_batch(jobs)
+        batch = self.model_existing(jobs, sweep.results, replication)
+        batch.elapsed_seconds = sweep.elapsed_seconds
+        return batch
 
-        with timer:
-            prepared = prepare_batch(jobs, self.scoring)
-            assignments = balancer.split(jobs)
-
-            per_device_streams: list[StreamedTiming | None] = []
-            kernel_timings: list[tuple[KernelTiming, ...]] = []
-            left_results: dict[int, object] = {}
-            right_results: dict[int, object] = {}
-
-            for assignment, model, device in zip(
-                assignments, self._models, self.system.devices
-            ):
-                if assignment.num_jobs == 0:
-                    per_device_streams.append(None)
-                    kernel_timings.append(tuple())
-                    continue
-                threads = self.threads_per_block_for(device)
-                device_timings: list[KernelTiming] = []
-                for direction, task_list, sink in (
-                    ("left", prepared.left_tasks, left_results),
-                    ("right", prepared.right_tasks, right_results),
-                ):
-                    tasks = [task_list[i] for i in assignment.job_indices]
-                    execution = run_extension_stream(
-                        tasks,
-                        scoring=self.scoring,
-                        xdrop=self.xdrop,
-                        replication=replication,
-                        workers=self.workers,
-                    )
-                    for task, result in zip(tasks, execution.results):
-                        sink[task.job_index] = result
-                    if execution.workload.sampled_blocks > 0:
-                        device_timings.append(
-                            model.execute(execution.workload, threads_per_block=threads)
-                        )
-                if device_timings:
-                    per_device_streams.append(compose_streams(device_timings))
-                else:
-                    per_device_streams.append(None)
-                kernel_timings.append(tuple(device_timings))
-
-        multi = self._combine_streams(per_device_streams)
-        host_seconds = self.host_model.seconds(
-            total_bases=int(round(prepared.total_bases * replication)),
-            alignments=int(round(len(jobs) * replication)),
-        )
-
-        results = self._assemble_results(jobs, prepared, left_results, right_results)
-        summary = summarize_results(results)
-        threads_used = self.threads_per_block_for(self.system.devices[0])
-
-        return LoganBatchResult(
-            results=results,
-            summary=summary,
-            elapsed_seconds=timer.elapsed,
-            host_seconds=host_seconds,
-            multi_gpu=multi,
-            per_device=[t for t in per_device_streams if t is not None],
-            assignments=assignments,
-            kernel_timings=kernel_timings,
-            threads_per_block=threads_used,
-            replication=float(replication),
-        )
-
-    # ------------------------------------------------------------------ #
     def model_existing(
         self,
         jobs: Sequence[AlignmentJob],
         results: Sequence[SeedAlignmentResult],
         replication: float = 1.0,
     ) -> LoganBatchResult:
-        """Re-model already-aligned jobs on this aligner's GPU system.
+        """Model already-aligned jobs on this aligner's GPU system.
 
         The functional output of a LOGAN batch (scores, extents, band
         traces) is independent of the GPU configuration, so a batch aligned
-        once — e.g. with the single-GPU aligner — can be *re-modeled* on a
-        different system (6 GPUs, different thread schedule, ablated cost
-        parameters) without re-running the X-drop kernels.  The benchmark
-        harness uses this to sweep GPU counts at the cost of a single
-        alignment pass.
+        once can be modeled on any system (6 GPUs, different thread
+        schedule, ablated cost parameters) without re-running the X-drop
+        kernels.  :meth:`align_batch` ends here, and the benchmark harness
+        uses it to sweep GPU counts at the cost of a single alignment pass.
 
-        ``results`` must come from a run with tracing enabled (every LOGAN
-        ``align_batch`` run traces), in the same order as ``jobs``.
+        ``results`` must come from a traced run (``trace=True``; every
+        ``align_batch`` of this class and of the ``logan`` engine traces),
+        in the same order as ``jobs``.  An extension that computed cells but
+        carries no band trace raises :class:`ConfigurationError` instead of
+        being modeled as free.  Empty sides (the seed touches a sequence
+        end) launch no block.
         """
         if len(jobs) != len(results):
             raise ConfigurationError("jobs and results must have the same length")
@@ -351,8 +230,6 @@ class LoganAligner:
             raise ConfigurationError("model_existing requires at least one job")
         if replication <= 0:
             raise ConfigurationError("replication must be positive")
-
-        from ..gpusim.trace import BlockWorkTrace, KernelWorkload
 
         balancer = LoadBalancer(
             num_devices=self.system.num_devices,
@@ -364,15 +241,9 @@ class LoganAligner:
 
         per_device_streams: list[StreamedTiming | None] = []
         kernel_timings: list[tuple[KernelTiming, ...]] = []
-        total_bases = sum(j.query_length + j.target_length for j in jobs)
-
         for assignment, model, device in zip(
             assignments, self._models, self.system.devices
         ):
-            if assignment.num_jobs == 0:
-                per_device_streams.append(None)
-                kernel_timings.append(tuple())
-                continue
             threads = self.threads_per_block_for(device)
             device_timings: list[KernelTiming] = []
             for side in ("left", "right"):
@@ -380,33 +251,44 @@ class LoganAligner:
                 for index in assignment.job_indices:
                     job = jobs[index]
                     ext = getattr(results[index], side)
-                    if ext.band_widths is None or ext.cells_computed <= 1:
+                    # An empty side reports one cell and launches no
+                    # block; a live extension computes at least 3 cells.
+                    if ext.cells_computed <= 1:
                         continue
                     if side == "left":
                         qlen, tlen = job.seed.query_pos, job.seed.target_pos
                     else:
                         qlen = job.query_length - job.seed.query_end
                         tlen = job.target_length - job.seed.target_end
-                    workload.add(BlockWorkTrace(ext.band_widths, qlen, tlen))
+                    workload.add(BlockWorkTrace.from_extension(ext, qlen, tlen))
                 if workload.sampled_blocks > 0:
                     device_timings.append(
                         model.execute(workload, threads_per_block=threads)
                     )
-            if device_timings:
-                per_device_streams.append(compose_streams(device_timings))
-            else:
-                per_device_streams.append(None)
+            per_device_streams.append(
+                compose_streams(device_timings) if device_timings else None
+            )
             kernel_timings.append(tuple(device_timings))
 
-        multi = self._combine_streams(per_device_streams)
+        if any(stream is not None for stream in per_device_streams):
+            multi = self.system.combine(per_device_streams)
+        else:
+            # Every extension is empty (seeds flush against both sequence
+            # ends, e.g. one-base pairs): no kernel launches, zero GPU time.
+            multi = MultiGpuTiming(
+                per_device_seconds=(),
+                host_overhead_seconds=0.0,
+                total_seconds=0.0,
+                cells=0,
+            )
+        total_bases = sum(j.query_length + j.target_length for j in jobs)
         host_seconds = self.host_model.seconds(
             total_bases=int(round(total_bases * replication)),
             alignments=int(round(len(jobs) * replication)),
         )
-        summary = summarize_results(results)
         return LoganBatchResult(
             results=list(results),
-            summary=summary,
+            summary=summarize_results(results),
             elapsed_seconds=0.0,
             host_seconds=host_seconds,
             multi_gpu=multi,
@@ -416,31 +298,3 @@ class LoganAligner:
             threads_per_block=self.threads_per_block_for(self.system.devices[0]),
             replication=float(replication),
         )
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _assemble_results(
-        jobs: Sequence[AlignmentJob],
-        prepared: PreparedBatch,
-        left_results: dict,
-        right_results: dict,
-    ) -> list[SeedAlignmentResult]:
-        results: list[SeedAlignmentResult] = []
-        for index, job in enumerate(jobs):
-            left = left_results[index]
-            right = right_results[index]
-            anchor = prepared.seed_scores[index]
-            seed = job.seed
-            results.append(
-                SeedAlignmentResult(
-                    score=int(left.best_score + right.best_score + anchor),
-                    left=left,
-                    right=right,
-                    seed_score=anchor,
-                    query_begin=seed.query_pos - left.query_end,
-                    query_end=seed.query_end + right.query_end,
-                    target_begin=seed.target_pos - left.target_end,
-                    target_end=seed.target_end + right.target_end,
-                )
-            )
-        return results

@@ -1,11 +1,13 @@
-"""Functional LOGAN kernel: one GPU block per extension, traced.
+"""Functional LOGAN kernel: one GPU block per extension.
 
 The CUDA kernel of the paper assigns each extension to a GPU block and
 computes its anti-diagonals with Algorithm 2.  In this reproduction the same
 work is performed by the inter-sequence batched NumPy X-drop kernel
 (:func:`repro.core.xdrop_batch.xdrop_extend_batch`), one batch row per
-extension, and every extension additionally records its anti-diagonal width
-trace, which is what the GPU execution model replays to estimate V100 time.
+extension.  With ``trace=True`` every extension also records its
+anti-diagonal width trace, which is what the GPU execution model
+(:meth:`repro.logan.LoganAligner.model_existing`) replays to estimate V100
+time.
 
 The kernel is *functionally exact*: the scores and end positions it returns
 are the library's single source of truth and are identical to the scalar
@@ -15,7 +17,6 @@ SeqAn-style reference (tests enforce this), which reproduces the paper's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,33 +24,13 @@ import numpy as np
 from ..core.result import ExtensionResult
 from ..core.scoring import ScoringScheme
 from ..core.xdrop_batch import BatchKernelStats, xdrop_extend_batch
-from ..gpusim.trace import BlockWorkTrace, KernelWorkload
 from ..perf.parallel import chunk_evenly, parallel_map
 from .host import ExtensionTask
 
 __all__ = [
-    "StreamExecution",
-    "run_extension_stream",
     "execute_tasks_batched",
     "empty_extension",
 ]
-
-
-@dataclass
-class StreamExecution:
-    """Functional output of one GPU stream (a list of extensions).
-
-    Attributes
-    ----------
-    results:
-        Per-task extension results (same order as the input tasks).
-    workload:
-        The traced workload for the GPU execution model.  Empty tasks (seed
-        flush against a sequence end) contribute no block.
-    """
-
-    results: list[ExtensionResult]
-    workload: KernelWorkload
 
 
 def empty_extension(trace: bool = True) -> ExtensionResult:
@@ -119,44 +100,3 @@ def execute_tasks_batched(
         empty_extension(trace) if task.is_empty else next(extensions)
         for task in tasks
     ]
-
-
-def run_extension_stream(
-    tasks: Sequence[ExtensionTask],
-    scoring: ScoringScheme,
-    xdrop: int,
-    replication: float = 1.0,
-    workers: int = 1,
-) -> StreamExecution:
-    """Execute one stream of extensions and collect the traced workload.
-
-    Parameters
-    ----------
-    tasks:
-        The stream's extension tasks (all left-extensions or all
-        right-extensions of a prepared batch).
-    scoring, xdrop:
-        Alignment parameters.
-    replication:
-        How many real extensions each task stands for when the batch is a
-        scaled-down sample of the paper's workload.
-    workers:
-        Local worker processes used to execute the extensions (affects only
-        the measured wall-clock, never the scores or the traces).
-
-    The extensions run through :func:`execute_tasks_batched` with tracing
-    on, since the GPU execution model replays the band traces.
-    """
-    results = execute_tasks_batched(tasks, scoring, xdrop, workers=workers, trace=True)
-    workload = KernelWorkload(replication=replication)
-    for task, result in zip(tasks, results):
-        if task.is_empty:
-            continue
-        workload.add(
-            BlockWorkTrace.from_extension(
-                result,
-                query_length=len(task.query),
-                target_length=len(task.target),
-            )
-        )
-    return StreamExecution(results=list(results), workload=workload)

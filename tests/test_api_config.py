@@ -388,26 +388,22 @@ class TestConsumersFromConfig:
         assert via_service.accepted_pairs() == direct.accepted_pairs()
         assert len(direct.accepted) == 181
 
-    def test_logan_from_config_rejects_unknown_option_by_name(self):
+    def test_logan_build_engine_rejects_unknown_option_by_name(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            LoganAligner.from_config(
-                AlignConfig(engine="logan", engine_options={"gpuz": 2})
-            )
+            AlignConfig(engine="logan", engine_options={"gpuz": 2}).build_engine()
         message = str(excinfo.value)
         assert "gpuz" in message and "gpus" in message
 
-    def test_logan_from_config_rejects_shadowing_option(self):
+    def test_logan_build_engine_rejects_shadowing_option(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            LoganAligner.from_config(
-                AlignConfig(engine="logan", engine_options={"xdrop": 5})
-            )
+            AlignConfig(engine="logan", engine_options={"xdrop": 5}).build_engine()
         assert "xdrop" in str(excinfo.value)
 
-    def test_logan_aligner_from_config(self, start_seed_jobs):
+    def test_logan_build_engine_aligner(self, start_seed_jobs):
         config = AlignConfig(
             engine="logan", xdrop=20, engine_options={"gpus": 2}
         )
-        aligner = LoganAligner.from_config(config)
+        aligner = config.build_engine().aligner
         assert aligner.system.num_devices == 2
         assert aligner.xdrop == 20
         direct = LoganAligner(xdrop=20)

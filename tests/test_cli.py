@@ -248,6 +248,26 @@ class TestConfigFile:
         with pytest.raises((ConfigurationError, OSError, SystemExit)):
             main_bench(["engines", "--config", config_path + ".missing"])
 
+    @pytest.mark.parametrize(
+        "entry, flags",
+        [
+            (main_align, ["--pairs", "2", "--min-length", "100", "--max-length", "120"]),
+            (main_bella, ["--dataset", "ecoli_like", "--scale", "0.03"]),
+        ],
+        ids=["align", "bella"],
+    )
+    def test_logan_config_gets_one_answer(self, entry, flags, tmp_path):
+        # A config may set only the logan engine's own options
+        # (system/gpus/threads_per_block), on every CLI alike.
+        from repro.api import AlignConfig
+
+        path = tmp_path / "logan.json"
+        AlignConfig(
+            engine="logan", engine_options={"balancer_policy": "count"}
+        ).save(path)
+        with pytest.raises(ConfigurationError, match="balancer_policy"):
+            entry(["--config", str(path), *flags, "--json"])
+
     def test_flags_override_config(self, config_path, capsys):
         exit_code = main_align(
             ["--config", config_path, "--xdrop", "25", "--pairs", "2",

@@ -1,31 +1,117 @@
-"""Tests for the LOGAN batch aligner (kernel + host + multi-GPU model)."""
+"""Tests for the LOGAN batch aligner (batched sweep + multi-GPU model)."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import AlignConfig
 from repro.baselines import SeqAnBatchAligner
+from repro.core import ScoringScheme
+from repro.engine import get_engine
 from repro.errors import ConfigurationError
-from repro.gpusim import MultiGpuSystem
-from repro.logan import LoganAligner, run_extension_stream, prepare_batch
-from repro.logan.kernel import StreamExecution
+from repro.gpusim import (
+    BlockWorkTrace,
+    KernelExecutionModel,
+    KernelWorkload,
+    MultiGpuSystem,
+)
+from repro.gpusim.stream import compose_streams
+from repro.logan import HostModel, LoadBalancer, LoganAligner, threads_for_xdrop
+from repro.workloads import WorkloadSpec, generate_workload, list_profiles
+
+MODEL_XDROP = 20
+MODEL_SPEC = WorkloadSpec(
+    count=12, seed=7, min_length=60, max_length=240, xdrop=MODEL_XDROP
+)
 
 
-class TestRunExtensionStream:
-    def test_stream_execution(self, small_jobs, scoring):
-        batch = prepare_batch(small_jobs, scoring)
-        execution = run_extension_stream(batch.right_tasks, scoring, xdrop=15)
-        assert isinstance(execution, StreamExecution)
-        assert len(execution.results) == len(small_jobs)
-        assert execution.workload.sampled_blocks <= len(small_jobs)
-        assert execution.workload.total_cells > 0
+def hand_modeled(jobs, gpus, replication):
+    """The V100 model of *jobs*, built by hand from the scalar reference.
 
-    def test_empty_tasks_contribute_no_blocks(self, start_seed_jobs, scoring):
-        batch = prepare_batch(start_seed_jobs, scoring)
-        execution = run_extension_stream(batch.left_tasks, scoring, xdrop=15)
-        # Seeds at position 0 make every left extension empty.
-        assert execution.workload.sampled_blocks == 0
-        assert all(r.best_score == 0 for r in execution.results)
+    Each device of the ``LoadBalancer`` split runs its left and right
+    extensions as two streams (the paper's layout); every non-empty side is
+    one block carrying the reference engine's band trace.  Returns the
+    per-device kernel timings, the per-device seconds and the modeled
+    end-to-end seconds.
+    """
+    scoring = ScoringScheme()
+    reference = get_engine(
+        "reference", scoring=scoring, xdrop=MODEL_XDROP, trace=True
+    ).align_batch(jobs).results
+    system = MultiGpuSystem.homogeneous(gpus)
+    assignments = LoadBalancer(
+        num_devices=gpus, xdrop=MODEL_XDROP, gap_penalty=abs(scoring.gap)
+    ).split(jobs)
+    kernel_timings, streams = [], []
+    for assignment, device in zip(assignments, system.devices):
+        threads = threads_for_xdrop(MODEL_XDROP, device, gap_penalty=abs(scoring.gap))
+        device_timings = []
+        for side in ("left", "right"):
+            blocks = []
+            for index in assignment.job_indices:
+                job, seed = jobs[index], jobs[index].seed
+                if side == "left":
+                    qlen, tlen = seed.query_pos, seed.target_pos
+                else:
+                    qlen = job.query_length - seed.query_end
+                    tlen = job.target_length - seed.target_end
+                if qlen and tlen:
+                    ext = getattr(reference[index], side)
+                    blocks.append(BlockWorkTrace(ext.band_widths, qlen, tlen))
+            if blocks:
+                device_timings.append(
+                    KernelExecutionModel(device).execute(
+                        KernelWorkload(blocks=blocks, replication=replication),
+                        threads_per_block=threads,
+                    )
+                )
+        kernel_timings.append(tuple(device_timings))
+        streams.append(compose_streams(device_timings) if device_timings else None)
+    multi = system.combine(streams)
+    host = HostModel().seconds(
+        total_bases=int(
+            round(sum(j.query_length + j.target_length for j in jobs) * replication)
+        ),
+        alignments=int(round(len(jobs) * replication)),
+    )
+    return kernel_timings, multi.per_device_seconds, host + multi.total_seconds
+
+
+def assert_matches_hand_model(jobs, gpus, replication=1000.0):
+    batch = LoganAligner(
+        system=MultiGpuSystem.homogeneous(gpus), xdrop=MODEL_XDROP
+    ).align_batch(jobs, replication=replication)
+    kernel_timings, per_device, modeled = hand_modeled(jobs, gpus, replication)
+    assert batch.kernel_timings == kernel_timings
+    assert batch.multi_gpu.per_device_seconds == per_device
+    assert batch.modeled_seconds == modeled
+    return batch
+
+
+class TestModelAgainstHandBuiltStreams:
+    @pytest.mark.parametrize("gpus", [1, 6, 8])
+    def test_profile_batch(self, gpus):
+        jobs = generate_workload("pacbio", MODEL_SPEC).jobs
+        assert_matches_hand_model(jobs, gpus)
+
+    @pytest.mark.parametrize("gpus", [1, 6, 8])
+    def test_start_seed_batch_has_no_left_stream(self, start_seed_jobs, gpus):
+        # Seeds at position 0 leave every left side empty: each busy device
+        # launches the right stream only, one block per job.
+        batch = assert_matches_hand_model(start_seed_jobs, gpus, replication=1.0)
+        assert all(len(timings) <= 1 for timings in batch.kernel_timings)
+        assert sum(t.blocks for d in batch.kernel_timings for t in d) == len(
+            start_seed_jobs
+        )
+
+
+@pytest.mark.tier2
+@pytest.mark.parametrize("gpus", [1, 6, 8])
+@pytest.mark.parametrize("profile", list_profiles())
+class TestModelAgainstHandBuiltStreamsMatrix:
+    def test_profile_with_start_seeds(self, profile, gpus, start_seed_jobs):
+        jobs = generate_workload(profile, MODEL_SPEC).jobs + start_seed_jobs
+        assert_matches_hand_model(jobs, gpus)
 
 
 class TestLoganAligner:
@@ -129,6 +215,36 @@ class TestLoganAligner:
             full1.multi_gpu.per_device_seconds
         )
 
+    def test_six_gpu_batch_is_one_kernel_sweep(self, small_jobs, monkeypatch):
+        import repro.logan.kernel as kernel
+
+        real = kernel.xdrop_extend_batch
+        calls = []
+
+        def counting(pairs, *args, **kwargs):
+            calls.append(len(pairs))
+            return real(pairs, *args, **kwargs)
+
+        monkeypatch.setattr(kernel, "xdrop_extend_batch", counting)
+        LoganAligner(system=MultiGpuSystem.homogeneous(6), xdrop=20).align_batch(
+            small_jobs
+        )
+        # Mid-read seeds: every job has a live left and right extension.
+        assert calls == [2 * len(small_jobs)]
+
+    def test_model_existing_rejects_untraced_results(self):
+        jobs = generate_workload(
+            "pacbio", WorkloadSpec(count=16, seed=1, xdrop=20)
+        ).jobs
+        untraced = (
+            AlignConfig(engine="batched", xdrop=20).build_engine().align_batch(jobs)
+        )
+        assert untraced.summary.cells > 0
+        with pytest.raises(ConfigurationError, match="trace=True"):
+            LoganAligner(xdrop=20).model_existing(
+                jobs, untraced.results, replication=1000.0
+            )
+
     def test_model_existing_validation(self, small_jobs):
         aligner = LoganAligner(xdrop=25)
         full = aligner.align_batch(small_jobs)
@@ -138,6 +254,25 @@ class TestLoganAligner:
             aligner.model_existing([], [])
         with pytest.raises(ConfigurationError):
             aligner.model_existing(small_jobs, full.results, replication=0)
+
+
+class TestLoganEngine:
+    def test_engine_is_the_sweep_plus_the_model(self, small_jobs):
+        batch = get_engine("logan", xdrop=20, gpus=6).align_batch(small_jobs)
+        direct = LoganAligner(
+            system=MultiGpuSystem.homogeneous(6), xdrop=20
+        ).align_batch(small_jobs)
+        assert batch.scores() == direct.scores()
+        assert batch.modeled_seconds == direct.modeled_seconds
+        assert batch.extras["batch"].kernel_timings == direct.kernel_timings
+        assert batch.extras["kernel_stats"].rows == 2 * len(small_jobs)
+
+    def test_per_call_xdrop_is_modeled_with_its_thread_schedule(self, small_jobs):
+        override = get_engine("logan", xdrop=5).align_batch(small_jobs, xdrop=100)
+        native = get_engine("logan", xdrop=100).align_batch(small_jobs)
+        assert override.extras["batch"].threads_per_block == 128
+        assert override.scores() == native.scores()
+        assert override.modeled_seconds == native.modeled_seconds
 
 
 class TestAccuracyEquivalence:
