@@ -1,17 +1,19 @@
 #!/usr/bin/env python
 """Service-layer benchmark (wrapper over :mod:`repro.bench`).
 
-Runs the same fixed-seed mixed-length workload three ways —
+Runs the same fixed-seed mixed-length workload four ways —
 
-1. ``direct``     — one ``align_batch`` call on the batched engine (the
-                    offline upper bound the service should approach);
-2. ``per_job``    — one engine call per job, the naive front door the
-                    service replaces;
-3. ``service``    — individual submissions through
-                    :class:`repro.service.AlignmentService` (adaptive
-                    batching, one engine call per formed batch), then a
-                    second submission
-                    round that must be answered from the result cache
+1. ``direct``        — one ``align_batch`` call on the batched engine (the
+                       offline upper bound the service should approach);
+2. ``per_job``       — one engine call per job, the naive front door the
+                       service replaces;
+3. ``service``       — individual submissions through
+                       :class:`repro.service.AlignmentService` (adaptive
+                       batching, one engine call per formed batch), then a
+                       second submission round that must be answered from
+                       the result cache;
+4. ``service_burst`` — every submission in one burst into a started
+                       service, whose background loop forms the batches
 
 — prints the entry, gates it against the ``BENCH_service.json`` trajectory
 and appends it with ``--record``.
@@ -72,6 +74,7 @@ def main(argv=None) -> int:
     print(
         f"batches formed: {entry.extra['batches_formed']}, "
         f"mean batch {entry.extra['mean_batch_size']:.1f}, "
+        f"burst batches {entry.extra['burst_batches_formed']}, "
         f"cache hit rate {entry.extra['cache_hit_rate']:.2f}, "
         f"kernel live fraction {entry.extra['kernel_live_fraction']}"
     )
@@ -89,7 +92,7 @@ def main(argv=None) -> int:
             print(f"recorded entry in {OUTPUT}")
 
     rows = {row.engine: row for row in entry.rows}
-    for name in ("per_job", "service", "service_resubmit"):
+    for name in ("per_job", "service", "service_resubmit", "service_burst"):
         if not rows[name].scores_identical_to_reference:
             print(f"FAIL: {name} scores diverge from the direct batch call")
             failed = True

@@ -85,7 +85,9 @@ for name in (
         if sample.name == name:
             labels = ",".join(f"{k}={v}" for k, v in sorted(sample.labels.items()))
             print(f"  {name}{'{' + labels + '}' if labels else ''} = {sample.value}")
-print(f"  provenance: git_sha={snapshot.provenance.get('git_sha', '')[:12]} "
+# Outside a git checkout the provenance carries no SHA (git_sha is None).
+sha = snapshot.provenance.get("git_sha") or "unknown"
+print(f"  provenance: git_sha={sha[:12]} "
       f"config_hash={snapshot.provenance.get('config_hash', '')[:12]}")
 
 # ---------------------------------------------------------------- #

@@ -117,9 +117,9 @@ class ServiceConfig:
         Dispatch is serialized, so extra processes take turns; two
         measured within host noise of one.
     max_batch_size:
-        Adaptive batcher flush bound (engine-sized batch).
-    max_wait_seconds:
-        Latency bound: flush a bin once its oldest job waited this long.
+        Adaptive batcher flush bound (engine-sized batch).  A bin flushes
+        when it fills up or, in background mode, as soon as the worker is
+        idle.
     cache_capacity:
         LRU result-cache entries (0 disables caching).
     queue_capacity:
@@ -155,7 +155,6 @@ class ServiceConfig:
 
     num_workers: int = 1
     max_batch_size: int = 64
-    max_wait_seconds: float = 0.05
     cache_capacity: int = 4096
     queue_capacity: int = 1024
     worker_policy: str = "batch"
@@ -178,12 +177,6 @@ class ServiceConfig:
             f"must be >= 1, got {self.max_batch_size}",
         )
         object.__setattr__(self, "max_batch_size", int(self.max_batch_size))
-        _require(
-            float(self.max_wait_seconds) >= 0.0,
-            "service.max_wait_seconds",
-            f"must be >= 0, got {self.max_wait_seconds}",
-        )
-        object.__setattr__(self, "max_wait_seconds", float(self.max_wait_seconds))
         _require(
             int(self.cache_capacity) >= 0,
             "service.cache_capacity",
@@ -614,7 +607,6 @@ _SCORING_FLAGS = (
 _SERVICE_FLAGS = (
     ("num_workers", "--num-workers", int, "worker processes (--transport process)"),
     ("max_batch_size", "--batch-size", int, "engine-sized batch (flush bound)"),
-    ("max_wait_seconds", "--max-wait", float, "max seconds a job may wait"),
     ("cache_capacity", "--cache-capacity", int, "LRU result-cache entries"),
     ("queue_capacity", "--queue-capacity", int, "submission queue bound"),
     ("transport", "--transport", str, "worker transport (thread/process)"),

@@ -251,16 +251,20 @@ def run_service_bench(
     prefilter: str = "off",
     prefilter_options: dict | None = None,
 ) -> BenchEntry:
-    """Time the serving layer three ways on one fixed-seed workload.
+    """Time the serving layer on one fixed-seed workload.
 
     Rows: ``direct`` (one engine batch — the offline upper bound),
-    ``per_job`` (one engine call per request — what the service replaces)
-    and ``service`` (individual submissions through the adaptive batcher,
-    plus a cache-served resubmission round recorded in ``extra``).  The
-    ``speedup_vs_scalar`` column of the service rows is the speed-up over
-    *per-job submission* — the serving layer's own scalar baseline.
+    ``per_job`` (one engine call per request — what the service replaces),
+    ``service`` (individual submissions through the adaptive batcher,
+    drained inline), ``service_resubmit`` (the same submissions answered
+    from the cache) and ``service_burst`` (every submission in one burst
+    from one thread into a started service, timed until the last ticket
+    resolves: the row whose batches the background loop forms, recorded
+    in ``extra["burst_batches_formed"]``).  The ``speedup_vs_scalar``
+    column of the service rows is the speed-up over *per-job submission*
+    — the serving layer's own scalar baseline.
 
-    With ``process_workers > 0`` a fourth row, ``service_mp``, times the
+    With ``process_workers > 0`` another row, ``service_mp``, times the
     same workload through the distributed tier: a process-transport
     service with the ``batch`` dispatch policy (whole formed batches
     round-robined across worker processes).  Worker spawn happens before
@@ -303,18 +307,17 @@ def run_service_bench(
         for job in jobs:
             per_job_scores.append(engine.align_batch([job]).scores()[0])
 
-    service = AlignmentService(
-        config=AlignConfig(
-            engine="batched",
-            scoring=scoring,
-            xdrop=xdrop,
-            bin_width=500,
-            service=ServiceConfig(
-                max_batch_size=batch_size,
-                cache_capacity=4 * len(jobs),
-            ),
-        )
+    service_config = AlignConfig(
+        engine="batched",
+        scoring=scoring,
+        xdrop=xdrop,
+        bin_width=500,
+        service=ServiceConfig(
+            max_batch_size=batch_size,
+            cache_capacity=4 * len(jobs),
+        ),
     )
+    service = AlignmentService(config=service_config)
     service_timer = Timer()
     with service_timer:
         tickets = service.submit_many(jobs)
@@ -330,6 +333,16 @@ def run_service_bench(
         provenance=build_provenance(seed=seed)
     ).to_dict()
     service.shutdown()
+
+    burst_service = AlignmentService(config=service_config).start()
+    try:
+        burst_timer = Timer()
+        with burst_timer:
+            burst_tickets = burst_service.submit_many(jobs)
+            burst_scores = [t.result(timeout=120.0).score for t in burst_tickets]
+        burst_batches = burst_service.stats().batches_formed
+    finally:
+        burst_service.shutdown()
 
     mp_timer = None
     mp_scores: list[int] = []
@@ -421,6 +434,7 @@ def run_service_bench(
             resubmit_timer.elapsed,
             resubmit_scores == direct.scores(),
         ),
+        row("service_burst", burst_timer.elapsed, burst_scores == direct.scores()),
     ]
     extra = {
         "service_config": {
@@ -434,6 +448,7 @@ def run_service_bench(
         "mean_batch_size": stats.mean_batch_size,
         "cache_hit_rate": stats.cache.hit_rate,
         "kernel_live_fraction": stats.kernel_live_fraction,
+        "burst_batches_formed": burst_batches,
     }
     if mp_timer is not None:
         rows.append(

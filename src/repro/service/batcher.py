@@ -8,7 +8,9 @@ bin* (reusing :func:`repro.bella.binning.length_bin`, the same
 when either
 
 * it reaches ``max_batch_size`` jobs (the engine-sized batch), or
-* its oldest job has waited ``max_wait_seconds`` (latency bound), or
+* the worker is idle (:meth:`AdaptiveBatcher.due` flushes every pending
+  bin, so whatever arrived during the last engine call forms the next
+  batches and batch size follows load), or
 * the service drains (shutdown / explicit flush).
 
 This is the host-side batching of the paper's Section IV recast as a
@@ -18,7 +20,7 @@ device-sized batches the offline pipeline builds up front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..bella.binning import length_bin
 from ..errors import ServiceError
@@ -35,9 +37,6 @@ class BatchPolicy:
     ----------
     max_batch_size:
         Flush a bin as soon as it holds this many jobs.
-    max_wait_seconds:
-        Flush a bin once its oldest job has waited this long, even if the
-        bin is not full (bounds per-request latency under light traffic).
     bin_width:
         Length-bin width in bases; jobs whose ``query + target`` length
         falls in the same bin batch together.  ``0`` disables binning
@@ -45,7 +44,6 @@ class BatchPolicy:
     """
 
     max_batch_size: int = 64
-    max_wait_seconds: float = 0.05
     bin_width: int = 500
 
     def __post_init__(self) -> None:
@@ -53,8 +51,6 @@ class BatchPolicy:
             raise ServiceError(
                 f"max_batch_size must be positive, got {self.max_batch_size}"
             )
-        if self.max_wait_seconds < 0:
-            raise ServiceError("max_wait_seconds must be non-negative")
         if self.bin_width < 0:
             raise ServiceError("bin_width must be non-negative")
 
@@ -70,7 +66,8 @@ class FormedBatch:
     length_bin:
         The bin the batch was formed from.
     reason:
-        Why it flushed: ``"size"``, ``"wait"`` or ``"drain"``.
+        Why it flushed: ``"size"`` (the bin filled up), ``"idle"`` (the
+        worker was free) or ``"drain"`` (explicit drain or shutdown).
     """
 
     tickets: list[AlignmentTicket]
@@ -87,12 +84,6 @@ class FormedBatch:
         return [t.job for t in self.tickets]
 
 
-@dataclass
-class _Bin:
-    tickets: list[AlignmentTicket] = field(default_factory=list)
-    oldest_arrival: float = 0.0
-
-
 #: Occupancy buckets: powers of two up to the default engine batch size x4.
 _OCCUPANCY_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
@@ -102,12 +93,14 @@ class AdaptiveBatcher:
 
     def __init__(self, policy: BatchPolicy | None = None, obs=None) -> None:
         self.policy = policy or BatchPolicy()
-        self._bins: dict[int, _Bin] = {}
+        # Length bin -> its pending tickets; a flush pops the bin outright,
+        # so every bin present holds at least one ticket.
+        self._bins: dict[int, list[AlignmentTicket]] = {}
         self.batches_formed = 0
         #: Jobs in the flushed batches — the numerator of the mean batch
         #: size (cache hits and prefilter rejects never reach a bin).
         self.batched_jobs = 0
-        self.flush_reasons: dict[str, int] = {"size": 0, "wait": 0, "drain": 0}
+        self.flush_reasons: dict[str, int] = {"size": 0, "idle": 0, "drain": 0}
         self._obs = obs
         if obs is not None:
             self._formed_counter = obs.counter(
@@ -131,7 +124,7 @@ class AdaptiveBatcher:
     @property
     def pending(self) -> int:
         """Number of tickets waiting in the bins."""
-        return sum(len(b.tickets) for b in self._bins.values())
+        return sum(len(bucket) for bucket in self._bins.values())
 
     def _bin_of(self, ticket: AlignmentTicket) -> int:
         if self.policy.bin_width == 0:
@@ -141,17 +134,13 @@ class AdaptiveBatcher:
             job.query_length + job.target_length, self.policy.bin_width
         )
 
-    def add(self, ticket: AlignmentTicket, now: float) -> FormedBatch | None:
+    def add(self, ticket: AlignmentTicket) -> FormedBatch | None:
         """Admit one ticket; return a batch iff its bin just filled up."""
         index = self._bin_of(ticket)
-        bucket = self._bins.get(index)
-        if bucket is None:
-            # _flush_bin pops a bin outright, so a bucket present in the
-            # map always holds tickets — no empty-bucket arrival reset.
-            bucket = self._bins[index] = _Bin(oldest_arrival=now)
-        bucket.tickets.append(ticket)
+        bucket = self._bins.setdefault(index, [])
+        bucket.append(ticket)
         formed = None
-        if len(bucket.tickets) >= self.policy.max_batch_size:
+        if len(bucket) >= self.policy.max_batch_size:
             formed = self._flush_bin(index, "size")
         elif self._pending_gauge is not None:
             # The size-flush path refreshes the gauge inside _flush_bin;
@@ -160,51 +149,32 @@ class AdaptiveBatcher:
             self._pending_gauge.set(self.pending)
         return formed
 
-    def due(self, now: float) -> list[FormedBatch]:
-        """Batches whose oldest member has exceeded the wait bound."""
-        formed = []
-        for index in list(self._bins):
-            bucket = self._bins[index]
-            if (
-                bucket.tickets
-                and now - bucket.oldest_arrival >= self.policy.max_wait_seconds
-            ):
-                formed.append(self._flush_bin(index, "wait"))
-        return formed
-
-    def next_deadline(self, now: float) -> float | None:
-        """Seconds until the earliest wait-bound flush (None when empty)."""
-        arrivals = [
-            b.oldest_arrival for b in self._bins.values() if b.tickets
-        ]
-        if not arrivals:
-            return None
-        return max(0.0, min(arrivals) + self.policy.max_wait_seconds - now)
+    def due(self) -> list[FormedBatch]:
+        """Flush every pending bin because the worker is idle."""
+        return self._flush_every_bin("idle")
 
     def flush_all(self) -> list[FormedBatch]:
-        """Flush every non-empty bin (drain / shutdown path)."""
-        formed = [
-            self._flush_bin(index, "drain")
-            for index in list(self._bins)
-            if self._bins[index].tickets
-        ]
-        return formed
+        """Flush every pending bin (drain / shutdown path)."""
+        return self._flush_every_bin("drain")
+
+    def _flush_every_bin(self, reason: str) -> list[FormedBatch]:
+        return [self._flush_bin(index, reason) for index in list(self._bins)]
 
     def _flush_bin(self, index: int, reason: str) -> FormedBatch:
-        bucket = self._bins.pop(index)
+        tickets = self._bins.pop(index)
         self.batches_formed += 1
-        self.batched_jobs += len(bucket.tickets)
+        self.batched_jobs += len(tickets)
         self.flush_reasons[reason] += 1
         if self._formed_counter is not None:
             self._formed_counter.inc(reason=reason)
-            self._occupancy_hist.observe(len(bucket.tickets))
+            self._occupancy_hist.observe(len(tickets))
             self._pending_gauge.set(self.pending)
         if self._obs is not None:
             with self._obs.span(
                 "batcher.flush",
                 reason=reason,
-                size=len(bucket.tickets),
+                size=len(tickets),
                 length_bin=index,
             ):
                 pass
-        return FormedBatch(tickets=bucket.tickets, length_bin=index, reason=reason)
+        return FormedBatch(tickets=tickets, length_bin=index, reason=reason)

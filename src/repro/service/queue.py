@@ -183,16 +183,23 @@ class SubmissionQueue:
         for ticket in tickets:
             self.put(ticket, timeout=timeout)
 
-    def pop(self, max_items: int = 1, timeout: float | None = None) -> list[AlignmentTicket]:
-        """Dequeue up to *max_items* tickets in FIFO order.
+    def wait(self) -> bool:
+        """Block until a ticket is queued or the queue closes.
 
-        With ``timeout=None`` the call never blocks: it returns whatever is
-        immediately available (possibly nothing).  With a timeout it waits
-        up to that long for the first item.
+        The consumer's only wait: it takes nothing, so the caller can pop
+        under its own lock.  Returns False once the queue is closed.
         """
         with self._not_empty:
-            if timeout is not None and not self._items and not self._closed:
-                self._not_empty.wait(timeout)
+            while not self._items and not self._closed:
+                self._not_empty.wait()
+            return not self._closed
+
+    def pop(self, max_items: int = 1) -> list[AlignmentTicket]:
+        """Dequeue up to *max_items* tickets in FIFO order, without blocking.
+
+        Returns whatever is immediately available (possibly nothing).
+        """
+        with self._not_empty:
             taken: list[AlignmentTicket] = []
             while self._items and len(taken) < max_items:
                 taken.append(self._items.popleft())

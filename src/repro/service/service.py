@@ -16,15 +16,16 @@ individually submitted alignment requests:
 The service runs in two modes.  *Inline* (default): nothing happens until
 :meth:`drain`, which processes everything synchronously — deterministic,
 the mode tests and the BELLA pipeline use.  *Background*: :meth:`start`
-spawns a daemon thread that forms and dispatches batches as requests
-arrive, flushing partially filled bins after the policy's max-wait —
-the live-serving mode of the ``repro-service`` CLI.
+spawns a daemon thread that sleeps on the queue until a request arrives,
+then bins everything queued and dispatches it at once, partially filled
+bins included — whatever arrives during one engine call forms the next
+batches, so batch size follows load.  This is the live-serving mode of the
+``repro-service`` CLI.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -60,7 +61,7 @@ class ServiceStats:
         them (cache hits, durable-store hits and prefilter rejects never
         enter a batch).
     flush_reasons:
-        Breakdown of flushes: ``size`` / ``wait`` / ``drain``.
+        Breakdown of flushes: ``size`` / ``idle`` / ``drain``.
     cache:
         Cache counters (hits, misses, evictions, hit rate).
     cells, busy_seconds, throughput_gcups:
@@ -161,17 +162,15 @@ class AlignmentService:
         self.scoring = config.scoring
         self.xdrop = config.xdrop
         self.engine = engine_from_config(config)
-        self.policy = BatchPolicy(
-            max_batch_size=svc.max_batch_size,
-            max_wait_seconds=svc.max_wait_seconds,
-            bin_width=config.bin_width,
-        )
         # Every service gets a private metrics registry (two services never
         # mix series) sharing the process-wide tracer and flight recorder.
         # ServiceStats is a *view* over this registry.
         self.obs = get_observability().scoped()
         self.queue = SubmissionQueue(capacity=svc.queue_capacity, obs=self.obs)
-        self.batcher = AdaptiveBatcher(self.policy, obs=self.obs)
+        self.batcher = AdaptiveBatcher(
+            BatchPolicy(max_batch_size=svc.max_batch_size, bin_width=config.bin_width),
+            obs=self.obs,
+        )
         self.cache = ResultCache(capacity=svc.cache_capacity, obs=self.obs)
         self.transport = svc.transport
         if svc.transport == "process":
@@ -201,7 +200,6 @@ class AlignmentService:
             self._key_json = cache_key_to_json
         self._lock = threading.RLock()
         self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
         self._shutdown = False
         self._submitted_c = self.obs.counter(
             "repro_service_submitted_total", "jobs accepted by submit()"
@@ -441,11 +439,11 @@ class AlignmentService:
         """Provenance stamped onto exported snapshots and crash dumps."""
         return build_provenance(config=self.config)
 
-    def _pump(self, now: float) -> list[FormedBatch]:
+    def _pump(self) -> list[FormedBatch]:
         """Move queued tickets into the batcher; collect full batches."""
         formed: list[FormedBatch] = []
         for ticket in self.queue.pop(max_items=self.queue.capacity):
-            full = self.batcher.add(ticket, now)
+            full = self.batcher.add(ticket)
             if full is not None:
                 formed.append(full)
         return formed
@@ -459,7 +457,7 @@ class AlignmentService:
         aligned = 0
         with self._lock:
             while True:
-                batches = self._pump(time.monotonic())
+                batches = self._pump()
                 batches.extend(self.batcher.flush_all())
                 if not batches:
                     break
@@ -475,7 +473,6 @@ class AlignmentService:
         if self._shutdown:
             raise ServiceError("service has been shut down")
         if self._thread is None or not self._thread.is_alive():
-            self._stop.clear()
             self._thread = threading.Thread(
                 target=self._loop, name="alignment-service", daemon=True
             )
@@ -483,19 +480,15 @@ class AlignmentService:
         return self
 
     def _loop(self) -> None:
-        poll = max(self.policy.max_wait_seconds / 4, 0.001)
-        while not self._stop.is_set():
+        # Block outside the lock, so submit() and drain() never wait on an
+        # idle loop; pop under it, so drain() and shutdown() never miss a
+        # ticket that has left the queue but not yet reached the batcher.
+        while self.queue.wait():
             with self._lock:
-                now = time.monotonic()
-                batches = self._pump(now)
-                batches.extend(self.batcher.due(now))
+                batches = self._pump()
+                batches.extend(self.batcher.due())
                 for batch in batches:
                     self._dispatch(batch)
-                deadline = self.batcher.next_deadline(time.monotonic())
-            wait = poll if deadline is None else max(min(deadline, poll), 0.001)
-            # Sleep on the queue so a fresh submission wakes the loop early.
-            if self.queue.depth == 0:
-                time.sleep(wait)
 
     @property
     def running(self) -> bool:
@@ -509,8 +502,7 @@ class AlignmentService:
         if drain:
             self.drain()
         self._shutdown = True
-        self._stop.set()
-        self.queue.close()
+        self.queue.close()  # wakes the loop out of queue.wait()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None

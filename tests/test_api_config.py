@@ -46,7 +46,6 @@ def fancy_config() -> AlignConfig:
         service=ServiceConfig(
             num_workers=2,
             max_batch_size=16,
-            max_wait_seconds=0.01,
             cache_capacity=128,
             queue_capacity=64,
             worker_policy="batch",
@@ -126,7 +125,6 @@ class TestAlignConfigValidation:
         [
             ({"num_workers": 0}, "service.num_workers"),
             ({"max_batch_size": 0}, "service.max_batch_size"),
-            ({"max_wait_seconds": -0.1}, "service.max_wait_seconds"),
             ({"cache_capacity": -1}, "service.cache_capacity"),
             ({"queue_capacity": 0}, "service.queue_capacity"),
             ({"worker_policy": "cells"}, "service.worker_policy"),
@@ -146,9 +144,9 @@ class TestAlignConfigValidation:
         assert "engnie" in str(excinfo.value)
 
     def test_service_values_are_coerced(self):
-        svc = ServiceConfig(num_workers=2.5, max_wait_seconds=1, transport="process")
+        svc = ServiceConfig(num_workers=2.5, submit_timeout=1, transport="process")
         assert svc.num_workers == 2 and isinstance(svc.num_workers, int)
-        assert svc.max_wait_seconds == 1.0 and isinstance(svc.max_wait_seconds, float)
+        assert svc.submit_timeout == 1.0 and isinstance(svc.submit_timeout, float)
 
     def test_pipeline_rejects_zero_bin_width_early(self):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -167,6 +165,14 @@ class TestAlignConfigValidation:
     def test_service_from_dict_rejects_removed_autotune_options(self):
         with pytest.raises(ConfigurationError, match="'autotune_options'"):
             ServiceConfig.from_dict({"autotune_options": {"window": 4}})
+
+    def test_max_wait_seconds_removed(self):
+        # The background loop flushes whenever the worker is idle, so the
+        # wait bound is gone from the constructor and from saved configs.
+        with pytest.raises(TypeError):
+            ServiceConfig(max_wait_seconds=0.05)
+        with pytest.raises(ConfigurationError, match="'max_wait_seconds'"):
+            AlignConfig.from_dict({"service": {"max_wait_seconds": 0.05}})
 
     def test_invalid_json_raises_configuration_error(self):
         with pytest.raises(ConfigurationError):

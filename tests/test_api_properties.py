@@ -44,9 +44,6 @@ service_configs = st.sampled_from(["thread", "process"]).flatmap(
             min_value=1, max_value=8 if transport == "process" else 1
         ),
         max_batch_size=st.integers(min_value=1, max_value=512),
-        max_wait_seconds=st.floats(
-            min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False
-        ),
         cache_capacity=st.integers(min_value=0, max_value=1 << 16),
         queue_capacity=st.integers(min_value=1, max_value=1 << 16),
         worker_policy=st.just("batch"),

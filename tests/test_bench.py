@@ -380,5 +380,7 @@ class TestBenchmarkSmoke:
         rows = {row.engine: row for row in entry.rows}
         assert rows["service"].scores_identical_to_reference
         assert rows["service_resubmit"].scores_identical_to_reference
+        assert rows["service_burst"].scores_identical_to_reference
+        assert entry.extra["burst_batches_formed"] >= 1
         assert entry.extra["cache_hit_rate"] > 0
         assert entry.extra["kernel_live_fraction"] is not None

@@ -311,7 +311,6 @@ class TestReproService:
                 "--max-length", "300",
                 "--xdrop", "15",
                 "--batch-size", "3",
-                "--max-wait", "0.01",
                 "--repeat", "1",
                 "--json",
             ]
@@ -381,6 +380,11 @@ class TestReproService:
     def test_autotune_flag_removed(self):
         with pytest.raises(SystemExit) as excinfo:
             main_service(["serve", "--autotune", "on"])
+        assert excinfo.value.code == 2
+
+    def test_max_wait_flag_removed(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main_service(["serve", "--max-wait", "0.01"])
         assert excinfo.value.code == 2
 
 

@@ -459,10 +459,10 @@ class TestBatcherPendingGauge:
     """``repro_batcher_pending`` must equal ``pending`` after every mutation.
 
     The batcher has two code paths that refresh the gauge — the still-pending
-    admission branch in :meth:`add` and the flush path in ``_flush_bin`` — and
-    a per-bin limit override that changes which of the two fires.  This test
-    walks every path and asserts the invariant after each step, so a future
-    refactor cannot silently leave the gauge stale on one of them.
+    admission branch in :meth:`add` and the flush path in ``_flush_bin``,
+    reached by size, idle and drain flushes.  This test walks every path and
+    asserts the invariant after each step, so a future refactor cannot
+    silently leave the gauge stale on one of them.
     """
 
     def _ticket(self, length=100):
@@ -482,7 +482,7 @@ class TestBatcherPendingGauge:
 
         bundle = obs.get_observability().scoped()
         batcher = AdaptiveBatcher(
-            BatchPolicy(max_batch_size=3, bin_width=0, max_wait_seconds=0.5),
+            BatchPolicy(max_batch_size=3, bin_width=0),
             obs=bundle,
         )
 
@@ -491,26 +491,31 @@ class TestBatcherPendingGauge:
 
         check()  # declared at 0 before any traffic
         # Still-pending admissions refresh via the non-flush branch of add().
-        batcher.add(self._ticket(), now=0.0)
+        batcher.add(self._ticket())
         check()
-        batcher.add(self._ticket(), now=0.0)
+        batcher.add(self._ticket())
         check()
         # Third admission trips the size flush; gauge drops back to zero.
-        formed = batcher.add(self._ticket(), now=0.0)
+        formed = batcher.add(self._ticket())
         assert formed is not None and formed.reason == "size"
         check()
         assert batcher.pending == 0
 
-        # Wait-bound flush (due) refreshes through _flush_bin as well.
-        batcher.add(self._ticket(), now=10.0)
+        # Idle flush (due) refreshes through _flush_bin as well, and is
+        # counted under its own reason.
+        batcher.add(self._ticket())
         check()
-        assert batcher.due(now=10.6)
+        (idle,) = batcher.due()
+        assert idle.reason == "idle" and idle.size == 1
         check()
         assert batcher.pending == 0
+        assert bundle.registry.snapshot().value(
+            "repro_batches_formed_total", reason="idle"
+        ) == 1
 
         # Drain path: two tickets pending in the one bin, flush_all empties it.
-        batcher.add(self._ticket(), now=30.0)
-        batcher.add(self._ticket(), now=30.0)
+        batcher.add(self._ticket())
+        batcher.add(self._ticket())
         check()
         assert len(batcher.flush_all()) == 1
         check()

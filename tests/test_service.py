@@ -9,6 +9,7 @@ formed and cache hits on resubmission.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -16,6 +17,7 @@ import pytest
 
 from repro.api import AlignConfig, ServiceConfig
 from repro.bella import BellaPipeline
+from repro.bella.binning import length_bin
 from repro.core import ScoringScheme, Seed
 from repro.core.job import AlignmentJob
 from repro.data import PairSetSpec, generate_pair_set
@@ -255,52 +257,57 @@ class TestAdaptiveBatcher:
 
     def test_size_triggered_flush(self):
         batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=3, bin_width=0))
-        assert batcher.add(self._ticket(100), now=0.0) is None
-        assert batcher.add(self._ticket(100), now=0.0) is None
-        batch = batcher.add(self._ticket(100), now=0.0)
+        assert batcher.add(self._ticket(100)) is None
+        assert batcher.add(self._ticket(100)) is None
+        batch = batcher.add(self._ticket(100))
         assert batch is not None and batch.size == 3 and batch.reason == "size"
         assert batcher.pending == 0
 
     def test_length_binning_separates_classes(self):
         batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=8, bin_width=500))
-        batcher.add(self._ticket(100), now=0.0)   # bin 0 (total 200)
-        batcher.add(self._ticket(400), now=0.0)   # bin 1 (total 800)
+        batcher.add(self._ticket(100))   # bin 0 (total 200)
+        batcher.add(self._ticket(400))   # bin 1 (total 800)
         batches = batcher.flush_all()
         assert len(batches) == 2
         assert {b.reason for b in batches} == {"drain"}
 
-    def test_wait_triggered_flush(self):
-        batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=8, max_wait_seconds=0.5))
-        batcher.add(self._ticket(100), now=10.0)
-        assert batcher.due(now=10.2) == []
-        assert batcher.next_deadline(now=10.2) == pytest.approx(0.3)
-        due = batcher.due(now=10.6)
-        assert len(due) == 1 and due[0].reason == "wait"
-        assert batcher.next_deadline(now=10.6) is None
+    def test_idle_flush_takes_every_pending_bin(self):
+        # due() flushes every partially filled bin at once, however young
+        # its tickets.
+        batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=8, bin_width=500))
+        batcher.add(self._ticket(100))   # bin 0
+        batcher.add(self._ticket(100))   # bin 0
+        batcher.add(self._ticket(400))   # bin 1
+        due = batcher.due()
+        assert sorted((b.length_bin, b.size) for b in due) == [(0, 2), (1, 1)]
+        assert {b.reason for b in due} == {"idle"}
+        assert batcher.pending == 0
+        assert batcher.due() == []
+        assert batcher.flush_reasons == {"size": 0, "idle": 2, "drain": 0}
 
     def test_batched_jobs_counts_size_flushes(self):
         batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=2, bin_width=0))
         for _ in range(5):
-            batcher.add(self._ticket(100), now=0.0)
+            batcher.add(self._ticket(100))
         # Two full batches flushed; the fifth ticket still waits in its bin.
         assert batcher.batches_formed == 2
         assert batcher.batched_jobs == 4
         assert batcher.pending == 1
 
-    def test_batched_jobs_counts_wait_flushes(self):
-        batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=8, max_wait_seconds=0.5))
-        batcher.add(self._ticket(100), now=0.0)
-        batcher.add(self._ticket(100), now=0.1)
+    def test_batched_jobs_counts_idle_flushes(self):
+        batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=8))
+        batcher.add(self._ticket(100))
+        batcher.add(self._ticket(100))
         assert batcher.batched_jobs == 0
-        (due,) = batcher.due(now=1.0)
+        (due,) = batcher.due()
         assert due.size == 2
         assert batcher.batches_formed == 1 and batcher.batched_jobs == 2
 
     def test_batched_jobs_counts_drain_flushes_across_bins(self):
         batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=8, bin_width=500))
-        batcher.add(self._ticket(100), now=0.0)   # bin 0
-        batcher.add(self._ticket(100), now=0.0)   # bin 0
-        batcher.add(self._ticket(400), now=0.0)   # bin 1
+        batcher.add(self._ticket(100))   # bin 0
+        batcher.add(self._ticket(100))   # bin 0
+        batcher.add(self._ticket(400))   # bin 1
         batches = batcher.flush_all()
         assert sorted(b.size for b in batches) == [1, 2]
         assert batcher.batches_formed == 2 and batcher.batched_jobs == 3
@@ -310,7 +317,12 @@ class TestAdaptiveBatcher:
         with pytest.raises(ServiceError):
             BatchPolicy(max_batch_size=0)
         with pytest.raises(ServiceError):
-            BatchPolicy(max_wait_seconds=-1.0)
+            BatchPolicy(bin_width=-1)
+
+    def test_max_wait_seconds_removed(self):
+        # The wait bound is gone: the background loop flushes on idle.
+        with pytest.raises(TypeError):
+            BatchPolicy(max_wait_seconds=0.05)
 
 
 class TestShardedWorkerPool:
@@ -388,15 +400,61 @@ class TestAlignmentServiceEndToEnd:
         jobs = mixed_jobs(num_pairs=9, rng_seed=17)
         direct = get_engine("batched", scoring=SCORING, xdrop=25).align_batch(jobs)
         service = AlignmentService(
-            config=batched_config(xdrop=25, max_batch_size=4, max_wait_seconds=0.01)
+            config=batched_config(xdrop=25, max_batch_size=4)
         ).start()
         try:
             tickets = service.submit_many(jobs)
-            # No drain(): the background loop must flush via size/wait.
+            # No drain(): the background loop must flush via size/idle.
             results = [t.result(timeout=30.0) for t in tickets]
             assert [r.score for r in results] == direct.scores()
         finally:
             service.shutdown()
+        assert not service.running
+
+    def test_queued_tickets_form_one_idle_batch_per_bin(self):
+        # Tickets queued before start() are all binned on the loop's first
+        # pass and flushed at once: one batch per length bin, none held.
+        jobs = mixed_jobs(num_pairs=12, rng_seed=37)
+        bins = {length_bin(j.query_length + j.target_length, 500) for j in jobs}
+        assert len(bins) > 1
+        direct = get_engine("batched", scoring=SCORING, xdrop=25).align_batch(jobs)
+        service = AlignmentService(config=batched_config(xdrop=25))
+        try:
+            tickets = service.submit_many(jobs)
+            service.start()
+            results = [t.result(timeout=30.0) for t in tickets]
+            assert [r.score for r in results] == direct.scores()
+            stats = service.stats()
+            assert stats.batches_formed == len(bins)
+            assert stats.flush_reasons == {"size": 0, "idle": len(bins), "drain": 0}
+        finally:
+            service.shutdown()
+
+    def test_idle_service_makes_no_loop_pass(self):
+        # With nothing queued the loop blocks on the queue instead of
+        # polling the batcher.
+        service = AlignmentService(config=batched_config())
+        calls = []
+        due = service.batcher.due
+
+        def counting_due(*args):
+            calls.append(args)
+            return due(*args)
+
+        service.batcher.due = counting_due
+        service.start()
+        try:
+            time.sleep(0.3)
+            assert calls == []
+        finally:
+            service.shutdown()
+
+    def test_shutdown_wakes_idle_loop(self):
+        service = AlignmentService(config=batched_config()).start()
+        time.sleep(0.05)  # let the loop block on the empty queue
+        began = time.monotonic()
+        service.shutdown()
+        assert time.monotonic() - began < 1.0
         assert not service.running
 
     def test_map_convenience(self):
@@ -447,7 +505,7 @@ class TestAlignmentServiceEndToEnd:
     def test_background_submit_counters_are_consistent(self):
         jobs = mixed_jobs(num_pairs=12, rng_seed=31)
         service = AlignmentService(
-            config=batched_config(xdrop=20, max_batch_size=3, max_wait_seconds=0.005)
+            config=batched_config(xdrop=20, max_batch_size=3)
         ).start()
         try:
             tickets = service.submit_many(jobs + jobs)  # duplicates race the loop
@@ -483,9 +541,7 @@ class TestServiceUnderLoad:
         jobs = self._skewed_jobs()
         direct = get_engine("batched", scoring=SCORING, xdrop=25).align_batch(jobs)
         service = AlignmentService(
-            config=batched_config(
-                xdrop=25, max_batch_size=5, max_wait_seconds=0.005
-            )
+            config=batched_config(xdrop=25, max_batch_size=5)
         ).start()
         try:
             per_thread: list[list] = [[] for _ in range(self.NUM_PRODUCERS)]
@@ -553,7 +609,7 @@ class TestServiceUnderLoad:
     def test_resubmission_after_settle_is_all_hits(self):
         jobs = self._skewed_jobs()[:12]
         service = AlignmentService(
-            config=batched_config(xdrop=25, max_batch_size=4, max_wait_seconds=0.005)
+            config=batched_config(xdrop=25, max_batch_size=4)
         ).start()
         try:
             for t in service.submit_many(jobs):
@@ -587,6 +643,46 @@ class TestServiceUnderLoad:
             assert after.cache.hits == before.cache.hits + len(hits)
             assert after.cells == before.cells
         finally:
+            service.shutdown()
+
+    def test_drain_races_the_loop_without_missing_a_ticket(self):
+        # The loop pops under the service lock, so when drain() returns no
+        # ticket submitted before it can still sit between the queue and
+        # the batcher.  Producers outnumber the cores and the switch
+        # interval is shortened so the loop is preempted everywhere.
+        jobs = mixed_jobs(num_pairs=6, rng_seed=53, max_length=300)
+        service = AlignmentService(
+            config=batched_config(xdrop=20, max_batch_size=4, cache_capacity=0)
+        ).start()
+        errors: list[BaseException] = []
+
+        def producer() -> None:
+            try:
+                for _ in range(4):
+                    tickets = service.submit_many(jobs)
+                    service.drain()
+                    assert all(t.done() for t in tickets)
+            except BaseException as error:  # pragma: no cover - fail loud
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=producer, daemon=True)
+                for _ in range(self.NUM_PRODUCERS)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert all(not t.is_alive() for t in threads)
+            assert not errors
+            stats = service.stats()
+            total = self.NUM_PRODUCERS * 4 * len(jobs)
+            assert stats.submitted == stats.completed == total
+        finally:
+            sys.setswitchinterval(interval)
             service.shutdown()
 
 
