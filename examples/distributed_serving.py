@@ -5,11 +5,11 @@ durable state that survives a restart.
 Walks the whole :mod:`repro.distrib` surface:
 
 * an :class:`~repro.distrib.AlignmentServer` wrapping a process-transport
-  :class:`~repro.service.AlignmentService` (two spawned workers, whole
-  batches round-robined across them),
+  :class:`~repro.service.AlignmentService` (one spawned worker process
+  that runs every formed batch whole),
 * a :class:`~repro.distrib.ServiceClient` submitting over the wire and
-  reading back the fleet-merged metrics (worker-process kernel counters
-  folded into the coordinator's registry),
+  reading back the merged metrics (worker-process kernel counters folded
+  into the coordinator's registry),
 * a durable SQLite state file: after the server is torn down, a *new*
   service on the same file answers every request from the durable result
   table without aligning anything.
@@ -20,8 +20,8 @@ Run from the repository root::
 
     PYTHONPATH=src python examples/distributed_serving.py
 
-(The ``__main__`` guard is required: spawned worker processes re-import
-this module.)
+(The ``__main__`` guard is required: the spawned worker process
+re-imports this module.)
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ def main() -> None:
         engine="batched",
         xdrop=XDROP,
         service=ServiceConfig(
-            num_workers=2,
             transport="process",
             max_batch_size=16,
             state_path=state_path,
@@ -81,15 +80,12 @@ def main() -> None:
                 f"{sum(cached)} cache hits)"
             )
             snap = client.metrics()
-            for shard in ("0", "1"):
-                heat = snap.value(
-                    "repro_worker_jobs_total", default=0.0, shard=shard
-                )
-                print(f"worker shard {shard}: {heat:.0f} jobs")
+            heat = snap.value("repro_worker_jobs_total", default=0.0, shard="0")
+            print(f"worker shard 0: {heat:.0f} jobs")
             kernel_rows = snap.value(
                 "repro_engine_jobs_total", default=0.0, engine="batched"
             )
-            print(f"engine counters merged from workers: {kernel_rows:.0f} jobs")
+            print(f"engine counters merged from the worker: {kernel_rows:.0f} jobs")
 
     # -- restart: the durable result table answers everything -------------
     with AlignmentService(

@@ -110,12 +110,12 @@ class ServiceConfig:
     Attributes
     ----------
     num_workers:
-        Worker processes of the process transport, fed whole formed
-        batches round-robin.  Must be 1 on the thread transport, which
-        runs every batch inline: threads cannot overlap the GIL-bound
-        kernel, so splitting a batch across them only slowed it down.
-        Dispatch is serialized, so extra processes take turns; two
-        measured within host noise of one.
+        Workers of the pool; 1 is the default and only value, kept so
+        saved configs that name it still load.  Each transport runs one
+        worker, and the service waits for each batch under its lock, so
+        a second process worker only took turns (within host noise of
+        one on the ``service_mp`` bench row).  To align in parallel, set
+        :attr:`AlignConfig.workers`.
     max_batch_size:
         Adaptive batcher flush bound (engine-sized batch).  A bin flushes
         when it fills up or, in background mode, as soon as the worker is
@@ -133,7 +133,7 @@ class ServiceConfig:
     transport:
         ``"thread"`` (default) runs each formed batch inline in the
         coordinator, on the thread that dispatches it; ``"process"``
-        spawns ``num_workers`` worker processes fed through shared memory
+        spawns one worker process fed through shared memory
         (``repro.distrib``), taking engine dispatch out of the
         coordinator's GIL.
     state_path:
@@ -166,11 +166,12 @@ class ServiceConfig:
 
     def __post_init__(self) -> None:
         _require(
-            int(self.num_workers) >= 1,
+            self.num_workers == 1,
             "service.num_workers",
-            f"must be >= 1, got {self.num_workers}",
+            f"must be 1 (each transport runs one worker), got "
+            f"{self.num_workers!r}; set AlignConfig.workers to align in parallel",
         )
-        object.__setattr__(self, "num_workers", int(self.num_workers))
+        object.__setattr__(self, "num_workers", 1)
         _require(
             int(self.max_batch_size) >= 1,
             "service.max_batch_size",
@@ -205,12 +206,6 @@ class ServiceConfig:
             self.transport in _TRANSPORTS,
             "service.transport",
             f"must be one of {', '.join(_TRANSPORTS)}, got {self.transport!r}",
-        )
-        _require(
-            self.num_workers == 1 or self.transport == "process",
-            "service.num_workers",
-            f"must be 1 with transport='thread', got {self.num_workers}; "
-            "use transport='process' for more workers",
         )
         if self.state_path is not None:
             _require(
@@ -293,7 +288,15 @@ class AlignConfig:
     xdrop:
         X-drop termination threshold.
     workers:
-        Local worker processes of the engine's measured run.
+        Processes one engine call splits its batch across — the one way to
+        align in parallel (LOGAN's split of a batch across GPUs, on CPU
+        processes).  Results are bit-identical to ``workers=1``.  It pays
+        only on large batches: on a 2-vCPU host (``batched``, X=50,
+        200-900 bp), 2 workers against 1 took 1.81 s vs 3.33 s at 1024
+        pairs and 0.60 s vs 0.81 s at 256, but lost at 64 pairs (0.34 s vs
+        0.31 s) and 8 (0.20 s vs 0.16 s) — so it loses on the service's
+        batches, which hold at most ``service.max_batch_size`` (default
+        64) pairs.
     trace:
         Record per-anti-diagonal band traces in every result.
     seed_policy:
@@ -591,7 +594,7 @@ class Aligner:
 _CONFIG_FLAGS = (
     ("engine", "--engine", str, "alignment engine from the registry"),
     ("xdrop", "--xdrop", int, "X-drop termination threshold"),
-    ("workers", "--workers", int, "local worker processes"),
+    ("workers", "--workers", int, "processes one engine call splits its batch across"),
     ("seed_policy", "--seed-policy", str, "default seed anchor (start|middle)"),
     ("bin_width", "--bin-width", int, "length/diagonal bin width in bases"),
 )
@@ -605,7 +608,6 @@ _SCORING_FLAGS = (
 
 #: (field, flag, type, help) rows for the nested ServiceConfig.
 _SERVICE_FLAGS = (
-    ("num_workers", "--num-workers", int, "worker processes (--transport process)"),
     ("max_batch_size", "--batch-size", int, "engine-sized batch (flush bound)"),
     ("cache_capacity", "--cache-capacity", int, "LRU result-cache entries"),
     ("queue_capacity", "--queue-capacity", int, "submission queue bound"),

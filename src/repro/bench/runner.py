@@ -247,7 +247,7 @@ def run_service_bench(
     batch_size: int = 48,
     quick: bool = False,
     label: str = "",
-    process_workers: int = 0,
+    process: bool = False,
     prefilter: str = "off",
     prefilter_options: dict | None = None,
 ) -> BenchEntry:
@@ -264,13 +264,12 @@ def run_service_bench(
     column of the service rows is the speed-up over *per-job submission*
     — the serving layer's own scalar baseline.
 
-    With ``process_workers > 0`` another row, ``service_mp``, times the
-    same workload through the distributed tier: a process-transport
-    service with the ``batch`` dispatch policy (whole formed batches
-    round-robined across worker processes).  Worker spawn happens before
-    the timed round, and a separately-seeded warm-up batch per worker
-    excludes interpreter start-up from the measurement.  Entries with a
-    process row carry ``extra["workload"]`` so they form their own
+    With ``process=True`` another row, ``service_mp``, times the same
+    workload through the process transport: every formed batch whole on
+    its one spawned worker process, through shared memory.  The worker is
+    spawned and warmed with one separately-seeded batch before the timed
+    round, so interpreter start-up stays out of the measurement.  Entries
+    with a process row carry ``extra["workload"]`` so they form their own
     baseline series and never shift the default-series trajectory.
 
     With ``prefilter != "off"`` the workload switches to the mixed
@@ -346,7 +345,7 @@ def run_service_bench(
 
     mp_timer = None
     mp_scores: list[int] = []
-    if process_workers > 0:
+    if process:
         mp_service = AlignmentService(
             config=AlignConfig(
                 engine="batched",
@@ -354,7 +353,6 @@ def run_service_bench(
                 xdrop=xdrop,
                 bin_width=500,
                 service=ServiceConfig(
-                    num_workers=process_workers,
                     max_batch_size=batch_size,
                     cache_capacity=4 * len(jobs),
                     transport="process",
@@ -362,18 +360,14 @@ def run_service_bench(
             )
         )
         try:
-            # One warm batch per worker (round-robin dispatch) so spawn
-            # and first-touch costs stay out of the timed round.  Warm
-            # jobs use a different seed so the cache cannot answer the
-            # measured submissions.
-            for round_index in range(process_workers):
-                warm = service_bench_jobs(
-                    max(2, batch_size // 4), seed + 1 + round_index
-                )
-                warm_tickets = mp_service.submit_many(warm)
-                mp_service.drain()
-                for ticket in warm_tickets:
-                    ticket.result(timeout=120.0)
+            # One warm batch so spawn and first-touch costs stay out of
+            # the timed round.  The warm jobs use a different seed so the
+            # cache cannot answer the measured submissions.
+            warm = service_bench_jobs(max(2, batch_size // 4), seed + 1)
+            warm_tickets = mp_service.submit_many(warm)
+            mp_service.drain()
+            for ticket in warm_tickets:
+                ticket.result(timeout=120.0)
             mp_timer = Timer()
             with mp_timer:
                 mp_tickets = mp_service.submit_many(jobs)
@@ -454,13 +448,14 @@ def run_service_bench(
         rows.append(
             row("service_mp", mp_timer.elapsed, mp_scores == direct.scores())
         )
-        extra["service_config"]["process_workers"] = process_workers
+        extra["service_config"]["process_workers"] = 1
         # Presence of extra["workload"] changes BenchEntry.signature(), so
         # process-transport runs start their own baseline series instead
-        # of gating (or loosening) the default thread-transport one.
+        # of gating (or loosening) the default thread-transport one.  The
+        # keys match the recorded one-worker-process entries.
         extra["workload"] = {
             "workers": 1,
-            "process_workers": process_workers,
+            "process_workers": 1,
             "worker_policy": "batch",
         }
     if pf_timer is not None:

@@ -9,10 +9,10 @@ A :class:`BaselineStore` wraps one JSON file (``BENCH_engines.json`` /
     }
 
 Entries are only ever appended — the stored trajectory is the project's
-recorded performance history, diffable in version control.  The legacy
-single-snapshot formats the pre-subsystem scripts wrote are read
-transparently as a one-entry trajectory, so the first recorded baseline
-(the pre-compaction kernel) remains the comparison anchor.
+recorded performance history, diffable in version control.  Both committed
+trajectories start with the converted pre-subsystem snapshot (timestamp
+``"legacy"``), so the first recorded baseline (the pre-compaction kernel)
+remains the comparison anchor.
 """
 
 from __future__ import annotations
@@ -21,62 +21,11 @@ import json
 from pathlib import Path
 
 from ..errors import ConfigurationError
-from .schema import BenchEntry, BenchResult
+from .schema import BenchEntry
 
 __all__ = ["BaselineStore"]
 
 _SCHEMA = "repro-bench-trajectory/1"
-
-
-def _legacy_engines_entry(data: dict) -> BenchEntry:
-    """Convert the pre-subsystem ``BENCH_engines.json`` snapshot."""
-    return BenchEntry(
-        kind="engines",
-        label="legacy snapshot (pre-bench-subsystem)",
-        timestamp="legacy",
-        batch_size=int(data.get("batch_size", 0)),
-        xdrop=int(data.get("xdrop", 0)),
-        rng_seed=int(data.get("rng_seed", 0)),
-        scoring={k: int(v) for k, v in dict(data.get("scoring", {})).items()},
-        rows=[BenchResult.from_dict(row) for row in data.get("engines", [])],
-    )
-
-
-def _legacy_service_entry(data: dict) -> BenchEntry:
-    """Convert the pre-subsystem ``BENCH_service.json`` snapshot."""
-    workload = dict(data.get("workload", {}))
-    rows = []
-    per_job_seconds = float(
-        dict(data.get("rows", {})).get("per_job", {}).get("seconds", 0.0)
-    )
-    for name, row in dict(data.get("rows", {})).items():
-        seconds = float(row.get("seconds", 0.0))
-        rows.append(
-            BenchResult(
-                engine=name,
-                measured_seconds=seconds,
-                measured_gcups=float(row.get("gcups", 0.0)),
-                speedup_vs_scalar=(
-                    per_job_seconds / seconds if seconds > 0 else 0.0
-                ),
-                scores_identical_to_reference=True,
-                cells=int(workload.get("cells", 0)),
-            )
-        )
-    return BenchEntry(
-        kind="service",
-        label="legacy snapshot (pre-bench-subsystem)",
-        timestamp="legacy",
-        batch_size=int(workload.get("pairs", 0)),
-        xdrop=int(workload.get("xdrop", 0)),
-        rng_seed=int(workload.get("rng_seed", 0)),
-        # The legacy script always benchmarked the default scoring scheme
-        # (it recorded no scoring field).
-        scoring={"match": 1, "mismatch": -1, "gap": -1},
-        quick=bool(workload.get("smoke", False)),
-        rows=rows,
-        extra={"service_config": dict(data.get("service_config", {}))},
-    )
 
 
 class BaselineStore:
@@ -104,14 +53,9 @@ class BaselineStore:
             ) from error
         if isinstance(data, dict) and "trajectory" in data:
             return [BenchEntry.from_dict(e) for e in data["trajectory"]]
-        # Legacy single-snapshot formats become a one-entry trajectory.
-        if isinstance(data, dict) and "engines" in data:
-            return [_legacy_engines_entry(data)]
-        if isinstance(data, dict) and "rows" in data:
-            return [_legacy_service_entry(data)]
         raise ConfigurationError(
             f"baseline store {self.path} has an unrecognised layout "
-            "(expected a trajectory or a legacy benchmark snapshot)"
+            "(expected a trajectory)"
         )
 
     def latest(self, kind: str | None = None) -> BenchEntry | None:

@@ -404,13 +404,11 @@ def main_bench_perf(argv: Sequence[str] | None = None) -> int:
         help="also benchmark the serving layer (BENCH_service.json)",
     )
     parser.add_argument(
-        "--process-workers",
-        type=int,
-        default=0,
-        metavar="N",
+        "--process",
+        action="store_true",
         help=(
             "with --service: also time a process-transport service_mp row "
-            "with N worker processes (0 = skip; starts its own series)"
+            "(starts its own series)"
         ),
     )
     parser.add_argument(
@@ -561,7 +559,7 @@ def main_bench_perf(argv: Sequence[str] | None = None) -> int:
             seed=args.seed,
             quick=args.quick,
             label=args.label,
-            process_workers=args.process_workers,
+            process=args.process,
             prefilter=args.prefilter,
         )
         payload["service"] = service_entry.to_dict()
@@ -858,7 +856,7 @@ def _serve_network(args, parser, config) -> int:
     }
     print(json.dumps(ready), flush=True)
     # Blocks until SIGINT/SIGTERM or a client 'shutdown' op, then drains
-    # the queue, flushes durable state and joins the workers.
+    # the queue, flushes durable state and joins the worker.
     server.serve_forever(install_signal_handlers=True)
     stats = server.service.stats()
     if args.flight_recorder_out and server.service.obs.recorder is not None:

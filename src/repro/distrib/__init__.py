@@ -3,11 +3,12 @@
 This package extends the in-process serving layer (``repro.service``) across
 three boundaries the coordinator previously never crossed:
 
-* **Process boundary** — :class:`ProcessWorkerPool` spawns ``multiprocessing``
-  workers and feeds them whole packed job blocks through shared memory
-  (``repro.distrib.shm``), so the GIL no longer serialises engine dispatch.
-  Results come back as packed ``int64`` tables; per-worker metric deltas and
-  flight-recorder dumps ride along and are merged at the coordinator.
+* **Process boundary** — :class:`ProcessWorkerPool` spawns one
+  ``multiprocessing`` worker and feeds it whole packed job blocks through
+  shared memory (``repro.distrib.shm``), so engine dispatch runs outside the
+  coordinator's GIL.  Results come back as packed ``int64`` tables; the
+  worker's metric deltas and flight-recorder dumps ride along and are merged
+  at the coordinator.  Parallel alignment is ``AlignConfig.workers``.
 * **Restart boundary** — :class:`DurableStore` keeps the submission queue and
   the result cache in a WAL-mode SQLite file.  Jobs that were in flight when
   the process died are redelivered on the next start; completed results

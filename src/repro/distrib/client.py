@@ -38,7 +38,7 @@ class ServiceClient:
             ) from exc
 
     def ping(self) -> dict[str, Any]:
-        """Server identity (pid, engine, transport, workers)."""
+        """Server identity (pid, engine, transport, state path)."""
         return self._request({"op": "ping"})["server"]
 
     def submit(

@@ -1,17 +1,20 @@
-"""Multi-process worker pool with shared-memory dispatch and crash recovery.
+"""Worker-process transport with shared-memory dispatch and crash recovery.
 
 Drop-in peer of :class:`repro.service.ShardedWorkerPool` (same ``run_batch``
--> ``PoolRun`` contract, same per-shard metrics), but the workers are
-spawned interpreter processes instead of the calling thread, so engine
+-> ``PoolRun`` contract, same ``shard="0"`` metrics), but the worker is a
+spawned interpreter process instead of the calling thread, so engine
 dispatch runs outside the coordinator's GIL.
 
-Each formed batch ships whole to one worker, round-robin across workers,
-so no batch pays the per-step cost of being split into smaller kernel
-calls.  Dispatch is serialized: the service calls :meth:`run_batch` under
-its lock and the call blocks until the batch's results are back, so extra
-workers take turns rather than overlap.  Two workers measured within host
-noise of one on a 2-vCPU host (1.21 s against 1.25-1.40 s at batch 32,
-1.49-1.61 s at batch 64); more workers pay only once dispatches overlap.
+One worker process runs every formed batch whole.  The service calls
+:meth:`run_batch` under its lock and waits for the results, so a second
+worker could only take turns with the first: two measured within host
+noise of one on the 192-pair ``service_mp`` bench row.  To align in
+parallel, set ``AlignConfig.workers``, which splits one engine call across
+processes (inside the worker, on this transport).
+
+The worker's ``repro_worker_busy_seconds_total`` is its engine time; the
+service's ``repro_service_busy_seconds_total`` is the coordinator's round
+trip, so the gap between them is the shared-memory transfer cost.
 
 Crash handling: a worker that dies mid-batch (detected by liveness checks
 while waiting on the result queue) is respawned and the batch — whose
@@ -43,29 +46,26 @@ _POLL_SECONDS = 0.2
 
 @dataclass
 class _Shard:
-    """One dispatched batch: its worker, shm block and task."""
+    """One dispatched batch: its shm block and task."""
 
-    worker_index: int
     block: SharedJobBlock
     task: dict
     redeliveries: int = 0
 
 
 class ProcessWorkerPool:
-    """Spawned worker processes, each formed batch sent whole to one of them.
+    """One spawned worker process that runs each formed batch whole.
 
     Parameters
     ----------
     config:
-        The full alignment config; each worker rebuilds its engine from
+        The full alignment config; the worker rebuilds its engine from
         ``config.to_dict()`` in its own interpreter.  Trace mode is
         rejected — packed result tables carry no band-width traces.
-    num_workers:
-        Number of worker processes, fed round-robin.
     fault_injection:
-        Test hook: ``{worker_index: {"after": n}}`` makes that worker
-        hard-exit on its *n*-th task.  Consumed on first spawn only, so a
-        respawned worker runs clean.
+        Test hook: ``{"after": n}`` makes the worker hard-exit on its
+        *n*-th task.  Consumed on first spawn only, so the respawned
+        worker runs clean.
     max_redeliveries:
         How many times one batch may be redelivered after worker deaths
         before it fails.
@@ -74,15 +74,11 @@ class ProcessWorkerPool:
     def __init__(
         self,
         config: AlignConfig,
-        num_workers: int = 2,
+        *,
         obs=None,
         fault_injection: dict | None = None,
         max_redeliveries: int = 2,
     ) -> None:
-        if num_workers <= 0:
-            raise ServiceError(
-                f"num_workers must be positive, got {num_workers}"
-            )
         if config.trace:
             raise ConfigurationError(
                 "transport='process' cannot carry band-width traces: packed "
@@ -90,22 +86,17 @@ class ProcessWorkerPool:
                 "trace mode"
             )
         self.config = config
-        self.num_workers = int(num_workers)
         self.max_redeliveries = int(max_redeliveries)
-        self.worker_stats = [
-            WorkerStats(worker_index=i) for i in range(self.num_workers)
-        ]
+        self.worker_stats = [WorkerStats(worker_index=0)]
         self.crashes = 0
         self.last_crash_dump: dict | None = None
-        self._fault_injection = dict(fault_injection or {})
+        self._fault = fault_injection
         self._ctx = mp.get_context("spawn")
         self._result_queue = self._ctx.Queue()
-        self._task_queues: list = [None] * self.num_workers
-        self._procs: list = [None] * self.num_workers
+        self._task_queue = None
+        self._proc = None
         self._spec = {"config": config.to_dict()}
         self._seq = 0
-        self._round_robin = 0
-        self._started = False
         self._closed = False
 
         self._obs = obs
@@ -136,51 +127,46 @@ class ProcessWorkerPool:
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn the worker processes (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        for index in range(self.num_workers):
-            self._spawn(index)
+        """Spawn the worker process (idempotent)."""
+        if self._proc is None and not self._closed:
+            self._spawn()
 
-    def _spawn(self, index: int) -> None:
-        task_queue = self._ctx.Queue()
+    def _spawn(self) -> None:
+        self._close_task_queue()
         spec = dict(self._spec)
-        fault = self._fault_injection.pop(index, None)
-        if fault is not None:
-            spec["fault"] = fault
-        proc = self._ctx.Process(
+        if self._fault:
+            spec["fault"], self._fault = self._fault, None
+        self._task_queue = self._ctx.Queue()
+        self._proc = self._ctx.Process(
             target=worker_main,
-            args=(index, task_queue, self._result_queue, spec),
+            args=(0, self._task_queue, self._result_queue, spec),
             daemon=True,
-            name=f"repro-worker-{index}",
+            name="repro-worker-0",
         )
-        proc.start()
-        self._task_queues[index] = task_queue
-        self._procs[index] = proc
+        self._proc.start()
+
+    def _close_task_queue(self) -> None:
+        if self._task_queue is not None:
+            self._task_queue.close()
+            self._task_queue.cancel_join_thread()
 
     def shutdown(self) -> None:
-        """Send sentinels, join workers, drop the queues."""
+        """Send the sentinel, join the worker, drop the queues."""
         if self._closed:
             return
         self._closed = True
-        if self._started:
-            for task_queue, proc in zip(self._task_queues, self._procs):
-                if proc is not None and proc.is_alive():
-                    try:
-                        task_queue.put(None)
-                    except (OSError, ValueError):
-                        pass
-            for proc in self._procs:
-                if proc is not None:
-                    proc.join(timeout=5.0)
-                    if proc.is_alive():
-                        proc.terminate()
-                        proc.join(timeout=1.0)
-        for task_queue in self._task_queues:
-            if task_queue is not None:
-                task_queue.close()
-                task_queue.cancel_join_thread()
+        proc = self._proc
+        if proc is not None:
+            if proc.is_alive():
+                try:
+                    self._task_queue.put(None)
+                except (OSError, ValueError):
+                    pass
+            proc.join(timeout=5.0)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=1.0)
+        self._close_task_queue()
         self._result_queue.close()
         self._result_queue.cancel_join_thread()
 
@@ -199,7 +185,7 @@ class ProcessWorkerPool:
         scoring=None,
         xdrop: int | None = None,
     ) -> PoolRun:
-        """Align *jobs* on the next worker process; results in job order."""
+        """Align *jobs* on the worker process; results in job order."""
         if self._closed:
             raise ServiceError("process pool is shut down")
         jobs = list(jobs)
@@ -217,8 +203,6 @@ class ProcessWorkerPool:
         return self._merge(shard, reply, timer.elapsed)
 
     def _dispatch(self, jobs, scoring, xdrop) -> _Shard:
-        worker_index = self._round_robin % self.num_workers
-        self._round_robin += 1
         block = SharedJobBlock.create(jobs)
         task = {
             "seq": self._next_seq(),
@@ -227,16 +211,16 @@ class ProcessWorkerPool:
             "scoring": None if scoring is None else scoring.as_tuple(),
             "xdrop": None if xdrop is None else int(xdrop),
         }
-        self._task_queues[worker_index].put(task)
-        return _Shard(worker_index=worker_index, block=block, task=task)
+        self._task_queue.put(task)
+        return _Shard(block=block, task=task)
 
     def _collect(self, shard: _Shard) -> dict:
-        """Wait for *shard*'s reply, redelivering it if its worker dies."""
+        """Wait for *shard*'s reply, redelivering it if the worker dies."""
         while True:
             try:
                 reply = self._result_queue.get(timeout=_POLL_SECONDS)
             except queue_mod.Empty:
-                if not self._procs[shard.worker_index].is_alive():
+                if not self._proc.is_alive():
                     self._respawn_and_redeliver(shard)
                 continue
             if not reply.get("ok", False):
@@ -252,27 +236,23 @@ class ProcessWorkerPool:
             # Otherwise a stale duplicate after a redelivery race.
 
     def _respawn_and_redeliver(self, shard: _Shard) -> None:
-        worker_index = shard.worker_index
         self.crashes += 1
         if self._crash_c is not None:
             self._crash_c.inc()
         if self._obs is not None:
             self._obs.event(
-                "worker_process_died",
-                worker=worker_index,
-                exitcode=self._procs[worker_index].exitcode,
+                "worker_process_died", worker=0, exitcode=self._proc.exitcode
             )
-        self._spawn(worker_index)
+        self._spawn()
         if shard.redeliveries >= self.max_redeliveries:
             raise ServiceError(
-                f"worker {worker_index} died "
-                f"{shard.redeliveries + 1} times on the same batch "
-                f"({shard.task['count']} jobs); giving up after "
+                f"worker died {shard.redeliveries + 1} times on the same "
+                f"batch ({shard.task['count']} jobs); giving up after "
                 f"{self.max_redeliveries} redeliveries"
             )
         shard.redeliveries += 1
         shard.task = dict(shard.task, seq=self._next_seq())
-        self._task_queues[worker_index].put(shard.task)
+        self._task_queue.put(shard.task)
 
     def _merge(self, shard: _Shard, reply: dict, elapsed: float) -> PoolRun:
         results = unpack_results(reply["results"])
@@ -283,17 +263,16 @@ class ProcessWorkerPool:
                 f"for a {count}-job batch"
             )
         cells = int(reply["summary"][2])
-        stats = self.worker_stats[shard.worker_index]
+        stats = self.worker_stats[0]
         stats.batches += 1
         stats.jobs += count
         stats.cells += cells
         stats.seconds += float(reply["elapsed"])
         if self._shard_batches is not None:
-            label = str(shard.worker_index)
-            self._shard_batches.inc(shard=label)
-            self._shard_jobs.inc(count, shard=label)
-            self._shard_cells.inc(cells, shard=label)
-            self._shard_seconds.inc(float(reply["elapsed"]), shard=label)
+            self._shard_batches.inc(shard="0")
+            self._shard_jobs.inc(count, shard="0")
+            self._shard_cells.inc(cells, shard="0")
+            self._shard_seconds.inc(float(reply["elapsed"]), shard="0")
         self._merge_counters(reply.get("counters") or ())
         kernel_stats = reply.get("kernel_stats")
         return PoolRun(

@@ -1,6 +1,6 @@
-"""Worker-process entry point for the multi-process pool.
+"""Worker-process entry point of the process transport.
 
-Each worker is a spawned interpreter that rebuilds its engine from the
+The worker is a spawned interpreter that rebuilds its engine from the
 coordinator's :class:`~repro.api.AlignConfig` dict, then loops: take a task
 off its queue, attach the named shared-memory job block, align, and reply
 with a packed result table.  Three side channels ride on every reply:

@@ -223,10 +223,11 @@ class BatchedEngine(_EngineBase):
     GPU layout.  With ``workers > 1`` the sweep is chunked across worker
     processes (scores and traces are unaffected).
 
-    Single-process runs attach the kernel's
+    Every call attaches the kernel's
     :class:`~repro.core.xdrop_batch.BatchKernelStats` telemetry to the
-    batch result as ``extras["kernel_stats"]`` — the serving layer merges
-    it into its lifetime live fraction.
+    batch result as ``extras["kernel_stats"]`` — merged over the chunks
+    when the sweep is split — and the serving layer merges it into its
+    lifetime live fraction.
     """
 
     name = "batched"
@@ -240,7 +241,7 @@ class BatchedEngine(_EngineBase):
         from ..core.xdrop_batch import BatchKernelStats
 
         scoring, xdrop = self._resolve(scoring, xdrop)
-        stats = BatchKernelStats() if self.workers == 1 else None
+        stats = BatchKernelStats()
         timer = Timer()
         with timer:
             prepared = prepare_batch(jobs, scoring)
@@ -263,7 +264,7 @@ class BatchedEngine(_EngineBase):
             results=results,
             summary=summarize_results(results),
             elapsed_seconds=timer.elapsed,
-            extras={"kernel_stats": stats} if stats is not None else {},
+            extras={"kernel_stats": stats},
         )
 
 

@@ -51,9 +51,14 @@ def _run_pair_chunk(
     scoring: ScoringScheme,
     xdrop: int,
     trace: bool,
-) -> list[ExtensionResult]:
-    """Worker: one batched sweep over a chunk of pairs (picklable)."""
-    return xdrop_extend_batch(pairs, scoring=scoring, xdrop=xdrop, trace=trace)
+) -> tuple[list[ExtensionResult], BatchKernelStats]:
+    """Worker: one batched sweep over a chunk of pairs, with its own
+    telemetry (picklable)."""
+    stats = BatchKernelStats()
+    results = xdrop_extend_batch(
+        pairs, scoring=scoring, xdrop=xdrop, trace=trace, stats=stats
+    )
+    return results, stats
 
 
 def execute_tasks_batched(
@@ -74,22 +79,27 @@ def execute_tasks_batched(
     the shared contract of every batch runner.
 
     ``stats`` — when given — collects the sweep's
-    :class:`~repro.core.xdrop_batch.BatchKernelStats` telemetry.  Stats are
-    only gathered on the in-process path; chunked multi-worker sweeps run in
-    subprocesses, which cannot update the caller's accumulator.
+    :class:`~repro.core.xdrop_batch.BatchKernelStats` telemetry on both
+    paths.  A chunked sweep merges every chunk's own stats into it:
+    ``rows``, ``cells`` and ``active_row_steps`` equal the unsplit sweep's,
+    while ``steps`` and ``row_steps`` count each chunk's sweep separately.
     """
     live = [task for task in tasks if not task.is_empty]
     pairs = [(task.query, task.target) for task in live]
     if workers > 1 and len(pairs) > 1:
         chunks = chunk_evenly(pairs, min(workers, len(pairs)))
-        chunk_results = parallel_map(
+        swept = []
+        for chunk_results, chunk_stats in parallel_map(
             _run_pair_chunk,
             chunks,
             args=(scoring, xdrop, trace),
             workers=workers,
             min_items_per_worker=1,
-        )
-        extensions = iter([ext for chunk in chunk_results for ext in chunk])
+        ):
+            swept.extend(chunk_results)
+            if stats is not None:
+                stats.merge(chunk_stats)
+        extensions = iter(swept)
     else:
         extensions = iter(
             xdrop_extend_batch(

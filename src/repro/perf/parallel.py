@@ -27,25 +27,10 @@ R = TypeVar("R")
 _WORKER_STATE: dict = {}
 
 
-def available_workers(requested: int | None = None) -> int:
-    """Number of worker processes to use.
-
-    ``None`` or ``0`` means "use every available core"; negative values are
-    clamped to 1.  The result is additionally capped by ``REPRO_MAX_WORKERS``
-    when that environment variable is set (useful on shared CI machines).
-    """
-    cores = os.cpu_count() or 1
-    if requested is None or requested == 0:
-        workers = cores
-    else:
-        workers = max(1, int(requested))
-    cap = os.environ.get("REPRO_MAX_WORKERS")
-    if cap:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            pass
-    return min(workers, cores)
+def available_workers(requested: int) -> int:
+    """Worker processes to use: *requested*, at least 1, capped at the
+    machine's core count."""
+    return max(1, min(int(requested), os.cpu_count() or 1))
 
 
 def chunk_evenly(items: Sequence[T], chunks: int) -> list[list[T]]:

@@ -106,17 +106,11 @@ class ResultCache:
             self._hit_rate_gauge = obs.gauge(
                 "repro_cache_hit_rate", "fraction of lookups answered from cache"
             )
-            self._persist_counter = obs.counter(
-                "repro_cache_persist_total",
-                "cache persist/load operations, by direction",
-                ("direction",),
-            )
         else:
             self._lookup_counter = None
             self._eviction_counter = None
             self._size_gauge = None
             self._hit_rate_gauge = None
-            self._persist_counter = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -152,54 +146,6 @@ class ResultCache:
     def clear(self) -> None:
         """Drop every entry (counters are preserved)."""
         self._entries.clear()
-
-    def persist(self, path: str) -> int:
-        """Write every entry to *path* as JSON; returns the entry count.
-
-        Uses the distributed tier's wire codec, so a persisted cache is
-        readable by any process — keys round-trip through their canonical
-        JSON form and results stay exact.  LRU order is preserved (oldest
-        first), so a load into a smaller cache keeps the most recent
-        entries.
-        """
-        import json
-
-        from ..distrib.wire import cache_key_to_json, result_to_wire
-
-        entries = [
-            [cache_key_to_json(key), result_to_wire(result)]
-            for key, result in self._entries.items()
-        ]
-        document = {"kind": "result_cache", "entries": entries}
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, separators=(",", ":"))
-        if self._persist_counter is not None:
-            self._persist_counter.inc(len(entries), direction="persist")
-        return len(entries)
-
-    def load(self, path: str) -> int:
-        """Insert every entry persisted at *path*; returns the count read.
-
-        Entries go through :meth:`put`, so capacity bounds and eviction
-        accounting apply exactly as if the results had just been aligned.
-        """
-        import json
-
-        from ..distrib.wire import cache_key_from_json, result_from_wire
-
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-        if document.get("kind") != "result_cache":
-            raise ValueError(
-                f"{path!r} is not a persisted result cache "
-                f"(kind={document.get('kind')!r})"
-            )
-        entries = document.get("entries", [])
-        for key_json, payload in entries:
-            self.put(cache_key_from_json(key_json), result_from_wire(payload))
-        if self._persist_counter is not None:
-            self._persist_counter.inc(len(entries), direction="load")
-        return len(entries)
 
     def refresh_gauges(self) -> None:
         """Push the current size and hit rate onto the observability gauges.

@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, Iterable
+from typing import Any
 
 from ..core.job import AlignmentJob
 from ..core.result import SeedAlignmentResult
@@ -175,13 +175,6 @@ class SubmissionQueue:
             if self._depth_gauge is not None:
                 self._depth_gauge.set(len(self._items))
             self._not_empty.notify()
-
-    def put_many(
-        self, tickets: Iterable[AlignmentTicket], timeout: float | None = 5.0
-    ) -> None:
-        """Enqueue several tickets, applying backpressure per item."""
-        for ticket in tickets:
-            self.put(ticket, timeout=timeout)
 
     def wait(self) -> bool:
         """Block until a ticket is queued or the queue closes.

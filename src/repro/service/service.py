@@ -9,7 +9,7 @@ individually submitted alignment requests:
 2. the processing loop feeds tickets into the adaptive batcher, which
    coalesces them into length-binned, engine-sized batches;
 3. each formed batch runs whole, as one engine call, on the worker pool
-   (inline on the thread transport, one worker process at a time on the
+   (inline on the thread transport, in the one worker process on the
    process transport); results are scattered back to the tickets and
    inserted into the cache.
 
@@ -68,9 +68,9 @@ class ServiceStats:
         Total aligned DP cells, wall-clock spent inside worker batches, and
         the resulting GCUPS (0.0 before any work ran).
     workers:
-        Per-worker accounting (batches, jobs, cells, seconds): one entry
-        on the thread transport, one per worker process on the process
-        transport.
+        Accounting (batches, jobs, cells, seconds) of the pool's one
+        worker: the inline worker on the thread transport, the worker
+        process on the process transport.
     kernel_live_fraction:
         Fraction of the carried kernel row-steps that were still extending,
         over every batch the service has run — the value of the exported
@@ -148,8 +148,8 @@ class AlignmentService:
         ``AlignConfig()``).  Its engine, scoring and xdrop define every
         alignment (and every cache key); the nested
         :class:`repro.api.ServiceConfig` supplies every serving knob —
-        transport and worker processes, batch policy, cache and queue
-        bounds, durable state and prefilter.
+        transport, batch policy, cache and queue bounds, durable state and
+        prefilter.
     """
 
     def __init__(self, config=None) -> None:
@@ -174,13 +174,11 @@ class AlignmentService:
         self.cache = ResultCache(capacity=svc.cache_capacity, obs=self.obs)
         self.transport = svc.transport
         if svc.transport == "process":
-            # Spawned worker processes fed through shared memory; they
-            # rebuild the engine from the config in their own interpreter.
+            # One spawned worker process fed through shared memory; it
+            # rebuilds the engine from the config in its own interpreter.
             from ..distrib.pool import ProcessWorkerPool
 
-            self.pool = ProcessWorkerPool(
-                config, num_workers=svc.num_workers, obs=self.obs
-            )
+            self.pool = ProcessWorkerPool(config, obs=self.obs)
         else:
             self.pool = ShardedWorkerPool(engine=self.engine, obs=self.obs)
         self.submit_timeout = svc.submit_timeout

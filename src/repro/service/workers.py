@@ -7,8 +7,8 @@ LOGAN splits a batch across GPUs because the devices then run their shares
 at the same time; GIL-bound threads cannot, and every share would pay the
 kernel's per-anti-diagonal-step floor again (on a 2-vCPU host, 1, 2 and 4
 thread shards took 1.11 s, 2.60 s and 6.03 s on the same batch-32 service
-workload).  More workers go through the process transport
-(:class:`repro.distrib.ProcessWorkerPool`) instead.
+workload).  Parallel alignment is ``AlignConfig.workers``, which splits one
+engine call across processes.
 """
 
 from __future__ import annotations

@@ -300,7 +300,7 @@ class ConformanceRunner:
         Also replay every batch through a live
         :class:`~repro.distrib.AlignmentServer` — jobs and results cross a
         real socket (and, when the config says ``transport="process"``,
-        real worker processes) and must still come back bit-identical.
+        a real worker process) and must still come back bit-identical.
         One server is started lazily and reused across ``run_jobs`` calls;
         use the runner as a context manager (or call :meth:`close`) to
         shut it down.
@@ -702,7 +702,7 @@ class ConformanceRunner:
         """Networked service must be bit-identical to the direct engine.
 
         Jobs round-trip through the wire codec and the server's service
-        (worker processes included when the config transport says so); a
+        (the worker process included when the config transport says so); a
         second round must answer from the server-side cache with the same
         bytes.
         """

@@ -44,7 +44,6 @@ def fancy_config() -> AlignConfig:
         seed_policy="middle",
         bin_width=250,
         service=ServiceConfig(
-            num_workers=2,
             max_batch_size=16,
             cache_capacity=128,
             queue_capacity=64,
@@ -144,9 +143,26 @@ class TestAlignConfigValidation:
         assert "engnie" in str(excinfo.value)
 
     def test_service_values_are_coerced(self):
-        svc = ServiceConfig(num_workers=2.5, submit_timeout=1, transport="process")
-        assert svc.num_workers == 2 and isinstance(svc.num_workers, int)
+        svc = ServiceConfig(num_workers=1.0, submit_timeout=1, transport="process")
+        assert svc.num_workers == 1 and isinstance(svc.num_workers, int)
         assert svc.submit_timeout == 1.0 and isinstance(svc.submit_timeout, float)
+
+    def test_more_service_workers_removed(self):
+        # Each transport runs one worker; parallel alignment is
+        # AlignConfig.workers, which the message points to.
+        with pytest.raises(ConfigurationError, match="service.num_workers") as excinfo:
+            ServiceConfig(num_workers=2, transport="process")
+        assert "AlignConfig.workers" in str(excinfo.value)
+
+    def test_saved_config_with_more_service_workers_rejected(self):
+        # The field stays, so saved configs (and their hashes) still load,
+        # but only at its one value.
+        saved = AlignConfig(engine="batched").to_dict()
+        assert saved["service"]["num_workers"] == 1
+        assert AlignConfig.from_dict(saved).service.num_workers == 1
+        saved["service"]["num_workers"] = 2
+        with pytest.raises(ConfigurationError, match="service.num_workers"):
+            AlignConfig.from_dict(saved)
 
     def test_pipeline_rejects_zero_bin_width_early(self):
         with pytest.raises(ConfigurationError) as excinfo:

@@ -35,22 +35,18 @@ scorings = st.builds(
     gap=st.integers(min_value=-10, max_value=-1),
 )
 
-# More than one worker is valid only on the process transport.
-service_configs = st.sampled_from(["thread", "process"]).flatmap(
-    lambda transport: st.builds(
-        ServiceConfig,
-        transport=st.just(transport),
-        num_workers=st.integers(
-            min_value=1, max_value=8 if transport == "process" else 1
-        ),
-        max_batch_size=st.integers(min_value=1, max_value=512),
-        cache_capacity=st.integers(min_value=0, max_value=1 << 16),
-        queue_capacity=st.integers(min_value=1, max_value=1 << 16),
-        worker_policy=st.just("batch"),
-        submit_timeout=st.floats(
-            min_value=0.001, max_value=60.0, allow_nan=False, allow_infinity=False
-        ),
-    )
+# num_workers and worker_policy each accept one value.
+service_configs = st.builds(
+    ServiceConfig,
+    transport=st.sampled_from(["thread", "process"]),
+    num_workers=st.just(1),
+    max_batch_size=st.integers(min_value=1, max_value=512),
+    cache_capacity=st.integers(min_value=0, max_value=1 << 16),
+    queue_capacity=st.integers(min_value=1, max_value=1 << 16),
+    worker_policy=st.just("batch"),
+    submit_timeout=st.floats(
+        min_value=0.001, max_value=60.0, allow_nan=False, allow_infinity=False
+    ),
 )
 
 #: JSON-scalar engine options under keys that collide with nothing real.

@@ -119,27 +119,6 @@ class TestBaselineStore:
         assert data["schema"].startswith("repro-bench-trajectory")
         assert len(data["trajectory"]) == 2
 
-    def test_legacy_engines_snapshot_becomes_trajectory(self, tmp_path):
-        legacy = {
-            "batch_size": 256,
-            "xdrop": 50,
-            "rng_seed": 2020,
-            "scoring": {"match": 1, "mismatch": -1, "gap": -1},
-            "engines": [make_row("batched", 4.3, 1.28).to_dict()],
-        }
-        path = tmp_path / "BENCH_engines.json"
-        path.write_text(json.dumps(legacy))
-        store = BaselineStore(path)
-        entries = store.load()
-        assert len(entries) == 1
-        assert entries[0].timestamp == "legacy"
-        assert entries[0].row("batched").measured_seconds == 1.28
-        # The legacy snapshot matches the signature of a fresh full entry.
-        assert store.latest_matching(make_entry()) is not None
-        # Appending preserves it as the trajectory root.
-        store.append(make_entry(speedup=9.0))
-        assert [e.timestamp == "legacy" for e in store.load()] == [True, False]
-
     def test_latest_matching_respects_signature(self, tmp_path):
         store = BaselineStore(tmp_path / "t.json")
         store.append(make_entry(quick=True))
@@ -153,6 +132,15 @@ class TestBaselineStore:
             BaselineStore(path).load()
         path.write_text("not json")
         with pytest.raises(ConfigurationError):
+            BaselineStore(path).load()
+
+    def test_legacy_snapshot_layout_is_unrecognised(self, tmp_path):
+        # The committed trajectories already hold the converted snapshot;
+        # a file still in the pre-subsystem layout is not read.
+        path = tmp_path / "BENCH_engines.json"
+        legacy = {"batch_size": 256, "engines": [make_row().to_dict()]}
+        path.write_text(json.dumps(legacy))
+        with pytest.raises(ConfigurationError, match="unrecognised layout"):
             BaselineStore(path).load()
 
     def test_repo_baselines_parse(self):
@@ -364,6 +352,13 @@ class TestRunnersAndCli:
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_cli_perf_process_workers_flag_removed(self, capsys):
+        # The service_mp row runs the one worker process: --process.
+        with pytest.raises(SystemExit) as excinfo:
+            main_bench_perf(["--service", "--process-workers", "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 @pytest.mark.benchmark
 class TestBenchmarkSmoke:
@@ -384,3 +379,13 @@ class TestBenchmarkSmoke:
         assert entry.extra["burst_batches_formed"] >= 1
         assert entry.extra["cache_hit_rate"] > 0
         assert entry.extra["kernel_live_fraction"] is not None
+
+    def test_quick_service_bench_process_row(self):
+        entry = run_service_bench(quick=True, process=True)
+        assert entry.row("service_mp").scores_identical_to_reference
+        # The series of the recorded one-worker-process entries.
+        assert entry.extra["workload"] == {
+            "workers": 1,
+            "process_workers": 1,
+            "worker_policy": "batch",
+        }

@@ -1,10 +1,10 @@
 """Networked conformance: every workload profile through the full
-distributed path (socket front door -> process workers -> shared memory)
+distributed path (socket front door -> worker process -> shared memory)
 must come back bit-identical to the in-process oracle.
 
-One runner (and therefore one server + one 2-worker process pool) is
-shared across all profiles — spawning interpreters per profile would
-multiply the suite's wall clock by the profile count.
+One runner (and therefore one server + one worker process) is shared
+across all profiles — spawning an interpreter per profile would multiply
+the suite's wall clock by the profile count.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ def runner():
         engine="batched",
         xdrop=20,
         service=ServiceConfig(
-            num_workers=2,
             transport="process",
             worker_policy="batch",
             max_batch_size=16,

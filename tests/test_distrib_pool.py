@@ -1,4 +1,4 @@
-"""Multi-process worker pool: bit-identity, round-robin dispatch, crash recovery.
+"""Process transport: bit-identity, shard metrics, crash recovery.
 
 Process spawn costs ~1-2 s per pool on CI, so the happy-path tests share
 one module-scoped pool; only the crash-injection test pays for its own.
@@ -12,7 +12,7 @@ from repro.api import AlignConfig
 from repro.core.scoring import ScoringScheme
 from repro.distrib import ProcessWorkerPool
 from repro.engine import get_engine
-from repro.errors import ConfigurationError, ServiceError
+from repro.errors import ConfigurationError
 from repro.obs import get_observability
 
 XDROP = 30
@@ -30,7 +30,7 @@ def pool_obs():
 
 @pytest.fixture(scope="module")
 def pool(pool_obs):
-    with ProcessWorkerPool(_config(), num_workers=2, obs=pool_obs) as pool:
+    with ProcessWorkerPool(_config(), obs=pool_obs) as pool:
         yield pool
 
 
@@ -63,28 +63,17 @@ class TestBatchPolicy:
         assert run.summary.alignments == expected.summary.alignments
         assert run.summary.cells == expected.summary.cells
 
-    def test_batches_round_robin_across_workers(self, pool, module_jobs):
-        before = [w.batches for w in pool.worker_stats]
-        pool.run_batch(module_jobs)
-        pool.run_batch(module_jobs)
-        after = [w.batches for w in pool.worker_stats]
-        deltas = [b - a for a, b in zip(before, after)]
-        # "batch" policy: each batch lands whole on exactly one worker,
-        # alternating, so two batches touch both workers once each.
-        assert deltas == [1, 1]
-
     def test_shard_metrics_and_kernel_stats_merge(
         self, pool, pool_obs, module_jobs
     ):
         run = pool.run_batch(module_jobs)
         assert "kernel_stats" in run.extras
         assert run.extras["kernel_stats"].rows >= len(module_jobs)
+        assert len(pool.worker_stats) == 1
+        assert pool.worker_stats[0].jobs >= len(module_jobs)
         snap = pool_obs.registry.snapshot()
-        total_jobs = sum(
-            snap.value("repro_worker_jobs_total", default=0.0, shard=str(i))
-            for i in range(2)
-        )
-        assert total_jobs >= len(module_jobs)
+        shard_jobs = snap.value("repro_worker_jobs_total", default=0.0, shard="0")
+        assert shard_jobs == pool.worker_stats[0].jobs
         # Engine counters from the worker processes fold into the
         # coordinator's registry (they can never tick there locally).
         assert snap.value("repro_engine_jobs_total", engine="batched") >= (
@@ -114,9 +103,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="trace"):
             ProcessWorkerPool(_config(trace=True))
 
-    def test_nonpositive_workers_rejected(self):
-        with pytest.raises(ServiceError):
-            ProcessWorkerPool(_config(), num_workers=0)
+    def test_num_workers_removed(self):
+        # One worker process; parallel alignment is AlignConfig.workers.
+        with pytest.raises(TypeError):
+            ProcessWorkerPool(_config(), num_workers=2)
 
 
 class TestCrashRecovery:
@@ -124,16 +114,14 @@ class TestCrashRecovery:
         self, module_jobs, expected
     ):
         obs = get_observability().scoped()
-        # Worker 0 hard-exits on its first task; the shard must be
+        # The worker hard-exits on its first task; the batch must be
         # redelivered (to the respawned, now-clean worker) bit-identically.
         with ProcessWorkerPool(
-            _config(),
-            num_workers=2,
-            obs=obs,
-            fault_injection={0: {"after": 1}},
+            _config(), obs=obs, fault_injection={"after": 1}
         ) as pool:
             run = pool.run_batch(module_jobs)
             assert run.results == expected.results
             assert pool.crashes == 1
+            assert pool.worker_stats[0].batches == 1
         snap = obs.registry.snapshot()
         assert snap.value("repro_worker_crash_total") == 1.0

@@ -1,5 +1,5 @@
 """AlignmentService with the distributed knobs: process transport, durable
-SQLite state, crash/restart recovery, and cache persistence.
+SQLite state and crash/restart recovery.
 
 The one process-transport service here is class-scoped (spawning a worker
 interpreter costs seconds); every durable-state test runs on the cheap
@@ -17,7 +17,7 @@ from repro.distrib.wire import cache_key_to_json
 from repro.engine import get_engine
 from repro.obs import get_observability
 from repro.service import AlignmentService
-from repro.service.cache import ResultCache, job_cache_key
+from repro.service.cache import job_cache_key
 
 XDROP = 30
 _SCORING = ScoringScheme()
@@ -81,11 +81,22 @@ class TestProcessTransport:
         snap = mp_service.metrics_snapshot()
         shard_jobs = snap.value("repro_worker_jobs_total", default=0.0, shard="0")
         assert shard_jobs >= len(module_jobs)
-        # Engine counters tick inside the worker interpreters and are
+        # Engine counters tick inside the worker interpreter and are
         # folded back as deltas — nonzero proves the merge happened.
         assert snap.value("repro_engine_jobs_total", engine="batched") >= (
             len(module_jobs)
         )
+
+    def test_worker_engine_time_fits_inside_the_round_trip(
+        self, mp_service, module_jobs
+    ):
+        # The worker's busy seconds are its engine time; the service's are
+        # the coordinator's round trip, so the gap is the transfer cost.
+        _run(mp_service, module_jobs)
+        snap = mp_service.metrics_snapshot()
+        worker = snap.value("repro_worker_busy_seconds_total", shard="0")
+        round_trip = snap.value("repro_service_busy_seconds_total")
+        assert 0.0 < worker <= round_trip
 
     def test_batch_policy_is_the_default_on_the_thread_transport(self):
         config = ServiceConfig()
@@ -163,47 +174,3 @@ class TestDurableState:
             assert store.pending_count() == 0
 
 
-class TestCachePersistence:
-    def test_persist_load_round_trip_with_counters(
-        self, tmp_path, module_jobs, expected
-    ):
-        path = str(tmp_path / "cache.json")
-        obs = get_observability().scoped()
-        cache = ResultCache(capacity=64, obs=obs)
-        keys = [job_cache_key(job, _SCORING, XDROP) for job in module_jobs]
-        for key, result in zip(keys, expected):
-            cache.put(key, result)
-        assert cache.persist(path) == len(module_jobs)
-
-        restored = ResultCache(capacity=64, obs=obs)
-        assert restored.load(path) == len(module_jobs)
-        for key, result in zip(keys, expected):
-            assert restored.get(key) == result
-
-        snap = obs.registry.snapshot()
-        assert snap.value("repro_cache_persist_total", direction="persist") == (
-            len(module_jobs)
-        )
-        assert snap.value("repro_cache_persist_total", direction="load") == (
-            len(module_jobs)
-        )
-
-    def test_load_respects_capacity(self, tmp_path, module_jobs, expected):
-        path = str(tmp_path / "cache.json")
-        cache = ResultCache(capacity=64)
-        for job, result in zip(module_jobs, expected):
-            cache.put(job_cache_key(job, _SCORING, XDROP), result)
-        cache.persist(path)
-
-        small = ResultCache(capacity=3)
-        small.load(path)
-        assert len(small) == 3
-        # LRU order persisted oldest-first, so the newest entries survive.
-        newest = job_cache_key(module_jobs[-1], _SCORING, XDROP)
-        assert small.get(newest) == expected[-1]
-
-    def test_load_rejects_foreign_documents(self, tmp_path):
-        path = tmp_path / "notcache.json"
-        path.write_text('{"kind": "something-else", "entries": []}')
-        with pytest.raises(ValueError, match="persisted result cache"):
-            ResultCache(capacity=4).load(str(path))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 
 import pytest
@@ -155,10 +156,11 @@ class TestChunking:
         with pytest.raises(ValueError):
             chunk_evenly([1], 0)
 
-    def test_available_workers_respects_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "1")
-        assert available_workers(8) == 1
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "not-a-number")
+    def test_available_workers_caps_at_core_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert available_workers(8) == 2
+        assert available_workers(2) == 2
         assert available_workers(1) == 1
-        monkeypatch.delenv("REPRO_MAX_WORKERS")
-        assert available_workers(None) >= 1
+        assert available_workers(-3) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert available_workers(4) == 1

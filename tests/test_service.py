@@ -208,7 +208,8 @@ class TestSubmissionQueue:
     def test_fifo_order_and_depth(self):
         queue = SubmissionQueue(capacity=8)
         tickets = [AlignmentTicket(tiny_job()) for _ in range(3)]
-        queue.put_many(tickets)
+        for ticket in tickets:
+            queue.put(ticket)
         assert queue.depth == 3
         assert queue.pop(max_items=2) == tickets[:2]
         assert queue.pop(max_items=5) == tickets[2:]
