@@ -57,7 +57,6 @@ collector = ob.tracer.collect()  # list-backed sink, handy for inspection
 config = AlignConfig(
     engine="batched",
     xdrop=XDROP,
-    bin_width=500,
     service=ServiceConfig(max_batch_size=16, cache_capacity=4 * len(jobs)),
 )
 

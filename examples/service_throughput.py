@@ -4,8 +4,8 @@
 Submits a mixed-length workload to :class:`repro.service.AlignmentService`
 one job at a time — the way online clients would — and shows that
 
-* the adaptive batcher coalesces the single submissions into engine-sized,
-  length-binned batches (amortising the inter-sequence batched kernel),
+* the adaptive batcher coalesces the single submissions into engine-sized
+  batches of similar length (amortising the inter-sequence batched kernel),
 * a second submission round of the same pairs is answered entirely from
   the content-addressed result cache, aligning nothing,
 * results are bit-identical to one direct ``align_batch`` call.
@@ -44,7 +44,6 @@ with AlignmentService(
     config=AlignConfig(
         engine="batched",
         xdrop=XDROP,
-        bin_width=500,
         service=ServiceConfig(max_batch_size=16),
     )
 ) as service:

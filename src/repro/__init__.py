@@ -24,7 +24,7 @@ pure Python/NumPy:
 * :mod:`repro.logan` — the LOGAN kernel/batch/host/multi-GPU layers built on
   the GPU model;
 * :mod:`repro.service` — the asynchronous alignment service: a bounded
-  submission queue, an adaptive length-binned batcher, a content-addressed
+  submission queue, an adaptive length-sorting batcher, a content-addressed
   result cache and a worker pool that runs each formed batch as one engine
   call (:class:`repro.AlignmentService`);
 * :mod:`repro.bella` — the BELLA long-read overlapper substrate (k-mers,

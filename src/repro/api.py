@@ -117,9 +117,10 @@ class ServiceConfig:
         one on the ``service_mp`` bench row).  To align in parallel, set
         :attr:`AlignConfig.workers`.
     max_batch_size:
-        Adaptive batcher flush bound (engine-sized batch).  A bin flushes
-        when it fills up or, in background mode, as soon as the worker is
-        idle.
+        Most jobs in one engine call.  Each flush (a drain or, in
+        background mode, the worker going idle) takes every pending job
+        in length order and splits it into batches of at most this many,
+        so the cap only matters for flushes larger than itself.
     cache_capacity:
         LRU result-cache entries (0 disables caching).
     queue_capacity:
@@ -304,8 +305,8 @@ class AlignConfig:
         ``"start"`` (position 0/0, the LOGAN benchmark convention) or
         ``"middle"`` (centre of the shorter sequence).
     bin_width:
-        Length-bin width in bases, shared by BELLA's diagonal binning and
-        the service batcher (0 disables binning).
+        Width in bases of BELLA's diagonal seed bins
+        (:func:`repro.bella.binning.choose_seed`); at least 1.
     service:
         Nested serving-layer configuration (:class:`ServiceConfig`).
     """
@@ -357,9 +358,7 @@ class AlignConfig:
             f"must be one of {', '.join(SEED_POLICIES)}, got {self.seed_policy!r}",
         )
         _require(
-            int(self.bin_width) >= 0,
-            "bin_width",
-            f"must be >= 0 (0 disables binning), got {self.bin_width}",
+            int(self.bin_width) >= 1, "bin_width", f"must be >= 1, got {self.bin_width}"
         )
         object.__setattr__(self, "bin_width", int(self.bin_width))
         if isinstance(self.service, Mapping):
@@ -596,7 +595,7 @@ _CONFIG_FLAGS = (
     ("xdrop", "--xdrop", int, "X-drop termination threshold"),
     ("workers", "--workers", int, "processes one engine call splits its batch across"),
     ("seed_policy", "--seed-policy", str, "default seed anchor (start|middle)"),
-    ("bin_width", "--bin-width", int, "length/diagonal bin width in bases"),
+    ("bin_width", "--bin-width", int, "BELLA diagonal seed-bin width in bases"),
 )
 
 #: (field, flag, type, help) rows for the ScoringScheme sub-fields.
@@ -608,7 +607,7 @@ _SCORING_FLAGS = (
 
 #: (field, flag, type, help) rows for the nested ServiceConfig.
 _SERVICE_FLAGS = (
-    ("max_batch_size", "--batch-size", int, "engine-sized batch (flush bound)"),
+    ("max_batch_size", "--batch-size", int, "most jobs in one engine call"),
     ("cache_capacity", "--cache-capacity", int, "LRU result-cache entries"),
     ("queue_capacity", "--queue-capacity", int, "submission queue bound"),
     ("transport", "--transport", str, "worker transport (thread/process)"),

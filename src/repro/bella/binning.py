@@ -28,22 +28,7 @@ __all__ = [
     "SeedChoice",
     "choose_seed",
     "estimate_overlap_length",
-    "length_bin",
 ]
-
-
-def length_bin(length: int, bin_width: int = 500) -> int:
-    """Bin index of a sequence length, using the diagonal-bin edge rule.
-
-    The serving layer's adaptive batcher groups pending jobs by length so
-    that the padded inter-sequence kernel wastes as little work as possible;
-    it reuses the same ``floor_divide`` bin edges as the diagonal binning
-    above (and the same default width), so one ``bin_width`` knob controls
-    both consumers.
-    """
-    if bin_width <= 0:
-        raise ConfigurationError("bin_width must be positive")
-    return int(np.floor_divide(int(length), int(bin_width)))
 
 
 @dataclass(frozen=True)

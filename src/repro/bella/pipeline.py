@@ -179,15 +179,6 @@ class BellaPipeline:
             from ..api import AlignConfig
 
             config = AlignConfig()
-        if config.bin_width <= 0:
-            # AlignConfig allows bin_width=0 (disables *service* batch
-            # binning); BELLA's diagonal seed binning needs a real width,
-            # so fail here with the field named instead of deep in run().
-            raise ConfigurationError(
-                f"bin_width: must be positive for BELLA's diagonal seed "
-                f"binning (0 only disables service batch binning), "
-                f"got {config.bin_width}"
-            )
         self.k = int(k)
         self.reliable_lower = int(reliable_lower)
         self.reliable_upper = reliable_upper

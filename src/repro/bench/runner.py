@@ -310,7 +310,6 @@ def run_service_bench(
         engine="batched",
         scoring=scoring,
         xdrop=xdrop,
-        bin_width=500,
         service=ServiceConfig(
             max_batch_size=batch_size,
             cache_capacity=4 * len(jobs),
@@ -351,7 +350,6 @@ def run_service_bench(
                 engine="batched",
                 scoring=scoring,
                 xdrop=xdrop,
-                bin_width=500,
                 service=ServiceConfig(
                     max_batch_size=batch_size,
                     cache_capacity=4 * len(jobs),
@@ -386,7 +384,6 @@ def run_service_bench(
                 engine="batched",
                 scoring=scoring,
                 xdrop=xdrop,
-                bin_width=500,
                 service=ServiceConfig(
                     max_batch_size=batch_size,
                     cache_capacity=4 * len(jobs),
@@ -436,7 +433,6 @@ def run_service_bench(
             # The thread transport's one inline worker, kept in the record
             # so fresh entries read like the recorded trajectory.
             "workers": 1,
-            "bin_width": 500,
         },
         "batches_formed": stats.batches_formed,
         "mean_batch_size": stats.mean_batch_size,

@@ -2,7 +2,7 @@
 
 The serving layer over the engine registry.  Individually submitted
 :class:`~repro.core.job.AlignmentJob` requests are content-addressed against
-an LRU result cache, coalesced by an adaptive length-binned batcher into
+an LRU result cache, coalesced by an adaptive batcher into length-sorted,
 engine-sized batches, and each formed batch runs whole as one engine call —
 the paper's host-side batching (Section IV) recast as a production front
 door.
@@ -18,7 +18,7 @@ See :mod:`repro.service.service` for the facade, and the sibling modules
 for the individual stages.
 """
 
-from .batcher import AdaptiveBatcher, BatchPolicy, FormedBatch
+from .batcher import AdaptiveBatcher, FormedBatch
 from .cache import CacheStats, ResultCache, job_cache_key
 from .queue import AlignmentTicket, SubmissionQueue
 from .service import AlignmentService, ServiceStats
@@ -30,7 +30,6 @@ __all__ = [
     "AlignmentTicket",
     "SubmissionQueue",
     "AdaptiveBatcher",
-    "BatchPolicy",
     "FormedBatch",
     "ResultCache",
     "CacheStats",

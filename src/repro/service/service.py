@@ -6,8 +6,9 @@ individually submitted alignment requests:
 1. ``submit`` computes the content-addressed cache key; a hit resolves the
    ticket immediately, a miss enqueues it on the bounded submission queue
    (backpressure);
-2. the processing loop feeds tickets into the adaptive batcher, which
-   coalesces them into length-binned, engine-sized batches;
+2. the processing loop feeds tickets into the adaptive batcher; each
+   flush sorts everything pending by length and cuts it into batches of
+   at most ``max_batch_size`` (one batch unless more are pending);
 3. each formed batch runs whole, as one engine call, on the worker pool
    (inline on the thread transport, in the one worker process on the
    process transport); results are scattered back to the tickets and
@@ -17,10 +18,10 @@ The service runs in two modes.  *Inline* (default): nothing happens until
 :meth:`drain`, which processes everything synchronously — deterministic,
 the mode tests and the BELLA pipeline use.  *Background*: :meth:`start`
 spawns a daemon thread that sleeps on the queue until a request arrives,
-then bins everything queued and dispatches it at once, partially filled
-bins included — whatever arrives during one engine call forms the next
-batches, so batch size follows load.  This is the live-serving mode of the
-``repro-service`` CLI.
+then flushes everything queued and dispatches it at once — whatever
+arrives during one engine call forms the next batches, so batch size
+follows load.  This is the live-serving mode of the ``repro-service``
+CLI.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from ..obs.provenance import build_provenance
 from ..obs.runtime import get_observability
 from ..perf.metrics import gcups
 from ..prefilter import PREFILTER_OUTCOMES
-from .batcher import AdaptiveBatcher, BatchPolicy, FormedBatch
+from .batcher import AdaptiveBatcher, FormedBatch
 from .cache import CacheStats, ResultCache, job_cache_key
 from .queue import AlignmentTicket, SubmissionQueue
 from .workers import ShardedWorkerPool, WorkerStats
@@ -55,13 +56,14 @@ class ServiceStats:
     submitted, completed:
         Jobs accepted / jobs resolved (cache hits count as both).
     queue_depth, batcher_pending:
-        Work currently waiting in the queue / in the batcher bins.
+        Work currently waiting in the queue / in the batcher.
     batches_formed, batched_jobs:
         Batches the batcher has flushed, by any reason, and the jobs in
         them (cache hits, durable-store hits and prefilter rejects never
         enter a batch).
     flush_reasons:
-        Breakdown of flushes: ``size`` / ``idle`` / ``drain``.
+        Breakdown of flushes: ``idle`` (background loop, worker free) /
+        ``drain`` (:meth:`AlignmentService.drain`, shutdown).
     cache:
         Cache counters (hits, misses, evictions, hit rate).
     cells, busy_seconds, throughput_gcups:
@@ -148,7 +150,7 @@ class AlignmentService:
         ``AlignConfig()``).  Its engine, scoring and xdrop define every
         alignment (and every cache key); the nested
         :class:`repro.api.ServiceConfig` supplies every serving knob —
-        transport, batch policy, cache and queue bounds, durable state and
+        transport, batch size cap, cache and queue bounds, durable state and
         prefilter.
     """
 
@@ -167,10 +169,7 @@ class AlignmentService:
         # ServiceStats is a *view* over this registry.
         self.obs = get_observability().scoped()
         self.queue = SubmissionQueue(capacity=svc.queue_capacity, obs=self.obs)
-        self.batcher = AdaptiveBatcher(
-            BatchPolicy(max_batch_size=svc.max_batch_size, bin_width=config.bin_width),
-            obs=self.obs,
-        )
+        self.batcher = AdaptiveBatcher(svc.max_batch_size, obs=self.obs)
         self.cache = ResultCache(capacity=svc.cache_capacity, obs=self.obs)
         self.transport = svc.transport
         if svc.transport == "process":
@@ -360,10 +359,7 @@ class AlignmentService:
             # from — an engine instance with different defaults must not
             # poison the content-addressed cache.
             with self.obs.span(
-                "service.dispatch",
-                size=batch.size,
-                length_bin=batch.length_bin,
-                reason=batch.reason,
+                "service.dispatch", size=batch.size, reason=batch.reason
             ):
                 run = self.pool.run_batch(
                     batch.jobs(), scoring=self.scoring, xdrop=self.xdrop
@@ -383,8 +379,7 @@ class AlignmentService:
             # drop the tail and leave those submitters blocked forever.
             error = ServiceError(
                 f"engine returned {len(run.results)} results for a batch "
-                f"of {batch.size} jobs (length bin {batch.length_bin}): "
-                "refusing to scatter a mismatched batch"
+                f"of {batch.size} jobs: refusing to scatter a mismatched batch"
             )
             if durable_ids:
                 self.store.release(durable_ids)
@@ -423,7 +418,6 @@ class AlignmentService:
             "worker_crash",
             error=repr(error),
             batch_size=batch.size,
-            length_bin=batch.length_bin,
             reason=batch.reason,
         )
         if self.obs.recorder is not None:
@@ -437,14 +431,10 @@ class AlignmentService:
         """Provenance stamped onto exported snapshots and crash dumps."""
         return build_provenance(config=self.config)
 
-    def _pump(self) -> list[FormedBatch]:
-        """Move queued tickets into the batcher; collect full batches."""
-        formed: list[FormedBatch] = []
+    def _pump(self) -> None:
+        """Move every queued ticket into the batcher."""
         for ticket in self.queue.pop(max_items=self.queue.capacity):
-            full = self.batcher.add(ticket)
-            if full is not None:
-                formed.append(full)
-        return formed
+            self.batcher.add(ticket)
 
     def drain(self) -> int:
         """Synchronously process everything queued; returns jobs aligned.
@@ -455,8 +445,8 @@ class AlignmentService:
         aligned = 0
         with self._lock:
             while True:
-                batches = self._pump()
-                batches.extend(self.batcher.flush_all())
+                self._pump()
+                batches = self.batcher.flush_all()
                 if not batches:
                     break
                 for batch in batches:
@@ -483,9 +473,8 @@ class AlignmentService:
         # ticket that has left the queue but not yet reached the batcher.
         while self.queue.wait():
             with self._lock:
-                batches = self._pump()
-                batches.extend(self.batcher.due())
-                for batch in batches:
+                self._pump()
+                for batch in self.batcher.due():
                     self._dispatch(batch)
 
     @property

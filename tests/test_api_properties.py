@@ -64,7 +64,7 @@ configs = st.builds(
     workers=st.integers(min_value=1, max_value=16),
     trace=st.booleans(),
     seed_policy=st.sampled_from(["start", "middle"]),
-    bin_width=st.integers(min_value=0, max_value=5000),
+    bin_width=st.integers(min_value=1, max_value=5000),
     # ksw2's static band is an engine option, not a config field.
     engine_options=st.one_of(
         st.just({}),

@@ -458,11 +458,10 @@ class TestConcurrency:
 class TestBatcherPendingGauge:
     """``repro_batcher_pending`` must equal ``pending`` after every mutation.
 
-    The batcher has two code paths that refresh the gauge — the still-pending
-    admission branch in :meth:`add` and the flush path in ``_flush_bin``,
-    reached by size, idle and drain flushes.  This test walks every path and
-    asserts the invariant after each step, so a future refactor cannot
-    silently leave the gauge stale on one of them.
+    The batcher refreshes the gauge in two places — :meth:`add` and the
+    shared flush behind ``due`` (idle) and ``flush_all`` (drain).  This test
+    walks every path and asserts the invariant after each step, so a future
+    refactor cannot silently leave the gauge stale on one of them.
     """
 
     def _ticket(self, length=100):
@@ -478,45 +477,39 @@ class TestBatcherPendingGauge:
         return bundle.registry.snapshot().value("repro_batcher_pending")
 
     def test_gauge_tracks_pending_through_every_flush_path(self):
-        from repro.service.batcher import AdaptiveBatcher, BatchPolicy
+        from repro.service.batcher import AdaptiveBatcher
 
         bundle = obs.get_observability().scoped()
-        batcher = AdaptiveBatcher(
-            BatchPolicy(max_batch_size=3, bin_width=0),
-            obs=bundle,
-        )
+        batcher = AdaptiveBatcher(max_batch_size=3, obs=bundle)
 
         def check():
             assert self._gauge_value(bundle) == batcher.pending
 
+        def formed(reason):
+            return bundle.registry.snapshot().value(
+                "repro_batches_formed_total", reason=reason
+            )
+
         check()  # declared at 0 before any traffic
-        # Still-pending admissions refresh via the non-flush branch of add().
-        batcher.add(self._ticket())
-        check()
-        batcher.add(self._ticket())
-        check()
-        # Third admission trips the size flush; gauge drops back to zero.
-        formed = batcher.add(self._ticket())
-        assert formed is not None and formed.reason == "size"
+        # Admissions refresh the gauge in add(), past the cap too: add()
+        # never flushes.
+        for _ in range(4):
+            assert batcher.add(self._ticket()) is None
+            check()
+        assert batcher.pending == 4
+
+        # Idle flush (due): over the cap it cuts two batches, each counted
+        # under its reason, and the gauge drops back to zero.
+        assert [b.size for b in batcher.due()] == [3, 1]
         check()
         assert batcher.pending == 0
+        assert formed("idle") == 2
 
-        # Idle flush (due) refreshes through _flush_bin as well, and is
-        # counted under its own reason.
-        batcher.add(self._ticket())
-        check()
-        (idle,) = batcher.due()
-        assert idle.reason == "idle" and idle.size == 1
-        check()
-        assert batcher.pending == 0
-        assert bundle.registry.snapshot().value(
-            "repro_batches_formed_total", reason="idle"
-        ) == 1
-
-        # Drain path: two tickets pending in the one bin, flush_all empties it.
+        # Drain path: two pending tickets form one batch.
         batcher.add(self._ticket())
         batcher.add(self._ticket())
         check()
         assert len(batcher.flush_all()) == 1
         check()
         assert batcher.pending == 0 and self._gauge_value(bundle) == 0
+        assert formed("drain") == 1

@@ -15,6 +15,7 @@ import pytest
 from repro import obs
 from repro.api import AlignConfig, ServiceConfig
 from repro.engine import get_engine
+from repro.obs.provenance import git_sha
 from repro.service import AlignmentService
 
 
@@ -148,7 +149,7 @@ class TestServiceInstrumentation:
         assert "worker_crash" in events
         on_disk = json.loads((tmp_path / "crash.json").read_text())
         assert on_disk["kind"] == "flight_recorder_dump"
-        assert on_disk["provenance"].get("git_sha") is not None
+        assert on_disk["provenance"].get("git_sha") == git_sha()
 
     def test_tracing_off_means_no_crash_dump(self, small_jobs):
         service = _service(small_jobs)

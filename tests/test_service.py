@@ -17,7 +17,6 @@ import pytest
 
 from repro.api import AlignConfig, ServiceConfig
 from repro.bella import BellaPipeline
-from repro.bella.binning import length_bin
 from repro.core import ScoringScheme, Seed
 from repro.core.job import AlignmentJob
 from repro.data import PairSetSpec, generate_pair_set
@@ -27,7 +26,6 @@ from repro.service import (
     AdaptiveBatcher,
     AlignmentService,
     AlignmentTicket,
-    BatchPolicy,
     ResultCache,
     ShardedWorkerPool,
     SubmissionQueue,
@@ -52,15 +50,19 @@ def mixed_jobs(num_pairs=16, rng_seed=11, min_length=120, max_length=700):
     )
 
 
-def batched_config(xdrop=100, bin_width=500, **service) -> AlignConfig:
+def batched_config(xdrop=100, **service) -> AlignConfig:
     """Batched-engine config with ``SCORING`` and the given service knobs."""
     return AlignConfig(
         engine="batched",
         scoring=SCORING,
         xdrop=xdrop,
-        bin_width=bin_width,
         service=ServiceConfig(**service),
     )
+
+
+def old_bins(jobs) -> set[int]:
+    """The 500-bp pair-length bins *jobs* span (to show a mix of lengths)."""
+    return {(j.query_length + j.target_length) // 500 for j in jobs}
 
 
 def tiny_job(text="ACGTACGTACGTACGT"):
@@ -256,47 +258,49 @@ class TestAdaptiveBatcher:
             AlignmentJob(query=seq[:length], target=seq[:length], seed=Seed(0, 0, 4))
         )
 
-    def test_size_triggered_flush(self):
-        batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=3, bin_width=0))
-        assert batcher.add(self._ticket(100)) is None
-        assert batcher.add(self._ticket(100)) is None
-        batch = batcher.add(self._ticket(100))
-        assert batch is not None and batch.size == 3 and batch.reason == "size"
-        assert batcher.pending == 0
-
-    def test_length_binning_separates_classes(self):
-        batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=8, bin_width=500))
-        batcher.add(self._ticket(100))   # bin 0 (total 200)
-        batcher.add(self._ticket(400))   # bin 1 (total 800)
-        batches = batcher.flush_all()
-        assert len(batches) == 2
-        assert {b.reason for b in batches} == {"drain"}
-
-    def test_idle_flush_takes_every_pending_bin(self):
-        # due() flushes every partially filled bin at once, however young
-        # its tickets.
-        batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=8, bin_width=500))
-        batcher.add(self._ticket(100))   # bin 0
-        batcher.add(self._ticket(100))   # bin 0
-        batcher.add(self._ticket(400))   # bin 1
-        due = batcher.due()
-        assert sorted((b.length_bin, b.size) for b in due) == [(0, 2), (1, 1)]
-        assert {b.reason for b in due} == {"idle"}
-        assert batcher.pending == 0
-        assert batcher.due() == []
-        assert batcher.flush_reasons == {"size": 0, "idle": 2, "drain": 0}
-
-    def test_batched_jobs_counts_size_flushes(self):
-        batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=2, bin_width=0))
+    def test_add_only_appends(self):
+        # However many tickets arrive, nothing flushes until due/flush_all.
+        batcher = AdaptiveBatcher(max_batch_size=3)
         for _ in range(5):
-            batcher.add(self._ticket(100))
-        # Two full batches flushed; the fifth ticket still waits in its bin.
-        assert batcher.batches_formed == 2
-        assert batcher.batched_jobs == 4
-        assert batcher.pending == 1
+            assert batcher.add(self._ticket(100)) is None
+        assert batcher.pending == 5
+        assert batcher.batches_formed == 0
+
+    @pytest.mark.parametrize("flush", ["due", "flush_all"])
+    def test_flush_within_cap_is_one_batch_across_old_bins(self, flush):
+        # Pair lengths 200, 800 and 1 200 span three 500-bp length bins;
+        # a flush within the cap is still one batch, in length order.
+        batcher = AdaptiveBatcher(max_batch_size=8)
+        tickets = [self._ticket(n) for n in (600, 100, 400, 100)]
+        for ticket in tickets:
+            batcher.add(ticket)
+        (batch,) = getattr(batcher, flush)()
+        reason = "idle" if flush == "due" else "drain"
+        assert batch.reason == reason
+        assert batch.tickets == [tickets[1], tickets[3], tickets[2], tickets[0]]
+        assert batcher.pending == 0
+        assert getattr(batcher, flush)() == []
+        assert batcher.flush_reasons == {"idle": 0, "drain": 0} | {reason: 1}
+        assert (batcher.batches_formed, batcher.batched_jobs) == (1, 4)
+
+    def test_large_flush_cuts_length_sorted_chunks(self):
+        batcher = AdaptiveBatcher(max_batch_size=3)
+        lengths = (300, 100, 200, 100, 300, 200, 100)
+        tickets = [self._ticket(n) for n in lengths]
+        for ticket in tickets:
+            batcher.add(ticket)
+        batches = batcher.flush_all()
+        assert [b.size for b in batches] == [3, 3, 1]
+        # Stable sort: equal lengths keep their submission order.
+        expected = sorted(
+            tickets, key=lambda t: t.job.query_length + t.job.target_length
+        )
+        assert [t for b in batches for t in b.tickets] == expected
+        assert batcher.batches_formed == 3 and batcher.batched_jobs == 7
+        assert batcher.flush_reasons == {"idle": 0, "drain": 3}
 
     def test_batched_jobs_counts_idle_flushes(self):
-        batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=8))
+        batcher = AdaptiveBatcher(max_batch_size=8)
         batcher.add(self._ticket(100))
         batcher.add(self._ticket(100))
         assert batcher.batched_jobs == 0
@@ -304,26 +308,14 @@ class TestAdaptiveBatcher:
         assert due.size == 2
         assert batcher.batches_formed == 1 and batcher.batched_jobs == 2
 
-    def test_batched_jobs_counts_drain_flushes_across_bins(self):
-        batcher = AdaptiveBatcher(BatchPolicy(max_batch_size=8, bin_width=500))
-        batcher.add(self._ticket(100))   # bin 0
-        batcher.add(self._ticket(100))   # bin 0
-        batcher.add(self._ticket(400))   # bin 1
-        batches = batcher.flush_all()
-        assert sorted(b.size for b in batches) == [1, 2]
-        assert batcher.batches_formed == 2 and batcher.batched_jobs == 3
-        assert batcher.pending == 0
-
-    def test_invalid_policy(self):
-        with pytest.raises(ServiceError):
-            BatchPolicy(max_batch_size=0)
-        with pytest.raises(ServiceError):
-            BatchPolicy(bin_width=-1)
+    def test_invalid_max_batch_size(self):
+        with pytest.raises(ServiceError, match="max_batch_size"):
+            AdaptiveBatcher(max_batch_size=0)
 
     def test_max_wait_seconds_removed(self):
         # The wait bound is gone: the background loop flushes on idle.
         with pytest.raises(TypeError):
-            BatchPolicy(max_wait_seconds=0.05)
+            AdaptiveBatcher(max_wait_seconds=0.05)
 
 
 class TestShardedWorkerPool:
@@ -362,9 +354,7 @@ class TestAlignmentServiceEndToEnd:
         direct = get_engine("batched", scoring=SCORING, xdrop=30).align_batch(jobs)
 
         service = AlignmentService(
-            config=batched_config(
-                xdrop=30, bin_width=600, max_batch_size=6
-            )
+            config=batched_config(xdrop=30, max_batch_size=6)
         )
         tickets = [service.submit(job) for job in jobs]
         service.drain()
@@ -405,19 +395,19 @@ class TestAlignmentServiceEndToEnd:
         ).start()
         try:
             tickets = service.submit_many(jobs)
-            # No drain(): the background loop must flush via size/idle.
+            # No drain(): the background loop must flush on idle.
             results = [t.result(timeout=30.0) for t in tickets]
             assert [r.score for r in results] == direct.scores()
         finally:
             service.shutdown()
         assert not service.running
 
-    def test_queued_tickets_form_one_idle_batch_per_bin(self):
-        # Tickets queued before start() are all binned on the loop's first
-        # pass and flushed at once: one batch per length bin, none held.
+    def test_queued_tickets_form_one_idle_batch(self):
+        # Tickets queued before start() are all taken on the loop's first
+        # pass and, being within the cap, flushed as one batch whatever
+        # their lengths.
         jobs = mixed_jobs(num_pairs=12, rng_seed=37)
-        bins = {length_bin(j.query_length + j.target_length, 500) for j in jobs}
-        assert len(bins) > 1
+        assert len(old_bins(jobs)) >= 3
         direct = get_engine("batched", scoring=SCORING, xdrop=25).align_batch(jobs)
         service = AlignmentService(config=batched_config(xdrop=25))
         try:
@@ -426,8 +416,8 @@ class TestAlignmentServiceEndToEnd:
             results = [t.result(timeout=30.0) for t in tickets]
             assert [r.score for r in results] == direct.scores()
             stats = service.stats()
-            assert stats.batches_formed == len(bins)
-            assert stats.flush_reasons == {"size": 0, "idle": len(bins), "drain": 0}
+            assert stats.batches_formed == 1
+            assert stats.flush_reasons == {"idle": 1, "drain": 0}
         finally:
             service.shutdown()
 
@@ -587,11 +577,11 @@ class TestServiceUnderLoad:
                     assert res.right.best_score == ref.right.best_score
             assert len(results) == len(all_tickets)
 
-            service.drain()  # settle any jobs still in the batcher bins
+            service.drain()  # settle any jobs still in the batcher
             stats = service.stats()
             # Cache-hit accounting balances exactly: every submission is
             # either a hit or a miss, everything submitted completed, and
-            # nothing waits in the queue or the bins.
+            # nothing waits in the queue or the batcher.
             total = self.NUM_PRODUCERS * len(jobs)
             assert stats.submitted == total
             assert stats.completed == total
@@ -733,7 +723,7 @@ class TestDispatchResultCountGuard:
     def test_truncated_results_fail_every_ticket_loudly(self):
         jobs = mixed_jobs(num_pairs=6, rng_seed=19)
         service = AlignmentService(
-            config=batched_config(xdrop=30, bin_width=0, max_batch_size=16)
+            config=batched_config(xdrop=30, max_batch_size=16)
         )
         try:
             self.truncate_pool(service)
@@ -755,7 +745,7 @@ class TestDispatchResultCountGuard:
     def test_service_survives_and_serves_after_the_failure(self):
         jobs = mixed_jobs(num_pairs=4, rng_seed=23)
         service = AlignmentService(
-            config=batched_config(xdrop=30, bin_width=0, max_batch_size=8)
+            config=batched_config(xdrop=30, max_batch_size=8)
         )
         try:
             original = self.truncate_pool(service)
@@ -782,7 +772,6 @@ class TestDispatchResultCountGuard:
             engine="batched",
             scoring=SCORING,
             xdrop=30,
-            bin_width=0,  # one bin -> the four jobs form one batch
             service=ServiceConfig(
                 max_batch_size=8,
                 cache_capacity=0,
@@ -811,9 +800,7 @@ class TestMeanBatchSize:
 
     def test_durable_store_hits_stay_out_of_the_mean(self, tmp_path):
         jobs = mixed_jobs(num_pairs=12, rng_seed=37)
-        config = batched_config(
-            xdrop=30, bin_width=0, state_path=str(tmp_path / "state.sqlite")
-        )
+        config = batched_config(xdrop=30, state_path=str(tmp_path / "state.sqlite"))
         with AlignmentService(config=config) as first:
             first.map(jobs[:8])
         # A restarted service answers the first eight from disk; only the
@@ -838,7 +825,7 @@ class TestMeanBatchSize:
                 outcomes.setdefault(outcome, []).append(job)
         jobs = outcomes["reject"][:8] + outcomes["contested"][:4]
         assert len(jobs) == 12
-        config = batched_config(bin_width=0, prefilter="enforce")
+        config = batched_config(prefilter="enforce")
         with AlignmentService(config=config) as service:
             service.map(jobs)
             stats = service.stats()
@@ -848,7 +835,7 @@ class TestMeanBatchSize:
 
     def test_memory_cache_hits_stay_out_of_the_mean(self):
         jobs = mixed_jobs(num_pairs=6, rng_seed=31)
-        config = batched_config(xdrop=30, bin_width=0, max_batch_size=8)
+        config = batched_config(xdrop=30, max_batch_size=8)
         with AlignmentService(config=config) as service:
             service.map(jobs)
             service.map(jobs)  # every pair answered from the result cache
@@ -859,22 +846,18 @@ class TestMeanBatchSize:
 
 
 class TestBatchFormationInvariance:
-    """Batch bound and length binning decide only how jobs are grouped.
+    """The batch cap decides only how jobs are grouped into engine calls.
 
     Results, total DP cells and the kernel's row accounting must not
     depend on how the batcher splits one workload into batches.
     """
 
-    @pytest.mark.parametrize("bin_width", [0, 500])
-    @pytest.mark.parametrize("max_batch_size", [1, 3, 64])
-    def test_results_independent_of_batch_formation(
-        self, max_batch_size, bin_width
-    ):
+    @pytest.mark.parametrize("max_batch_size", [1, 3, 15, 16, 64])
+    def test_results_independent_of_batch_formation(self, max_batch_size):
         jobs = mixed_jobs(num_pairs=16, rng_seed=19)
+        assert len(old_bins(jobs)) > 1
         direct = get_engine("batched", scoring=SCORING, xdrop=30).align_batch(jobs)
-        config = batched_config(
-            xdrop=30, bin_width=bin_width, max_batch_size=max_batch_size
-        )
+        config = batched_config(xdrop=30, max_batch_size=max_batch_size)
         with AlignmentService(config=config) as service:
             tickets = service.submit_many(jobs)
             service.drain()
@@ -893,9 +876,31 @@ class TestBatchFormationInvariance:
         assert stats.cells == direct.summary.cells
         assert all(t.batch_size <= max_batch_size for t in tickets)
         assert stats.batched_jobs == len(jobs)
-        if bin_width == 0:
-            assert stats.batches_formed == -(-len(jobs) // max_batch_size)
-        else:
-            assert stats.batches_formed >= -(-len(jobs) // max_batch_size)
+        assert stats.batches_formed == -(-len(jobs) // max_batch_size)
         assert stats.mean_batch_size == len(jobs) / stats.batches_formed
         assert 0.0 < stats.kernel_live_fraction <= 1.0
+
+    def test_engine_calls_take_length_sorted_chunks(self):
+        # A drain of more jobs than the cap runs ceil(n / cap) engine calls
+        # over consecutive chunks of the jobs in length order, and each
+        # ticket still gets its own job's result.
+        jobs = mixed_jobs(num_pairs=7, rng_seed=41)
+        direct = get_engine("batched", scoring=SCORING, xdrop=30).align_batch(jobs)
+        service = AlignmentService(config=batched_config(xdrop=30, max_batch_size=3))
+        calls: list[list] = []
+        run_batch = service.pool.run_batch
+
+        def recording_run_batch(batch_jobs, **kwargs):
+            calls.append(list(batch_jobs))
+            return run_batch(batch_jobs, **kwargs)
+
+        service.pool.run_batch = recording_run_batch
+        with service:
+            tickets = service.submit_many(jobs)
+            service.drain()
+            results = [t.result(timeout=30.0) for t in tickets]
+        assert [len(call) for call in calls] == [3, 3, 1]
+        in_order = sorted(jobs, key=lambda j: j.query_length + j.target_length)
+        assert [id(j) for j in in_order] != [id(j) for j in jobs]
+        assert [id(j) for call in calls for j in call] == [id(j) for j in in_order]
+        assert results == direct.results

@@ -412,7 +412,7 @@ def test_service_live_fraction_matches_exported_gauge():
     """One lifetime accumulator feeds both stats() and the gauge."""
     from repro.service import AlignmentService
 
-    config = AlignConfig(engine="batched", xdrop=15, bin_width=0)
+    config = AlignConfig(engine="batched", xdrop=15)
     with AlignmentService(config=config) as service:
         service.map(generate_workload("pacbio", SPEC).jobs)
         skewed = WorkloadSpec(count=3, seed=4, min_length=20, max_length=400)
