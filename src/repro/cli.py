@@ -684,12 +684,16 @@ def main_bench(argv: Sequence[str] | None = None) -> int:
 # both behaviours while letting --seed-policy / --config override either.
 _SERVE_DEFAULTS = AlignConfig(engine="batched", seed_policy="middle")
 _SUBMIT_DEFAULTS = AlignConfig(engine="batched", seed_policy="start")
+# Fields only BELLA reads: commands that never run it take no flag for them.
+_BELLA_ONLY = ("bin_width",)
 
 
 def _add_service_arguments(
     parser: argparse.ArgumentParser, defaults: AlignConfig
 ) -> None:
-    add_config_arguments(parser, defaults=defaults, include_service=True)
+    add_config_arguments(
+        parser, defaults=defaults, include_service=True, exclude=_BELLA_ONLY
+    )
     parser.add_argument("--json", action="store_true")
 
 
@@ -887,7 +891,7 @@ def _run_serve(args, parser) -> int:
     from .perf.timers import Timer
     from .service import AlignmentService
 
-    config = config_from_args(args, _SERVE_DEFAULTS)
+    config = config_from_args(args, _SERVE_DEFAULTS, exclude=_BELLA_ONLY)
     if args.trace or args.flight_recorder_out:
         obs_mod.configure(tracing=True, flight_recorder=True)
     if args.listen:
@@ -977,7 +981,7 @@ def _run_serve(args, parser) -> int:
 def _run_submit(args, parser) -> int:
     from .service import AlignmentService
 
-    config = config_from_args(args, _SUBMIT_DEFAULTS)
+    config = config_from_args(args, _SUBMIT_DEFAULTS, exclude=_BELLA_ONLY)
     if args.query and args.target:
         jobs = [
             AlignmentJob(
@@ -1116,7 +1120,7 @@ def main_fuzz(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     # The config group's --engine selects the *service/config* engine; the
     # engines under differential test are the repeatable --engines above.
-    add_config_arguments(parser, defaults=_FUZZ_DEFAULTS)
+    add_config_arguments(parser, defaults=_FUZZ_DEFAULTS, exclude=_BELLA_ONLY)
     _add_engine_discovery(parser)
     args = parser.parse_args(argv)
 
@@ -1125,7 +1129,7 @@ def main_fuzz(argv: Sequence[str] | None = None) -> int:
             print(f"{row['name']:>16s}  {row['summary']}")
         return 0
 
-    config = config_from_args(args, _FUZZ_DEFAULTS)
+    config = config_from_args(args, _FUZZ_DEFAULTS, exclude=_BELLA_ONLY)
     progress = None
     if not args.quiet and not args.json:
         progress = lambda line: print(line, file=sys.stderr)  # noqa: E731

@@ -15,7 +15,8 @@ A flush sorts the pending tickets by ``query + target`` length (stably,
 so ties keep submission order) and cuts them into consecutive batches of
 at most ``max_batch_size``: a flush within the cap is one engine call,
 and a larger one is ``ceil(n / max_batch_size)`` calls, each over pairs
-of similar length so the padded kernel wastes few cells.
+of similar length: a call sweeps as many anti-diagonals as its longest
+pair needs, so short pairs grouped together make short calls.
 
 This is the host-side batching of the paper's Section IV recast as a
 serving policy: individually submitted requests amortise into the same

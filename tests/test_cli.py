@@ -389,6 +389,13 @@ class TestReproService:
             main_service(["serve", "--max-wait", "0.01"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("command", ["serve", "submit"])
+    def test_bin_width_flag_removed(self, command):
+        # Only BELLA reads bin_width; the service has no length bins.
+        with pytest.raises(SystemExit) as excinfo:
+            main_service([command, "--bin-width", "500"])
+        assert excinfo.value.code == 2
+
 
 class TestReproFuzz:
     FAST = [
@@ -405,6 +412,12 @@ class TestReproFuzz:
         assert payload["jobs"] >= 16
         assert payload["service_checked"] is True
         assert payload["failures"] == []
+
+    def test_bin_width_flag_removed(self):
+        # The fuzzed service path never reads bin_width.
+        with pytest.raises(SystemExit) as excinfo:
+            main_fuzz(["--bin-width", "500"] + self.FAST)
+        assert excinfo.value.code == 2
 
     def test_list_profiles(self, capsys):
         assert main_fuzz(["--list-profiles"]) == 0

@@ -413,11 +413,11 @@ class TestFuzzRunner:
 # changes only *when* batches flush, never what they compute.
 # --------------------------------------------------------------------------- #
 
-#: Batch bound 2 with length binning splits every 4-job workload into
-#: several batches; with the cache off, the resubmission round goes through
-#: the batcher again instead of being answered from memory.
+#: Batch bound 2 splits every 4-job workload into two length-sorted
+#: batches; with the cache off, the resubmission round goes through the
+#: batcher again instead of being answered from memory.
 SMALL_BATCH_CONFIG = CONFIG.replace(
-    bin_width=500, service=ServiceConfig(max_batch_size=2, cache_capacity=0)
+    service=ServiceConfig(max_batch_size=2, cache_capacity=0)
 )
 
 

@@ -314,8 +314,8 @@ class TestAdaptiveBatcher:
 
     def test_max_wait_seconds_removed(self):
         # The wait bound is gone: the background loop flushes on idle.
-        with pytest.raises(TypeError):
-            AdaptiveBatcher(max_wait_seconds=0.05)
+        with pytest.raises(TypeError, match="max_wait_seconds"):
+            AdaptiveBatcher(max_batch_size=8, max_wait_seconds=0.05)
 
 
 class TestShardedWorkerPool:
