@@ -106,6 +106,10 @@ def _with_gpus(config: AlignConfig, args: argparse.Namespace) -> AlignConfig:
 
 
 
+# Fields only BELLA reads: commands that never run it take no flag for them.
+_BELLA_ONLY = ("bin_width",)
+
+
 # --------------------------------------------------------------------------- #
 # repro-align
 # --------------------------------------------------------------------------- #
@@ -142,11 +146,13 @@ def main_align(argv: Sequence[str] | None = None) -> int:
         "--target-fasta", type=str, default=None, help="against records of this FASTA"
     )
     parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    add_config_arguments(parser, defaults=_ALIGN_DEFAULTS)
+    add_config_arguments(parser, defaults=_ALIGN_DEFAULTS, exclude=_BELLA_ONLY)
     _add_engine_discovery(parser)
     args = parser.parse_args(argv)
 
-    config = _with_gpus(config_from_args(args, _ALIGN_DEFAULTS), args)
+    config = _with_gpus(
+        config_from_args(args, _ALIGN_DEFAULTS, exclude=_BELLA_ONLY), args
+    )
     if args.query_fasta and args.target_fasta:
         queries = [r.sequence for r in read_fasta(args.query_fasta)]
         targets = [r.sequence for r in read_fasta(args.target_fasta)]
@@ -684,8 +690,6 @@ def main_bench(argv: Sequence[str] | None = None) -> int:
 # both behaviours while letting --seed-policy / --config override either.
 _SERVE_DEFAULTS = AlignConfig(engine="batched", seed_policy="middle")
 _SUBMIT_DEFAULTS = AlignConfig(engine="batched", seed_policy="start")
-# Fields only BELLA reads: commands that never run it take no flag for them.
-_BELLA_ONLY = ("bin_width",)
 
 
 def _add_service_arguments(

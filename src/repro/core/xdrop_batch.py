@@ -12,16 +12,43 @@ one-block-per-extension layout — and advances a single global anti-diagonal
 counter.  Each step performs one set of array operations over the whole
 batch:
 
+* every row's band is derived from its two previous bands at once;
 * the three-parent recurrence is evaluated for every alignment's band at
   once (rows whose band does not cover a column are masked to ``-inf``);
 * the X-drop prune uses a per-row running best (the per-block shared
   variable of the GPU kernel);
-* the band is trimmed per row by locating the first/last finite cell, and a
-  row retires when its band empties (early termination) or its DP matrix is
-  exhausted.
+* the band is trimmed per row by locating the first/last finite cell.
 
-Two hot-path mechanisms keep the work proportional to what is actually
-alive, without changing a single output bit:
+Because every row shares the step, an anti-diagonal costs a fixed number of
+NumPy calls whatever the batch holds: the per-step floor that bounds small
+batches.  Three choices keep that number to about 35 calls a step:
+
+**Stacked band state.**  The bands live in one ``(2, rows)`` int64 array of
+``[d - lo, hi]`` per row: the band's last target column and last query row.
+In that form both matrix bounds are the constant ``[n, m]``, and deriving a
+band is ``min(max(previous, before previous) + 1, [n, m])`` — three calls,
+no ``where`` — while the union window of the live bands is one ``max`` over
+the rows.  An empty band is the sentinel ``_EMPTY_BAND`` (``-2**31``) in
+both entries, and a retired row's bounds are set to it, which pins its band
+there.  The sentinel can enter neither the window nor the mask: every live
+entry is ``>= 0``, so the sentinel never wins the window's maximum; and it
+puts the row's ``lo`` (``d + 2**31``) above and its ``hi`` below every
+column, so the band mask prunes every cell of the row.
+
+**Event-driven retirement.**  A row retires when X-drop prunes every cell
+of its anti-diagonal (an early stop), or after it computes its far corner
+``(m, n)`` on anti-diagonal ``m + n``.  Its band cannot empty any earlier:
+the previous band always reaches one in-matrix row of the next
+anti-diagonal.  Each step counts the rows whose maximum is the pruned
+sentinel; retired rows are among them, so only a count above the known
+dead rows is an event, and corner events are known from ``m + n`` in
+advance.  The event alone records the row's anti-diagonal count, its
+early-termination flag and its cells, and pins its band: no per-step work
+tracks liveness.  Cells come from one running sum of the stacked band per
+row, since a row sweeps a contiguous run of anti-diagonals from ``d = 1``;
+the target end of the best cell comes from its anti-diagonal after the
+sweep.  Target wildcards are re-coded at pack time, so equality alone marks
+a match.
 
 **Active-row compaction.**  Extensions retire at wildly different
 anti-diagonals (a one-base pair is done at ``d = 2`` while a 600 bp pair
@@ -54,7 +81,8 @@ and invariant to :data:`COMPACT_THRESHOLD` — the properties the
 conformance suite enforces.
 
 Pass a :class:`BatchKernelStats` as ``stats`` to collect the sweep's work
-telemetry (steps, carried and live row-steps, compactions, cells).
+telemetry (steps, carried and live row-steps, compactions, useful and
+window cells).
 """
 
 from __future__ import annotations
@@ -89,6 +117,9 @@ _NEG16 = np.int16(-(2**14))
 #: accepts; beyond the int32 limit the kernel falls back to int64.
 _INT32_SCORE_LIMIT = 2**30 - 1
 _INT16_SCORE_LIMIT = 2**14 - 1
+#: Both entries of an empty band's stacked ``[d - lo, hi]`` state (see the
+#: module docstring): below every real entry, which is ``>= 0``.
+_EMPTY_BAND = -(2**31)
 
 
 @dataclass
@@ -113,6 +144,10 @@ class BatchKernelStats:
         Widest union band window seen (columns).
     cells:
         Useful DP cells computed (matches the per-result accounting).
+    window_cells:
+        Sum over steps of the packed rows carried times the union window
+        width: the cells the sweep actually evaluates.  ``cells - rows``
+        (the origin cells are not swept) never exceeds it.
     dtype:
         DP buffer dtype chosen by the overflow guard (``int16``/``int32``/
         ``int64``; ``mixed`` after merging sweeps that chose differently).
@@ -125,6 +160,7 @@ class BatchKernelStats:
     compactions: int = 0
     peak_window: int = 0
     cells: int = 0
+    window_cells: int = 0
     dtype: str = ""
 
     @property
@@ -143,6 +179,7 @@ class BatchKernelStats:
         self.compactions += other.compactions
         self.peak_window = max(self.peak_window, other.peak_window)
         self.cells += other.cells
+        self.window_cells += other.window_cells
         if other.dtype:
             self.dtype = other.dtype if not self.dtype else self.dtype
             if other.dtype != self.dtype:
@@ -160,6 +197,7 @@ class BatchKernelStats:
             "compactions": self.compactions,
             "peak_window": self.peak_window,
             "cells": self.cells,
+            "window_cells": self.window_cells,
             "dtype": self.dtype,
         }
 
@@ -259,6 +297,10 @@ def xdrop_extend_batch(
 
     q_mat = _pack(queries, max_m)
     t_mat = _pack(targets, max_n)
+    # Target wildcards (padding and guard included) get a code of their
+    # own, so a query wildcard equals no target base and equality alone
+    # marks a match.
+    t_mat[t_mat == WILDCARD_CODE] = WILDCARD_CODE + 1
 
     # Three anti-diagonal buffers, one row per alignment.  Buffer column
     # b corresponds to DP row i = b - 1; column 0 is a -inf guard.
@@ -273,19 +315,26 @@ def xdrop_extend_batch(
     prev_ext: tuple[int, int] | None = (1, 2)
     cur_ext: tuple[int, int] | None = None
 
-    # Per-row band state (DP-row index space, matching the scalar reference).
-    prev_lo = np.zeros(batch, dtype=np.int64)
-    prev_hi = np.zeros(batch, dtype=np.int64)
-    prev2_lo = np.zeros(batch, dtype=np.int64)
-    prev2_hi = np.full(batch, -1, dtype=np.int64)
+    # Stacked band state: column r holds ``[d - lo, hi]`` of row r, the
+    # band's last target column and last query row, so the matrix bounds
+    # are the constant ``[n, m]``.  An empty band is _EMPTY_BAND in both,
+    # and a retired row's bounds are set to it, which pins its band there.
+    bounds = np.stack([n, m])
+    band_prev = np.zeros((2, batch), dtype=np.int64)  # d = 0: the origin
+    band_prev2 = np.full((2, batch), _EMPTY_BAND, dtype=np.int64)
+    band_sum = np.zeros((2, batch), dtype=np.int64)  # over the swept steps
+    # A band never empties before its far corner (the previous band always
+    # reaches an in-matrix row), so rows end there or at an X-drop stop.
+    corners = set((m + n).tolist())
 
     best = np.zeros(batch, dtype=dtype)
     best_i = np.zeros(batch, dtype=np.int64)
-    best_j = np.zeros(batch, dtype=np.int64)
-    cells = np.ones(batch, dtype=np.int64)
-    anti = np.ones(batch, dtype=np.int64)
-    active = np.ones(batch, dtype=bool)
+    best_d = np.zeros(batch, dtype=np.int64)  # anti-diagonal of the best
+    cells = np.zeros(batch, dtype=np.int64)
+    anti = np.zeros(batch, dtype=np.int64)
     early = np.zeros(batch, dtype=bool)
+    live = np.ones(batch, dtype=bool)
+    dead = 0
 
     # Rows are physically compacted as they retire; ``row_ids`` maps packed
     # rows back to input order and retired rows are scattered into the
@@ -293,7 +342,7 @@ def xdrop_extend_batch(
     row_ids = np.arange(batch, dtype=np.int64)
     out_best = np.zeros(batch, dtype=np.int64)
     out_best_i = np.zeros(batch, dtype=np.int64)
-    out_best_j = np.zeros(batch, dtype=np.int64)
+    out_best_d = np.zeros(batch, dtype=np.int64)
     out_cells = np.zeros(batch, dtype=np.int64)
     out_anti = np.zeros(batch, dtype=np.int64)
     out_early = np.zeros(batch, dtype=bool)
@@ -305,53 +354,24 @@ def xdrop_extend_batch(
         widths_rec = np.zeros((last_diag + 1, batch), dtype=np.int64)
         widths_rec[0, :] = 1
 
-    if stats is not None:
-        stats.rows += batch
-        stats.dtype = stats.dtype or np.dtype(dtype).name
-
+    sweep = BatchKernelStats(rows=batch, dtype=np.dtype(dtype).name)
     for d in range(1, last_diag + 1):
-        # Per-row band of anti-diagonal d: matrix bounds clipped by the rows
-        # reachable from the two previous (trimmed) bands.  Retired rows are
-        # compacted away below, so bound derivation never re-runs for a
-        # whole batch of dead rows.
-        lo = np.maximum(d - n, 0)
-        hi = np.minimum(d, m)
-        reach_lo = prev_lo.copy()
-        reach_hi = prev_hi + 1
-        has_prev2 = prev2_hi >= prev2_lo
-        np.minimum(reach_lo, prev2_lo + 1, out=reach_lo, where=has_prev2)
-        np.maximum(reach_hi, prev2_hi + 1, out=reach_hi, where=has_prev2)
-        np.maximum(lo, reach_lo, out=lo)
-        np.minimum(hi, reach_hi, out=hi)
-
-        exhausted = active & (lo > hi)
-        if exhausted.any():
-            # Band emptied before the far corner => genuine early stop;
-            # d beyond m + n is just the natural end of the matrix.
-            early |= exhausted & (d <= m + n)
-            active &= ~exhausted
-        n_active = int(np.count_nonzero(active))
-        if n_active == 0:
-            break
-
-        if (
-            compact_threshold > 0.0
-            and n_active < rows
-            and n_active <= rows * compact_threshold
-        ):
-            dropped = ~active
+        # Rows retire only at the end of a step, so this sees every row
+        # the previous steps retired.
+        if compact_threshold > 0.0 and dead and rows - dead <= rows * compact_threshold:
+            dropped = ~live
             ids = row_ids[dropped]
             out_best[ids] = best[dropped]
             out_best_i[ids] = best_i[dropped]
-            out_best_j[ids] = best_j[dropped]
+            out_best_d[ids] = best_d[dropped]
             out_cells[ids] = cells[dropped]
             out_anti[ids] = anti[dropped]
             out_early[ids] = early[dropped]
 
-            keep = active
+            keep = live
             row_ids = row_ids[keep]
-            m, n = m[keep], n[keep]
-            max_m, max_n = int(m.max()), int(n.max())
+            bounds = bounds[:, keep]
+            max_n, max_m = (int(x) for x in bounds.max(axis=1))
             q_mat = q_mat[keep, : max_m + 1]
             t_mat = t_mat[keep, : max_n + 1]
             size = max_m + 2
@@ -361,30 +381,43 @@ def xdrop_extend_batch(
             prev2_ext = _clamp_ext(prev2_ext, size)
             prev_ext = _clamp_ext(prev_ext, size)
             cur_ext = _clamp_ext(cur_ext, size)
-            prev_lo, prev_hi = prev_lo[keep], prev_hi[keep]
-            prev2_lo, prev2_hi = prev2_lo[keep], prev2_hi[keep]
-            lo, hi = lo[keep], hi[keep]
-            best, best_i, best_j = best[keep], best_i[keep], best_j[keep]
+            band_prev, band_prev2 = band_prev[:, keep], band_prev2[:, keep]
+            band_sum = band_sum[:, keep]
+            best, best_i, best_d = best[keep], best_i[keep], best_d[keep]
             cells, anti, early = cells[keep], anti[keep], early[keep]
-            rows = n_active
-            active = np.ones(rows, dtype=bool)
-            if stats is not None:
-                stats.compactions += 1
+            rows -= dead
+            dead = 0
+            live = np.ones(rows, dtype=bool)
+            sweep.compactions += 1
 
-        # Union window of the live bands: the only columns computed.
-        win_lo = int(lo[active].min())
-        win_hi = int(hi[active].max())
+        # Band of anti-diagonal d: one past the far ends of the two previous
+        # (trimmed) bands, clipped to the matrix (or pinned to _EMPTY_BAND).
+        # The band before the previous one is spent, so the new one
+        # overwrites it.
+        band = np.maximum(band_prev, band_prev2, out=band_prev2)
+        band += 1
+        np.minimum(band, bounds, out=band)
+        band_sum += band
+
+        # Union window of the live bands: the only columns computed.  The
+        # _EMPTY_BAND columns of retired rows never win the maximum.
+        far = band.max(axis=1, keepdims=True)
+        win_lo = d - int(far[0, 0])
+        win_hi = int(far[1, 0])
         width = win_hi - win_lo + 1
 
-        if stats is not None:
-            stats.steps += 1
-            stats.row_steps += rows
-            stats.active_row_steps += n_active
-            if width > stats.peak_window:
-                stats.peak_window = width
+        sweep.steps += 1
+        sweep.row_steps += rows
+        sweep.active_row_steps += rows - dead
+        sweep.window_cells += rows * width
+        if width > sweep.peak_window:
+            sweep.peak_window = width
+        if widths_rec is not None:
+            # (d - lo) + hi - (d - 1); negative for retired rows, dropped below.
+            widths_rec[d, row_ids] = band[0] + band[1] - (d - 1)
 
         cutoff = (best - xdrop_c)[:, None]
-        lo_col, hi_col = lo[:, None], hi[:, None]
+        lo_col, hi_col = (d - band[0])[:, None], band[1][:, None]
         # Clear only the stale part of the recycled scratch diagonal the
         # sweep will not overwrite (it fills [win_lo + 1, win_hi + 2)).
         if cur_ext is not None:
@@ -404,12 +437,7 @@ def xdrop_extend_batch(
         j_stop = d - win_hi - 1
         ta = t_mat[:, d - win_lo : (j_stop if j_stop >= 0 else None) : -1]
         vals = cur[:, win_lo + 1 : win_hi + 2]
-        np.multiply(
-            (qa == ta) & (qa != WILDCARD_CODE),
-            match - mismatch,
-            out=vals,
-            casting="unsafe",
-        )
+        np.multiply(qa == ta, match - mismatch, out=vals, casting="unsafe")
         vals += mismatch
         vals += prev2[:, win_lo : win_hi + 1]  # parent (i-1, j-1)
         # Horizontal parents: column c of prev holds the diag-(d-1) cell of
@@ -419,8 +447,9 @@ def xdrop_extend_batch(
         np.maximum(vals, prev_gap[:, :width], out=vals)  # (i-1, j)
         np.maximum(vals, prev_gap[:, 1:], out=vals)  # (i, j-1)
 
-        # Retired rows carry an empty band (lo > hi), so one pair of
-        # bound comparisons masks both out-of-band and retired cells.
+        # Retired rows carry an _EMPTY_BAND band (lo far above every
+        # column, hi far below), so one pair of bound comparisons masks
+        # both out-of-band and retired cells.
         i_idx = np.arange(win_lo, win_hi + 1, dtype=np.int64)
         np.copyto(
             vals,
@@ -430,54 +459,54 @@ def xdrop_extend_batch(
         # Every unmasked cell scores at least the cutoff, which lies above
         # the sentinel, so a row kept a finite cell iff its maximum does.
         row_best = vals.max(axis=1)
-        row_arg = win_lo + vals.argmax(axis=1)
-        finite = vals > neg
-        first = win_lo + finite.argmax(axis=1)
-        last = win_hi - finite[:, ::-1].argmax(axis=1)
-
-        band_width = np.where(active, hi - lo + 1, 0)
-        cells += band_width
-        anti += active
-        if widths_rec is not None:
-            widths_rec[d, row_ids] = band_width
-
-        stopped = active & (row_best == neg)
-        if stopped.any():
-            early |= stopped
-            active &= ~stopped
-        if not active.any():
-            break
+        stopped = row_best == neg
+        if np.count_nonzero(stopped) > dead:
+            # Retirement event: X-drop pruned every cell of these rows.
+            new = stopped & live
+            early[new] = True
+            dead += _retire(new, d, band_sum, bounds, anti, cells, live)
+            if dead == rows:
+                break
 
         # Per-row anti-diagonal maximum (the warp-shuffle reduction of the
         # GPU kernel); the shared best is updated after the whole diagonal.
         improved = row_best > best
-        np.copyto(best_i, row_arg, where=improved)
-        np.copyto(best_j, d - row_arg, where=improved)
+        np.copyto(best_i, win_lo + vals.argmax(axis=1), where=improved)
+        np.copyto(best_d, d, where=improved)
         np.copyto(best, row_best, where=improved)
 
-        # Trim every row's band to its first/last finite cell; rotate the
-        # band state and the scratch buffers.
-        # Retired rows get an *empty* band in both states so their bounds
-        # derive to lo > hi on every later step — the masking above then
-        # needs no separate active test, and a dead row can never resurrect
-        # from stale buffer contents.
-        prev2_lo = np.where(active, prev_lo, 1)
-        prev2_hi = np.where(active, prev_hi, -2)
-        prev_lo = np.where(active, first, 1)
-        prev_hi = np.where(active, last, -2)
+        if d in corners:
+            # Retirement event: these rows just computed their far corner.
+            ended = bounds[0] + bounds[1] == d
+            dead += _retire(ended, d, band_sum, bounds, anti, cells, live)
+            if dead == rows:
+                break
 
+        # Trim every band to its first/last finite cell, in the stacked
+        # form: d - first and last are the window's far ends minus the
+        # offsets of the first finite cell from either end.  (A retired
+        # row trims to the whole window; its pinned bounds discard that.)
+        # The derived band is spent, so the trimmed one overwrites it.
+        finite = vals > neg
+        finite.argmax(axis=1, out=band[0])
+        finite[:, ::-1].argmax(axis=1, out=band[1])
+        np.subtract(far, band, out=band)
+
+        band_prev2, band_prev = band_prev, band
         prev2, prev, cur = prev, cur, prev2
         prev2_ext, prev_ext, cur_ext = prev_ext, cur_ext, prev2_ext
 
-    # Scatter the rows still packed (survivors + not-yet-compacted retirees).
+    # Every row retired inside the sweep (the last step is the far corner
+    # of the longest rows); scatter the ones still packed.
     out_best[row_ids] = best
     out_best_i[row_ids] = best_i
-    out_best_j[row_ids] = best_j
+    out_best_d[row_ids] = best_d
     out_cells[row_ids] = cells
     out_anti[row_ids] = anti
     out_early[row_ids] = early
     if stats is not None:
-        stats.cells += int(out_cells.sum())
+        sweep.cells = int(out_cells.sum())
+        stats.merge(sweep)
 
     results: list[ExtensionResult] = []
     for k in range(batch):
@@ -489,7 +518,7 @@ def xdrop_extend_batch(
             ExtensionResult(
                 best_score=int(out_best[k]),
                 query_end=int(out_best_i[k]),
-                target_end=int(out_best_j[k]),
+                target_end=int(out_best_d[k] - out_best_i[k]),
                 anti_diagonals=int(out_anti[k]),
                 cells_computed=int(out_cells[k]),
                 terminated_early=bool(out_early[k]),
@@ -497,6 +526,30 @@ def xdrop_extend_batch(
             )
         )
     return results
+
+
+def _retire(
+    rows: np.ndarray,
+    swept: int,
+    band_sum: np.ndarray,
+    bounds: np.ndarray,
+    anti: np.ndarray,
+    cells: np.ndarray,
+    live: np.ndarray,
+) -> int:
+    """Retire *rows* after anti-diagonals ``1..swept``; return how many.
+
+    A row sweeps a contiguous run of anti-diagonals from ``d = 1``, and each
+    adds ``[d - lo, hi]`` to *band_sum*, so its cells (the origin plus
+    ``hi - lo + 1`` per anti-diagonal) are the two sums minus
+    ``1 + ... + swept`` plus its anti-diagonal count ``swept + 1``.  The
+    row's bounds are pinned to the empty band for the rest of the sweep.
+    """
+    anti[rows] = swept + 1
+    cells[rows] = band_sum[:, rows].sum(axis=0) + (swept + 1 - swept * (swept + 1) // 2)
+    bounds[:, rows] = _EMPTY_BAND
+    live[rows] = False
+    return int(np.count_nonzero(rows))
 
 
 def _clamp_ext(ext: tuple[int, int] | None, size: int) -> tuple[int, int] | None:

@@ -76,6 +76,12 @@ class TestReproAlign:
         out = capsys.readouterr().out
         assert "modeled_seconds" in out
 
+    def test_bin_width_flag_removed(self):
+        # repro-align never runs BELLA, the only reader of bin_width.
+        with pytest.raises(SystemExit) as excinfo:
+            main_align(["--pairs", "2", "--bin-width", "500"])
+        assert excinfo.value.code == 2
+
 
 class TestReproBella:
     def test_dataset_run_json(self, capsys):

@@ -179,6 +179,9 @@ def test_kernel_stats_match_reference_accounting(profile, forced_threshold):
     longest_query = max(len(q) for q, _ in pairs)
     assert widest_band <= stats.peak_window <= longest_query + 1
     assert stats.active_row_steps <= stats.row_steps <= stats.rows * stats.steps
+    # Every swept cell lies in its step's window (the origin is not swept).
+    assert stats.cells - stats.rows <= stats.window_cells
+    assert stats.window_cells <= stats.row_steps * stats.peak_window
     if forced_threshold == 0.0:
         assert stats.compactions == 0
         assert stats.row_steps == stats.rows * stats.steps
@@ -392,16 +395,58 @@ def test_removed_kernel_knobs_are_not_keywords(call, key):
 def test_stats_merge():
     a = BatchKernelStats(rows=4, steps=10, row_steps=40, active_row_steps=10,
                          compactions=1, peak_window=8, cells=100,
-                         dtype="int16")
+                         window_cells=300, dtype="int16")
     b = BatchKernelStats(rows=2, steps=5, row_steps=10, active_row_steps=10,
                          compactions=0, peak_window=16, cells=50,
-                         dtype="int16")
+                         window_cells=70, dtype="int16")
     merged = BatchKernelStats().merge(a).merge(b)
     assert merged.rows == 6 and merged.steps == 15
     assert merged.peak_window == 16
     assert merged.cells == 150
+    assert merged.window_cells == 370
+    assert merged.to_dict()["window_cells"] == 370
     assert merged.dtype == "int16"
     assert merged.live_fraction == pytest.approx(20 / 50)
+
+
+@pytest.mark.parametrize(
+    "threshold, window_cells, row_steps", [(0.0, 16, 8), (0.5, 13, 6), (1.0, 13, 6)]
+)
+def test_window_cells_of_a_two_row_batch(threshold, window_cells, row_steps,
+                                         monkeypatch):
+    """Rows carried times window width, summed over the four steps.
+
+    ``("A", "A")`` sweeps bands [0, 1] and [1, 1] and retires after its
+    corner on anti-diagonal 2; ``("AC", "AC")`` sweeps [0, 1], [0, 2],
+    [1, 2] and [2, 2].  The windows are 2, 3, 2 and 1 wide: 2 * 2 + 2 * 3
+    with both rows carried, then 2 + 1 once the first row is compacted
+    away (or 2 * 2 + 2 * 1 when it stays).
+    """
+    monkeypatch.setattr(xdrop_batch, "COMPACT_THRESHOLD", threshold)
+    stats = BatchKernelStats()
+    results = xdrop_extend_batch([("A", "A"), ("AC", "AC")], xdrop=10, stats=stats)
+    assert [r.cells_computed for r in results] == [4, 9]
+    assert stats.steps == 4 and stats.peak_window == 3
+    assert stats.row_steps == row_steps
+    assert stats.window_cells == window_cells
+    assert stats.cells == 13
+
+
+@pytest.mark.parametrize("wide_first", [False, True], ids=["int16-first", "int32-first"])
+def test_reused_accumulator_marks_mixed_tiers(wide_first):
+    """A reused ``stats=`` accumulator folds dtypes as ``merge()`` does."""
+    sweeps = [10, 10**6]  # X thresholds that pick the int16 and int32 tiers
+    if wide_first:
+        sweeps.reverse()
+    reused = BatchKernelStats()
+    merged = BatchKernelStats()
+    for xdrop in sweeps:
+        xdrop_extend_batch([("ACGT", "ACGT")], xdrop=xdrop, stats=reused)
+        one = BatchKernelStats()
+        xdrop_extend_batch([("ACGT", "ACGT")], xdrop=xdrop, stats=one)
+        merged.merge(one)
+    assert reused.dtype == merged.dtype == "mixed"
+    assert reused == merged
 
 
 def test_default_knob_constants_are_sane():
