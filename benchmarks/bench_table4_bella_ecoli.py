@@ -9,7 +9,7 @@ The reproduction preserves the ordering and trend claims (CPU grows with X,
 LOGAN stays much flatter, multi-GPU speed-up reaches ~10x and grows with X).
 The *rate* at which the CPU baseline grows with X is weaker than in the
 paper because the synthetic candidates explore a tighter X-drop band than
-the real PacBio data — see EXPERIMENTS.md for the discussion.
+the real PacBio data.
 """
 
 from __future__ import annotations

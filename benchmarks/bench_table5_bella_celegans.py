@@ -8,8 +8,7 @@ the CPU actually winning at X=5.
 The reproduction preserves the growth/ordering trends and the magnitude of
 the large-X speed-up.  The small-X crossover (CPU faster than GPU at X=5)
 does not reproduce because our synthetic candidate pairs rarely trigger the
-very early drop-outs the real noisy PacBio data shows at tiny X; this
-deviation is analysed in EXPERIMENTS.md.
+very early drop-outs the real noisy PacBio data shows at tiny X.
 """
 
 from __future__ import annotations

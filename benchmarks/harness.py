@@ -10,8 +10,7 @@ Each run
    sample to the paper's pair/alignment count, and
 3. emits a :class:`~repro.perf.metrics.BenchTable` whose rows mirror the
    paper's table — including the published numbers as ``paper_*`` columns so
-   the reproduction can be compared at a glance (EXPERIMENTS.md is generated
-   from these tables).
+   the reproduction can be compared at a glance.
 
 The sample sizes are kept small so the whole benchmark suite finishes in a
 few minutes; set ``REPRO_BENCH_SCALE`` (e.g. ``2.0`` or ``0.5``) to grow or
@@ -682,7 +681,7 @@ def run_accuracy(scale: float = 1.0) -> BenchTable:
 
 
 # --------------------------------------------------------------------------- #
-# Ablations of the design choices called out in DESIGN.md.
+# Ablations of LOGAN's design choices (paper Section IV).
 # --------------------------------------------------------------------------- #
 def run_ablation_threads(scale: float = 1.0) -> BenchTable:
     """Ablation: X-proportional thread scheduling vs a fixed 1024 threads."""
@@ -919,109 +918,9 @@ def run_ablation_loadbalance(scale: float = 1.0, xdrop: int = 500) -> BenchTable
 
 
 # --------------------------------------------------------------------------- #
-# Engine comparison — the registry axis added by the unified engine layer.
-# --------------------------------------------------------------------------- #
-def compare_engines(
-    jobs: Sequence[AlignmentJob],
-    xdrop: int = 50,
-    engines: Sequence[str] | None = None,
-    scoring: ScoringScheme | None = None,
-) -> list[dict]:
-    """Run every named engine over *jobs* and collect comparison rows.
-
-    The per-job scalar ``reference`` engine is always executed (it is the
-    speed-up denominator and the score oracle) even when *engines* excludes
-    it from the reported rows.  Shared by :func:`run_engines` and
-    ``benchmarks/bench_engines.py``.
-    """
-    from repro.engine import get_engine, list_engines
-
-    scoring = scoring or _SCORING
-    names = list(engines) if engines else list_engines()
-    ref_batch = get_engine("reference", scoring=scoring, xdrop=xdrop).align_batch(jobs)
-    ref_scores = ref_batch.scores()
-
-    rows = []
-    for name in names:
-        if name == "reference":
-            batch = ref_batch
-        else:
-            batch = get_engine(name, scoring=scoring, xdrop=xdrop).align_batch(jobs)
-        rows.append(
-            {
-                "engine": name,
-                "measured_seconds": batch.elapsed_seconds,
-                "measured_gcups": batch.measured_gcups(),
-                "speedup_vs_scalar": (
-                    ref_batch.elapsed_seconds / batch.elapsed_seconds
-                    if batch.elapsed_seconds > 0
-                    else float("inf")
-                ),
-                "scores_identical_to_reference": batch.scores() == ref_scores,
-                "modeled_seconds": batch.modeled_seconds,
-                "cells": batch.summary.cells,
-            }
-        )
-    return rows
-
-
-def run_engines(
-    scale: float = 1.0,
-    engines: Sequence[str] | None = None,
-    xdrop: int = 50,
-    rng_seed: int = 2020,
-) -> BenchTable:
-    """Compare every registered alignment engine on one fixed-seed batch.
-
-    Each engine aligns the same job batch; rows report measured wall-clock,
-    GCUPS, the speed-up over the per-job scalar reference loop, and whether
-    the scores are bit-identical to the reference (1.0) or merely
-    comparable (0.0, e.g. the affine-gap ksw2 engine).
-    """
-    jobs = benchmark_pairs(
-        sample_count(24, scale),
-        min_length=300,
-        max_length=600,
-        seed_placement="middle",
-        rng_seed=rng_seed,
-    )
-    rows = compare_engines(jobs, xdrop=xdrop, engines=engines)
-
-    table = BenchTable(
-        title=f"Engine comparison — {len(jobs)} jobs, X={xdrop}",
-        parameter_name="engine#",
-        columns=[
-            "measured_s",
-            "measured_gcups",
-            "speedup_vs_reference",
-            "scores_exact",
-            "modeled_s",
-        ],
-        notes="engines: "
-        + ", ".join(f"{i}={row['engine']}" for i, row in enumerate(rows)),
-    )
-    for index, row in enumerate(rows):
-        table.add_row(
-            index,
-            measured_s=row["measured_seconds"],
-            measured_gcups=row["measured_gcups"],
-            speedup_vs_reference=row["speedup_vs_scalar"],
-            scores_exact=float(row["scores_identical_to_reference"]),
-            modeled_s=(
-                row["modeled_seconds"]
-                if row["modeled_seconds"] is not None
-                else float("nan")
-            ),
-        )
-    save_table(table, "engines")
-    return table
-
-
-# --------------------------------------------------------------------------- #
 # Dispatch used by the CLI.
 # --------------------------------------------------------------------------- #
 _EXPERIMENTS = {
-    "engines": run_engines,
     "table1": run_table1,
     "table2": run_table2,
     "table3": run_table3,

@@ -16,7 +16,7 @@ Run from the repository root::
 
     PYTHONPATH=src python examples/prefilter_triage.py
 
-The recorded bench entry (``repro-bench service --prefilter enforce``)
+The recorded bench entry (``repro-bench perf --service --prefilter enforce``)
 adds a ``service_prefilter`` row to ``BENCH_service.json`` with the same
 precision/recall accounting shown here.
 """

@@ -15,7 +15,7 @@ one session facade:
     the X-drop threshold, worker count, seed policy, band/bin parameters
     and — nested as a :class:`ServiceConfig` — every serving-layer knob.
     ``to_dict()``/``from_dict()`` round-trip through plain JSON, so one
-    ``config.json`` can drive the library, every CLI subcommand
+    ``config.json`` can drive the library, every aligning CLI subcommand
     (``--config config.json``) and any external orchestration.
 
 ``Aligner``
@@ -269,7 +269,7 @@ class AlignConfig:
     Every layer consumes the same object — the engine registry
     (``get_engine.from_config``), the :class:`~repro.service.AlignmentService`
     (``config=``), the :class:`~repro.bella.pipeline.BellaPipeline`
-    (``config=``) and all five CLI subcommands (``--config config.json``) —
+    (``config=``) and every aligning CLI subcommand (``--config config.json``) —
     so adding a scenario means adding a field here instead of plumbing a
     kwarg through five layers.  ``engine_options`` are checked in one place,
     :func:`~repro.engine.engine_from_config`; ``repro-align`` takes its
@@ -630,13 +630,13 @@ def add_config_arguments(
 ) -> None:
     """Add the shared ``AlignConfig`` argument group to *parser*.
 
-    One group serves every CLI subcommand: ``--config config.json`` loads a
-    full :class:`AlignConfig`, and the per-field flags (generated from the
-    config's fields) override whatever the file or *defaults* carry.
-    *defaults* supplies the per-command baseline shown in ``--help``;
-    *exclude* drops fields a command defines itself (e.g. ``repro-bench``'s
-    repeatable ``--engine``); *include_service* adds the nested
-    :class:`ServiceConfig` flags.
+    One group serves every aligning CLI subcommand: ``--config
+    config.json`` loads a full :class:`AlignConfig`, and the per-field flags
+    (generated from the config's fields) override whatever the file or
+    *defaults* carry.  *defaults* supplies the per-command baseline shown in
+    ``--help``; *exclude* drops fields a command never reads (e.g.
+    ``bin_width`` where BELLA never runs); *include_service* adds the
+    nested :class:`ServiceConfig` flags.
     """
     shown = defaults if defaults is not None else AlignConfig()
     group = parser.add_argument_group(

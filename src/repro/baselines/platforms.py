@@ -7,8 +7,8 @@ The paper's CPU baselines ran on hardware we do not have:
 * ksw2 on a dual-socket Intel Xeon Gold 6148 "Skylake" (2 x 20 cores,
   80 threads, SSE2 SIMD) — Table III / Fig. 9.
 
-Following the substitution rule in DESIGN.md, this module models those
-runtimes from the *exact work traces* produced by our own implementations
+Lacking that hardware, this module models those runtimes from the
+*exact work traces* produced by our own implementations
 (cells evaluated, anti-diagonals / rows iterated, alignments dispatched),
 multiplied by calibrated per-unit costs.  The calibration constants are the
 only "magic numbers" in the reproduction; they were chosen so the modeled
@@ -172,9 +172,9 @@ SKYLAKE_PLATFORM = CpuPlatformSpec(
 #: SeqAn X-drop on 168 POWER9 threads.  Calibration: with the paper's 100 K
 #: pair workload (2.5-7.5 kb reads) the model lands near Table II at both
 #: ends of the X sweep (~5 s at X=10, ~150-160 s at X=5000); the mid-range
-#: (X=100-1000) under-estimates the published numbers by ~2-4x, which is
-#: discussed in EXPERIMENTS.md.  The per-iteration term models SeqAn's
-#: per-anti-diagonal band bookkeeping, which dominates at small X.
+#: (X=100-1000) under-estimates the published numbers by ~2-4x.  The
+#: per-iteration term models SeqAn's per-anti-diagonal band bookkeeping,
+#: which dominates at small X.
 SEQAN_POWER9_MODEL = CpuCostModel(
     platform=POWER9_PLATFORM,
     threads=168,

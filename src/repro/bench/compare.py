@@ -1,6 +1,9 @@
-"""Regression gating: judge a fresh benchmark entry against its baseline.
+"""Judging a fresh benchmark entry: its own checks, then its baseline.
 
-The default metric is ``speedup_vs_scalar``: it divides out the host's
+:func:`check` finds what makes an entry unfit to record whatever the
+stored history holds (a score mismatch, a cache that never hit, a service
+that never batched).  :func:`compare` gates it against its baseline.  The
+default metric is ``speedup_vs_scalar``: it divides out the host's
 absolute speed using the scalar reference timed in the same run, so a
 trajectory recorded on a laptop still gates a CI runner meaningfully.
 Raw ``measured_seconds``/``measured_gcups`` comparisons are available for
@@ -11,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..engine import describe_engines
 from ..errors import ConfigurationError
 from .schema import BenchEntry
 
-__all__ = ["MetricDelta", "ComparisonReport", "compare"]
+__all__ = ["MetricDelta", "ComparisonReport", "check", "compare"]
 
 #: Metrics where larger is better (regression = value dropped).
 _HIGHER_IS_BETTER = {"speedup_vs_scalar", "measured_gcups"}
@@ -29,6 +33,33 @@ _DENOMINATOR_ENGINES = {"reference", "per_job"}
 #: resubmission round): pure timing noise on any gated metric, so they are
 #: recorded in the trajectory but never gated.
 _NOISE_ENGINES = {"service_resubmit"}
+
+
+def check(entry: BenchEntry) -> list[str]:
+    """What makes *entry* unfit to record, one message per failed check.
+
+    One rule for both entry kinds: every row must be identical to its
+    reference (the scalar reference for engine rows, the direct batch call
+    for service rows) unless it belongs to a registered engine with
+    ``exact = False``.  A service entry must also show a cache hit on
+    resubmission and a batch of more than one job.  Empty when every
+    check passes.
+    """
+    inexact = {row["name"] for row in describe_engines() if row["exact"] is False}
+    failures = [
+        f"{row.engine} scores diverge from the reference"
+        for row in entry.rows
+        if not row.scores_identical_to_reference and row.engine not in inexact
+    ]
+    if entry.kind == "service":
+        if not entry.extra.get("cache_hit_rate", 0.0) > 0.0:
+            failures.append("service_resubmit got no cache hit")
+        if not entry.extra.get("mean_batch_size", 0.0) > 1.0:
+            failures.append(
+                "the service never formed a batch of more than one job "
+                f"({entry.extra.get('batches_formed', 0)} batches)"
+            )
+    return failures
 
 
 @dataclass

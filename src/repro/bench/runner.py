@@ -1,9 +1,11 @@
 """Deterministic benchmark runners for the engine and service layers.
 
-Both runners build the same fixed-seed synthetic workloads the historic
-``benchmarks/bench_engines.py`` / ``benchmarks/bench_service.py`` scripts
-used, so freshly measured entries are directly comparable with the
-trajectory recorded before the subsystem existed.
+Each runner measures one fixed-seed synthetic workload and returns one
+:class:`~repro.bench.schema.BenchEntry`; it neither judges nor records
+it (``repro-bench perf`` does both).  The default workloads are the ones
+the oldest entries of ``BENCH_engines.json`` / ``BENCH_service.json``
+were measured on, so fresh entries stay comparable with the whole
+recorded trajectory.
 """
 
 from __future__ import annotations

@@ -9,10 +9,13 @@ A :class:`BaselineStore` wraps one JSON file (``BENCH_engines.json`` /
     }
 
 Entries are only ever appended — the stored trajectory is the project's
-recorded performance history, diffable in version control.  Both committed
-trajectories start with the converted pre-subsystem snapshot (timestamp
-``"legacy"``), so the first recorded baseline (the pre-compaction kernel)
-remains the comparison anchor.
+recorded performance history, diffable in version control.  An append
+writes the stored entries back as it read them, not through
+:class:`BenchEntry` (which would add keys an old entry lacks and drop
+ones it does not know), so recording one entry adds only that entry to
+the file's diff.  Both committed trajectories start with the converted
+pre-subsystem snapshot (timestamp ``"legacy"``), so the first recorded
+baseline (the pre-compaction kernel) remains the comparison anchor.
 """
 
 from __future__ import annotations
@@ -41,22 +44,26 @@ class BaselineStore:
         self.path = Path(path)
 
     # ------------------------------------------------------------------ #
-    def load(self) -> list[BenchEntry]:
-        """The stored trajectory, oldest first (empty for a missing file)."""
+    def _read(self) -> dict:
+        """The file's JSON document, as stored (a new one for a missing file)."""
         if not self.path.exists():
-            return []
+            return {"schema": _SCHEMA, "trajectory": []}
         try:
             data = json.loads(self.path.read_text())
         except json.JSONDecodeError as error:
             raise ConfigurationError(
                 f"baseline store {self.path} is not valid JSON: {error}"
             ) from error
-        if isinstance(data, dict) and "trajectory" in data:
-            return [BenchEntry.from_dict(e) for e in data["trajectory"]]
+        if isinstance(data, dict) and isinstance(data.get("trajectory"), list):
+            return data
         raise ConfigurationError(
             f"baseline store {self.path} has an unrecognised layout "
             "(expected a trajectory)"
         )
+
+    def load(self) -> list[BenchEntry]:
+        """The stored trajectory, oldest first (empty for a missing file)."""
+        return [BenchEntry.from_dict(e) for e in self._read()["trajectory"]]
 
     def latest(self, kind: str | None = None) -> BenchEntry | None:
         """Most recent entry (optionally restricted to one ``kind``)."""
@@ -81,11 +88,7 @@ class BaselineStore:
 
     # ------------------------------------------------------------------ #
     def append(self, entry: BenchEntry) -> None:
-        """Append *entry* and persist the full trajectory."""
-        trajectory = self.load()
-        trajectory.append(entry)
-        payload = {
-            "schema": _SCHEMA,
-            "trajectory": [e.to_dict() for e in trajectory],
-        }
-        self.path.write_text(json.dumps(payload, indent=2) + "\n")
+        """Append *entry*; every stored entry is written back as it was read."""
+        data = self._read()
+        data["trajectory"].append(entry.to_dict())
+        self.path.write_text(json.dumps(data, indent=2) + "\n")

@@ -16,9 +16,11 @@ Six console scripts are installed with the package:
     without going through pytest (useful for quick sweeps), or — as
     ``repro-bench perf`` — run the benchmark subsystem
     (:mod:`repro.bench`): measure the engines/service on fixed workloads,
+    check them (score parity; for the service also cache hits and batching),
     gate against the stored baseline trajectory (``BENCH_engines.json`` /
     ``BENCH_service.json``) with a configurable regression tolerance, and
-    append the fresh entry to the committed trajectory.
+    append the fresh entries to the committed trajectory.  ``repro-bench
+    perf`` is the only code that writes those files.
 
 ``repro-service``
     Drive the asynchronous alignment service: ``serve`` runs a workload
@@ -38,13 +40,15 @@ Six console scripts are installed with the package:
     cost of full observability against a disabled run on the quick bench
     workload.
 
-Every subcommand shares one declarative configuration surface: the
-``alignment configuration`` argument group is generated from the fields of
+``repro-align``, ``repro-bella``, ``repro-service`` and ``repro-fuzz``
+share one declarative configuration surface: the ``alignment
+configuration`` argument group is generated from the fields of
 :class:`repro.api.AlignConfig` (see :func:`repro.api.add_config_arguments`),
 and ``--config config.json`` loads a full :class:`~repro.api.AlignConfig`
-which individual flags then override.  Every entry point also accepts
-``--list-engines`` to print the registered alignment engines (name,
-exactness, summary) and exit.
+which individual flags then override.  ``repro-bench`` has no such group:
+each paper experiment and each ``perf`` workload fixes its own alignment
+parameters.  Those five entry points also accept ``--list-engines`` to
+print the registered alignment engines (name, exactness, summary) and exit.
 """
 
 from __future__ import annotations
@@ -336,17 +340,25 @@ def main_bella(argv: Sequence[str] | None = None) -> int:
 # repro-bench
 # --------------------------------------------------------------------------- #
 def main_bench_perf(argv: Sequence[str] | None = None) -> int:
-    """``repro-bench perf``: measure, gate and record the perf trajectory.
+    """``repro-bench perf``: measure, check, gate and record the trajectory.
 
     Times the engine layer (and optionally the serving layer) on the fixed
-    benchmark workloads, compares the fresh entry against the stored
-    baseline in ``BENCH_engines.json`` / ``BENCH_service.json`` with a
-    configurable regression tolerance, and — with ``--record`` — appends
-    the entry to the committed trajectory.  Exit status 1 on a regression
-    beyond the tolerance (the CI perf-smoke gate) or on a score-parity
-    violation.
+    benchmark workloads, checks each fresh entry (:func:`repro.bench.check`:
+    score parity, and for the service cache hits on resubmission and a
+    multi-job batch), compares it against the stored baseline in
+    ``BENCH_engines.json`` / ``BENCH_service.json`` with a configurable
+    regression tolerance, and — with ``--record`` — appends the entries to
+    the committed trajectories.  Exit status 1 on a failed check or a
+    regression beyond the tolerance (the CI perf-smoke gate); a failing run
+    records neither entry.
     """
-    from .bench import BaselineStore, compare, run_engine_bench, run_service_bench
+    from .bench import (
+        BaselineStore,
+        check,
+        compare,
+        run_engine_bench,
+        run_service_bench,
+    )
 
     parser = argparse.ArgumentParser(
         prog="repro-bench perf",
@@ -442,7 +454,10 @@ def main_bench_perf(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--no-compare",
         action="store_true",
-        help="skip the regression gate against the stored baseline",
+        help=(
+            "skip the regression gate against the stored baseline "
+            "(the checks still run)"
+        ),
     )
     parser.add_argument(
         "--strict",
@@ -467,7 +482,10 @@ def main_bench_perf(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--record",
         action="store_true",
-        help="append the fresh entry to the trajectory file(s)",
+        help=(
+            "append the fresh entries to the trajectory file(s) when the "
+            "run passes"
+        ),
     )
     parser.add_argument("--label", type=str, default="", help="entry label")
     parser.add_argument(
@@ -480,23 +498,9 @@ def main_bench_perf(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     args = parser.parse_args(argv)
 
-    entry = run_engine_bench(
-        pairs=args.pairs,
-        xdrop=args.xdrop,
-        seed=args.seed,
-        engines=args.engines,
-        repeats=args.repeats,
-        quick=args.quick,
-        label=args.label,
-        profile=args.profile,
-        min_length=args.min_length,
-        max_length=args.max_length,
-        error_rate=args.error_rate,
-    )
-    failed = False
-    payload: dict = {"engines": entry.to_dict()}
+    payload: dict = {"check_failures": []}
 
-    def gate(bench_entry, store, report_key) -> bool:
+    def gate(bench_entry, store) -> bool:
         """Compare one entry; a missing baseline is a clear message, not a
         KeyError, and fails the run only under ``--strict``."""
         series = bench_entry.kind + (
@@ -519,7 +523,7 @@ def main_bench_perf(argv: Sequence[str] | None = None) -> int:
         report = compare(
             bench_entry, baseline, tolerance=args.tolerance, metric=args.metric
         )
-        payload[report_key] = report.to_dict()
+        payload[f"{bench_entry.kind}_comparison"] = report.to_dict()
         if not args.json:
             print(report.formatted())
         gate_failed = not report.ok
@@ -535,30 +539,35 @@ def main_bench_perf(argv: Sequence[str] | None = None) -> int:
                 print(msg)
             gate_failed = gate_failed or args.strict
         return gate_failed
-    if not args.json:
-        print(entry.formatted())
-    exact_engines = {
-        row["name"] for row in describe_engines() if row["exact"]
-    }
-    parity_failures = [
-        row.engine
-        for row in entry.rows
-        if row.engine in exact_engines and not row.scores_identical_to_reference
-    ]
-    payload["parity_failures"] = parity_failures
-    for name in parity_failures:
-        failed = True
-        if not args.json:
-            print(f"FAIL: {name} scores diverge from the scalar reference")
 
-    store = BaselineStore(args.baseline)
-    if not args.no_compare:
-        failed = gate(entry, store, "comparison") or failed
-    if args.record:
-        store.append(entry)
+    def judge(bench_entry, store) -> bool:
+        """Print, check and gate one entry; True when it fails the run."""
+        payload[bench_entry.kind] = bench_entry.to_dict()
         if not args.json:
-            print(f"recorded entry in {store.path}")
+            print(bench_entry.formatted())
+        failures = check(bench_entry)
+        payload["check_failures"].extend(failures)
+        if not args.json:
+            for message in failures:
+                print(f"FAIL: {message}")
+        gate_failed = not args.no_compare and gate(bench_entry, store)
+        return bool(failures) or gate_failed
 
+    entry = run_engine_bench(
+        pairs=args.pairs,
+        xdrop=args.xdrop,
+        seed=args.seed,
+        engines=args.engines,
+        repeats=args.repeats,
+        quick=args.quick,
+        label=args.label,
+        profile=args.profile,
+        min_length=args.min_length,
+        max_length=args.max_length,
+        error_rate=args.error_rate,
+    )
+    measured = [(entry, BaselineStore(args.baseline))]
+    failed = judge(*measured[0])
     if args.service:
         service_entry = run_service_bench(
             xdrop=args.xdrop,
@@ -568,16 +577,18 @@ def main_bench_perf(argv: Sequence[str] | None = None) -> int:
             process=args.process,
             prefilter=args.prefilter,
         )
-        payload["service"] = service_entry.to_dict()
+        measured.append((service_entry, BaselineStore(args.service_baseline)))
+        failed = judge(*measured[1]) or failed
+
+    if args.record and failed:
+        # Both entries or neither: a failing run leaves the history as it was.
         if not args.json:
-            print(service_entry.formatted())
-        service_store = BaselineStore(args.service_baseline)
-        if not args.no_compare:
-            failed = gate(service_entry, service_store, "service_comparison") or failed
-        if args.record:
-            service_store.append(service_entry)
+            print("nothing recorded: the run failed")
+    elif args.record:
+        for bench_entry, store in measured:
+            store.append(bench_entry)
             if not args.json:
-                print(f"recorded entry in {service_store.path}")
+                print(f"recorded entry in {store.path}")
 
     payload["ok"] = not failed
     if args.artifact:
@@ -593,9 +604,10 @@ def main_bench(argv: Sequence[str] | None = None) -> int:
     """Entry point of ``repro-bench``: paper tables/figures, or ``perf``.
 
     ``repro-bench perf`` dispatches to the benchmark subsystem
-    (:mod:`repro.bench`): trajectory measurement, baseline comparison and
-    recording.  Every other positional regenerates a paper table/figure
-    from the benchmark harness.
+    (:mod:`repro.bench`): trajectory measurement, checks, baseline
+    comparison and recording.  Every other positional regenerates a paper
+    table/figure from the benchmark harness, whose parameters each
+    experiment fixes to the paper's setup.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "perf":
@@ -624,9 +636,8 @@ def main_bench(argv: Sequence[str] | None = None) -> int:
             "ablation_reversal",
             "ablation_reduction",
             "ablation_loadbalance",
-            "engines",
         ],
-        help="experiment id (see DESIGN.md experiment index)",
+        help="experiment id (the paper table or figure it regenerates)",
     )
     parser.add_argument(
         "--scale",
@@ -634,26 +645,8 @@ def main_bench(argv: Sequence[str] | None = None) -> int:
         default=1.0,
         help="work multiplier for the measured sample (1.0 = default laptop scale)",
     )
-    parser.add_argument(
-        "--engine",
-        action="append",
-        choices=list_engines(),
-        default=None,
-        help="restrict the 'engines' experiment to these engines (repeatable)",
-    )
-    add_config_arguments(parser, exclude=("engine",))
     _add_engine_discovery(parser)
     args = parser.parse_args(argv)
-    config = config_from_args(args, exclude=("engine",))
-    if config.replace(engine=AlignConfig().engine) != AlignConfig():
-        # The harness pins each experiment's parameters to the paper's
-        # setup; the shared config only selects engines for the sweep.
-        print(
-            "warning: repro-bench applies the alignment configuration only "
-            "as an engine restriction for the 'engines' experiment; other "
-            "config fields (scoring/xdrop/...) are fixed by each experiment",
-            file=sys.stderr,
-        )
 
     # The benchmark harness lives next to the repository (benchmarks/), not
     # inside the installed package, so resolve it relative to the current
@@ -670,15 +663,7 @@ def main_bench(argv: Sequence[str] | None = None) -> int:
         sys.path.insert(0, root)
     from benchmarks import harness  # deferred: benchmarks ship next to the repo
 
-    engines = args.engine
-    if engines is None and args.config:
-        # A config file names one engine; restrict the sweep to it.
-        engines = [config.engine]
-    if args.experiment == "engines" and engines:
-        table = harness.run_engines(scale=args.scale, engines=engines)
-    else:
-        table = harness.run_experiment(args.experiment, scale=args.scale)
-    print(table.formatted())
+    print(harness.run_experiment(args.experiment, scale=args.scale).formatted())
     return 0
 
 

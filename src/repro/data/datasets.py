@@ -7,7 +7,7 @@ multi-kilobase pairs in Python is available here, so each dataset is exposed
 as a *preset*: a scaled-down synthetic genome + read set that exercises the
 identical pipeline, together with the paper-scale alignment count used to
 extrapolate modeled runtimes (the scaling factor is recorded explicitly and
-surfaced by the benchmarks and EXPERIMENTS.md).
+surfaced by the benchmark tables).
 """
 
 from __future__ import annotations

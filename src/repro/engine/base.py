@@ -55,8 +55,7 @@ class EngineBatchResult:
     elapsed_seconds:
         Measured wall-clock of the Python run.
     modeled_seconds:
-        Modeled wall-clock on the engine's native platform (Skylake for
-        ksw2, V100(s) for LOGAN) when the engine has a platform model,
+        Modeled wall-clock on LOGAN's V100(s) for the ``logan`` engine,
         otherwise ``None``.
     extras:
         Engine-specific detail (e.g. the full LOGAN batch result) for

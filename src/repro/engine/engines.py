@@ -13,7 +13,7 @@ name            implementation                                         exact
 ``wavefront``   WFA-style furthest-reaching-point extension, unit
                 scoring only
                 (:func:`repro.core.wavefront.wavefront_extend_batch`)  yes*
-``ksw2``        ksw2-style affine Z-drop runner + Skylake model        no
+``ksw2``        ksw2-style affine Z-drop runner                        no
 ``logan``       the ``batched`` sweep, traced, + post-hoc V100
                 multi-GPU execution model                              yes
 ==============  =====================================================  ======
@@ -340,7 +340,7 @@ class WavefrontEngine(_EngineBase):
 
 
 class Ksw2Engine(_EngineBase):
-    """ksw2-style affine Z-drop runner with the modeled Skylake runtime.
+    """ksw2-style affine-gap Z-drop runner (minimap2 map-pb scoring).
 
     Not score-exact with the X-drop reference: the recurrence is affine-gap
     and the termination rule is Z-drop, so scores are comparable but not
@@ -351,6 +351,11 @@ class Ksw2Engine(_EngineBase):
     over into the affine scheme (the gap terms keep ksw2's minimap2
     defaults, which have no linear equivalent); pass ``affine_scoring`` to
     control the affine scheme fully.
+
+    Like the SeqAn baseline, the modeled 80-thread Skylake runtime of the
+    paper's Table III is a post-hoc function of the work summary,
+    :meth:`repro.baselines.Ksw2BatchAligner.modeled_seconds_for`, so
+    ``modeled_seconds`` stays ``None``.
     """
 
     name = "ksw2"
@@ -420,7 +425,6 @@ class Ksw2Engine(_EngineBase):
             results=results,
             summary=batch.summary,
             elapsed_seconds=batch.elapsed_seconds,
-            modeled_seconds=batch.modeled_seconds,
             extras={"batch": batch, "band": batch.band},
         )
 

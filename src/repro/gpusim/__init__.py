@@ -4,8 +4,9 @@ The model is deliberately *trace-driven*: the real X-drop algorithm runs (in
 NumPy) and records exactly the work a CUDA block would perform — per
 anti-diagonal widths, sequence lengths — and this package maps that work onto
 a V100-class device description (SMs, warp schedulers, INT32 issue rate,
-occupancy limits, shared-memory/HBM capacities, host links).  See DESIGN.md
-for the substitution rationale and calibration notes.
+occupancy limits, shared-memory/HBM capacities, host links).  See
+:mod:`repro.gpusim.device` for the device parameters and
+:mod:`repro.gpusim.kernel` for how a work trace becomes modeled time.
 """
 
 from .device import TESLA_A100, TESLA_V100, DeviceSpec

@@ -83,7 +83,7 @@ class BenchTable:
 
     Collects :class:`BenchRow` objects, renders them as fixed-width text
     (mirroring the layout of the paper's tables) and serialises to JSON so
-    EXPERIMENTS.md and regression checks can consume the numbers.
+    regression checks can consume the numbers.
     """
 
     title: str

@@ -69,9 +69,8 @@ class AlignmentTicket:
         Raises
         ------
         ServiceError
-            If no result arrives within *timeout* seconds.
-        BaseException
-            Whatever error the worker hit, re-raised in the caller.
+            If no result arrives within *timeout* seconds, or the batch
+            failed (an engine's own exception is its ``__cause__``).
         """
         if not self._event.wait(timeout):
             raise ServiceError(

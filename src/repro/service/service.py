@@ -365,6 +365,15 @@ class AlignmentService:
                     batch.jobs(), scoring=self.scoring, xdrop=self.xdrop
                 )
         except Exception as error:
+            if not isinstance(error, ServiceError):
+                # The thread transport runs the engine inline: fail its
+                # tickets with a named ServiceError, as the process pool
+                # does, chained to the engine's own exception.
+                cause = error
+                error = ServiceError(
+                    f"engine failed on a batch of {batch.size} jobs: {cause!r}"
+                )
+                error.__cause__ = cause
             if durable_ids:
                 # Back to pending: a restart will redeliver these jobs even
                 # though this process's tickets fail now.

@@ -6,14 +6,17 @@ timed quick-scale measurement smoke is marked ``benchmark``.
 
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
 
+import repro.bench
 from repro.bench import (
     BaselineStore,
     BenchEntry,
     BenchResult,
+    check,
     compare,
     run_engine_bench,
     run_service_bench,
@@ -119,6 +122,25 @@ class TestBaselineStore:
         assert data["schema"].startswith("repro-bench-trajectory")
         assert len(data["trajectory"]) == 2
 
+    def test_append_keeps_stored_entries_as_written(self, tmp_path):
+        # An entry recorded before a schema field existed has no key for
+        # it; appending must not add the key (or drop unknown ones).
+        path = tmp_path / "t.json"
+        old = make_entry(label="old").to_dict()
+        del old["metrics"]
+        old["note"] = "a key BenchEntry does not know"
+        path.write_text(
+            json.dumps(
+                {"schema": "repro-bench-trajectory/1", "trajectory": [old]},
+                indent=2,
+            )
+            + "\n"
+        )
+        BaselineStore(path).append(make_entry(label="new"))
+        stored = json.loads(path.read_text())["trajectory"]
+        assert stored[0] == old
+        assert [e["label"] for e in stored] == ["old", "new"]
+
     def test_latest_matching_respects_signature(self, tmp_path):
         store = BaselineStore(tmp_path / "t.json")
         store.append(make_entry(quick=True))
@@ -216,6 +238,153 @@ class TestCompare:
         payload = report.to_dict()
         assert payload["ok"] is True
         assert payload["deltas"][0]["engine"] == "batched"
+
+
+# --------------------------------------------------------------------------- #
+# Checks: what no entry may be recorded with
+# --------------------------------------------------------------------------- #
+class TestCheck:
+    def test_passing_engine_entry(self):
+        assert check(make_entry()) == []
+
+    def test_exact_engine_row_must_match_the_reference(self):
+        entry = make_entry()
+        entry.row("batched").scores_identical_to_reference = False
+        assert check(entry) == ["batched scores diverge from the reference"]
+
+    def test_inexact_engine_row_may_differ(self):
+        entry = make_entry()
+        entry.rows.append(make_row("ksw2", identical=False))
+        assert check(entry) == []
+
+    def test_service_rows_cache_and_batching(self):
+        entry = make_entry()
+        entry.kind = "service"
+        entry.rows = [make_row("direct"), make_row("service", identical=False)]
+        entry.extra = {"cache_hit_rate": 0.0, "mean_batch_size": 1.0}
+        assert check(entry) == [
+            "service scores diverge from the reference",
+            "service_resubmit got no cache hit",
+            "the service never formed a batch of more than one job (0 batches)",
+        ]
+
+
+def _diverge(*names):
+    def mutate(entry):
+        for name in names:
+            entry.row(name).scores_identical_to_reference = False
+
+    return mutate
+
+
+def _no_cache_hit(entry):
+    entry.extra["cache_hit_rate"] = 0.0
+
+
+def _one_job_batches(entry):
+    entry.extra["batches_formed"] = entry.batch_size
+    entry.extra["mean_batch_size"] = 1.0
+
+
+class TestPerfRecordsOnlyPassingRuns:
+    """``repro bench perf --record`` appends both entries or neither."""
+
+    @pytest.fixture(scope="class")
+    def service_entry(self):
+        return run_service_bench(quick=True, seed=7)
+
+    @pytest.fixture
+    def trajectories(self, tmp_path):
+        """Two stored trajectories whose entries no fresh quick entry
+        matches, so the gate passes and only a check can fail the run."""
+        engines, service = tmp_path / "engines.json", tmp_path / "service.json"
+        BaselineStore(engines).append(make_entry(label="stored"))
+        stored_service = make_entry(label="stored")
+        stored_service.kind = "service"
+        BaselineStore(service).append(stored_service)
+        return engines, service
+
+    def run(
+        self,
+        monkeypatch,
+        trajectories,
+        service_entry,
+        mutate_service=None,
+        mutate_engines=None,
+    ):
+        """Run the front door with each fresh entry passed through its
+        mutation; return the exit code and whether both files stayed
+        byte-identical."""
+        engines, service = trajectories
+        before = engines.read_bytes(), service.read_bytes()
+
+        def patched_service_bench(**kwargs):
+            entry = copy.deepcopy(service_entry)
+            if mutate_service is not None:
+                mutate_service(entry)
+            return entry
+
+        real_engine_bench = repro.bench.run_engine_bench
+
+        def patched_engine_bench(**kwargs):
+            entry = real_engine_bench(**kwargs)
+            if mutate_engines is not None:
+                mutate_engines(entry)
+            return entry
+
+        monkeypatch.setattr(repro.bench, "run_service_bench", patched_service_bench)
+        monkeypatch.setattr(repro.bench, "run_engine_bench", patched_engine_bench)
+        code = main_bench_perf(
+            [
+                "--quick", "--service", "--record",
+                "--pairs", "4", "--engines", "reference", "batched",
+                "--seed", "7",
+                "--baseline", str(engines),
+                "--service-baseline", str(service),
+            ]
+        )
+        return code, (engines.read_bytes(), service.read_bytes()) == before
+
+    def test_passing_run_records_both_entries(
+        self, monkeypatch, trajectories, service_entry
+    ):
+        code, unchanged = self.run(monkeypatch, trajectories, service_entry)
+        assert code == 0 and not unchanged
+        engines, service = trajectories
+        assert [e.label for e in BaselineStore(engines).load()] == ["stored", ""]
+        assert BaselineStore(service).latest().kind == "service"
+        assert len(BaselineStore(service).load()) == 2
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            _diverge("service"),
+            _diverge("service", "service_burst"),
+            _no_cache_hit,
+            _one_job_batches,
+        ],
+        ids=["service-row", "service-and-burst-rows", "no-cache-hit",
+             "no-multi-job-batch"],
+    )
+    def test_failed_service_check_records_nothing(
+        self, mutate, monkeypatch, trajectories, service_entry, capsys
+    ):
+        code, unchanged = self.run(
+            monkeypatch, trajectories, service_entry, mutate_service=mutate
+        )
+        assert code == 1 and unchanged
+        out = capsys.readouterr().out
+        assert "FAIL: " in out and "nothing recorded" in out
+
+    def test_engine_parity_failure_records_nothing(
+        self, monkeypatch, trajectories, service_entry, capsys
+    ):
+        code, unchanged = self.run(
+            monkeypatch, trajectories, service_entry,
+            mutate_engines=_diverge("batched"),
+        )
+        assert code == 1 and unchanged
+        assert "FAIL: batched scores diverge" in capsys.readouterr().out
 
 
 # --------------------------------------------------------------------------- #

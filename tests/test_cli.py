@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -170,6 +171,40 @@ class TestEngineDiscovery:
         assert excinfo.value.code == 2
 
 
+class TestReproBench:
+    """``repro-bench <experiment>``: each experiment fixes its own parameters."""
+
+    def test_help_lists_only_scale_and_list_engines(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main_bench(["--help"])
+        assert excinfo.value.code == 0
+        options = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out))
+        assert options == {"-h", "--help", "--scale", "--list-engines"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["engines"],
+            ["table1", "--xdrop", "5"],
+            ["table1", "--engine", "batched"],
+            ["table1", "--config", "config.json"],
+            ["table1", "--workers", "2"],
+            ["table1", "--seed-policy", "start"],
+            ["table1", "--bin-width", "9"],
+            ["table1", "--match", "2"],
+            ["table1", "--mismatch", "-2"],
+            ["table1", "--gap", "-2"],
+        ],
+        ids=lambda argv: argv[-2] if len(argv) > 1 else argv[0],
+    )
+    def test_engines_experiment_and_config_flags_removed(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main_bench(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err or "unrecognized arguments" in err
+
+
 class TestModuleDispatcher:
     """``python -m repro <tool>`` mirrors the console scripts."""
 
@@ -191,7 +226,7 @@ class TestModuleDispatcher:
 
 
 class TestConfigFile:
-    """Every subcommand accepts --config config.json (an AlignConfig)."""
+    """Every aligning subcommand accepts --config config.json (an AlignConfig)."""
 
     @pytest.fixture
     def config_path(self, tmp_path):
@@ -244,15 +279,6 @@ class TestConfigFile:
         assert exit_code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["scores"] == [8]
-
-    def test_bench_accepts_config_flag(self, config_path):
-        # Parse-level check only (the harness run is exercised elsewhere):
-        # a bad path must be rejected by the loader, proving the flag is
-        # wired into the subcommand.
-        from repro.errors import ConfigurationError
-
-        with pytest.raises((ConfigurationError, OSError, SystemExit)):
-            main_bench(["engines", "--config", config_path + ".missing"])
 
     @pytest.mark.parametrize(
         "entry, flags",

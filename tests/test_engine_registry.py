@@ -172,11 +172,14 @@ class TestEngineParity:
         assert chunked.scores() == serial.scores()
         assert chunked.summary.cells == serial.summary.cells
 
-    def test_ksw2_engine_runs_and_reports_model(self):
+    def test_ksw2_engine_runs_and_reports_measured_time_only(self):
+        # The Skylake model is the post-hoc
+        # Ksw2BatchAligner.modeled_seconds_for(summary) of table 3.
         jobs = job_batch(7, num_pairs=4)
         batch = get_engine("ksw2", xdrop=20).align_batch(jobs)
         assert len(batch.results) == len(jobs)
-        assert batch.modeled_seconds is not None and batch.modeled_seconds > 0
+        assert batch.modeled_seconds is None
+        assert batch.elapsed_seconds > 0
         assert all(r.score >= 0 for r in batch.results)
 
     def test_ksw2_engine_honours_custom_substitution_scores(self):

@@ -742,6 +742,36 @@ class TestDispatchResultCountGuard:
         finally:
             service.shutdown()
 
+    @pytest.mark.parametrize(
+        "raised",
+        [RuntimeError("kernel exploded"), ServiceError("worker 0 failed: boom")],
+        ids=["engine-exception", "pool-service-error"],
+    )
+    def test_failed_run_resolves_tickets_with_named_service_error(self, raised):
+        jobs = mixed_jobs(num_pairs=4, rng_seed=31)
+        service = AlignmentService(
+            config=batched_config(xdrop=30, max_batch_size=8)
+        )
+
+        def run_batch(jobs, **kwargs):
+            raise raised
+
+        service.pool.run_batch = run_batch
+        try:
+            tickets = service.submit_many(jobs)
+            service.drain()
+            for ticket in tickets:
+                with pytest.raises(ServiceError) as excinfo:
+                    ticket.result(timeout=10.0)
+                if isinstance(raised, ServiceError):
+                    # The process pool's own ServiceError passes through.
+                    assert excinfo.value is raised
+                else:
+                    assert excinfo.value.__cause__ is raised
+                    assert "kernel exploded" in str(excinfo.value)
+        finally:
+            service.shutdown()
+
     def test_service_survives_and_serves_after_the_failure(self):
         jobs = mixed_jobs(num_pairs=4, rng_seed=23)
         service = AlignmentService(
