@@ -30,6 +30,7 @@ from repro import obs
 from repro.api import AlignConfig, ServiceConfig
 from repro.data import PairSetSpec, generate_pair_set
 from repro.engine import get_engine
+from repro.errors import ServiceError
 from repro.service import AlignmentService
 
 XDROP = 50
@@ -125,7 +126,7 @@ with AlignmentService(config=config) as service:
     for ticket in doomed:
         try:
             ticket.result(timeout=60.0)
-        except RuntimeError:
+        except ServiceError:
             failed += 1
     dump = service.last_crash_dump
 

@@ -69,13 +69,9 @@ class BellaResult:
     timer:
         Per-stage wall-clock breakdown of the Python run.
     alignment_modeled_seconds:
-        Modeled alignment-stage time on the engine's native platform
-        (V100(s) for ``logan``, Skylake for ``ksw2``); ``None`` for engines
-        without a platform model and for service-backed runs.
-    prefilter:
-        Admission-triage summary of the optional prefilter stage
-        (``{"mode": ..., "decisions": {outcome: count}}``), ``None``
-        when the stage is off.
+        Modeled V100 time of the alignment stage, which only the ``logan``
+        engine reports; ``None`` for every other engine, ``0.0`` when no
+        candidate reached the aligner.
     """
 
     overlaps: list[BellaOverlap]
@@ -84,7 +80,6 @@ class BellaResult:
     work: BatchWorkSummary
     timer: StageTimer
     alignment_modeled_seconds: float | None = None
-    prefilter: dict | None = None
 
     @property
     def accepted(self) -> list[BellaOverlap]:
@@ -124,25 +119,6 @@ class BellaPipeline:
         surface — engine (plus options), scoring, xdrop and the diagonal
         ``bin_width`` — in one object (default: ``AlignConfig()``, the
         ``batched`` engine).
-    service:
-        An :class:`~repro.service.AlignmentService` to route stage-4
-        alignments through instead of a direct ``align_batch`` call: jobs
-        are submitted individually and gathered via :meth:`map`, so
-        repeated pipeline runs benefit from the service's result cache and
-        batching.  The pipeline then classifies with the service's own
-        config; a *config* that differs from it raises.
-    prefilter:
-        Admission triage mode of the optional k-mer-sketch stage between
-        seed selection and alignment: ``"off"`` (default), ``"advise"``
-        (classify and count, align everything) or ``"enforce"``
-        (``reject``-class pairs skip the aligner and get the seed-only
-        placeholder result).  When the alignment backend is a *service*
-        that runs its own admission policy, leave this off — the service
-        classifies at submit time.
-    prefilter_policy:
-        A :class:`repro.prefilter.PrefilterPolicy` overriding the default
-        one, which is derived from this pipeline's adaptive threshold
-        (same ``error_rate``/``slack``/``min_overlap``).
     """
 
     def __init__(
@@ -155,27 +131,11 @@ class BellaPipeline:
         threshold: AdaptiveThreshold | None = None,
         error_rate: float = 0.15,
         min_overlap: int = 500,
-        service=None,
         config=None,
-        prefilter: str = "off",
-        prefilter_policy=None,
     ) -> None:
         if k <= 0:
             raise ConfigurationError("k must be positive")
-        if prefilter not in ("off", "advise", "enforce"):
-            raise ConfigurationError(
-                "prefilter must be one of off, advise, enforce, "
-                f"got {prefilter!r}"
-            )
-        if service is not None:
-            if config is not None and config != service.config:
-                raise ConfigurationError(
-                    "config: differs from the service's config; the pipeline "
-                    "classifies with the scoring the service aligns with, so "
-                    "pass only service= (or the same config to both)"
-                )
-            config = service.config
-        elif config is None:
+        if config is None:
             from ..api import AlignConfig
 
             config = AlignConfig()
@@ -190,28 +150,7 @@ class BellaPipeline:
         self.threshold = threshold or AdaptiveThreshold(
             error_rate=error_rate, scoring=self.scoring, min_overlap=min_overlap
         )
-        self.prefilter = prefilter
-        self._prefilter_policy = prefilter_policy
         self._aligner = None
-        self._service = service
-
-    @property
-    def prefilter_policy(self):
-        """The admission policy of the prefilter stage.
-
-        Defaults to one calibrated to this pipeline's adaptive threshold,
-        so the provable rejection bounds match what classification would
-        decide anyway.
-        """
-        if self._prefilter_policy is None:
-            from ..prefilter import PrefilterPolicy
-
-            self._prefilter_policy = PrefilterPolicy(
-                error_rate=self.threshold.error_rate,
-                slack=self.threshold.slack,
-                min_overlap=self.threshold.min_overlap,
-            )
-        return self._prefilter_policy
 
     @classmethod
     def from_config(cls, config, **pipeline_options) -> "BellaPipeline":
@@ -269,44 +208,15 @@ class BellaPipeline:
                     sequences, candidates.candidates
                 )
 
-            decisions: list = []
-            prefilter_summary = None
-            if self.prefilter != "off" and jobs:
-                with ob.span("bella.prefilter", jobs=len(jobs)), timer.stage(
-                    "prefilter"
-                ):
-                    policy = self.prefilter_policy
-                    decisions = [
-                        policy.classify(job, self.scoring) for job in jobs
-                    ]
-                    counts = {"reject": 0, "duplicate": 0, "contested": 0}
-                    for decision in decisions:
-                        counts[decision.outcome] += 1
-                    prefilter_summary = {
-                        "mode": self.prefilter,
-                        "decisions": counts,
-                    }
-
+            results: list[SeedAlignmentResult] = []
+            modeled: float | None = 0.0
             if jobs:
                 with ob.span("bella.alignment", jobs=len(jobs)), timer.stage(
                     "alignment"
                 ):
-                    if self.prefilter == "enforce" and decisions:
-                        results, modeled = self._align_admitted(
-                            jobs, decisions
-                        )
-                    elif self._service is not None:
-                        # Service-backed path: per-job submission; the service
-                        # batches and caches behind the scenes.
-                        results = self._service.map(jobs)
-                        modeled = None
-                    else:
-                        batch = self.aligner.align_batch(jobs)
-                        results = list(batch.results)
-                        modeled = getattr(batch, "modeled_seconds", None)
-            else:
-                results = []
-                modeled = 0.0
+                    batch = self.aligner.align_batch(jobs)
+                    results = list(batch.results)
+                    modeled = getattr(batch, "modeled_seconds", None)
 
             with ob.span("bella.classification"), timer.stage("classification"):
                 overlaps = []
@@ -337,15 +247,6 @@ class BellaPipeline:
         )
         for name, secs in timer.stages.items():
             stage_seconds.inc(secs, stage=name)
-        if prefilter_summary is not None:
-            triage = reg.counter(
-                "repro_bella_prefilter_total",
-                "pipeline admission triage decisions, by outcome",
-                ("outcome",),
-            )
-            for outcome, count in prefilter_summary["decisions"].items():
-                if count:
-                    triage.inc(count, outcome=outcome)
 
         return BellaResult(
             overlaps=overlaps,
@@ -354,41 +255,7 @@ class BellaPipeline:
             work=summarize_results(results),
             timer=timer,
             alignment_modeled_seconds=modeled,
-            prefilter=prefilter_summary,
         )
-
-    def _align_admitted(self, jobs, decisions):
-        """Enforced-prefilter alignment: rejects skip the aligner.
-
-        The admitted subset runs through the normal backend (service or
-        batch aligner); rejected jobs get the deterministic seed-only
-        placeholder, and the two result streams are merged back in job
-        order.
-        """
-        from ..prefilter import rejected_result
-
-        admitted = [
-            job
-            for job, decision in zip(jobs, decisions)
-            if decision.outcome != "reject"
-        ]
-        if self._service is not None:
-            admitted_results = iter(self._service.map(admitted))
-            modeled = None
-        elif admitted:
-            batch = self.aligner.align_batch(admitted)
-            admitted_results = iter(batch.results)
-            modeled = getattr(batch, "modeled_seconds", None)
-        else:
-            admitted_results = iter(())
-            modeled = 0.0
-        results = [
-            rejected_result(job, self.scoring)
-            if decision.outcome == "reject"
-            else next(admitted_results)
-            for job, decision in zip(jobs, decisions)
-        ]
-        return results, modeled
 
     # ------------------------------------------------------------------ #
     def _build_jobs(

@@ -275,12 +275,6 @@ def main_bella(argv: Sequence[str] | None = None) -> int:
     parser.add_argument("--kmer", "-k", type=int, default=17)
     parser.add_argument("--gpus", type=int, default=None)
     parser.add_argument("--min-overlap", type=int, default=500)
-    parser.add_argument(
-        "--prefilter",
-        choices=["off", "advise", "enforce"],
-        default="off",
-        help="k-mer-sketch admission triage before the alignment stage",
-    )
     parser.add_argument("--json", action="store_true")
     # seed_policy excluded: BELLA derives every seed from shared k-mers.
     add_config_arguments(parser, defaults=_BELLA_DEFAULTS, exclude=("seed_policy",))
@@ -304,7 +298,6 @@ def main_bella(argv: Sequence[str] | None = None) -> int:
         k=args.kmer,
         error_rate=error_rate,
         min_overlap=args.min_overlap,
-        prefilter=args.prefilter,
     )
     result = pipeline.run(reads)
 
@@ -319,7 +312,6 @@ def main_bella(argv: Sequence[str] | None = None) -> int:
         "candidates": result.candidates.num_candidates,
         "aligned": result.num_alignments,
         "accepted": len(result.accepted),
-        "prefilter": result.prefilter,
         "alignment_cells": result.work.cells,
         "alignment_modeled_seconds": result.alignment_modeled_seconds,
         "stage_seconds": dict(result.timer.stages),

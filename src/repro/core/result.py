@@ -23,6 +23,7 @@ __all__ = [
     "ExtensionResult",
     "SeedAlignmentResult",
     "FullAlignmentResult",
+    "empty_extension",
 ]
 
 #: Sentinel used for pruned / unreachable DP cells.  A quarter of the int64
@@ -71,6 +72,20 @@ class ExtensionResult:
     def __post_init__(self) -> None:
         if self.band_widths is not None:
             self.band_widths = np.asarray(self.band_widths, dtype=np.int64)
+
+
+def empty_extension(trace: bool = True) -> ExtensionResult:
+    """The extension of a side with nothing to extend (a seed flush with a
+    read end): it scores zero in a single origin cell."""
+    return ExtensionResult(
+        best_score=0,
+        query_end=0,
+        target_end=0,
+        anti_diagonals=1,
+        cells_computed=1,
+        terminated_early=False,
+        band_widths=np.asarray([1], dtype=np.int64) if trace else None,
+    )
 
 
 @dataclass

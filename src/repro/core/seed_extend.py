@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import AlignmentError
 from .encoding import SequenceLike, encode
-from .result import ExtensionResult, SeedAlignmentResult
+from .result import ExtensionResult, SeedAlignmentResult, empty_extension
 from .scoring import ScoringScheme
 from .xdrop_vectorized import xdrop_extend
 
@@ -124,15 +124,7 @@ def _extend_or_empty(
     """Run *kernel* unless either side is empty, in which case the extension
     trivially scores zero (a single origin cell)."""
     if len(q) == 0 or len(t) == 0:
-        return ExtensionResult(
-            best_score=0,
-            query_end=0,
-            target_end=0,
-            anti_diagonals=1,
-            cells_computed=1,
-            terminated_early=False,
-            band_widths=np.asarray([1], dtype=np.int64) if trace else None,
-        )
+        return empty_extension(trace)
     return kernel(q, t, scoring=scoring, xdrop=xdrop, trace=trace)
 
 

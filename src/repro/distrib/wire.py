@@ -73,7 +73,10 @@ def recv_frame(sock: socket.socket) -> dict[str, Any] | None:
     data = _recv_exact(sock, length)
     if data is None:
         raise ServiceError("connection closed mid-frame")
-    payload = json.loads(data.decode("utf-8"))
+    try:
+        payload = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ServiceError(f"malformed frame on the wire: {exc}") from exc
     if not isinstance(payload, dict):
         raise ServiceError("wire frames must be JSON objects")
     return payload

@@ -35,7 +35,7 @@ from typing import Sequence
 
 from ..baselines.ksw2_batch import Ksw2BatchAligner
 from ..core.job import AlignmentJob, summarize_results
-from ..core.result import ExtensionResult, SeedAlignmentResult
+from ..core.result import ExtensionResult, SeedAlignmentResult, empty_extension
 from ..core.scoring import AffineScoringScheme, ScoringScheme
 from ..core.seed_extend import extend_seed
 from ..core.wavefront import ensure_unit_scoring, wavefront_extend_batch
@@ -43,7 +43,7 @@ from ..core.xdrop import xdrop_extend_reference
 from ..gpusim.multi_gpu import MultiGpuSystem
 from ..logan.batch import LoganAligner
 from ..logan.host import prepare_batch
-from ..logan.kernel import empty_extension, execute_tasks_batched
+from ..logan.kernel import execute_tasks_batched
 from ..obs.runtime import (
     LIVE_FRACTION_BUCKETS,
     emit_kernel_batch,

@@ -145,13 +145,6 @@ class KernelWorkload:
         return int(round(sum(b.cells for b in self.blocks) * self.replication))
 
     @property
-    def total_anti_diagonals(self) -> int:
-        """Anti-diagonal iterations across the represented workload."""
-        return int(
-            round(sum(b.anti_diagonals for b in self.blocks) * self.replication)
-        )
-
-    @property
     def total_sequence_bytes(self) -> int:
         """Sequence bytes across the represented workload."""
         return int(

@@ -19,31 +19,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-from ..core.result import ExtensionResult
+from ..core.result import ExtensionResult, empty_extension
 from ..core.scoring import ScoringScheme
 from ..core.xdrop_batch import BatchKernelStats, xdrop_extend_batch
 from ..perf.parallel import chunk_evenly, parallel_map
 from .host import ExtensionTask
 
-__all__ = [
-    "execute_tasks_batched",
-    "empty_extension",
-]
-
-
-def empty_extension(trace: bool = True) -> ExtensionResult:
-    """Result used for tasks with nothing to extend (zero-length side)."""
-    return ExtensionResult(
-        best_score=0,
-        query_end=0,
-        target_end=0,
-        anti_diagonals=1,
-        cells_computed=1,
-        terminated_early=False,
-        band_widths=np.asarray([1], dtype=np.int64) if trace else None,
-    )
+__all__ = ["execute_tasks_batched"]
 
 
 def _run_pair_chunk(

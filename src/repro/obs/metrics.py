@@ -71,9 +71,6 @@ class _Instrument:
         self.labelnames = tuple(labelnames)
         self._lock = threading.Lock()
 
-    def _declaration(self) -> tuple:
-        return (self.kind, self.labelnames)
-
 
 class Counter(_Instrument):
     """Monotonically increasing counter, optionally labelled."""

@@ -5,8 +5,7 @@ trivially or not at all; this package supplies the cheap triage that
 keeps the expensive X-drop kernel for the contested middle.  See
 :mod:`repro.prefilter.sketch` for the d2/d2star sketch distances and
 :mod:`repro.prefilter.policy` for the three-way admission policy wired
-into :class:`repro.bella.pipeline.BellaPipeline` and
-:class:`repro.service.AlignmentService`.
+into :class:`repro.service.AlignmentService`.
 """
 
 from .policy import (

@@ -52,7 +52,7 @@ __all__ = [
     "rejected_result",
 ]
 
-#: Admission modes a service/pipeline can run the policy under.
+#: Admission modes the service can run the policy under.
 PREFILTER_MODES = ("off", "advise", "enforce")
 
 #: The three triage outcomes, in the order surfaced by stats payloads.

@@ -16,7 +16,7 @@ individually submitted alignment requests:
 
 The service runs in two modes.  *Inline* (default): nothing happens until
 :meth:`drain`, which processes everything synchronously — deterministic,
-the mode tests and the BELLA pipeline use.  *Background*: :meth:`start`
+the mode tests, examples and bench rows use.  *Background*: :meth:`start`
 spawns a daemon thread that sleeps on the queue until a request arrives,
 then flushes everything queued and dispatches it at once — whatever
 arrives during one engine call forms the next batches, so batch size
@@ -336,8 +336,8 @@ class AlignmentService:
     def map(self, jobs: Sequence[AlignmentJob]) -> list[SeedAlignmentResult]:
         """Submit, drain, and return results in submission order.
 
-        The synchronous convenience used by the BELLA pipeline's
-        service-backed path.
+        The synchronous convenience for one whole batch, e.g. a workload
+        run through admission triage (``examples/prefilter_triage.py``).
         """
         tickets = self.submit_many(jobs)
         self.drain()

@@ -350,6 +350,9 @@ class TestConsumersFromConfig:
             {"xdrop": 50},
             {"scoring": ScoringScheme()},
             {"bin_width": 250},
+            {"prefilter": "advise"},
+            {"prefilter_policy": None},
+            {"service": None},
         ],
     )
     def test_pipeline_rejects_loose_kwargs(self, kwargs):
@@ -365,26 +368,9 @@ class TestConsumersFromConfig:
             o.score for o in via_constructor.overlaps
         ]
 
-    def test_pipeline_config_composes_with_service(self, tiny_reads):
-        config = AlignConfig(engine="batched", xdrop=25)
-        with Aligner(config).open_service() as service:
-            via_service = (
-                BellaPipeline(config=config, service=service, k=13)
-                .run(tiny_reads)
-                .accepted_pairs()
-            )
-        direct = BellaPipeline(config=config, k=13).run(tiny_reads).accepted_pairs()
-        assert via_service == direct
-
-    def test_pipeline_rejects_config_differing_from_service(self):
-        with Aligner(AlignConfig(engine="batched", xdrop=25)).open_service() as svc:
-            with pytest.raises(ConfigurationError, match="service"):
-                BellaPipeline(config=AlignConfig(engine="batched", xdrop=30), service=svc)
-
-    def test_pipeline_classifies_with_the_service_scoring(self):
-        # Regression: service= used to classify (adaptive threshold and
-        # prefilter placeholder) with ScoringScheme() whatever the service
-        # aligned with, accepting 187 pairs here instead of 181.
+    def test_pipeline_classifies_with_the_config_scoring(self):
+        # The threshold must follow the config's scoring: one built from
+        # ScoringScheme() accepts 187 of these alignments instead of 181.
         from repro.data import load_dataset
 
         reads = load_dataset(
@@ -395,16 +381,10 @@ class TestConsumersFromConfig:
             xdrop=25,
             scoring=ScoringScheme(match=2, mismatch=-3, gap=-3),
         )
-        direct = BellaPipeline(config=config, k=13, min_overlap=200).run(reads)
-        with Aligner(config).open_service() as svc:
-            pipeline = BellaPipeline(service=svc, k=13, min_overlap=200)
-            via_service = pipeline.run(reads)
-        assert pipeline.scoring == config.scoring
-        assert [o.score for o in via_service.overlaps] == [
-            o.score for o in direct.overlaps
-        ]
-        assert via_service.accepted_pairs() == direct.accepted_pairs()
-        assert len(direct.accepted) == 181
+        pipeline = BellaPipeline(config=config, k=13, min_overlap=200)
+        result = pipeline.run(reads)
+        assert pipeline.scoring == pipeline.threshold.scoring == config.scoring
+        assert len(result.accepted) == 181
 
     def test_logan_build_engine_rejects_unknown_option_by_name(self):
         with pytest.raises(ConfigurationError) as excinfo:

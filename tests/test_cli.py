@@ -127,6 +127,13 @@ class TestReproBella:
         payload = json.loads(capsys.readouterr().out)
         assert payload["reads"] == 3
 
+    def test_prefilter_flag_removed(self):
+        # Admission triage lives in the service (ServiceConfig.prefilter);
+        # the pipeline hands every candidate to the aligner.
+        with pytest.raises(SystemExit) as excinfo:
+            main_bella(["--prefilter", "off"])
+        assert excinfo.value.code == 2
+
 
 class TestEngineDiscovery:
     @pytest.mark.parametrize(

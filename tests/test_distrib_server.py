@@ -10,8 +10,11 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
+import struct
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -100,6 +103,21 @@ class TestRoundTrip:
     def test_connect_failure_is_a_service_error(self):
         with pytest.raises(ServiceError):
             ServiceClient("127.0.0.1", 1, timeout=2)
+
+    def test_garbled_frame_closes_only_that_connection(self, monkeypatch):
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        body = b"\xff\xfe{not json"
+        config = AlignConfig(engine="batched", scoring=_SCORING, xdrop=XDROP)
+        # A server of its own: close() joins every connection thread, so
+        # a crashed one has reported to the excepthook by the end.
+        with AlignmentServer(config=config) as srv:
+            with socket.create_connection((srv.host, srv.port), timeout=10) as sock:
+                sock.sendall(struct.pack(">I", len(body)) + body)
+                assert sock.recv(1) == b""
+            with ServiceClient(srv.host, srv.port) as client:
+                assert client.ping()["engine"] == "batched"
+        assert uncaught == []
 
 
 class TestCliFrontDoor:

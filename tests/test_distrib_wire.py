@@ -9,12 +9,12 @@ boundary.
 from __future__ import annotations
 
 import socket
+import struct
 
 import numpy as np
 import pytest
 
 from repro.core.result import ExtensionResult, SeedAlignmentResult
-from repro.core.scoring import ScoringScheme
 from repro.distrib.shm import (
     RESULT_COLUMNS,
     SharedJobBlock,
@@ -112,6 +112,22 @@ class TestFrames:
             with pytest.raises(ServiceError):
                 recv_frame(b)
         finally:
+            b.close()
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"\xff\xfe{not json", "{not json \u03b1}".encode("utf-8")],
+        ids=["not-utf8", "utf8-not-json"],
+    )
+    def test_garbled_frame_raises_service_error(self, body):
+        a, b = socket.socketpair()
+        try:
+            a.sendall(struct.pack(">I", len(body)) + body)
+            with pytest.raises(ServiceError, match="malformed frame") as excinfo:
+                recv_frame(b)
+            assert isinstance(excinfo.value.__cause__, ValueError)
+        finally:
+            a.close()
             b.close()
 
 

@@ -285,52 +285,6 @@ class TestServiceAdmission:
 
 
 # --------------------------------------------------------------------------- #
-# Pipeline stage
-# --------------------------------------------------------------------------- #
-class TestPipelinePrefilter:
-    def test_advise_stage_leaves_overlaps_identical(self, tiny_reads):
-        from repro.bella import BellaPipeline
-
-        config = AlignConfig(engine="batched", xdrop=15)
-        plain = BellaPipeline(k=13, min_overlap=300, config=config).run(tiny_reads)
-        advised = BellaPipeline(
-            k=13, min_overlap=300, config=config, prefilter="advise"
-        ).run(tiny_reads)
-        assert advised.overlaps == plain.overlaps
-        assert plain.prefilter is None
-        assert advised.prefilter["mode"] == "advise"
-        assert sum(advised.prefilter["decisions"].values()) == len(
-            advised.overlaps
-        )
-        assert "prefilter" in advised.timer.stages
-
-    def test_enforce_with_unreachable_overlap_rejects_everything(
-        self, tiny_reads
-    ):
-        from repro.bella import BellaPipeline
-        from repro.prefilter import PrefilterPolicy
-
-        pipeline = BellaPipeline(
-            k=13,
-            min_overlap=300,
-            config=AlignConfig(engine="batched", xdrop=15),
-            prefilter="enforce",
-            prefilter_policy=PrefilterPolicy(min_overlap=10**6),
-        )
-        result = pipeline.run(tiny_reads)
-        decisions = result.prefilter["decisions"]
-        assert decisions["reject"] == len(result.overlaps) > 0
-        # Seed-only placeholders can never clear the BELLA threshold.
-        assert result.accepted == []
-
-    def test_invalid_mode_rejected(self):
-        from repro.bella import BellaPipeline
-
-        with pytest.raises(ConfigurationError):
-            BellaPipeline(prefilter="maybe")
-
-
-# --------------------------------------------------------------------------- #
 # Tier-2: profile sweep + conformance with the prefilter on
 # --------------------------------------------------------------------------- #
 @pytest.mark.tier2

@@ -16,7 +16,6 @@ import time
 import pytest
 
 from repro.api import AlignConfig, ServiceConfig
-from repro.bella import BellaPipeline
 from repro.core import ScoringScheme, Seed
 from repro.core.job import AlignmentJob
 from repro.data import PairSetSpec, generate_pair_set
@@ -675,28 +674,6 @@ class TestServiceUnderLoad:
         finally:
             sys.setswitchinterval(interval)
             service.shutdown()
-
-
-class TestServiceBackedPipeline:
-    def test_pipeline_via_service_matches_engine_path(self, tiny_reads):
-        config = batched_config(xdrop=15)
-        engine_pipeline = BellaPipeline(config=config, k=13, min_overlap=300)
-        expected = engine_pipeline.run(tiny_reads)
-
-        service = AlignmentService(config=config)
-        service_pipeline = BellaPipeline(service=service, k=13, min_overlap=300)
-        got = service_pipeline.run(tiny_reads)
-        assert got.accepted_pairs() == expected.accepted_pairs()
-        assert [o.score for o in got.overlaps] == [o.score for o in expected.overlaps]
-
-        # A second run over the same reads is served from the cache.
-        service_pipeline.run(tiny_reads)
-        assert service.stats().cache.hits > 0
-        service.shutdown()
-
-    def test_service_conflicts_with_engine(self):
-        with pytest.raises(TypeError):
-            BellaPipeline(service=AlignmentService(), engine="batched")
 
 
 class TestDispatchResultCountGuard:
