@@ -26,7 +26,23 @@ __all__ = [
     "DEFAULT_SCORING",
     "BLAST_SCORING",
     "MINIMAP2_SCORING",
+    "block_width",
 ]
+
+
+def block_width(xdrop: int, gap: int, warp: int = 32) -> int:
+    """LOGAN's thread block for one X-drop extension (Section IV-B).
+
+    The band estimate ``X / |gap| + 3`` cells, rounded up to a whole warp
+    and at least two warps: 64 at X = 50 and 128 at X = 100 with unit
+    gaps.  :func:`repro.logan.threads_for_xdrop` schedules that many
+    threads per block (clamped to the device's maximum), and the batched
+    kernel sweeps rows whose band outgrows it in a group of their own.
+    """
+    if xdrop < 0:
+        raise ConfigurationError(f"xdrop must be non-negative, got {xdrop}")
+    estimate = xdrop // max(1, abs(gap)) + 3
+    return max(2 * warp, -(-estimate // warp) * warp)
 
 
 @dataclass(frozen=True)

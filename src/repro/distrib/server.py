@@ -205,7 +205,12 @@ class AlignmentServer:
             while not self._stop.is_set():
                 try:
                     request = recv_frame(conn)
-                except (ServiceError, OSError):
+                except ServiceError:
+                    # An undecodable frame closes only this connection, and
+                    # is counted as a request of its own kind.
+                    self._requests_c.inc(op="malformed")
+                    return
+                except OSError:
                     return
                 if request is None:
                     return

@@ -171,7 +171,7 @@ class _EngineBase:
             )
             reg.counter(
                 "repro_kernel_compactions_total",
-                "active-row compactions performed",
+                "kernel re-layouts (retired rows dropped, rows regrouped and re-centred)",
                 ("kernel",),
             ).inc(stats.compactions, kernel="batched")
             reg.histogram(

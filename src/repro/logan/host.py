@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.job import AlignmentJob
-from ..core.scoring import ScoringScheme
+from ..core.scoring import ScoringScheme, block_width
 from ..core.seed_extend import seed_score, split_on_seed
 from ..errors import ConfigurationError
 from ..gpusim.device import DeviceSpec
@@ -132,16 +132,12 @@ def threads_for_xdrop(xdrop: int, device: DeviceSpec, gap_penalty: int = 1) -> i
     ``k * (match + |gap|)`` ≈ ``2k`` points, so the band half-width is about
     ``X / 2`` and the anti-diagonal width about ``X + 1`` cells.  Scheduling
     more threads than that only creates stalled threads and shared-memory
-    pressure, so the count is the band estimate rounded up to a whole warp
-    and clamped to ``[2 warps, max_threads_per_block]`` — giving the paper's
-    128 threads for X = 100 (Table I).
+    pressure, so the count is :func:`repro.core.scoring.block_width` (the
+    band estimate rounded up to a whole warp, at least two warps) clamped
+    to ``max_threads_per_block`` — giving the paper's 128 threads for
+    X = 100 (Table I).
     """
-    if xdrop < 0:
-        raise ConfigurationError(f"xdrop must be non-negative, got {xdrop}")
-    band_estimate = xdrop // max(1, abs(gap_penalty)) + 3
-    warp = device.warp_size
-    threads = ((band_estimate + warp - 1) // warp) * warp
-    threads = max(2 * warp, threads)
+    threads = block_width(xdrop, gap_penalty, device.warp_size)
     return int(min(threads, device.max_threads_per_block))
 
 

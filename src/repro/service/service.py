@@ -214,6 +214,10 @@ class AlignmentService:
             "repro_kernel_live_fraction",
             "live fraction of the batched kernel's row-steps (lifetime)",
         )
+        self._useful_fraction_g = self.obs.gauge(
+            "repro_kernel_useful_fraction",
+            "useful fraction of the batched kernel's window cells (lifetime)",
+        )
         self._prefilter_c = self.obs.counter(
             "repro_prefilter_decisions_total",
             "admission triage decisions, by outcome",
@@ -411,6 +415,7 @@ class AlignmentService:
                     self._kernel_stats = BatchKernelStats()
                 self._kernel_stats.merge(kernel_stats)
                 self._live_fraction_g.set(self._kernel_stats.live_fraction)
+                self._useful_fraction_g.set(self._kernel_stats.useful_fraction)
             for ticket, result in zip(batch.tickets, run.results):
                 self.cache.put(ticket.cache_key, result)
         for ticket, result in zip(batch.tickets, run.results):

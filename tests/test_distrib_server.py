@@ -112,11 +112,21 @@ class TestRoundTrip:
         # A server of its own: close() joins every connection thread, so
         # a crashed one has reported to the excepthook by the end.
         with AlignmentServer(config=config) as srv:
+
+            def malformed():
+                return srv.service.metrics_snapshot().value(
+                    "repro_server_requests_total", default=0.0, op="malformed"
+                )
+
+            before = malformed()
             with socket.create_connection((srv.host, srv.port), timeout=10) as sock:
                 sock.sendall(struct.pack(">I", len(body)) + body)
                 assert sock.recv(1) == b""
+            # The server counts the frame before it closes the connection.
+            assert malformed() == before + 1
             with ServiceClient(srv.host, srv.port) as client:
                 assert client.ping()["engine"] == "batched"
+            assert malformed() == before + 1
         assert uncaught == []
 
 

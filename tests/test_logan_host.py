@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import Seed
 from repro.core.job import AlignmentJob
+from repro.core.scoring import block_width
 from repro.errors import ConfigurationError
 from repro.gpusim import TESLA_V100
 from repro.logan import HostModel, prepare_batch, threads_for_xdrop
@@ -39,6 +40,17 @@ class TestThreadsForXdrop:
     def test_negative_x_rejected(self):
         with pytest.raises(ConfigurationError):
             threads_for_xdrop(-1, TESLA_V100)
+
+    @pytest.mark.parametrize("gap", [-1, -2, -4])
+    def test_is_the_batched_kernels_block(self, gap):
+        # One formula sizes LOGAN's block and the kernel's wide-row split:
+        # 64 columns at X = 50 for all three gap penalties.
+        assert block_width(50, gap) == 64
+        for x in (0, 20, 50, 100, 300, 5000):
+            assert threads_for_xdrop(x, TESLA_V100, gap_penalty=-gap) == min(
+                block_width(x, gap, TESLA_V100.warp_size),
+                TESLA_V100.max_threads_per_block,
+            )
 
 
 class TestPrepareBatch:

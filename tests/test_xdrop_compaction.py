@@ -1,13 +1,14 @@
 """Differential tests of the compacting batched X-drop kernel.
 
-The kernel's hot-path mechanisms (active-row compaction, int16/int32
-downsizing) must be invisible in every output bit: these tests replay
-workload-bank profiles through the :class:`repro.testing.ConformanceRunner`
-against the scalar oracle (tier-1 subset here, the full matrix under the
-``tier2`` marker), check the results at forced compaction thresholds
-(including a Hypothesis sweep over random batches), and pin the
-short-circuit behaviour for fully-retired rows on the ``degenerate``
-profile.
+The kernel's hot-path mechanisms (per-row band frames, the wide-row group,
+re-layouts that drop retired rows, int16/int32 downsizing) must be
+invisible in every output bit: these tests replay workload-bank profiles
+through the :class:`repro.testing.ConformanceRunner` against the scalar
+oracle (tier-1 subset here, the full matrix under the ``tier2`` marker),
+check the results at forced compaction thresholds (including a Hypothesis
+sweep over random batches and a batch whose bands outgrow LOGAN's block),
+and pin the short-circuit behaviour for fully-retired rows on the
+``degenerate`` profile.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.api import AlignConfig
 from repro.core import ScoringScheme, xdrop_batch, xdrop_extend
+from repro.core.scoring import block_width
 from repro.core.xdrop import xdrop_extend_reference
 from repro.core.xdrop_batch import (
     COMPACT_THRESHOLD,
@@ -28,6 +30,7 @@ from repro.core.xdrop_batch import (
 from repro.engine import get_engine
 from repro.engine.engines import BatchedEngine
 from repro.errors import ConfigurationError
+from repro.logan import prepare_batch
 from repro.testing import ConformanceRunner
 from repro.workloads import WorkloadSpec, generate_workload, list_profiles
 
@@ -151,6 +154,54 @@ def test_kernel_invariant_to_tuning_knobs(forced_threshold, seed):
 
 
 # --------------------------------------------------------------------------- #
+# The wide-row group: bands that outgrow LOGAN's block at X = 50
+# --------------------------------------------------------------------------- #
+WIDE_XDROP = 50
+
+
+@pytest.fixture(scope="module")
+def wide_batch():
+    """24 extensions of 8 pacbio and 4 unrelated jobs (600-1200 bp).
+
+    At X = 50 some bands grow past the 64-column block beside narrower
+    ones, and the band centres drift apart, so the sweep both regroups
+    and re-centres rows.  Returns the pairs and their reference results.
+    """
+    jobs = []
+    for profile, count in (("pacbio", 8), ("unrelated", 4)):
+        spec = WorkloadSpec(
+            count=count, seed=1, min_length=600, max_length=1200, xdrop=WIDE_XDROP
+        )
+        jobs += generate_workload(profile, spec).jobs
+    prepared = prepare_batch(jobs, ScoringScheme())
+    pairs = [
+        (task.query, task.target)
+        for task in prepared.left_tasks + prepared.right_tasks
+        if not task.is_empty
+    ]
+    reference = [
+        xdrop_extend_reference(q, t, xdrop=WIDE_XDROP, trace=True) for q, t in pairs
+    ]
+    return pairs, reference
+
+
+@pytest.mark.parametrize(
+    "threshold", [0.0, 0.25, COMPACT_THRESHOLD, 1.0], ids=lambda t: f"threshold={t}"
+)
+def test_wide_group_bit_identical(wide_batch, threshold, monkeypatch):
+    """Two row groups, each with its own window, match the scalar oracle."""
+    pairs, reference = wide_batch
+    monkeypatch.setattr(xdrop_batch, "COMPACT_THRESHOLD", threshold)
+    stats = BatchKernelStats()
+    got = xdrop_extend_batch(pairs, xdrop=WIDE_XDROP, trace=True, stats=stats)
+    assert_identical(got, reference)
+    assert stats.rows == len(pairs) == 24
+    # A second row group ran beside the first, with a wider window.
+    assert stats.group_steps > stats.steps
+    assert stats.peak_window > block_width(WIDE_XDROP, ScoringScheme().gap)
+
+
+# --------------------------------------------------------------------------- #
 # Telemetry: the sweep's counters are the scalar reference's own accounting
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("profile", list_profiles())
@@ -174,16 +225,18 @@ def test_kernel_stats_match_reference_accounting(profile, forced_threshold):
     assert stats.steps == max(r.anti_diagonals for r in reference) - 1
     assert stats.active_row_steps == sum(r.anti_diagonals - 1 for r in reference)
     assert stats.cells == sum(r.cells_computed for r in reference)
-    # The union window holds every live band and no more than one query.
+    # A group's window holds its live bands, and never outgrows its width at
+    # the last re-layout (at most the widest band) by more than half a block.
     widest_band = max(int(r.band_widths.max()) for r in reference)
-    longest_query = max(len(q) for q, _ in pairs)
-    assert widest_band <= stats.peak_window <= longest_query + 1
+    half_block = block_width(15, ScoringScheme().gap) // 2
+    assert widest_band <= stats.peak_window <= widest_band + half_block
     assert stats.active_row_steps <= stats.row_steps <= stats.rows * stats.steps
+    assert stats.steps <= stats.group_steps <= 2 * stats.steps
     # Every swept cell lies in its step's window (the origin is not swept).
     assert stats.cells - stats.rows <= stats.window_cells
     assert stats.window_cells <= stats.row_steps * stats.peak_window
     if forced_threshold == 0.0:
-        assert stats.compactions == 0
+        # Re-layouts still regroup and re-centre, but never drop a row.
         assert stats.row_steps == stats.rows * stats.steps
     if forced_threshold == 1.0:
         # Every retirement compacts, so only live rows are ever carried.
@@ -192,8 +245,13 @@ def test_kernel_stats_match_reference_accounting(profile, forced_threshold):
 
 
 @pytest.mark.parametrize("profile", list_profiles())
-def test_kernel_window_invariant_to_threshold(profile, monkeypatch):
-    """Compaction drops only retired rows, which the window never covers."""
+def test_kernel_work_invariant_to_threshold(profile, monkeypatch):
+    """Re-layouts move rows and windows, never the work the rows do.
+
+    The threshold decides when retired rows are dropped, which moves the
+    re-layouts and so the group windows (``peak_window``), but never the
+    steps, the live row-steps, the cells or the dtype.
+    """
     pairs = _pairs_from_workload(profile)
     runs = {}
     for threshold in (0.0, 0.25, COMPACT_THRESHOLD, 1.0):
@@ -203,16 +261,10 @@ def test_kernel_window_invariant_to_threshold(profile, monkeypatch):
         runs[threshold] = stats
 
     def invariant(stats):
-        return (
-            stats.steps,
-            stats.active_row_steps,
-            stats.peak_window,
-            stats.cells,
-            stats.dtype,
-        )
+        return (stats.steps, stats.active_row_steps, stats.cells, stats.dtype)
 
     assert len({invariant(stats) for stats in runs.values()}) == 1
-    assert runs[0.0].compactions == 0
+    assert runs[0.0].row_steps == runs[0.0].rows * runs[0.0].steps
     assert runs[1.0].compactions >= 1
 
 
@@ -397,10 +449,11 @@ def test_stats_merge():
                          compactions=1, peak_window=8, cells=100,
                          window_cells=300, dtype="int16")
     b = BatchKernelStats(rows=2, steps=5, row_steps=10, active_row_steps=10,
-                         compactions=0, peak_window=16, cells=50,
+                         group_steps=9, compactions=0, peak_window=16, cells=50,
                          window_cells=70, dtype="int16")
     merged = BatchKernelStats().merge(a).merge(b)
     assert merged.rows == 6 and merged.steps == 15
+    assert merged.group_steps == 9
     assert merged.peak_window == 16
     assert merged.cells == 150
     assert merged.window_cells == 370
@@ -410,7 +463,8 @@ def test_stats_merge():
 
 
 @pytest.mark.parametrize(
-    "threshold, window_cells, row_steps", [(0.0, 16, 8), (0.5, 13, 6), (1.0, 13, 6)]
+    "threshold, window_cells, row_steps",
+    [(0.0, 16, 8), (0.5, 13, 6), (COMPACT_THRESHOLD, 13, 6), (1.0, 13, 6)],
 )
 def test_window_cells_of_a_two_row_batch(threshold, window_cells, row_steps,
                                          monkeypatch):
@@ -430,6 +484,12 @@ def test_window_cells_of_a_two_row_batch(threshold, window_cells, row_steps,
     assert stats.row_steps == row_steps
     assert stats.window_cells == window_cells
     assert stats.cells == 13
+    assert stats.useful_fraction == (13 - 2) / window_cells
+    assert stats.to_dict()["useful_fraction"] == stats.useful_fraction
+
+
+def test_useful_fraction_of_an_empty_accumulator():
+    assert BatchKernelStats().useful_fraction == 1.0
 
 
 @pytest.mark.parametrize("wide_first", [False, True], ids=["int16-first", "int32-first"])
@@ -463,8 +523,13 @@ def test_service_live_fraction_matches_exported_gauge():
         skewed = WorkloadSpec(count=3, seed=4, min_length=20, max_length=400)
         service.map(generate_workload("length_skew", skewed).jobs)
         stats = service.stats()
-        gauge = service.metrics_snapshot().value("repro_kernel_live_fraction")
+        snapshot = service.metrics_snapshot()
+        gauge = snapshot.value("repro_kernel_live_fraction")
+        useful = snapshot.value("repro_kernel_useful_fraction")
+        lifetime = service._kernel_stats
     assert stats.batches_formed == 2
     assert 0.0 < stats.kernel_live_fraction < 1.0
     assert stats.kernel_live_fraction == gauge
     assert stats.to_dict()["kernel_live_fraction"] == gauge
+    assert 0.0 < useful <= 1.0
+    assert useful == lifetime.useful_fraction
