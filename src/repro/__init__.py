@@ -13,8 +13,8 @@ pure Python/NumPy:
   schemes, seed-and-extend;
 * :mod:`repro.engine` — the unified alignment-engine layer: a registry of
   five engines (reference, batched, wavefront, ksw2, logan) behind one
-  ``align_batch(jobs, scoring, xdrop)`` interface
-  (:func:`repro.get_engine`, :func:`repro.list_engines`);
+  ``align_batch(jobs)`` interface, each fixed to one scoring scheme and X
+  when built (:func:`repro.get_engine`, :func:`repro.list_engines`);
 * :mod:`repro.baselines` — Smith–Waterman, Needleman–Wunsch, banded SW,
   ksw2-style Z-drop, SeqAn-like CPU batch runner, CUDASW++/manymap
   throughput models;

@@ -453,10 +453,6 @@ class Aligner:
     ----------
     config:
         The :class:`AlignConfig` to run with (default: ``AlignConfig()``).
-    overrides:
-        Field overrides applied on top of *config* via
-        :meth:`AlignConfig.replace` — ``Aligner(engine="logan", xdrop=50)``
-        is shorthand for ``Aligner(AlignConfig(engine="logan", xdrop=50))``.
 
     The engine is built lazily on first use and shared by every call, so a
     session amortises construction (and, for :meth:`align_iter`, the
@@ -465,19 +461,13 @@ class Aligner:
     session opened internally.
     """
 
-    def __init__(self, config: AlignConfig | None = None, **overrides: Any) -> None:
+    def __init__(self, config: AlignConfig | None = None) -> None:
         if config is None:
-            config = AlignConfig(**overrides)
-        else:
-            if isinstance(config, Mapping):
-                config = AlignConfig.from_dict(config)
-            elif not isinstance(config, AlignConfig):
-                raise ConfigurationError(
-                    f"config: must be an AlignConfig (or its mapping form), "
-                    f"got {type(config).__name__}"
-                )
-            if overrides:
-                config = config.replace(**overrides)
+            config = AlignConfig()
+        elif not isinstance(config, AlignConfig):
+            raise ConfigurationError(
+                f"config: must be an AlignConfig, got {type(config).__name__}"
+            )
         self._config = config
         self._engine: AlignmentEngine | None = None
         self._service = None

@@ -154,6 +154,10 @@ class Ksw2BatchAligner:
         cost_model: Ksw2CostModel = KSW2_SKYLAKE_BAND_MODEL,
         workers: int = 1,
     ) -> None:
+        if bandwidth is not None and bandwidth < 0:
+            raise ConfigurationError(
+                f"bandwidth must be non-negative, got {bandwidth}"
+            )
         self.scoring = scoring
         self.zdrop = int(zdrop)
         self.bandwidth = int(bandwidth) if bandwidth is not None else int(zdrop)

@@ -179,12 +179,7 @@ class ProcessWorkerPool:
 
     # -- dispatch ---------------------------------------------------------
 
-    def run_batch(
-        self,
-        jobs: Sequence[AlignmentJob],
-        scoring=None,
-        xdrop: int | None = None,
-    ) -> PoolRun:
+    def run_batch(self, jobs: Sequence[AlignmentJob]) -> PoolRun:
         """Align *jobs* on the worker process; results in job order."""
         if self._closed:
             raise ServiceError("process pool is shut down")
@@ -194,7 +189,7 @@ class ProcessWorkerPool:
         self.start()
         timer = Timer()
         with timer:
-            shard = self._dispatch(jobs, scoring, xdrop)
+            shard = self._dispatch(jobs)
             try:
                 reply = self._collect(shard)
             finally:
@@ -202,15 +197,9 @@ class ProcessWorkerPool:
                 shard.block.unlink()
         return self._merge(shard, reply, timer.elapsed)
 
-    def _dispatch(self, jobs, scoring, xdrop) -> _Shard:
+    def _dispatch(self, jobs) -> _Shard:
         block = SharedJobBlock.create(jobs)
-        task = {
-            "seq": self._next_seq(),
-            "shm": block.name,
-            "count": len(jobs),
-            "scoring": None if scoring is None else scoring.as_tuple(),
-            "xdrop": None if xdrop is None else int(xdrop),
-        }
+        task = {"seq": self._next_seq(), "shm": block.name, "count": len(jobs)}
         self._task_queue.put(task)
         return _Shard(block=block, task=task)
 

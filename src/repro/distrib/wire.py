@@ -27,7 +27,6 @@ from ..errors import ServiceError
 
 __all__ = [
     "MAX_FRAME_BYTES",
-    "cache_key_from_json",
     "cache_key_to_json",
     "job_from_wire",
     "job_to_wire",
@@ -188,15 +187,17 @@ def result_from_wire(payload: dict[str, Any]) -> SeedAlignmentResult:
 # Cache keys
 
 # A cache key is the tuple produced by ``repro.service.job_cache_key``:
-# (query_sha, target_sha, query_pos, target_pos, seed_len, scoring, xdrop)
-# with ``scoring`` itself a (match, mismatch, gap) tuple.  The JSON string is
+# (query_sha, target_sha, query_pos, target_pos, seed_len, config_digest),
+# where ``config_digest`` is the ``repro.service.result_digest`` of the
+# engine, engine options, scoring, X and trace mode.  The JSON string is
 # canonical (no whitespace, fixed order) so it can serve as a SQLite primary
-# key and survive a round trip unchanged.
+# key.  It is only ever written: a recovering service recomputes each key
+# from the stored job.
 
 
 def cache_key_to_json(key: tuple) -> str:
     """Canonical JSON string for a cache key (stable across processes)."""
-    query_sha, target_sha, q_pos, t_pos, seed_len, scoring, xdrop = key
+    query_sha, target_sha, q_pos, t_pos, seed_len, digest = key
     return json.dumps(
         [
             str(query_sha),
@@ -204,26 +205,7 @@ def cache_key_to_json(key: tuple) -> str:
             int(q_pos),
             int(t_pos),
             int(seed_len),
-            [int(v) for v in scoring],
-            int(xdrop),
+            str(digest),
         ],
         separators=(",", ":"),
     )
-
-
-def cache_key_from_json(text: str) -> tuple:
-    try:
-        query_sha, target_sha, q_pos, t_pos, seed_len, scoring, xdrop = (
-            json.loads(text)
-        )
-        return (
-            str(query_sha),
-            str(target_sha),
-            int(q_pos),
-            int(t_pos),
-            int(seed_len),
-            tuple(int(v) for v in scoring),
-            int(xdrop),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ServiceError(f"malformed cache key {text!r}: {exc}") from exc

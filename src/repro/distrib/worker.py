@@ -3,7 +3,9 @@
 The worker is a spawned interpreter that rebuilds its engine from the
 coordinator's :class:`~repro.api.AlignConfig` dict, then loops: take a task
 off its queue, attach the named shared-memory job block, align, and reply
-with a packed result table.  Three side channels ride on every reply:
+with a packed result table.  A task carries only its sequence number, the
+block name and the job count; scoring and X are the config's, fixed when
+the engine was built.  Three side channels ride on every reply:
 
 * the five-field work summary plus kernel telemetry (``BatchKernelStats``
   is a plain picklable dataclass),
@@ -28,7 +30,6 @@ from typing import Any
 
 from .. import obs as obs_mod
 from ..api import AlignConfig
-from ..core.scoring import ScoringScheme
 from ..engine import engine_from_config
 from .shm import attach_jobs, pack_results
 
@@ -67,11 +68,7 @@ def worker_main(
         shm = None
         try:
             shm, jobs = attach_jobs(task["shm"])
-            scoring = task.get("scoring")
-            if scoring is not None:
-                scoring = ScoringScheme(*scoring)
-            xdrop = task.get("xdrop")
-            batch = engine.align_batch(jobs, scoring=scoring, xdrop=xdrop)
+            batch = engine.align_batch(jobs)
             snapshot = ob.registry.snapshot()
             summary = batch.summary
             reply = {

@@ -3,8 +3,9 @@
 One registry, one interface, five engines: the scalar reference (the
 oracle), the inter-sequence batched kernel, the WFA-style wavefront kernel,
 the ksw2 affine Z-drop runner and the LOGAN GPU-model aligner, all behind
-``align_batch(jobs, scoring, xdrop)``.  Consumers — the BELLA
-pipeline, the CLI and the benchmark harness — select an engine by name:
+``align_batch(jobs)``; an engine's scoring and X are fixed when it is
+built.  Consumers — the BELLA pipeline, the CLI and the benchmark
+harness — select an engine by name:
 
 >>> from repro.engine import get_engine
 >>> engine = get_engine("batched", xdrop=50)

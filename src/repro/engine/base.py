@@ -25,7 +25,6 @@ from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 from ..core.job import AlignmentJob, BatchWorkSummary
 from ..core.result import SeedAlignmentResult
-from ..core.scoring import ScoringScheme
 from ..errors import ConfigurationError
 
 __all__ = [
@@ -84,19 +83,18 @@ class AlignmentEngine(Protocol):
 
     ``exact`` declares whether the engine reproduces the X-drop reference
     scores bit-for-bit (the ksw2 engine does not: it runs an affine-gap
-    Z-drop recurrence, which is only comparable, not identical).
+    Z-drop recurrence, which is only comparable, not identical).  The
+    scoring scheme and X are fixed when the engine is built; a batch call
+    takes only the jobs.
     """
 
     name: str
     exact: bool
 
     def align_batch(
-        self,
-        jobs: Sequence[AlignmentJob],
-        scoring: ScoringScheme | None = None,
-        xdrop: int | None = None,
+        self, jobs: Sequence[AlignmentJob]
     ) -> EngineBatchResult:  # pragma: no cover - protocol
-        """Align a batch of jobs, optionally overriding scoring/xdrop."""
+        """Align a batch of jobs with the engine's scoring and X."""
         ...
 
 
@@ -151,7 +149,9 @@ def engine_from_config(config: Any) -> AlignmentEngine:
     Also reachable as ``get_engine.from_config(config)``.  The config's
     ``scoring``/``xdrop``/``workers``/``trace`` become the uniform factory
     options and ``engine_options`` are forwarded verbatim (e.g.
-    ``{"bandwidth": 64}`` for ksw2).  Anything duck-typed with those
+    ``{"bandwidth": 64}`` for ksw2).  Every factory must accept the four
+    uniform options, so the engine aligns with exactly the config's scoring
+    and X; one that does not fails here.  Anything duck-typed with those
     attributes works — the registry never imports :mod:`repro.api`.
 
     Unknown ``engine_options`` keys raise a :class:`ConfigurationError`
@@ -193,7 +193,6 @@ def engine_from_config(config: Any) -> AlignmentEngine:
                 f"engine_options: {', '.join(map(repr, unknown))} not accepted "
                 f"by engine {key!r}; accepted: {', '.join(sorted(accepted))}"
             )
-        options = {k: v for k, v in options.items() if k in accepted}
     options.update(extra)
     return factory(**options)
 

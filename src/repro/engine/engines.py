@@ -27,10 +27,14 @@ work rather than a bit-identical replay (``work_exact = False``).  All
 constructors share the ``(scoring, xdrop, workers, trace)`` signature so
 :func:`repro.engine.get_engine` can build any of them uniformly; engines
 that cannot use an option accept and ignore it (documented per class).
+Those values are fixed when the engine is built, and checked there:
+``align_batch(jobs)`` takes nothing else, so every batch of one engine
+runs with one scoring scheme and one X, as a LOGAN run does.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 from ..baselines.ksw2_batch import Ksw2BatchAligner
@@ -40,6 +44,7 @@ from ..core.scoring import AffineScoringScheme, ScoringScheme
 from ..core.seed_extend import extend_seed
 from ..core.wavefront import ensure_unit_scoring, wavefront_extend_batch
 from ..core.xdrop import xdrop_extend_reference
+from ..errors import ConfigurationError
 from ..gpusim.multi_gpu import MultiGpuSystem
 from ..logan.batch import LoganAligner
 from ..logan.host import prepare_batch
@@ -108,23 +113,12 @@ class _EngineBase:
     ) -> None:
         self.scoring = scoring if scoring is not None else ScoringScheme()
         self.xdrop = int(xdrop)
+        if self.xdrop < 0:
+            raise ConfigurationError(f"xdrop must be non-negative, got {xdrop}")
         self.workers = max(1, int(workers))
         self.trace = bool(trace)
 
-    def _resolve(
-        self, scoring: ScoringScheme | None, xdrop: int | None
-    ) -> tuple[ScoringScheme, int]:
-        return (
-            self.scoring if scoring is None else scoring,
-            self.xdrop if xdrop is None else int(xdrop),
-        )
-
-    def align_batch(
-        self,
-        jobs: Sequence[AlignmentJob],
-        scoring: ScoringScheme | None = None,
-        xdrop: int | None = None,
-    ) -> EngineBatchResult:
+    def align_batch(self, jobs: Sequence[AlignmentJob]) -> EngineBatchResult:
         """Align *jobs*, wrapped in a trace span + per-engine metrics.
 
         Subclasses implement :meth:`_align_batch`; the telemetry fold here
@@ -132,16 +126,11 @@ class _EngineBase:
         """
         ob = get_observability()
         with ob.span("engine.align_batch", engine=self.name, jobs=len(jobs)):
-            result = self._align_batch(jobs, scoring=scoring, xdrop=xdrop)
+            result = self._align_batch(jobs)
         self._observe_batch(ob, result, len(jobs))
         return result
 
-    def _align_batch(
-        self,
-        jobs: Sequence[AlignmentJob],
-        scoring: ScoringScheme | None = None,
-        xdrop: int | None = None,
-    ) -> EngineBatchResult:
+    def _align_batch(self, jobs: Sequence[AlignmentJob]) -> EngineBatchResult:
         raise NotImplementedError  # pragma: no cover - abstract
 
     def _observe_batch(
@@ -190,19 +179,13 @@ class ReferenceEngine(_EngineBase):
 
     name = "reference"
 
-    def _align_batch(
-        self,
-        jobs: Sequence[AlignmentJob],
-        scoring: ScoringScheme | None = None,
-        xdrop: int | None = None,
-    ) -> EngineBatchResult:
-        scoring, xdrop = self._resolve(scoring, xdrop)
+    def _align_batch(self, jobs: Sequence[AlignmentJob]) -> EngineBatchResult:
         timer = Timer()
         with timer:
             results = parallel_map(
                 _extend_job,
                 list(jobs),
-                args=(scoring, xdrop, self.trace),
+                args=(self.scoring, self.xdrop, self.trace),
                 workers=self.workers,
             )
         return EngineBatchResult(
@@ -232,24 +215,18 @@ class BatchedEngine(_EngineBase):
 
     name = "batched"
 
-    def _align_batch(
-        self,
-        jobs: Sequence[AlignmentJob],
-        scoring: ScoringScheme | None = None,
-        xdrop: int | None = None,
-    ) -> EngineBatchResult:
+    def _align_batch(self, jobs: Sequence[AlignmentJob]) -> EngineBatchResult:
         from ..core.xdrop_batch import BatchKernelStats
 
-        scoring, xdrop = self._resolve(scoring, xdrop)
         stats = BatchKernelStats()
         timer = Timer()
         with timer:
-            prepared = prepare_batch(jobs, scoring)
+            prepared = prepare_batch(jobs, self.scoring)
             tasks = prepared.left_tasks + prepared.right_tasks
             extensions = execute_tasks_batched(
                 tasks,
-                scoring,
-                xdrop,
+                self.scoring,
+                self.xdrop,
                 workers=self.workers,
                 trace=self.trace,
                 stats=stats,
@@ -283,7 +260,7 @@ class WavefrontEngine(_EngineBase):
 
     Exact on scores, end positions and early-termination for the unit
     scheme (match=+1, mismatch=-1, gap=-1) only; any other scheme raises
-    :class:`ConfigurationError` at construction and on per-call overrides.
+    :class:`ConfigurationError` at construction.
     Cost-space execution has no per-anti-diagonal band, so cells /
     anti-diagonal accounting is an honest equivalent-work estimate
     (``work_exact = False``).  ``workers`` is accepted for signature
@@ -303,23 +280,15 @@ class WavefrontEngine(_EngineBase):
         super().__init__(scoring=scoring, xdrop=xdrop, workers=workers, trace=trace)
         ensure_unit_scoring(self.scoring)
 
-    def _align_batch(
-        self,
-        jobs: Sequence[AlignmentJob],
-        scoring: ScoringScheme | None = None,
-        xdrop: int | None = None,
-    ) -> EngineBatchResult:
-        scoring, xdrop = self._resolve(scoring, xdrop)
+    def _align_batch(self, jobs: Sequence[AlignmentJob]) -> EngineBatchResult:
         timer = Timer()
         with timer:
-            prepared = prepare_batch(jobs, scoring)
+            prepared = prepare_batch(jobs, self.scoring)
             tasks = prepared.left_tasks + prepared.right_tasks
             pairs = [(task.query, task.target) for task in tasks if not task.is_empty]
-            # The kernel re-checks unit scoring, so per-call overrides are
-            # validated whenever a live extension reaches it.
             live = iter(
                 wavefront_extend_batch(
-                    pairs, scoring=scoring, xdrop=xdrop, trace=self.trace
+                    pairs, scoring=self.scoring, xdrop=self.xdrop, trace=self.trace
                 )
                 if pairs
                 else []
@@ -349,8 +318,9 @@ class Ksw2Engine(_EngineBase):
 
     A non-default linear ``scoring`` has its match/mismatch scores carried
     over into the affine scheme (the gap terms keep ksw2's minimap2
-    defaults, which have no linear equivalent); pass ``affine_scoring`` to
-    control the affine scheme fully.
+    defaults, which have no linear equivalent).  ``aligner`` is the
+    :class:`~repro.baselines.Ksw2BatchAligner` built once from that scheme,
+    X and ``bandwidth``; it runs every batch.
 
     Like the SeqAn baseline, the modeled 80-thread Skylake runtime of the
     paper's Table III is a post-hoc function of the work summary,
@@ -367,42 +337,23 @@ class Ksw2Engine(_EngineBase):
         xdrop: int = 100,
         workers: int = 1,
         trace: bool = False,
-        affine_scoring: AffineScoringScheme | None = None,
         bandwidth: int | None = None,
     ) -> None:
         super().__init__(scoring=scoring, xdrop=xdrop, workers=workers, trace=trace)
-        self._explicit_affine = affine_scoring
-        self.affine_scoring = affine_scoring or self._derive_affine(self.scoring)
-        self.bandwidth = bandwidth
-
-    @staticmethod
-    def _derive_affine(scoring: ScoringScheme) -> AffineScoringScheme:
-        """Affine scheme honouring a custom linear substitution scoring."""
-        if scoring == ScoringScheme():
-            return AffineScoringScheme()  # minimap2 map-pb defaults
-        base = AffineScoringScheme()
-        return AffineScoringScheme(
-            match=scoring.match,
-            mismatch=scoring.mismatch,
-            gap_open=base.gap_open,
-            gap_extend=base.gap_extend,
-        )
-
-    def _align_batch(
-        self,
-        jobs: Sequence[AlignmentJob],
-        scoring: ScoringScheme | None = None,
-        xdrop: int | None = None,
-    ) -> EngineBatchResult:
-        scoring, zdrop = self._resolve(scoring, xdrop)
-        affine = self._explicit_affine or self._derive_affine(scoring)
-        aligner = Ksw2BatchAligner(
+        affine = AffineScoringScheme()  # minimap2 map-pb defaults
+        if self.scoring != ScoringScheme():
+            affine = replace(
+                affine, match=self.scoring.match, mismatch=self.scoring.mismatch
+            )
+        self.aligner = Ksw2BatchAligner(
             scoring=affine,
-            zdrop=zdrop,
-            bandwidth=self.bandwidth,
+            zdrop=self.xdrop,
+            bandwidth=bandwidth,
             workers=self.workers,
         )
-        batch = aligner.align_batch(jobs)
+
+    def _align_batch(self, jobs: Sequence[AlignmentJob]) -> EngineBatchResult:
+        batch = self.aligner.align_batch(jobs)
         results = []
         for job, (left, right), score in zip(jobs, batch.results, batch.scores):
             left_ext = self._to_extension(left)
@@ -413,7 +364,7 @@ class Ksw2Engine(_EngineBase):
                     score=int(score),
                     left=left_ext,
                     right=right_ext,
-                    seed_score=seed.length * affine.match,
+                    seed_score=seed.length * self.aligner.scoring.match,
                     query_begin=seed.query_pos - left.query_end,
                     query_end=seed.query_end + right.query_end,
                     target_begin=seed.target_pos - left.target_end,
@@ -450,7 +401,9 @@ class LoganEngine(BatchedEngine):
     configured system (``system``, or ``gpus`` homogeneous V100s).  The
     modeled time lands in ``modeled_seconds``, the full
     :class:`~repro.logan.LoganBatchResult` in ``extras["batch"]``.
-    ``aligner`` is that model's :class:`~repro.logan.LoganAligner`.
+    ``aligner`` is that model's :class:`~repro.logan.LoganAligner`, built
+    once with the engine's scoring and X, which set its thread schedule
+    and its balancer's work estimate.
     """
 
     name = "logan"
@@ -468,7 +421,6 @@ class LoganEngine(BatchedEngine):
         super().__init__(scoring=scoring, xdrop=xdrop, workers=workers, trace=True)
         if system is None and gpus is not None:
             system = MultiGpuSystem.homogeneous(gpus)
-        self.threads_per_block = threads_per_block
         self.aligner = LoganAligner(
             system=system,
             scoring=self.scoring,
@@ -477,26 +429,10 @@ class LoganEngine(BatchedEngine):
             workers=self.workers,
         )
 
-    def align_batch(
-        self,
-        jobs: Sequence[AlignmentJob],
-        scoring: ScoringScheme | None = None,
-        xdrop: int | None = None,
-    ) -> EngineBatchResult:
+    def align_batch(self, jobs: Sequence[AlignmentJob]) -> EngineBatchResult:
         """The traced batched sweep, then the V100 model of its results."""
-        batch = super().align_batch(jobs, scoring=scoring, xdrop=xdrop)
-        scoring, xdrop = self._resolve(scoring, xdrop)
-        model = self.aligner
-        if (scoring, xdrop) != (model.scoring, model.xdrop):
-            # X and the gap penalty set the thread schedule and the
-            # balancer's work estimate, so an override is modeled with them.
-            model = LoganAligner(
-                system=model.system,
-                scoring=scoring,
-                xdrop=xdrop,
-                threads_per_block=self.threads_per_block,
-            )
-        modeled = model.model_existing(jobs, batch.results)
+        batch = super().align_batch(jobs)
+        modeled = self.aligner.model_existing(jobs, batch.results)
         modeled.elapsed_seconds = batch.elapsed_seconds
         batch.modeled_seconds = modeled.modeled_seconds
         batch.extras.update(batch=modeled, modeled_gcups=modeled.modeled_gcups)

@@ -150,6 +150,8 @@ class LoganAligner:
     ) -> None:
         if xdrop < 0:
             raise ConfigurationError("xdrop must be non-negative")
+        if threads_per_block is not None and threads_per_block <= 0:
+            raise ConfigurationError("threads_per_block must be positive")
         self.system = system or MultiGpuSystem.homogeneous(1)
         self.scoring = scoring if scoring is not None else ScoringScheme()
         self.xdrop = int(xdrop)
@@ -167,8 +169,6 @@ class LoganAligner:
     def threads_per_block_for(self, device: DeviceSpec) -> int:
         """Thread count scheduled per block on *device*."""
         if self._explicit_threads is not None:
-            if self._explicit_threads <= 0:
-                raise ConfigurationError("threads_per_block must be positive")
             return min(self._explicit_threads, device.max_threads_per_block)
         return threads_for_xdrop(self.xdrop, device, gap_penalty=abs(self.scoring.gap))
 

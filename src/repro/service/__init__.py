@@ -19,7 +19,7 @@ for the individual stages.
 """
 
 from .batcher import AdaptiveBatcher, FormedBatch
-from .cache import CacheStats, ResultCache, job_cache_key
+from .cache import CacheStats, ResultCache, job_cache_key, result_digest
 from .queue import AlignmentTicket, SubmissionQueue
 from .service import AlignmentService, ServiceStats
 from .workers import ShardedWorkerPool, WorkerStats
@@ -34,6 +34,7 @@ __all__ = [
     "ResultCache",
     "CacheStats",
     "job_cache_key",
+    "result_digest",
     "ShardedWorkerPool",
     "WorkerStats",
 ]

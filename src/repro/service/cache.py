@@ -1,12 +1,16 @@
 """Content-addressed LRU result cache of the alignment service.
 
-Alignment is a pure function of ``(query, target, seed, scoring, xdrop)``,
-so repeated submissions of the same pair — common when an overlapper
-re-examines candidate pairs, or when many clients ask about the same hot
-reads — can be answered from a cache without touching an engine.  The key
-is *content-addressed*: sequences are hashed from their encoded bytes, so
-two :class:`~repro.core.job.AlignmentJob` objects holding equal sequences
-share one entry regardless of identity or ``pair_id``.
+Alignment is a pure function of the pair, its seed and the config fields
+that decide a result (:data:`RESULT_FIELDS`: the engine, its options, the
+scoring, X and trace mode), so repeated submissions of the same pair —
+common when an overlapper re-examines candidate pairs, or when many clients
+ask about the same hot reads — can be answered from a cache without
+touching an engine.  The key is *content-addressed*: sequences are hashed
+from their encoded bytes, so two :class:`~repro.core.job.AlignmentJob`
+objects holding equal sequences share one entry regardless of identity or
+``pair_id``; the config enters as one :func:`result_digest`, computed once
+per service.  Naming the engine keeps a durable state file reopened under
+another engine from answering with the first engine's results.
 
 Eviction is LRU over a bounded entry count; hit/miss/eviction counters feed
 the :class:`~repro.service.service.ServiceStats` snapshot.
@@ -20,26 +24,43 @@ from dataclasses import dataclass
 
 from ..core.job import AlignmentJob
 from ..core.result import SeedAlignmentResult
-from ..core.scoring import ScoringScheme
+from ..obs.provenance import config_hash
 
-__all__ = ["CacheKey", "CacheStats", "ResultCache", "job_cache_key"]
+__all__ = [
+    "RESULT_FIELDS",
+    "CacheKey",
+    "CacheStats",
+    "ResultCache",
+    "job_cache_key",
+    "result_digest",
+]
 
-#: Hashable cache key: sequence digests + seed anchor + scoring + xdrop.
+#: Hashable cache key: sequence digests + seed anchor + config digest.
 CacheKey = tuple
+
+#: The :class:`~repro.api.AlignConfig` fields that decide a result.
+#: ``workers`` and the service fields stay out: results are bit-identical
+#: across them.
+RESULT_FIELDS = ("engine", "engine_options", "scoring", "xdrop", "trace")
 
 
 def _digest(data: bytes) -> str:
     return hashlib.sha1(data).hexdigest()
 
 
-def job_cache_key(
-    job: AlignmentJob, scoring: ScoringScheme, xdrop: int
-) -> CacheKey:
+def result_digest(config) -> str:
+    """Digest of *config*'s :data:`RESULT_FIELDS`, the config part of a key."""
+    fields = config.to_dict()
+    return config_hash({name: fields[name] for name in RESULT_FIELDS})
+
+
+def job_cache_key(job: AlignmentJob, digest: str) -> CacheKey:
     """Content-addressed key of one alignment request.
 
     Everything the result depends on participates: the encoded sequence
-    bytes (digested), the seed anchor and the alignment parameters.
-    ``pair_id`` deliberately does not — it is routing metadata, not input.
+    bytes (digested), the seed anchor and *digest*, the
+    :func:`result_digest` of the config that aligns the job.  ``pair_id``
+    deliberately does not — it is routing metadata, not input.
     """
     seed = job.seed
     return (
@@ -48,8 +69,7 @@ def job_cache_key(
         seed.query_pos,
         seed.target_pos,
         seed.length,
-        scoring.as_tuple(),
-        int(xdrop),
+        digest,
     )
 
 

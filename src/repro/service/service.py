@@ -40,7 +40,7 @@ from ..obs.runtime import get_observability
 from ..perf.metrics import gcups
 from ..prefilter import PREFILTER_OUTCOMES
 from .batcher import AdaptiveBatcher, FormedBatch
-from .cache import CacheStats, ResultCache, job_cache_key
+from .cache import CacheStats, ResultCache, job_cache_key, result_digest
 from .queue import AlignmentTicket, SubmissionQueue
 from .workers import ShardedWorkerPool, WorkerStats
 
@@ -147,8 +147,10 @@ class AlignmentService:
     ----------
     config:
         The :class:`repro.api.AlignConfig` to serve (default:
-        ``AlignConfig()``).  Its engine, scoring and xdrop define every
-        alignment (and every cache key); the nested
+        ``AlignConfig()``).  Its engine, engine options, scoring, X and
+        trace mode define every alignment, and their
+        :func:`~repro.service.cache.result_digest` is part of every cache
+        key, in memory and in the durable store; the nested
         :class:`repro.api.ServiceConfig` supplies every serving knob —
         transport, batch size cap, cache and queue bounds, durable state and
         prefilter.
@@ -162,8 +164,8 @@ class AlignmentService:
         svc = config.service
         self.config = config
         self.scoring = config.scoring
-        self.xdrop = config.xdrop
         self.engine = engine_from_config(config)
+        self._digest = result_digest(config)
         # Every service gets a private metrics registry (two services never
         # mix series) sharing the process-wide tracer and flight recorder.
         # ServiceStats is a *view* over this registry.
@@ -236,11 +238,6 @@ class AlignmentService:
         if self.store is not None:
             self._recover_durable()
 
-    @classmethod
-    def from_config(cls, config) -> "AlignmentService":
-        """Build a service entirely from an :class:`repro.api.AlignConfig`."""
-        return cls(config=config)
-
     def _recover_durable(self) -> None:
         """Re-enqueue every unfinished job found in the durable store.
 
@@ -248,13 +245,14 @@ class AlignmentService:
         first (the store counts them as redeliveries).  Recovery can
         exceed the queue bound, so full chunks are drained synchronously
         in between — by the time the constructor returns, every recovered
-        job is either queued or already aligned and persisted.
+        job is either queued or already aligned and persisted.  Each key is
+        recomputed from the stored job under this service's config; the
+        stored key text is never parsed, so a row recovers whatever format
+        its key was written in.
         """
-        from ..distrib.wire import cache_key_from_json
-
         for record in self.store.recover():
             ticket = AlignmentTicket(
-                record.job, cache_key=cache_key_from_json(record.cache_key)
+                record.job, cache_key=job_cache_key(record.job, self._digest)
             )
             ticket.durable_id = record.row_id
             self._submitted_c.inc()
@@ -279,7 +277,7 @@ class AlignmentService:
         if self._shutdown:
             raise ServiceError("service has been shut down")
         with self.obs.span("service.submit", pair_id=job.pair_id):
-            key = job_cache_key(job, self.scoring, self.xdrop)
+            key = job_cache_key(job, self._digest)
             ticket = AlignmentTicket(job, cache_key=key)
             if self.prefilter is not None:
                 # Admission triage runs on every submission — before the
@@ -359,15 +357,10 @@ class AlignmentService:
         if durable_ids:
             self.store.mark_inflight(durable_ids)
         try:
-            # Align with the exact parameters the cache key was computed
-            # from — an engine instance with different defaults must not
-            # poison the content-addressed cache.
             with self.obs.span(
                 "service.dispatch", size=batch.size, reason=batch.reason
             ):
-                run = self.pool.run_batch(
-                    batch.jobs(), scoring=self.scoring, xdrop=self.xdrop
-                )
+                run = self.pool.run_batch(batch.jobs())
         except Exception as error:
             if not isinstance(error, ServiceError):
                 # The thread transport runs the engine inline: fail its

@@ -81,20 +81,11 @@ class ShardedWorkerPool:
                 "repro_worker_busy_seconds_total", "wall seconds busy per shard", shard
             )
 
-    def run_batch(
-        self,
-        jobs: Sequence[AlignmentJob],
-        scoring=None,
-        xdrop: int | None = None,
-    ) -> PoolRun:
+    def run_batch(self, jobs: Sequence[AlignmentJob]) -> PoolRun:
         """Align *jobs* in one engine call; results in job order.
 
-        *scoring*/*xdrop*, when given, override the engine's own defaults
-        for this batch (forwarded to ``align_batch``).  The service always
-        passes its own parameters here so the alignment is computed with
-        exactly the values its content-addressed cache key records, even
-        when the pool wraps an engine instance that was constructed with
-        different defaults.
+        The engine's scoring and X are the ones it was built with; the
+        service builds it from the same config its cache key digests.
         """
         jobs = list(jobs)
         if not jobs:
@@ -106,7 +97,7 @@ class ShardedWorkerPool:
             else nullcontext()
         )
         with timer, span:
-            batch = self.engine.align_batch(jobs, scoring=scoring, xdrop=xdrop)
+            batch = self.engine.align_batch(jobs)
         stats = self.worker_stats[0]
         stats.batches += 1
         stats.jobs += len(jobs)

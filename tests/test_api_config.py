@@ -213,7 +213,7 @@ class TestEngineFromConfig:
         engine = engine_from_config(
             AlignConfig(engine="ksw2", engine_options={"bandwidth": 77})
         )
-        assert engine.bandwidth == 77
+        assert engine.aligner.bandwidth == 77
 
     def test_bandwidth_is_an_engine_option_only(self):
         # engine_options is the one spelling: the config field is gone, and
@@ -302,22 +302,16 @@ class TestAlignerParity:
             results = service.map(small_jobs)
         assert [r.score for r in results] == direct.scores()
 
-    def test_overrides_shorthand(self):
-        session = Aligner(engine="reference", xdrop=5)
-        assert session.config.engine == "reference"
-        assert session.config.xdrop == 5
-        widened = Aligner(session.config, xdrop=9)
-        assert widened.config.xdrop == 9
-        assert session.config.xdrop == 5  # original untouched
-
-    def test_accepts_mapping_form(self):
-        session = Aligner({"engine": "reference"}, xdrop=7)
-        assert session.config.engine == "reference"
-        assert session.config.xdrop == 7
-
     def test_rejects_non_config_even_with_overrides(self):
         with pytest.raises(ConfigurationError):
-            Aligner(42, xdrop=7)
+            Aligner(42)
+
+    def test_config_is_the_only_spelling(self):
+        with pytest.raises(TypeError):
+            Aligner(engine="reference", xdrop=5)
+        with pytest.raises(ConfigurationError):
+            Aligner({"engine": "reference"})
+        assert not hasattr(AlignmentService, "from_config")
 
 
 class TestConsumersFromConfig:
@@ -326,11 +320,6 @@ class TestConsumersFromConfig:
             AlignmentService(xdrop=5)
         with pytest.raises(TypeError):
             AlignmentService(engine="batched", config=AlignConfig())
-
-    def test_service_from_config_classmethod(self, small_jobs):
-        svc = AlignmentService.from_config(AlignConfig(engine="batched", xdrop=20))
-        with svc:
-            assert len(svc.map(small_jobs)) == len(small_jobs)
 
     def test_service_config_path_matches_engine(self, small_jobs):
         config = AlignConfig(engine="batched", xdrop=20)

@@ -488,8 +488,8 @@ class TestReproFuzz:
             name = "broken_cli"
             exact = True
 
-            def align_batch(self, jobs, scoring=None, xdrop=None):
-                batch = super().align_batch(jobs, scoring=scoring, xdrop=xdrop)
+            def align_batch(self, jobs):
+                batch = super().align_batch(jobs)
                 for res in batch.results:
                     res.score += 1
                 return batch

@@ -88,13 +88,12 @@ class _PerPairKernelEngine(ReferenceEngine):
 
     name = "per_pair_kernel"
 
-    def _align_batch(self, jobs, scoring=None, xdrop=None):
-        scoring, xdrop = self._resolve(scoring, xdrop)
+    def _align_batch(self, jobs):
         # extend_seed's default kernel is xdrop_extend.
         results = [
             extend_seed(
                 job.query, job.target, job.seed,
-                scoring=scoring, xdrop=xdrop, trace=self.trace,
+                scoring=self.scoring, xdrop=self.xdrop, trace=self.trace,
             )
             for job in jobs
         ]
@@ -111,10 +110,9 @@ class _SeqAnBaselineEngine(ReferenceEngine):
 
     name = "seqan_baseline"
 
-    def _align_batch(self, jobs, scoring=None, xdrop=None):
-        scoring, xdrop = self._resolve(scoring, xdrop)
+    def _align_batch(self, jobs):
         batch = SeqAnBatchAligner(
-            scoring=scoring, xdrop=xdrop, trace=self.trace
+            scoring=self.scoring, xdrop=self.xdrop, trace=self.trace
         ).align_batch(jobs)
         return EngineBatchResult(
             engine=self.name,
@@ -163,8 +161,8 @@ class _OffByOneEngine(ReferenceEngine):
     exact = True
     THRESHOLD = 40
 
-    def align_batch(self, jobs, scoring=None, xdrop=None):
-        batch = super().align_batch(jobs, scoring=scoring, xdrop=xdrop)
+    def align_batch(self, jobs):
+        batch = super().align_batch(jobs)
         for job, res in zip(jobs, batch.results):
             if job.target_length >= self.THRESHOLD:
                 res.score += 1
@@ -258,11 +256,11 @@ class _CrashingEngine(ReferenceEngine):
     name = "crashy"
     exact = True
 
-    def align_batch(self, jobs, scoring=None, xdrop=None):
+    def align_batch(self, jobs):
         for job in jobs:
             if job.target_length >= 60:
                 raise RuntimeError("kernel exploded")
-        return super().align_batch(jobs, scoring=scoring, xdrop=xdrop)
+        return super().align_batch(jobs)
 
 
 class _DroppingEngine(ReferenceEngine):
@@ -271,8 +269,8 @@ class _DroppingEngine(ReferenceEngine):
     name = "droppy"
     exact = True
 
-    def align_batch(self, jobs, scoring=None, xdrop=None):
-        batch = super().align_batch(jobs, scoring=scoring, xdrop=xdrop)
+    def align_batch(self, jobs):
+        batch = super().align_batch(jobs)
         if len(batch.results) > 1:
             batch.results.pop()
         return batch

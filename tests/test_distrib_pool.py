@@ -16,7 +16,9 @@ from repro.errors import ConfigurationError
 from repro.obs import get_observability
 
 XDROP = 30
-_SCORING = ScoringScheme()
+# Not the default scheme: a worker that aligned with its engine's defaults
+# instead of the config's would fail every bit-identity check below.
+_SCORING = ScoringScheme(match=2, mismatch=-3, gap=-4)
 
 
 def _config(**overrides) -> AlignConfig:
@@ -80,11 +82,25 @@ class TestBatchPolicy:
             len(module_jobs)
         )
 
-    def test_scoring_override_round_trips(self, pool, module_jobs):
-        strict = ScoringScheme(match=2, mismatch=-3, gap=-4)
-        engine = get_engine("batched", scoring=strict, xdrop=XDROP)
-        run = pool.run_batch(module_jobs, scoring=strict)
-        assert run.results == engine.align_batch(module_jobs).results
+    def test_worker_runs_the_configs_scoring(self, pool, module_jobs, expected):
+        default = get_engine("batched", xdrop=XDROP).align_batch(module_jobs)
+        assert default.scores() != expected.scores()
+        assert pool.run_batch(module_jobs).results == expected.results
+
+    def test_task_carries_no_scoring_or_xdrop(self, pool, module_jobs, monkeypatch):
+        sent = []
+        put = pool._task_queue.put
+        monkeypatch.setattr(
+            pool._task_queue, "put", lambda task: (sent.append(task), put(task))
+        )
+        pool.run_batch(module_jobs)
+        assert [set(task) for task in sent] == [{"seq", "shm", "count"}]
+
+    @pytest.mark.parametrize("field", ["scoring", "xdrop"])
+    def test_run_batch_takes_only_jobs(self, pool, module_jobs, field):
+        value = {"scoring": _SCORING, "xdrop": XDROP}[field]
+        with pytest.raises(TypeError):
+            pool.run_batch(module_jobs, **{field: value})
 
     def test_stale_reply_is_not_taken_for_the_batch(
         self, pool, module_jobs, expected

@@ -8,16 +8,18 @@ thread transport — the store integration is transport-independent.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.api import AlignConfig, ServiceConfig
 from repro.core.scoring import ScoringScheme
 from repro.distrib.store import DurableStore
-from repro.distrib.wire import cache_key_to_json
 from repro.engine import get_engine
 from repro.obs import get_observability
 from repro.service import AlignmentService
-from repro.service.cache import job_cache_key
+from repro.workloads import WorkloadSpec, generate_workload
 
 XDROP = 30
 _SCORING = ScoringScheme()
@@ -41,6 +43,23 @@ def _run(service: AlignmentService, jobs) -> list:
     tickets = service.submit_many(jobs)
     service.drain()
     return [t.result(timeout=60.0) for t in tickets]
+
+
+def _legacy_key(job) -> str:
+    """A queue-row key in the (scoring, X) format, which names no engine."""
+    seed = job.seed
+    return json.dumps(
+        [
+            hashlib.sha1(job.query.tobytes()).hexdigest(),
+            hashlib.sha1(job.target.tobytes()).hexdigest(),
+            seed.query_pos,
+            seed.target_pos,
+            seed.length,
+            list(_SCORING.as_tuple()),
+            XDROP,
+        ],
+        separators=(",", ":"),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +143,41 @@ class TestDurableState:
             assert store.pending_count() == 0
             assert store.result_count() > 0
 
+    def test_state_file_reopened_under_another_engine(self, tmp_path):
+        # The durable key names the engine: a result aligned by one engine
+        # never answers for another, and the same engine still hits.
+        spec = WorkloadSpec(count=4, seed=3, xdrop=20)
+        jobs = generate_workload("pacbio", spec).jobs
+        path = str(tmp_path / "state.db")
+
+        def reopen(engine):
+            config = AlignConfig(
+                engine=engine, xdrop=20, service=ServiceConfig(state_path=path)
+            )
+            with AlignmentService(config=config) as service:
+                tickets = service.submit_many(jobs)
+                service.drain()
+                return (
+                    [t.result(timeout=60.0) for t in tickets],
+                    [t.cache_hit for t in tickets],
+                )
+
+        batched, hits = reopen("batched")
+        assert not any(hits)
+        ksw2, hits = reopen("ksw2")
+        assert not any(hits)
+        own = get_engine("ksw2", xdrop=20).align_batch(jobs).scores()
+        assert [r.score for r in ksw2] == own != [r.score for r in batched]
+        logan, hits = reopen("logan")
+        assert not any(hits)
+        assert all(
+            r.left.band_widths is not None and r.right.band_widths is not None
+            for r in logan
+        )
+        again, hits = reopen("batched")
+        assert all(hits)
+        assert again == batched
+
     def test_restart_answers_from_durable_results(
         self, tmp_path, module_jobs, expected
     ):
@@ -145,12 +199,9 @@ class TestDurableState:
         path = str(tmp_path / "state.db")
         scoped = get_observability().scoped()
         with DurableStore(path, obs=scoped) as store:
-            ids = [
-                store.enqueue(
-                    cache_key_to_json(job_cache_key(job, _SCORING, XDROP)), job
-                )
-                for job in module_jobs
-            ]
+            # Recovery recomputes every key from the stored job, so rows
+            # keyed in another format come back too.
+            ids = [store.enqueue(_legacy_key(job), job) for job in module_jobs]
             # Simulate a crash mid-batch: some rows were dispatched
             # (inflight), none completed, and the process died here.
             store.mark_inflight(ids[: len(ids) // 2])

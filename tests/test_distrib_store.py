@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import AlignConfig
 from repro.distrib.store import DurableStore
 from repro.distrib.wire import cache_key_to_json
 from repro.engine import get_engine
 from repro.errors import ServiceError
 from repro.obs import get_observability
-from repro.service.cache import job_cache_key
+from repro.service.cache import job_cache_key, result_digest
 
 
 @pytest.fixture
@@ -19,7 +20,8 @@ def store_path(tmp_path) -> str:
 
 
 def _keyed(jobs, scoring, xdrop=30):
-    return [(cache_key_to_json(job_cache_key(j, scoring, xdrop)), j) for j in jobs]
+    digest = result_digest(AlignConfig(scoring=scoring, xdrop=xdrop))
+    return [(cache_key_to_json(job_cache_key(j, digest)), j) for j in jobs]
 
 
 class TestQueue:

@@ -8,12 +8,14 @@ boundary.
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
 
 import numpy as np
 import pytest
 
+from repro.api import AlignConfig
 from repro.core.result import ExtensionResult, SeedAlignmentResult
 from repro.distrib.shm import (
     RESULT_COLUMNS,
@@ -23,7 +25,6 @@ from repro.distrib.shm import (
     unpack_results,
 )
 from repro.distrib.wire import (
-    cache_key_from_json,
     cache_key_to_json,
     job_from_wire,
     job_to_wire,
@@ -34,7 +35,7 @@ from repro.distrib.wire import (
 )
 from repro.engine import get_engine
 from repro.errors import ServiceError
-from repro.service.cache import job_cache_key
+from repro.service.cache import job_cache_key, result_digest
 
 
 def _sample_result(band_widths: bool = False) -> SeedAlignmentResult:
@@ -76,12 +77,16 @@ class TestJsonCodec:
         assert np.array_equal(back.left.band_widths, result.left.band_widths)
         assert np.array_equal(back.right.band_widths, result.right.band_widths)
 
-    def test_cache_key_round_trip(self, small_jobs, scoring):
-        key = job_cache_key(small_jobs[0], scoring, 37)
+    def test_cache_key_json_is_canonical(self, small_jobs, scoring):
+        digest = result_digest(AlignConfig(scoring=scoring, xdrop=37))
+        key = job_cache_key(small_jobs[0], digest)
         text = cache_key_to_json(key)
-        assert cache_key_from_json(text) == key
-        # Canonical: equal keys serialise to byte-identical JSON.
-        assert cache_key_to_json(cache_key_from_json(text)) == text
+        # Equal keys serialise to byte-identical JSON, with no whitespace.
+        assert cache_key_to_json(job_cache_key(small_jobs[0], digest)) == text
+        assert " " not in text
+        assert json.loads(text) == [*key]
+        other = result_digest(AlignConfig(engine="ksw2", scoring=scoring, xdrop=37))
+        assert cache_key_to_json(job_cache_key(small_jobs[0], other)) != text
 
 
 class TestFrames:

@@ -82,7 +82,7 @@ class TestRegistry:
             def __init__(self, **kwargs):
                 pass
 
-            def align_batch(self, jobs, scoring=None, xdrop=None):
+            def align_batch(self, jobs):
                 raise NotImplementedError
 
         try:
@@ -101,7 +101,7 @@ class TestRegistry:
                 name = "decorated-dummy"
                 exact = False
 
-                def align_batch(self, jobs, scoring=None, xdrop=None):
+                def align_batch(self, jobs):
                     raise NotImplementedError
 
             assert "decorated-dummy" in list_engines()
@@ -112,6 +112,69 @@ class TestRegistry:
         for name in EXACT_ENGINES:
             assert get_engine(name).exact
         assert not get_engine("ksw2").exact
+
+    def test_factory_without_xdrop_cannot_be_built_from_a_config(self):
+        def no_xdrop(scoring=None, workers=1, trace=False):
+            return get_engine("batched", scoring=scoring, workers=workers, trace=trace)
+
+        register_engine("no-xdrop", no_xdrop)
+        try:
+            # Built with its own X, it would align with a value the config
+            # (and every cache key made from it) does not record.
+            with pytest.raises(TypeError, match="xdrop"):
+                engine_from_config(AlignConfig(engine="no-xdrop", xdrop=7))
+        finally:
+            unregister_engine("no-xdrop")
+
+
+class TestOnePath:
+    """An engine aligns with the scoring and X it was built with, only."""
+
+    @pytest.mark.parametrize("engine_name", sorted(BUNDLED_ENGINES))
+    def test_config_scoring_and_x_reach_the_engine(self, engine_name):
+        config = AlignConfig(engine=engine_name, xdrop=7)
+        engine = engine_from_config(config)
+        assert engine.scoring == config.scoring
+        assert engine.xdrop == 7
+        if not engine.exact:
+            assert engine.aligner.zdrop == 7  # ksw2 runs X as its Z-drop
+            return
+        jobs = job_batch(3, num_pairs=4)
+        oracle = reference_results(jobs, config.scoring, 7)
+        # Precondition: X = 7 decides these scores (the default X does not).
+        default_x = reference_results(jobs, config.scoring, AlignConfig().xdrop)
+        assert [r.score for r in oracle] != [r.score for r in default_x]
+        batch = engine.align_batch(jobs)
+        assert batch.scores() == [r.score for r in oracle]
+        assert [(r.query_end, r.target_end) for r in batch.results] == [
+            (r.query_end, r.target_end) for r in oracle
+        ]
+
+    @pytest.mark.parametrize("engine_name", sorted(BUNDLED_ENGINES))
+    @pytest.mark.parametrize("field", ["scoring", "xdrop"])
+    def test_align_batch_takes_only_jobs(self, engine_name, field):
+        engine = get_engine(engine_name, xdrop=7)
+        value = {"scoring": ScoringScheme(), "xdrop": 7}[field]
+        with pytest.raises(TypeError):
+            engine.align_batch(job_batch(3, num_pairs=1), **{field: value})
+
+
+class TestConstructionChecks:
+    """A bad setting is refused when the engine is built, not mid-batch."""
+
+    @pytest.mark.parametrize("engine_name", sorted(BUNDLED_ENGINES))
+    def test_negative_xdrop(self, engine_name):
+        with pytest.raises(ConfigurationError, match="xdrop"):
+            get_engine(engine_name, xdrop=-5)
+
+    def test_logan_threads_per_block(self):
+        with pytest.raises(ConfigurationError, match="threads_per_block"):
+            get_engine("logan", threads_per_block=0)
+
+    def test_ksw2_bandwidth(self):
+        config = AlignConfig(engine="ksw2", engine_options={"bandwidth": -3})
+        with pytest.raises(ConfigurationError, match="bandwidth"):
+            config.build_engine()
 
 
 class TestEngineParity:
@@ -136,15 +199,6 @@ class TestEngineParity:
             assert got.target_end == ref.target_end
             assert got.left.best_score == ref.left.best_score
             assert got.right.best_score == ref.right.best_score
-
-    @pytest.mark.parametrize("engine_name", EXACT_ENGINES)
-    def test_per_call_override_beats_constructor_default(self, engine_name):
-        scoring = ScoringScheme()
-        jobs = job_batch(3, num_pairs=4)
-        engine = get_engine(engine_name, scoring=scoring, xdrop=5)
-        oracle = reference_results(jobs, scoring, 30)
-        batch = engine.align_batch(jobs, xdrop=30)
-        assert batch.scores() == [r.score for r in oracle]
 
     def test_batched_engine_work_accounting_matches_reference(self):
         scoring = ScoringScheme()

@@ -163,10 +163,9 @@ class TestLoganAligner:
         result = aligner.align_batch(small_jobs)
         assert result.threads_per_block == 512
 
-    def test_invalid_explicit_threads(self, small_jobs):
-        aligner = LoganAligner(xdrop=20, threads_per_block=-1)
-        with pytest.raises(ConfigurationError):
-            aligner.align_batch(small_jobs)
+    def test_invalid_explicit_threads(self):
+        with pytest.raises(ConfigurationError, match="threads_per_block"):
+            LoganAligner(xdrop=20, threads_per_block=-1)
 
     def test_multi_gpu_distributes_jobs(self, small_jobs):
         aligner = LoganAligner(system=MultiGpuSystem.homogeneous(4), xdrop=20)
@@ -266,13 +265,6 @@ class TestLoganEngine:
         assert batch.modeled_seconds == direct.modeled_seconds
         assert batch.extras["batch"].kernel_timings == direct.kernel_timings
         assert batch.extras["kernel_stats"].rows == 2 * len(small_jobs)
-
-    def test_per_call_xdrop_is_modeled_with_its_thread_schedule(self, small_jobs):
-        override = get_engine("logan", xdrop=5).align_batch(small_jobs, xdrop=100)
-        native = get_engine("logan", xdrop=100).align_batch(small_jobs)
-        assert override.extras["batch"].threads_per_block == 128
-        assert override.scores() == native.scores()
-        assert override.modeled_seconds == native.modeled_seconds
 
 
 class TestAccuracyEquivalence:

@@ -131,7 +131,7 @@ class TestServiceInstrumentation:
         service = _service(small_jobs)
         service.crash_dump_path = tmp_path / "crash.json"
 
-        def explode(jobs, scoring=None, xdrop=None):
+        def explode(jobs):
             raise RuntimeError("forced worker crash")
 
         service.pool.run_batch = explode
@@ -154,7 +154,7 @@ class TestServiceInstrumentation:
     def test_tracing_off_means_no_crash_dump(self, small_jobs):
         service = _service(small_jobs)
 
-        def explode(jobs, scoring=None, xdrop=None):
+        def explode(jobs):
             raise RuntimeError("boom")
 
         service.pool.run_batch = explode

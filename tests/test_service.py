@@ -29,6 +29,7 @@ from repro.service import (
     ShardedWorkerPool,
     SubmissionQueue,
     job_cache_key,
+    result_digest,
 )
 
 SCORING = ScoringScheme()
@@ -68,26 +69,32 @@ def tiny_job(text="ACGTACGTACGTACGT"):
     return AlignmentJob(query=text, target=text, seed=Seed(0, 0, 4))
 
 
+def digest(**fields) -> str:
+    """``result_digest`` of a config with *fields* (scoring and X as above)."""
+    fields = {"scoring": SCORING, "xdrop": 10, **fields}
+    return result_digest(AlignConfig(**fields))
+
+
 class TestResultCache:
     def test_key_is_content_addressed(self):
         a = tiny_job()
         b = tiny_job()  # equal content, different object / pair_id
         b.pair_id = 99
-        assert job_cache_key(a, SCORING, 10) == job_cache_key(b, SCORING, 10)
+        assert job_cache_key(a, digest()) == job_cache_key(b, digest())
 
     def test_key_depends_on_parameters(self):
         job = tiny_job()
-        base = job_cache_key(job, SCORING, 10)
-        assert job_cache_key(job, SCORING, 20) != base
-        assert job_cache_key(job, ScoringScheme(match=2), 10) != base
+        base = job_cache_key(job, digest())
+        assert job_cache_key(job, digest(xdrop=20)) != base
+        assert job_cache_key(job, digest(scoring=ScoringScheme(match=2))) != base
         other = AlignmentJob(
             query="ACGTACGTACGTACGT", target="ACGTACGTACGTACGT", seed=Seed(4, 4, 4)
         )
-        assert job_cache_key(other, SCORING, 10) != base
+        assert job_cache_key(other, digest()) != base
 
     def test_hit_miss_counters(self):
         cache = ResultCache(capacity=4)
-        key = job_cache_key(tiny_job(), SCORING, 10)
+        key = job_cache_key(tiny_job(), digest())
         assert cache.get(key) is None
         cache.put(key, "result")
         assert cache.get(key) == "result"
@@ -144,34 +151,50 @@ class TestResultCache:
 class TestCacheKeyConfigRegression:
     """Two configs must never collide on one content-addressed key.
 
-    Regression guard: the key has to include the *full* scoring scheme and
-    the X-drop threshold, not just the sequence digests — otherwise a
-    cache shared across parameter changes would serve results computed
-    under a different configuration.
+    Regression guard: the key has to include every config field that
+    decides a result — the engine, its options, the *full* scoring scheme,
+    the X-drop threshold and trace mode — not just the sequence digests;
+    otherwise a cache (or durable state file) shared across configurations
+    would serve results computed under another one.
     """
 
     def test_full_scoring_scheme_participates(self):
-        job = tiny_job()
         keys = {
-            job_cache_key(job, ScoringScheme(match=1, mismatch=-1, gap=-1), 10),
-            job_cache_key(job, ScoringScheme(match=2, mismatch=-1, gap=-1), 10),
-            job_cache_key(job, ScoringScheme(match=1, mismatch=-2, gap=-1), 10),
-            job_cache_key(job, ScoringScheme(match=1, mismatch=-1, gap=-2), 10),
+            digest(scoring=ScoringScheme(match=1, mismatch=-1, gap=-1)),
+            digest(scoring=ScoringScheme(match=2, mismatch=-1, gap=-1)),
+            digest(scoring=ScoringScheme(match=1, mismatch=-2, gap=-1)),
+            digest(scoring=ScoringScheme(match=1, mismatch=-1, gap=-2)),
         }
         assert len(keys) == 4  # every scoring field changes the address
 
     def test_xdrop_participates(self):
-        job = tiny_job()
-        assert len({job_cache_key(job, SCORING, x) for x in (0, 1, 10, 100)}) == 4
+        assert len({digest(xdrop=x) for x in (0, 1, 10, 100)}) == 4
+
+    def test_engine_options_and_trace_participate(self):
+        keys = {
+            digest(),
+            digest(engine="reference"),
+            digest(engine="ksw2"),
+            digest(engine="ksw2", engine_options={"bandwidth": 5}),
+            digest(trace=True),
+        }
+        assert len(keys) == 5
+
+    def test_workers_and_service_fields_do_not(self):
+        # Results are bit-identical across them, so they must not split hits.
+        assert digest(workers=2) == digest()
+        assert digest(service=ServiceConfig(max_batch_size=3)) == digest()
 
     def test_shared_cache_does_not_collide_across_configs(self):
         # Same sequences under two configs -> two distinct entries in one
         # physical cache, each lookup returning its own result.
         cache = ResultCache(capacity=8)
         job = tiny_job()
-        key_a = job_cache_key(job, SCORING, 10)
-        key_b = job_cache_key(job, ScoringScheme(match=2, mismatch=-2, gap=-2), 10)
-        key_c = job_cache_key(job, SCORING, 99)
+        key_a = job_cache_key(job, digest())
+        key_b = job_cache_key(
+            job, digest(scoring=ScoringScheme(match=2, mismatch=-2, gap=-2))
+        )
+        key_c = job_cache_key(job, digest(xdrop=99))
         cache.put(key_a, "result-a")
         cache.put(key_b, "result-b")
         cache.put(key_c, "result-c")
@@ -179,30 +202,6 @@ class TestCacheKeyConfigRegression:
         assert cache.get(key_b) == "result-b"
         assert cache.get(key_c) == "result-c"
         assert len(cache) == 3
-
-    def test_engine_instance_with_other_defaults_cannot_poison_cache(self):
-        # The service hands the pool ITS OWN scoring/xdrop on every batch,
-        # so a pool wrapping an engine constructed with different defaults
-        # still computes exactly what the cache key claims.
-        jobs = mixed_jobs(num_pairs=6, rng_seed=37, min_length=120, max_length=300)
-        expected = get_engine("batched", scoring=SCORING, xdrop=7).align_batch(jobs)
-        mismatched_engine = get_engine("batched", scoring=SCORING, xdrop=500)
-
-        def work(results):
-            # X changes the explored band, so the per-extension work
-            # accounting is a reliable fingerprint of the threshold used.
-            return [
-                (r.left.cells_computed, r.right.cells_computed) for r in results
-            ]
-
-        # Precondition: the two thresholds genuinely disagree on this batch.
-        assert work(mismatched_engine.align_batch(jobs).results) != work(
-            expected.results
-        )
-        pool = ShardedWorkerPool(engine=mismatched_engine)
-        results = pool.run_batch(jobs, scoring=SCORING, xdrop=7).results
-        assert [r.score for r in results] == expected.scores()
-        assert work(results) == work(expected.results)
 
 
 class TestSubmissionQueue:
@@ -343,6 +342,13 @@ class TestShardedWorkerPool:
         assert stats.batches == 1
         assert stats.jobs == len(jobs)
         assert stats.cells == run.summary.cells
+
+    @pytest.mark.parametrize("field", ["scoring", "xdrop"])
+    def test_run_batch_takes_only_jobs(self, field):
+        pool = ShardedWorkerPool(get_engine("batched", scoring=SCORING, xdrop=25))
+        value = {"scoring": SCORING, "xdrop": 25}[field]
+        with pytest.raises(TypeError):
+            pool.run_batch(mixed_jobs(num_pairs=2), **{field: value})
 
 
 class TestAlignmentServiceEndToEnd:
@@ -688,8 +694,8 @@ class TestDispatchResultCountGuard:
         """Fault-inject the worker pool: drop the last result of a batch."""
         orig = service.pool.run_batch
 
-        def run_batch(jobs, **kwargs):
-            run = orig(jobs, **kwargs)
+        def run_batch(jobs):
+            run = orig(jobs)
             if len(run.results) > 1:
                 run.results.pop()
             return run
@@ -730,7 +736,7 @@ class TestDispatchResultCountGuard:
             config=batched_config(xdrop=30, max_batch_size=8)
         )
 
-        def run_batch(jobs, **kwargs):
+        def run_batch(jobs):
             raise raised
 
         service.pool.run_batch = run_batch

@@ -99,14 +99,6 @@ def test_non_unit_scoring_rejected_via_registry_and_config():
     _assert_names_fields(excinfo.value)
 
 
-def test_non_unit_scoring_rejected_on_per_call_override():
-    engine = WavefrontEngine(xdrop=20)
-    jobs = generate_workload("pacbio", SPEC).jobs
-    with pytest.raises(ConfigurationError) as excinfo:
-        engine.align_batch(jobs, scoring=NON_UNIT)
-    _assert_names_fields(excinfo.value)
-
-
 def test_unit_scheme_constant_matches_default():
     assert ScoringScheme().as_tuple() == UNIT_SCORING
     ensure_unit_scoring(ScoringScheme())  # must not raise
