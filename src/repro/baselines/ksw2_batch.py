@@ -162,7 +162,9 @@ class Ksw2BatchAligner:
         self.zdrop = int(zdrop)
         self.bandwidth = int(bandwidth) if bandwidth is not None else int(zdrop)
         self.cost_model = cost_model
-        self.workers = max(1, int(workers))
+        self.workers = int(workers)
+        if self.workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
 
     def align_batch(self, jobs: Sequence[AlignmentJob]) -> Ksw2BatchResult:
         """Align every job and return results plus accounting."""

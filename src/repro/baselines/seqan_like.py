@@ -25,6 +25,7 @@ from ..core.result import SeedAlignmentResult
 from ..core.scoring import ScoringScheme
 from ..core.seed_extend import extend_seed
 from ..core.xdrop_vectorized import xdrop_extend
+from ..errors import ConfigurationError
 from ..perf.parallel import parallel_map
 from ..perf.timers import Timer
 from .platforms import SEQAN_POWER9_MODEL, CpuCostModel
@@ -111,7 +112,9 @@ class SeqAnBatchAligner:
         self.scoring = scoring if scoring is not None else ScoringScheme()
         self.xdrop = int(xdrop)
         self.cost_model = cost_model
-        self.workers = max(1, int(workers))
+        self.workers = int(workers)
+        if self.workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.trace = bool(trace)
 
     def align_batch(self, jobs: Sequence[AlignmentJob]) -> SeqAnBatchResult:

@@ -8,9 +8,9 @@ prefixes so that both extensions read their sequences forward — the same
 host-side transformation LOGAN applies to obtain coalesced GPU memory
 accesses (Fig. 6).
 
-This module provides the seed representation and the host-side split /
-reverse / extend / recombine logic shared by the CPU baseline and the
-GPU-model batch runner.
+This module provides the seed representation, the host-side split /
+reverse logic, and :func:`join_at_seed`, the one rule every engine uses to
+recombine a seed's two extensions.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .result import ExtensionResult, SeedAlignmentResult, empty_extension
 from .scoring import ScoringScheme
 from .xdrop_vectorized import xdrop_extend
 
-__all__ = ["Seed", "split_on_seed", "seed_score", "extend_seed"]
+__all__ = ["Seed", "split_on_seed", "seed_score", "join_at_seed", "extend_seed"]
 
 #: Signature shared by every extension kernel in the library.
 ExtensionKernel = Callable[..., ExtensionResult]
@@ -113,6 +113,28 @@ def seed_score(
     return int(scoring.substitution(qs, ts).sum())
 
 
+def join_at_seed(
+    seed: Seed, left: ExtensionResult, right: ExtensionResult, anchor: int
+) -> SeedAlignmentResult:
+    """Join a seed's left and right extensions into one alignment.
+
+    The score is ``left + anchor + right`` (``anchor`` is the seed's own
+    score), and the alignment reaches from the seed as far as each
+    extension consumed: leftwards on the reversed prefixes, rightwards on
+    the suffixes.
+    """
+    return SeedAlignmentResult(
+        score=int(left.best_score + right.best_score + anchor),
+        left=left,
+        right=right,
+        seed_score=anchor,
+        query_begin=seed.query_pos - left.query_end,
+        query_end=seed.query_end + right.query_end,
+        target_begin=seed.target_pos - left.target_end,
+        target_end=seed.target_end + right.target_end,
+    )
+
+
 def _extend_or_empty(
     kernel: ExtensionKernel,
     q: np.ndarray,
@@ -168,15 +190,4 @@ def extend_seed(
 
     left = _extend_or_empty(kernel, left_q, left_t, scoring, xdrop, trace)
     right = _extend_or_empty(kernel, right_q, right_t, scoring, xdrop, trace)
-    anchor = seed_score(q, t, seed, scoring)
-
-    return SeedAlignmentResult(
-        score=int(left.best_score + right.best_score + anchor),
-        left=left,
-        right=right,
-        seed_score=anchor,
-        query_begin=seed.query_pos - left.query_end,
-        query_end=seed.query_end + right.query_end,
-        target_begin=seed.target_pos - left.target_end,
-        target_end=seed.target_end + right.target_end,
-    )
+    return join_at_seed(seed, left, right, seed_score(q, t, seed, scoring))

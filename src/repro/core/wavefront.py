@@ -169,12 +169,12 @@ def _resolve_capped(sol, count):
     c_bound = np.int64(int(r_cost.max(initial=0)) + 2)
     comp = (score * c_bound - r_cost) * (2 * k_bound) + (k_bound - r_k)
     order = np.lexsort((-comp, r_t))
-    r_t, r_k, d_c, r_cost, comp = (
+    r_t, r_k, r_a, d_c, r_cost = (
         r_t[order],
         r_k[order],
+        r_a[order],
         d_c[order],
         r_cost[order],
-        comp[order],
     )
     first = np.empty(r_t.size, dtype=bool)
     first[0] = True

@@ -3,7 +3,8 @@
 One file holds two tables:
 
 * ``queue`` — submitted-but-unfinished jobs, each row the full wire-encoded
-  job plus its canonical cache key.  Rows move ``pending -> inflight`` when
+  job (recovery recomputes its cache key from the job, under the reopening
+  service's config).  Rows move ``pending -> inflight`` when
   dispatched and are tombstoned (``state='deleted'``) on completion; rows
   still ``inflight`` when the store is reopened are crash leftovers and get
   redelivered.  :meth:`DurableStore.compact` purges the tombstones (and,
@@ -37,7 +38,6 @@ __all__ = ["DurableRecord", "DurableStore"]
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS queue (
     id          INTEGER PRIMARY KEY AUTOINCREMENT,
-    cache_key   TEXT NOT NULL,
     payload     TEXT NOT NULL,
     state       TEXT NOT NULL DEFAULT 'pending',
     attempts    INTEGER NOT NULL DEFAULT 0,
@@ -57,7 +57,6 @@ class DurableRecord:
     """One recovered queue row: the job plus its durable identity."""
 
     row_id: int
-    cache_key: str
     job: AlignmentJob
     attempts: int
     redelivered: bool
@@ -98,6 +97,13 @@ class DurableStore:
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.executescript(_SCHEMA)
+            queue_columns = {
+                row[1] for row in self._conn.execute("PRAGMA table_info(queue)")
+            }
+            if "cache_key" in queue_columns:
+                # Written when queue rows still stored their key, which
+                # nothing read; DROP COLUMN needs SQLite >= 3.35.
+                self._conn.execute("ALTER TABLE queue DROP COLUMN cache_key")
             self._conn.commit()
         except sqlite3.Error as exc:
             raise ServiceError(
@@ -134,15 +140,15 @@ class DurableStore:
 
     # -- queue ------------------------------------------------------------
 
-    def enqueue(self, cache_key: str, job: AlignmentJob) -> int:
+    def enqueue(self, job: AlignmentJob) -> int:
         """Persist one submitted job; returns the durable row id."""
         payload = json.dumps(job_to_wire(job), separators=(",", ":"))
         now = time.time()
         with self._lock:
             cur = self._conn.execute(
-                "INSERT INTO queue (cache_key, payload, enqueued_at,"
-                " updated_at) VALUES (?, ?, ?, ?)",
-                (cache_key, payload, now, now),
+                "INSERT INTO queue (payload, enqueued_at, updated_at)"
+                " VALUES (?, ?, ?)",
+                (payload, now, now),
             )
             self._conn.commit()
         self._enqueued_c.inc()
@@ -224,7 +230,7 @@ class DurableStore:
         """
         with self._lock:
             rows = self._conn.execute(
-                "SELECT id, cache_key, payload, state, attempts FROM queue"
+                "SELECT id, payload, state, attempts FROM queue"
                 " WHERE state IN ('pending', 'inflight')"
                 " ORDER BY (state='inflight') DESC, id ASC"
             ).fetchall()
@@ -234,13 +240,12 @@ class DurableStore:
             self._conn.commit()
         records = []
         redelivered = 0
-        for row_id, cache_key, payload, state, attempts in rows:
+        for row_id, payload, state, attempts in rows:
             was_inflight = state == "inflight"
             redelivered += int(was_inflight)
             records.append(
                 DurableRecord(
                     row_id=int(row_id),
-                    cache_key=str(cache_key),
                     job=job_from_wire(json.loads(payload)),
                     attempts=int(attempts),
                     redelivered=was_inflight,

@@ -23,13 +23,23 @@ to :func:`repro.core.xdrop.xdrop_extend_reference` on every job; the parity
 test-suite enforces this.  ``wavefront`` (*) is exact on scores, end
 positions and early-termination but computes in cost space, so its
 cells/anti-diagonal accounting is an honest estimate of the equivalent DP
-work rather than a bit-identical replay (``work_exact = False``).  All
-constructors share the ``(scoring, xdrop, workers, trace)`` signature so
-:func:`repro.engine.get_engine` can build any of them uniformly; engines
-that cannot use an option accept and ignore it (documented per class).
-Those values are fixed when the engine is built, and checked there:
-``align_batch(jobs)`` takes nothing else, so every batch of one engine
-runs with one scoring scheme and one X, as a LOGAN run does.
+work rather than a bit-identical replay (``work_exact = False``).
+
+``batched``, ``logan`` and ``wavefront`` share one seed-and-extend loop,
+:meth:`_EngineBase._align_batch`, and differ only in their ``extend``
+kernel function.  ``reference`` keeps its own per-job path, because it is
+the oracle the others are checked against, and ``ksw2`` runs its affine
+batch aligner; every engine builds its results with
+:func:`repro.core.seed_extend.join_at_seed`.
+
+All constructors share the ``(scoring, xdrop, workers, trace)`` signature
+so :func:`repro.engine.get_engine` can build any of them uniformly.  Every
+engine splits a batch across ``workers`` processes; ``trace`` is ignored
+by ``ksw2``, which records no band traces, and by ``logan``, which always
+records them.  Those values are fixed when the engine is built, and
+checked there (``xdrop >= 0``, ``workers >= 1``): ``align_batch(jobs)``
+takes nothing else, so every batch of one engine runs with one scoring
+scheme and one X, as a LOGAN run does.
 """
 
 from __future__ import annotations
@@ -41,20 +51,21 @@ from ..baselines.ksw2_batch import Ksw2BatchAligner
 from ..core.job import AlignmentJob, summarize_results
 from ..core.result import ExtensionResult, SeedAlignmentResult, empty_extension
 from ..core.scoring import AffineScoringScheme, ScoringScheme
-from ..core.seed_extend import extend_seed
+from ..core.seed_extend import extend_seed, join_at_seed
 from ..core.wavefront import ensure_unit_scoring, wavefront_extend_batch
 from ..core.xdrop import xdrop_extend_reference
+from ..core.xdrop_batch import BatchKernelStats
 from ..errors import ConfigurationError
 from ..gpusim.multi_gpu import MultiGpuSystem
 from ..logan.batch import LoganAligner
 from ..logan.host import prepare_batch
-from ..logan.kernel import execute_tasks_batched
+from ..logan.kernel import sweep
 from ..obs.runtime import (
     LIVE_FRACTION_BUCKETS,
     emit_kernel_batch,
     get_observability,
 )
-from ..perf.parallel import parallel_map
+from ..perf.parallel import chunk_evenly, parallel_map
 from ..perf.timers import Timer
 from .base import EngineBatchResult, register_engine
 
@@ -75,34 +86,23 @@ def _extend_job(job, scoring, xdrop, trace) -> SeedAlignmentResult:
     )
 
 
-def _seed_results(jobs, prepared, sides) -> list[SeedAlignmentResult]:
-    """Join each job's ``(index, "left"/"right")`` extensions at its seed."""
-    results = []
-    for index, job in enumerate(jobs):
-        left = sides[(index, "left")]
-        right = sides[(index, "right")]
-        anchor = prepared.seed_scores[index]
-        seed = job.seed
-        results.append(
-            SeedAlignmentResult(
-                score=int(left.best_score + right.best_score + anchor),
-                left=left,
-                right=right,
-                seed_score=anchor,
-                query_begin=seed.query_pos - left.query_end,
-                query_end=seed.query_end + right.query_end,
-                target_begin=seed.target_pos - left.target_end,
-                target_end=seed.target_end + right.target_end,
-            )
-        )
-    return results
+def _sweep_wavefront(pairs, scoring, xdrop, trace) -> tuple[list, None]:
+    """Worker: one wavefront sweep over *pairs*; it keeps no kernel stats
+    (picklable)."""
+    results = wavefront_extend_batch(pairs, scoring=scoring, xdrop=xdrop, trace=trace)
+    return results, None
 
 
 class _EngineBase:
-    """Shared configuration plumbing for the bundled engines."""
+    """Shared configuration plumbing, and the batch engines' one
+    seed-and-extend loop (:meth:`_align_batch`)."""
 
     name = "abstract"
     exact = True
+    #: The batch engines' kernel, ``extend(pairs, scoring, xdrop, trace) ->
+    #: (extensions, BatchKernelStats or None)`` over non-empty sides: a
+    #: module-level function, so a worker process can run it on its chunk.
+    extend = None
 
     def __init__(
         self,
@@ -115,14 +115,16 @@ class _EngineBase:
         self.xdrop = int(xdrop)
         if self.xdrop < 0:
             raise ConfigurationError(f"xdrop must be non-negative, got {xdrop}")
-        self.workers = max(1, int(workers))
+        self.workers = int(workers)
+        if self.workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.trace = bool(trace)
 
     def align_batch(self, jobs: Sequence[AlignmentJob]) -> EngineBatchResult:
         """Align *jobs*, wrapped in a trace span + per-engine metrics.
 
-        Subclasses implement :meth:`_align_batch`; the telemetry fold here
-        is once per batch, so it stays on unconditionally.
+        The work is :meth:`_align_batch`; the telemetry fold here is once
+        per batch, so it stays on unconditionally.
         """
         ob = get_observability()
         with ob.span("engine.align_batch", engine=self.name, jobs=len(jobs)):
@@ -131,7 +133,53 @@ class _EngineBase:
         return result
 
     def _align_batch(self, jobs: Sequence[AlignmentJob]) -> EngineBatchResult:
-        raise NotImplementedError  # pragma: no cover - abstract
+        """LOGAN's host loop: split every job at its seed, :attr:`extend`
+        the sides that are not empty, give the empty ones
+        :func:`~repro.core.result.empty_extension`, and join each job's
+        two sides at its seed."""
+        timer = Timer()
+        with timer:
+            prepared = prepare_batch(jobs, self.scoring)
+            live = [len(q) > 0 and len(t) > 0 for q, t in prepared.sides]
+            swept, stats = self._extend_split(
+                [side for side, ok in zip(prepared.sides, live) if ok]
+            )
+            swept = iter(swept)
+            sides = [next(swept) if ok else empty_extension(self.trace) for ok in live]
+            n = len(jobs)
+            results = [
+                join_at_seed(job.seed, sides[i], sides[n + i], prepared.seed_scores[i])
+                for i, job in enumerate(jobs)
+            ]
+        return EngineBatchResult(
+            engine=self.name,
+            results=results,
+            summary=summarize_results(results),
+            elapsed_seconds=timer.elapsed,
+            extras={} if stats is None else {"kernel_stats": stats},
+        )
+
+    def _extend_split(
+        self, pairs: list
+    ) -> tuple[list[ExtensionResult], BatchKernelStats | None]:
+        """:attr:`extend` over *pairs*; with ``workers > 1``, one contiguous
+        chunk per worker process, the chunks' stats merged (their ``steps``
+        and ``row_steps`` count each chunk's sweep separately)."""
+        args = (self.scoring, self.xdrop, self.trace)
+        if self.workers == 1 or len(pairs) < 2:
+            return self.extend(pairs, *args)
+        extensions, stats = [], None
+        for part, part_stats in parallel_map(
+            self.extend,
+            chunk_evenly(pairs, self.workers),
+            args=args,
+            workers=self.workers,
+            min_items_per_worker=1,
+        ):
+            extensions += part
+            if part_stats is not None:
+                stats = part_stats if stats is None else stats.merge(part_stats)
+        return extensions, stats
 
     def _observe_batch(
         self, ob, result: EngineBatchResult, jobs: int
@@ -199,50 +247,21 @@ class ReferenceEngine(_EngineBase):
 class BatchedEngine(_EngineBase):
     """Inter-sequence batched engine: one fused sweep over the whole batch.
 
-    Jobs are split at their seeds by the LOGAN host preprocessing, and all
-    resulting left- and right-extensions are swept together by
-    :func:`repro.logan.kernel.execute_tasks_batched` — every extension is
-    one row of the batch kernel, mirroring LOGAN's one-block-per-extension
-    GPU layout.  With ``workers > 1`` the sweep is chunked across worker
-    processes (scores and traces are unaffected).
+    Its ``extend`` is :func:`repro.logan.kernel.sweep`: every non-empty
+    extension the shared loop splits off is one row of the batch kernel,
+    mirroring LOGAN's one-block-per-extension GPU layout.  With
+    ``workers > 1`` each worker process sweeps one contiguous chunk of
+    extensions (scores and traces are unaffected).
 
     Every call attaches the kernel's
     :class:`~repro.core.xdrop_batch.BatchKernelStats` telemetry to the
     batch result as ``extras["kernel_stats"]`` — merged over the chunks
-    when the sweep is split — and the serving layer merges it into its
-    lifetime live fraction.
+    when the sweep is split, and present even when every side was empty
+    — and the serving layer merges it into its lifetime live fraction.
     """
 
     name = "batched"
-
-    def _align_batch(self, jobs: Sequence[AlignmentJob]) -> EngineBatchResult:
-        from ..core.xdrop_batch import BatchKernelStats
-
-        stats = BatchKernelStats()
-        timer = Timer()
-        with timer:
-            prepared = prepare_batch(jobs, self.scoring)
-            tasks = prepared.left_tasks + prepared.right_tasks
-            extensions = execute_tasks_batched(
-                tasks,
-                self.scoring,
-                self.xdrop,
-                workers=self.workers,
-                trace=self.trace,
-                stats=stats,
-            )
-            sides: dict[tuple[int, str], ExtensionResult] = {
-                (task.job_index, task.direction): ext
-                for task, ext in zip(tasks, extensions)
-            }
-            results = _seed_results(jobs, prepared, sides)
-        return EngineBatchResult(
-            engine=self.name,
-            results=results,
-            summary=summarize_results(results),
-            elapsed_seconds=timer.elapsed,
-            extras={"kernel_stats": stats},
-        )
+    extend = staticmethod(sweep)
 
 
 class WavefrontEngine(_EngineBase):
@@ -254,21 +273,23 @@ class WavefrontEngine(_EngineBase):
     sequence length — on high-identity reads this removes almost all of the
     anti-diagonal stepping and beats the batched kernel outright.
 
-    Jobs are split at their seeds exactly like :class:`BatchedEngine`;
-    zero-length sides never reach the kernel (the shared batch-runner
-    contract) and are reinserted as zero-score extensions in task order.
+    It differs from :class:`BatchedEngine` only in its ``extend``: the
+    same loop splits the jobs at their seeds, keeps empty sides away
+    from the kernel and, with ``workers > 1``, hands each worker process
+    one contiguous chunk of extensions.  It keeps no kernel stats, so its
+    results carry no ``extras["kernel_stats"]``.
 
     Exact on scores, end positions and early-termination for the unit
     scheme (match=+1, mismatch=-1, gap=-1) only; any other scheme raises
     :class:`ConfigurationError` at construction.
     Cost-space execution has no per-anti-diagonal band, so cells /
     anti-diagonal accounting is an honest equivalent-work estimate
-    (``work_exact = False``).  ``workers`` is accepted for signature
-    uniformity and ignored.
+    (``work_exact = False``).
     """
 
     name = "wavefront"
     work_exact = False
+    extend = staticmethod(_sweep_wavefront)
 
     def __init__(
         self,
@@ -279,33 +300,6 @@ class WavefrontEngine(_EngineBase):
     ) -> None:
         super().__init__(scoring=scoring, xdrop=xdrop, workers=workers, trace=trace)
         ensure_unit_scoring(self.scoring)
-
-    def _align_batch(self, jobs: Sequence[AlignmentJob]) -> EngineBatchResult:
-        timer = Timer()
-        with timer:
-            prepared = prepare_batch(jobs, self.scoring)
-            tasks = prepared.left_tasks + prepared.right_tasks
-            pairs = [(task.query, task.target) for task in tasks if not task.is_empty]
-            live = iter(
-                wavefront_extend_batch(
-                    pairs, scoring=self.scoring, xdrop=self.xdrop, trace=self.trace
-                )
-                if pairs
-                else []
-            )
-            sides = {
-                (task.job_index, task.direction): (
-                    empty_extension(self.trace) if task.is_empty else next(live)
-                )
-                for task in tasks
-            }
-            results = _seed_results(jobs, prepared, sides)
-        return EngineBatchResult(
-            engine=self.name,
-            results=results,
-            summary=summarize_results(results),
-            elapsed_seconds=timer.elapsed,
-        )
 
 
 class Ksw2Engine(_EngineBase):
@@ -354,23 +348,16 @@ class Ksw2Engine(_EngineBase):
 
     def _align_batch(self, jobs: Sequence[AlignmentJob]) -> EngineBatchResult:
         batch = self.aligner.align_batch(jobs)
-        results = []
-        for job, (left, right), score in zip(jobs, batch.results, batch.scores):
-            left_ext = self._to_extension(left)
-            right_ext = self._to_extension(right)
-            seed = job.seed
-            results.append(
-                SeedAlignmentResult(
-                    score=int(score),
-                    left=left_ext,
-                    right=right_ext,
-                    seed_score=seed.length * self.aligner.scoring.match,
-                    query_begin=seed.query_pos - left.query_end,
-                    query_end=seed.query_end + right.query_end,
-                    target_begin=seed.target_pos - left.target_end,
-                    target_end=seed.target_end + right.target_end,
-                )
+        match = self.aligner.scoring.match
+        results = [
+            join_at_seed(
+                job.seed,
+                self._to_extension(left),
+                self._to_extension(right),
+                job.seed.length * match,
             )
+            for job, (left, right) in zip(jobs, batch.results)
+        ]
         return EngineBatchResult(
             engine=self.name,
             results=results,
@@ -395,11 +382,13 @@ class LoganEngine(BatchedEngine):
     """LOGAN: the batched sweep with the modeled V100 multi-GPU runtime.
 
     A :class:`BatchedEngine` with tracing forced on (``trace`` is accepted
-    for signature uniformity and ignored): every extension is one row of
-    the fused sweep, and the band traces of its results are replayed
-    through :meth:`repro.logan.LoganAligner.model_existing` on the
-    configured system (``system``, or ``gpus`` homogeneous V100s).  The
-    modeled time lands in ``modeled_seconds``, the full
+    for signature uniformity and ignored): the shared loop sweeps every
+    extension as one row of :func:`repro.logan.kernel.sweep` (one
+    contiguous chunk per worker process when ``workers > 1``), and the
+    band traces of its results are replayed through
+    :meth:`repro.logan.LoganAligner.model_existing` on the configured
+    system (``system``, or ``gpus`` homogeneous V100s); a split changes
+    neither.  The modeled time lands in ``modeled_seconds``, the full
     :class:`~repro.logan.LoganBatchResult` in ``extras["batch"]``.
     ``aligner`` is that model's :class:`~repro.logan.LoganAligner`, built
     once with the engine's scoring and X, which set its thread schedule

@@ -8,12 +8,16 @@ Public surface:
 * :class:`repro.logan.LoadBalancer` — the multi-GPU work splitter;
 * :func:`repro.logan.threads_for_xdrop` — the X-proportional thread
   scheduling rule;
-* the host preprocessing helpers (:func:`prepare_batch`, :class:`HostModel`).
+* the host preprocessing helpers: :func:`prepare_batch`, which splits
+  every job at its seed into the sides the batch engines' loop extends,
+  and :class:`HostModel`, its modeled cost.
+
+The kernel launch itself is :func:`repro.logan.kernel.sweep`, the
+``extend`` function of the ``batched`` and ``logan`` engines.
 """
 
 from .batch import LoganAligner, LoganBatchResult
 from .host import (
-    ExtensionTask,
     HostModel,
     PreparedBatch,
     prepare_batch,
@@ -28,7 +32,6 @@ __all__ = [
     "DeviceAssignment",
     "HostModel",
     "PreparedBatch",
-    "ExtensionTask",
     "prepare_batch",
     "threads_for_xdrop",
 ]

@@ -155,7 +155,9 @@ class LoganAligner:
         self.system = system or MultiGpuSystem.homogeneous(1)
         self.scoring = scoring if scoring is not None else ScoringScheme()
         self.xdrop = int(xdrop)
-        self.workers = max(1, int(workers))
+        self.workers = int(workers)
+        if self.workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.host_model = host_model
         self.kernel_params = kernel_params or KernelCostParameters()
         self.balancer_policy = balancer_policy

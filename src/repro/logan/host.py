@@ -10,15 +10,18 @@ Before the GPU kernel launches, LOGAN's host code (Section IV-B):
 4. schedules the number of threads per block proportionally to X so that
    narrow bands do not leave most of a 1024-thread block idle.
 
-This module reproduces those steps.  The preprocessing is genuinely executed
-(the split/reversed arrays feed the kernel), and its cost on the paper's
-host is modeled with a simple bytes-processed rate, which is what produces
-the ~2 s floor of the LOGAN columns in Tables II/III at small X.
+This module reproduces those steps.  The preprocessing is genuinely executed:
+:func:`prepare_batch` is the first step of the batch engines' one
+seed-and-extend loop (``repro.engine.engines._EngineBase``), and the
+split/reversed sides it returns feed the kernel.  Its cost on the paper's
+host is modeled with a simple bytes-processed rate (:class:`HostModel`),
+which is what produces the ~2 s floor of the LOGAN columns in Tables II/III
+at small X.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +33,6 @@ from ..errors import ConfigurationError
 from ..gpusim.device import DeviceSpec
 
 __all__ = [
-    "ExtensionTask",
     "PreparedBatch",
     "HostModel",
     "prepare_batch",
@@ -39,49 +41,23 @@ __all__ = [
 
 
 @dataclass
-class ExtensionTask:
-    """One extension (one GPU block): a (query, target) sub-pair.
-
-    ``job_index`` points back to the originating :class:`AlignmentJob`;
-    ``direction`` is ``"left"`` or ``"right"``.
-    """
-
-    job_index: int
-    direction: str
-    query: np.ndarray
-    target: np.ndarray
-
-    @property
-    def is_empty(self) -> bool:
-        """True when the seed touches a sequence end and there is nothing to extend."""
-        return len(self.query) == 0 or len(self.target) == 0
-
-
-@dataclass
 class PreparedBatch:
     """Output of host preprocessing for one batch of alignment jobs.
 
     Attributes
     ----------
-    left_tasks, right_tasks:
-        Extension tasks for the two GPU streams.  Left-extension queries and
-        targets are already reversed.
+    sides:
+        One ``(query, target)`` sub-pair per extension (one GPU block
+        each): every job's left extension in job order, then every job's
+        right extension, so job ``i``'s sides are ``sides[i]`` and
+        ``sides[n + i]``.  Left-extension queries and targets are already
+        reversed; a side with an empty sequence has nothing to extend.
     seed_scores:
         Per-job score of the seed region itself.
-    total_bases:
-        Total number of sequence bases touched by preprocessing (drives the
-        modeled host time).
     """
 
-    left_tasks: list[ExtensionTask] = field(default_factory=list)
-    right_tasks: list[ExtensionTask] = field(default_factory=list)
-    seed_scores: list[int] = field(default_factory=list)
-    total_bases: int = 0
-
-    @property
-    def num_jobs(self) -> int:
-        """Number of alignment jobs in the batch."""
-        return len(self.seed_scores)
+    sides: list[tuple[np.ndarray, np.ndarray]]
+    seed_scores: list[int]
 
 
 @dataclass(frozen=True)
@@ -149,19 +125,10 @@ def prepare_batch(
     Splits every job at its seed, reverses the left-extension sub-pair, and
     computes the seed scores that are later added to the extension scores.
     """
-    batch = PreparedBatch()
-    for index, job in enumerate(jobs):
-        (left_q, left_t), (right_q, right_t) = split_on_seed(
-            job.query, job.target, job.seed
-        )
-        batch.left_tasks.append(
-            ExtensionTask(job_index=index, direction="left", query=left_q, target=left_t)
-        )
-        batch.right_tasks.append(
-            ExtensionTask(
-                job_index=index, direction="right", query=right_q, target=right_t
-            )
-        )
-        batch.seed_scores.append(seed_score(job.query, job.target, job.seed, scoring))
-        batch.total_bases += job.query_length + job.target_length
-    return batch
+    lefts, rights, anchors = [], [], []
+    for job in jobs:
+        left, right = split_on_seed(job.query, job.target, job.seed)
+        lefts.append(left)
+        rights.append(right)
+        anchors.append(seed_score(job.query, job.target, job.seed, scoring))
+    return PreparedBatch(sides=lefts + rights, seed_scores=anchors)

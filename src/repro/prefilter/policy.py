@@ -36,6 +36,7 @@ from ..bella.threshold import AdaptiveThreshold
 from ..core.job import AlignmentJob
 from ..core.result import ExtensionResult, SeedAlignmentResult
 from ..core.scoring import ScoringScheme
+from ..core.seed_extend import join_at_seed
 from ..errors import ConfigurationError
 from .sketch import (
     MAX_SKETCH_K,
@@ -206,14 +207,4 @@ def rejected_result(
         anti_diagonals=0,
         cells_computed=0,
     )
-    seed_score = scoring.match * job.seed.length
-    return SeedAlignmentResult(
-        score=seed_score,
-        left=empty,
-        right=empty,
-        seed_score=seed_score,
-        query_begin=job.seed.query_pos,
-        query_end=job.seed.query_pos + job.seed.length,
-        target_begin=job.seed.target_pos,
-        target_end=job.seed.target_pos + job.seed.length,
-    )
+    return join_at_seed(job.seed, empty, empty, scoring.match * job.seed.length)

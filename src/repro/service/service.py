@@ -245,10 +245,9 @@ class AlignmentService:
         first (the store counts them as redeliveries).  Recovery can
         exceed the queue bound, so full chunks are drained synchronously
         in between — by the time the constructor returns, every recovered
-        job is either queued or already aligned and persisted.  Each key is
-        recomputed from the stored job under this service's config; the
-        stored key text is never parsed, so a row recovers whatever format
-        its key was written in.
+        job is either queued or already aligned and persisted.  Queue rows
+        store no key: each one is computed from the stored job under this
+        service's config.
         """
         for record in self.store.recover():
             ticket = AlignmentTicket(
@@ -325,7 +324,7 @@ class AlignmentService:
                         self._completed_c.inc()
                     ticket.resolve(durable, cache_hit=True)
                     return ticket
-                ticket.durable_id = self.store.enqueue(key_json, job)
+                ticket.durable_id = self.store.enqueue(job)
             if not self.running and self.queue.depth >= self.queue.capacity:
                 self.drain()
             self.queue.put(ticket, timeout=self.submit_timeout)

@@ -8,14 +8,16 @@ thread transport — the store integration is transport-independent.
 
 from __future__ import annotations
 
-import hashlib
 import json
+import sqlite3
+from contextlib import closing
 
 import pytest
 
 from repro.api import AlignConfig, ServiceConfig
 from repro.core.scoring import ScoringScheme
 from repro.distrib.store import DurableStore
+from repro.distrib.wire import job_to_wire
 from repro.engine import get_engine
 from repro.obs import get_observability
 from repro.service import AlignmentService
@@ -45,21 +47,24 @@ def _run(service: AlignmentService, jobs) -> list:
     return [t.result(timeout=60.0) for t in tickets]
 
 
-def _legacy_key(job) -> str:
-    """A queue-row key in the (scoring, X) format, which names no engine."""
-    seed = job.seed
-    return json.dumps(
-        [
-            hashlib.sha1(job.query.tobytes()).hexdigest(),
-            hashlib.sha1(job.target.tobytes()).hexdigest(),
-            seed.query_pos,
-            seed.target_pos,
-            seed.length,
-            list(_SCORING.as_tuple()),
-            XDROP,
-        ],
-        separators=(",", ":"),
-    )
+#: The schema of state files written while queue rows still stored their
+#: cache key.
+_KEYED_QUEUE_SCHEMA = """
+CREATE TABLE queue (
+    id          INTEGER PRIMARY KEY AUTOINCREMENT,
+    cache_key   TEXT NOT NULL,
+    payload     TEXT NOT NULL,
+    state       TEXT NOT NULL DEFAULT 'pending',
+    attempts    INTEGER NOT NULL DEFAULT 0,
+    enqueued_at REAL NOT NULL,
+    updated_at  REAL NOT NULL
+);
+CREATE TABLE results (
+    cache_key    TEXT PRIMARY KEY,
+    payload      TEXT NOT NULL,
+    completed_at REAL NOT NULL
+);
+"""
 
 
 @pytest.fixture(scope="module")
@@ -199,9 +204,7 @@ class TestDurableState:
         path = str(tmp_path / "state.db")
         scoped = get_observability().scoped()
         with DurableStore(path, obs=scoped) as store:
-            # Recovery recomputes every key from the stored job, so rows
-            # keyed in another format come back too.
-            ids = [store.enqueue(_legacy_key(job), job) for job in module_jobs]
+            ids = [store.enqueue(job) for job in module_jobs]
             # Simulate a crash mid-batch: some rows were dispatched
             # (inflight), none completed, and the process died here.
             store.mark_inflight(ids[: len(ids) // 2])
@@ -224,4 +227,41 @@ class TestDurableState:
         with DurableStore(path, obs=get_observability().scoped()) as store:
             assert store.pending_count() == 0
 
+    def test_state_file_with_queue_keys_recovers_every_row(
+        self, tmp_path, module_jobs, expected
+    ):
+        """Opening a file whose queue still has the ``cache_key`` column
+        drops the column; its pending and in-flight rows all recover."""
+        path = str(tmp_path / "state.db")
+        inflight = len(module_jobs) // 2
+        with closing(sqlite3.connect(path)) as conn:
+            conn.executescript(_KEYED_QUEUE_SCHEMA)
+            conn.executemany(
+                "INSERT INTO queue (cache_key, payload, state, attempts,"
+                " enqueued_at, updated_at) VALUES (?, ?, ?, ?, 0, 0)",
+                [
+                    (
+                        f"key-{i}",
+                        json.dumps(job_to_wire(job)),
+                        "inflight" if i < inflight else "pending",
+                        int(i < inflight),
+                    )
+                    for i, job in enumerate(module_jobs)
+                ],
+            )
+            conn.commit()
 
+        with AlignmentService(config=_config(state_path=path)) as service:
+            recovered = service.recovered_tickets
+            assert len(recovered) == len(module_jobs)
+            service.drain()
+            by_id = {t.job.pair_id: t.result(timeout=60.0) for t in recovered}
+            assert [by_id[j.pair_id] for j in module_jobs] == expected
+            snap = service.metrics_snapshot()
+            assert snap.value("repro_durable_redelivered_total") == inflight
+
+        with closing(sqlite3.connect(path)) as conn:
+            columns = {row[1] for row in conn.execute("PRAGMA table_info(queue)")}
+        assert "cache_key" not in columns
+        with DurableStore(path, obs=get_observability().scoped()) as store:
+            assert store.pending_count() == 0

@@ -25,9 +25,9 @@ def _keyed(jobs, scoring, xdrop=30):
 
 
 class TestQueue:
-    def test_enqueue_and_recover_round_trip(self, store_path, small_jobs, scoring):
+    def test_enqueue_and_recover_round_trip(self, store_path, small_jobs):
         with DurableStore(store_path, obs=get_observability().scoped()) as store:
-            ids = [store.enqueue(k, j) for k, j in _keyed(small_jobs, scoring)]
+            ids = [store.enqueue(j) for j in small_jobs]
             assert len(set(ids)) == len(small_jobs)
             assert store.pending_count() == len(small_jobs)
             records = store.recover()
@@ -38,12 +38,9 @@ class TestQueue:
             assert np.array_equal(record.job.target, job.target)
             assert record.job.seed == job.seed
 
-    def test_inflight_rows_survive_reopen_as_redeliveries(
-        self, store_path, small_jobs, scoring
-    ):
-        keyed = _keyed(small_jobs, scoring)
+    def test_inflight_rows_survive_reopen_as_redeliveries(self, store_path, small_jobs):
         with DurableStore(store_path, obs=get_observability().scoped()) as store:
-            ids = [store.enqueue(k, j) for k, j in keyed]
+            ids = [store.enqueue(j) for j in small_jobs]
             store.mark_inflight(ids[:3])
             # No complete(): the process "crashes" here.
 
@@ -60,9 +57,9 @@ class TestQueue:
         snap = obs.registry.snapshot()
         assert snap.value("repro_durable_redelivered_total") == 3.0
 
-    def test_release_returns_rows_to_pending(self, store_path, small_jobs, scoring):
+    def test_release_returns_rows_to_pending(self, store_path, small_jobs):
         with DurableStore(store_path, obs=get_observability().scoped()) as store:
-            ids = [store.enqueue(k, j) for k, j in _keyed(small_jobs[:2], scoring)]
+            ids = [store.enqueue(j) for j in small_jobs[:2]]
             store.mark_inflight(ids)
             store.release(ids)
             assert not any(r.redelivered for r in store.recover())
@@ -75,7 +72,7 @@ class TestResults:
         keyed = _keyed(small_jobs, scoring)
         obs = get_observability().scoped()
         with DurableStore(store_path, obs=obs) as store:
-            ids = [store.enqueue(k, j) for k, j in keyed]
+            ids = [store.enqueue(j) for _, j in keyed]
             store.mark_inflight(ids)
             store.complete(
                 (row_id, key, result)
@@ -116,7 +113,7 @@ class TestCompaction:
         keyed = _keyed(small_jobs, scoring)
         obs = get_observability().scoped()
         with DurableStore(store_path, obs=obs) as store:
-            ids = [store.enqueue(k, j) for k, j in keyed]
+            ids = [store.enqueue(j) for _, j in keyed]
             store.mark_inflight(ids)
             store.complete(
                 (row_id, key, result)
@@ -167,7 +164,7 @@ class TestCompaction:
                 store_path, obs=get_observability().scoped(), ttl_seconds=0
             ) as store:
                 store.recover()  # compacts tombstones + expired results
-                ids = [store.enqueue(k, j) for k, j in keyed]
+                ids = [store.enqueue(j) for _, j in keyed]
                 store.mark_inflight(ids)
                 store.complete(
                     (row_id, key, result)

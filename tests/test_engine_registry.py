@@ -167,6 +167,12 @@ class TestConstructionChecks:
         with pytest.raises(ConfigurationError, match="xdrop"):
             get_engine(engine_name, xdrop=-5)
 
+    @pytest.mark.parametrize("engine_name", sorted(BUNDLED_ENGINES))
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one(self, engine_name, workers):
+        with pytest.raises(ConfigurationError, match="workers"):
+            get_engine(engine_name, workers=workers)
+
     def test_logan_threads_per_block(self):
         with pytest.raises(ConfigurationError, match="threads_per_block"):
             get_engine("logan", threads_per_block=0)

@@ -1,12 +1,12 @@
 """``AlignConfig.workers``, the one way to align in parallel.
 
 An engine with ``workers > 1`` splits one batch across processes, the CPU
-counterpart of LOGAN dividing a batch across GPUs: ``batched`` and
-``logan`` sweep contiguous chunks of extensions, ``reference`` maps jobs
-(at least 4 per worker, so 8 pairs split across 2).  The split must return
-what the unsplit call returns on every field, band traces included, and
-report the same kernel work.  The tier-2 matrix repeats the comparison on
-every workload-bank profile.
+counterpart of LOGAN dividing a batch across GPUs: ``batched``, ``logan``
+and ``wavefront`` cut the non-empty extensions into one contiguous chunk
+per worker, ``reference`` maps jobs (at least 4 per worker, so 8 pairs
+split across 2).  The split must return what the unsplit call returns on
+every field, band traces included, and report the same kernel work.  The
+tier-2 matrix repeats the comparison on every workload-bank profile.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.testing import compare_results
 from repro.workloads import WorkloadSpec, generate_workload, list_profiles
 
 SPLIT = WorkloadSpec(count=8, seed=13, min_length=60, max_length=200, xdrop=20)
-ENGINES = ("batched", "logan", "reference")
+ENGINES = ("batched", "logan", "reference", "wavefront")
 
 
 def _batch(engine: str, workers: int, jobs):

@@ -139,6 +139,11 @@ class TestLoganAligner:
         with pytest.raises(ConfigurationError):
             LoganAligner(xdrop=-1)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ConfigurationError, match="workers"):
+            LoganAligner(xdrop=20, workers=workers)
+
     def test_start_seed_jobs(self, start_seed_jobs):
         aligner = LoganAligner(xdrop=20)
         result = aligner.align_batch(start_seed_jobs)

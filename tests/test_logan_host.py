@@ -58,27 +58,31 @@ class TestPrepareBatch:
         # Query carries the seed "CGT" at position 3, target at position 2.
         job = AlignmentJob(query="AAACGTTTT", target="CCCGTGGGG", seed=Seed(3, 2, 3))
         batch = prepare_batch([job], scoring)
-        assert batch.num_jobs == 1
-        left = batch.left_tasks[0]
-        right = batch.right_tasks[0]
+        assert len(batch.sides) == 2
+        (left_q, left_t), (right_q, right_t) = batch.sides
         # Left-extension sequences are reversed prefixes.
-        assert list(left.query) == list(job.query[:3][::-1])
-        assert list(left.target) == list(job.target[:2][::-1])
-        assert list(right.query) == list(job.query[6:])
-        assert list(right.target) == list(job.target[5:])
-        assert batch.seed_scores[0] == 3 * scoring.match
-        assert batch.total_bases == 9 + 9
+        assert list(left_q) == list(job.query[:3][::-1])
+        assert list(left_t) == list(job.target[:2][::-1])
+        assert list(right_q) == list(job.query[6:])
+        assert list(right_t) == list(job.target[5:])
+        assert batch.seed_scores == [3 * scoring.match]
 
-    def test_empty_side_detection(self, scoring):
+    def test_seed_flush_leaves_an_empty_side(self, scoring):
         job = AlignmentJob(query="ACGTACGT", target="ACGTACGT", seed=Seed(0, 0, 4))
-        batch = prepare_batch([job], scoring)
-        assert batch.left_tasks[0].is_empty
-        assert not batch.right_tasks[0].is_empty
+        (left_q, left_t), (right_q, right_t) = prepare_batch([job], scoring).sides
+        assert len(left_q) == len(left_t) == 0
+        assert len(right_q) == len(right_t) == 4
 
-    def test_job_indices_align_with_batch_order(self, small_jobs, scoring):
+    def test_all_lefts_then_all_rights_in_job_order(self, small_jobs, scoring):
         batch = prepare_batch(small_jobs, scoring)
-        assert [t.job_index for t in batch.left_tasks] == list(range(len(small_jobs)))
-        assert [t.job_index for t in batch.right_tasks] == list(range(len(small_jobs)))
+        n = len(small_jobs)
+        assert len(batch.sides) == 2 * n
+        assert len(batch.seed_scores) == n
+        for i, job in enumerate(small_jobs):
+            left_q, _ = batch.sides[i]
+            right_q, _ = batch.sides[n + i]
+            assert len(left_q) == job.seed.query_pos
+            assert len(right_q) == job.query_length - job.seed.query_end
 
 
 class TestHostModel:

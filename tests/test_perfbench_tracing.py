@@ -17,7 +17,9 @@ from pathlib import Path
 
 import repro.logan.kernel as kernel_mod
 from repro.distrib.pool import ProcessWorkerPool
+from repro.engine import get_engine
 from repro.service.batcher import AdaptiveBatcher
+from repro.workloads import WorkloadSpec, generate_workload
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -50,3 +52,26 @@ def test_tracer_installs_on_every_wrapped_name_and_uninstalls():
         is originals["run_batch"]
     )
     assert kernel_mod.xdrop_extend_batch is originals["kernel"]
+
+
+def test_traced_engine_call_reaches_the_wrapped_names():
+    """A traced ``batched`` call is seen by every wrapper on its path: one
+    kernel call carrying the engine's own rows, one ``engine.prepare``
+    span and one ``engine.align_batch`` span.  A kernel or split called
+    under another name would leave these per-layer metrics reading 0."""
+    spec = WorkloadSpec(count=4, seed=5, min_length=60, max_length=200, xdrop=20)
+    jobs = generate_workload("pacbio", spec).jobs
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        result = get_engine("batched", xdrop=spec.xdrop).align_batch(jobs)
+    finally:
+        tracer.uninstall()
+    rows = result.extras["kernel_stats"].rows
+    assert rows > 0
+    (call,) = tracer.samples["kernel_calls"]
+    assert dict(zip(tracing._STAT_FIELDS, call[1:]))["rows"] == rows
+    names = [span[1] for span in tracer.spans]
+    assert names.count("engine.prepare") == 1
+    assert names.count("engine.align_batch") == 1

@@ -108,6 +108,11 @@ class TestSeqAnBatchAligner:
         scaled = aligner.modeled_seconds_for(result.summary.scaled(10))
         assert scaled == pytest.approx(10 * base, rel=0.01)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ConfigurationError, match="workers"):
+            SeqAnBatchAligner(xdrop=15, workers=workers)
+
 
 class TestKsw2BatchAligner:
     def test_align_batch(self, small_jobs):
@@ -123,6 +128,11 @@ class TestKsw2BatchAligner:
     def test_bandwidth_defaults_to_zdrop(self):
         assert Ksw2BatchAligner(zdrop=123).bandwidth == 123
         assert Ksw2BatchAligner(zdrop=123, bandwidth=7).bandwidth == 7
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ConfigurationError, match="workers"):
+            Ksw2BatchAligner(zdrop=50, workers=workers)
 
     def test_scores_positive_for_related_pairs(self, small_jobs):
         aligner = Ksw2BatchAligner(

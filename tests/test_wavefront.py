@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.api import AlignConfig, Aligner
 from repro.core import ScoringScheme
 from repro.core.job import AlignmentJob
-from repro.core.seed_extend import Seed
+from repro.core.seed_extend import Seed, split_on_seed
 from repro.core.wavefront import (
     UNIT_SCORING,
     ensure_unit_scoring,
@@ -62,6 +62,25 @@ def test_facade_parity_with_direct_engine():
     direct = get_engine("wavefront", xdrop=15).align_batch(jobs)
     facade = Aligner(AlignConfig(engine="wavefront", xdrop=15)).align_batch(jobs)
     assert facade.scores() == direct.scores()
+
+
+def test_batch_neighbours_leave_a_pairs_result_alone():
+    """A pair gets the result it gets alone, work estimate and band trace
+    included, so splitting a batch across workers changes nothing."""
+    pairs = [
+        side
+        for job in generate_workload("unrelated", SPEC).jobs
+        for side in split_on_seed(job.query, job.target, job.seed)
+    ]
+    batch = wavefront_extend_batch(pairs, xdrop=SPEC.xdrop, trace=True)
+    assert sum(r.terminated_early for r in batch) >= 2
+    fields = ("best_score", "query_end", "target_end", "anti_diagonals",
+              "cells_computed", "terminated_early")
+    for pair, got in zip(pairs, batch):
+        (alone,) = wavefront_extend_batch([pair], xdrop=SPEC.xdrop, trace=True)
+        for field in fields:
+            assert getattr(got, field) == getattr(alone, field), field
+        assert np.array_equal(got.band_widths, alone.band_widths)
 
 
 # --------------------------------------------------------------------------- #

@@ -173,12 +173,8 @@ def wide_batch():
             count=count, seed=1, min_length=600, max_length=1200, xdrop=WIDE_XDROP
         )
         jobs += generate_workload(profile, spec).jobs
-    prepared = prepare_batch(jobs, ScoringScheme())
-    pairs = [
-        (task.query, task.target)
-        for task in prepared.left_tasks + prepared.right_tasks
-        if not task.is_empty
-    ]
+    sides = prepare_batch(jobs, ScoringScheme()).sides
+    pairs = [(q, t) for q, t in sides if len(q) and len(t)]
     reference = [
         xdrop_extend_reference(q, t, xdrop=WIDE_XDROP, trace=True) for q, t in pairs
     ]
