@@ -31,55 +31,60 @@ from repro.api import AlignConfig, Aligner, ServiceConfig
 from repro.data import PairSetSpec, generate_pair_set
 from repro.engine import get_engine
 
-# One declarative object configures every layer.  It round-trips through
-# JSON, so the same dict can live in a config file and drive the CLIs
-# (every subcommand accepts --config config.json).
-config = AlignConfig(
-    engine="batched",
-    xdrop=50,
-    seed_policy="middle",
-    service=ServiceConfig(max_batch_size=16, cache_capacity=1024),
-)
-assert AlignConfig.from_dict(config.to_dict()) == config
-print("config:")
-print(config.to_json())
-
-jobs = generate_pair_set(
-    PairSetSpec(
-        num_pairs=32,
-        min_length=300,
-        max_length=800,
-        pairwise_error_rate=0.15,
-        seed_placement="middle",
-        rng_seed=11,
+def main() -> None:
+    # One declarative object configures every layer.  It round-trips through
+    # JSON, so the same dict can live in a config file and drive the CLIs
+    # (every subcommand accepts --config config.json).
+    config = AlignConfig(
+        engine="batched",
+        xdrop=50,
+        seed_policy="middle",
+        service=ServiceConfig(max_batch_size=16, cache_capacity=1024),
     )
-)
+    assert AlignConfig.from_dict(config.to_dict()) == config
+    print("config:")
+    print(config.to_json())
 
-with Aligner(config) as aligner:
-    # 1. One pair, anchor seed synthesised by the configured seed policy.
-    single = aligner.align("ACGTACGTACGTACGT" * 8, "ACGTACGTACGTACGT" * 8)
-    print(f"\nsingle pair: score={single.score}")
+    jobs = generate_pair_set(
+        PairSetSpec(
+            num_pairs=32,
+            min_length=300,
+            max_length=800,
+            pairwise_error_rate=0.15,
+            seed_placement="middle",
+            rng_seed=11,
+        )
+    )
 
-    # 2. The classic batch call — bit-identical to the engine registry.
-    batch = aligner.align_batch(jobs)
-    direct = get_engine(config.engine, xdrop=config.xdrop).align_batch(jobs)
-    assert batch.scores() == direct.scores()
-    print(f"batch: {len(batch.results)} jobs, mean score "
-          f"{sum(batch.scores()) / len(jobs):.1f}, parity with get_engine OK")
+    with Aligner(config) as aligner:
+        # 1. One pair, anchor seed synthesised by the configured seed policy.
+        single = aligner.align("ACGTACGTACGTACGT" * 8, "ACGTACGTACGTACGT" * 8)
+        print(f"\nsingle pair: score={single.score}")
 
-    # 3. Streaming: results flow through the service batcher/cache.
-    streamed = [r.score for r in aligner.align_iter(iter(jobs))]
-    assert streamed == batch.scores()
-    rerun = [r.score for r in aligner.align_iter(iter(jobs))]  # cache hits
-    assert rerun == streamed
-    print("align_iter: streaming parity OK (second pass served from cache)")
+        # 2. The classic batch call — bit-identical to the engine registry.
+        batch = aligner.align_batch(jobs)
+        direct = get_engine(config.engine, xdrop=config.xdrop).align_batch(jobs)
+        assert batch.scores() == direct.scores()
+        print(f"batch: {len(batch.results)} jobs, mean score "
+              f"{sum(batch.scores()) / len(jobs):.1f}, parity with get_engine OK")
 
-# 4. A long-lived service, fully configured from the same object.
-with Aligner(config).open_service() as service:
-    tickets = service.submit_many(jobs)
-    service.drain()
-    scores = [t.result(timeout=60.0).score for t in tickets]
-    assert scores == direct.scores()
-    stats = service.stats()
-print(f"service: {stats.completed} completed, "
-      f"{stats.batches_formed} batches, hit rate {stats.cache.hit_rate:.2f}")
+        # 3. Streaming: results flow through the service batcher/cache.
+        streamed = [r.score for r in aligner.align_iter(iter(jobs))]
+        assert streamed == batch.scores()
+        rerun = [r.score for r in aligner.align_iter(iter(jobs))]  # cache hits
+        assert rerun == streamed
+        print("align_iter: streaming parity OK (second pass served from cache)")
+
+    # 4. A long-lived service, fully configured from the same object.
+    with Aligner(config).open_service() as service:
+        tickets = service.submit_many(jobs)
+        service.drain()
+        scores = [t.result(timeout=60.0).score for t in tickets]
+        assert scores == direct.scores()
+        stats = service.stats()
+    print(f"service: {stats.completed} completed, "
+          f"{stats.batches_formed} batches, hit rate {stats.cache.hit_rate:.2f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -46,6 +46,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 from dataclasses import dataclass, field, fields
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -115,7 +116,8 @@ class ServiceConfig:
         worker, and the service waits for each batch under its lock, so
         a second process worker only took turns (within host noise of
         one on the ``service_mp`` bench row).  To align in parallel, set
-        :attr:`AlignConfig.workers`.
+        :attr:`AlignConfig.workers`, which the thread transport honours;
+        the process transport's worker runs each batch whole.
     max_batch_size:
         Most jobs in one engine call.  Each flush (a drain or, in
         background mode, the worker going idle) takes every pending job
@@ -133,10 +135,11 @@ class ServiceConfig:
         Seconds ``submit`` may block on a full queue before raising.
     transport:
         ``"thread"`` (default) runs each formed batch inline in the
-        coordinator, on the thread that dispatches it; ``"process"``
-        spawns one worker process fed through shared memory
-        (``repro.distrib``), taking engine dispatch out of the
-        coordinator's GIL.
+        coordinator, on the thread that dispatches it, splitting it as
+        :attr:`AlignConfig.workers` allows; ``"process"`` spawns one
+        worker process fed through shared memory (``repro.distrib``),
+        taking engine dispatch out of the coordinator's GIL.  That worker
+        builds its engine with ``workers=1`` and runs each batch whole.
     state_path:
         Optional path of the durable SQLite store.  When set, submissions
         and results survive restarts: unfinished jobs are redelivered and
@@ -289,15 +292,17 @@ class AlignConfig:
     xdrop:
         X-drop termination threshold.
     workers:
-        Processes one engine call splits its batch across — the one way to
-        align in parallel (LOGAN's split of a batch across GPUs, on CPU
-        processes).  Results are bit-identical to ``workers=1``.  It pays
-        only on large batches: on a 2-vCPU host (``batched``, X=50,
-        200-900 bp), 2 workers against 1 took 1.81 s vs 3.33 s at 1024
-        pairs and 0.60 s vs 0.81 s at 256, but lost at 64 pairs (0.34 s vs
-        0.31 s) and 8 (0.20 s vs 0.16 s) — so it loses on the service's
-        batches, which hold at most ``service.max_batch_size`` (default
-        64) pairs.
+        Most processes one engine call splits its batch across — the one
+        way to align in parallel (LOGAN's split of a batch across GPUs,
+        balanced by estimated cells, on CPU processes).  Defaults to the
+        host's cores.  Results are bit-identical to ``workers=1``.  A call
+        splits only when each chunk gets at least
+        :data:`~repro.engine.engines.SPLIT_MIN_CELLS` (4 M) estimated
+        cells, so serving calls and 64-pair service batches stay
+        in-process, while BELLA's one wide call splits.  The split runs on
+        one process-wide ``spawn`` pool (:mod:`repro.perf.parallel`),
+        started by the first call that splits; a script that splits must
+        guard its entry point with ``if __name__ == "__main__":``.
     trace:
         Record per-anti-diagonal band traces in every result.
     seed_policy:
@@ -315,7 +320,7 @@ class AlignConfig:
     engine_options: dict[str, Any] = field(default_factory=dict)
     scoring: ScoringScheme = field(default_factory=ScoringScheme)
     xdrop: int = 100
-    workers: int = 1
+    workers: int = field(default_factory=lambda: os.cpu_count() or 1)
     trace: bool = False
     seed_policy: str = "start"
     bin_width: int = 500
@@ -583,7 +588,7 @@ class Aligner:
 _CONFIG_FLAGS = (
     ("engine", "--engine", str, "alignment engine from the registry"),
     ("xdrop", "--xdrop", int, "X-drop termination threshold"),
-    ("workers", "--workers", int, "processes one engine call splits its batch across"),
+    ("workers", "--workers", int, "most processes one engine call splits its batch across"),
     ("seed_policy", "--seed-policy", str, "default seed anchor (start|middle)"),
     ("bin_width", "--bin-width", int, "BELLA diagonal seed-bin width in bases"),
 )

@@ -23,7 +23,23 @@ from .encoding import encode
 from .result import SeedAlignmentResult
 from .seed_extend import Seed
 
-__all__ = ["AlignmentJob", "BatchWorkSummary", "summarize_results"]
+__all__ = ["AlignmentJob", "BatchWorkSummary", "estimate_cells", "summarize_results"]
+
+
+def estimate_cells(
+    query_length: int, target_length: int, xdrop: int, gap_penalty: int = 1
+) -> int:
+    """Cheap upper-ish estimate of the DP cells one alignment evaluates.
+
+    The band half-width is roughly ``X / |gap|`` and the alignment sweeps
+    about ``query_length + target_length`` anti-diagonals, clipped by the
+    full-matrix size.  It weighs a whole job for the multi-GPU load
+    balancer and one extension for the engines' process split.
+    """
+    band = 2 * max(1, xdrop // max(1, abs(gap_penalty))) + 1
+    sweep = query_length + target_length
+    full = (query_length + 1) * (target_length + 1)
+    return int(min(band * sweep, full))
 
 
 @dataclass
@@ -62,17 +78,11 @@ class AlignmentJob:
         return int(len(self.target))
 
     def estimated_cells(self, xdrop: int, gap_penalty: int = 1) -> int:
-        """Cheap upper-ish estimate of DP cells this job will evaluate.
-
-        Used by the multi-GPU load balancer to split a batch before any
-        alignment has run: the band half-width is roughly ``X / |gap|`` and
-        the extension sweeps about ``query_length + target_length``
-        anti-diagonals, clipped by the full-matrix size.
-        """
-        band = 2 * max(1, xdrop // max(1, abs(gap_penalty))) + 1
-        sweep = self.query_length + self.target_length
-        full = (self.query_length + 1) * (self.target_length + 1)
-        return int(min(band * sweep, full))
+        """:func:`estimate_cells` of this job, which the multi-GPU load
+        balancer uses to split a batch before any alignment has run."""
+        return estimate_cells(
+            self.query_length, self.target_length, xdrop, gap_penalty
+        )
 
 
 @dataclass

@@ -50,7 +50,6 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..obs.runtime import emit_kernel_batch
 from .encoding import WILDCARD_CODE
 from .result import ExtensionResult
 from .scoring import ScoringScheme
@@ -565,10 +564,4 @@ def wavefront_extend_batch(
                 terminated_early=early,
                 band_widths=_trace_widths(sol, pos, min(last_depth, total)) if trace else None,
             )
-    emit_kernel_batch(
-        "wavefront",
-        pairs=len(results),
-        cells=sum(r.cells_computed for r in results),
-        steps=sum(r.anti_diagonals for r in results),
-    )
     return results  # type: ignore[return-value]

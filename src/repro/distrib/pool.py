@@ -8,9 +8,10 @@ dispatch runs outside the coordinator's GIL.
 One worker process runs every formed batch whole.  The service calls
 :meth:`run_batch` under its lock and waits for the results, so a second
 worker could only take turns with the first: two measured within host
-noise of one on the 192-pair ``service_mp`` bench row.  To align in
-parallel, set ``AlignConfig.workers``, which splits one engine call across
-processes (inside the worker, on this transport).
+noise of one on the 192-pair ``service_mp`` bench row.  The worker builds
+its engine with ``workers=1`` and never splits a batch: it is a daemonic
+process, which cannot start the process pool a split uses.  To align one
+batch in parallel, use the thread transport with ``AlignConfig.workers``.
 
 The worker's ``repro_worker_busy_seconds_total`` is its engine time; the
 service's ``repro_service_busy_seconds_total`` is the coordinator's round

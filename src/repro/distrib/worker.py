@@ -1,11 +1,12 @@
 """Worker-process entry point of the process transport.
 
 The worker is a spawned interpreter that rebuilds its engine from the
-coordinator's :class:`~repro.api.AlignConfig` dict, then loops: take a task
-off its queue, attach the named shared-memory job block, align, and reply
-with a packed result table.  A task carries only its sequence number, the
-block name and the job count; scoring and X are the config's, fixed when
-the engine was built.  Three side channels ride on every reply:
+coordinator's :class:`~repro.api.AlignConfig` dict with ``workers=1`` (it
+runs each batch whole), then loops: take a task off its queue, attach the
+named shared-memory job block, align, and reply with a packed result
+table.  A task carries only its sequence number, the block name and the
+job count; scoring and X are the config's, fixed when the engine was
+built.  Three side channels ride on every reply:
 
 * the five-field work summary plus kernel telemetry (``BatchKernelStats``
   is a plain picklable dataclass),
@@ -50,7 +51,9 @@ def worker_main(
     fault = spec.get("fault") or None
     tasks_seen = 0
     try:
-        config = AlignConfig.from_dict(spec["config"])
+        # The worker runs each batch whole: a daemonic process cannot
+        # start the process pool that a split call would use.
+        config = AlignConfig.from_dict(spec["config"]).replace(workers=1)
         engine = engine_from_config(config)
     except BaseException as exc:  # startup failure: report, then stop
         result_queue.put(_error_reply(worker_id, None, exc, ob))

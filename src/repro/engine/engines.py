@@ -34,9 +34,12 @@ batch aligner; every engine builds its results with
 
 All constructors share the ``(scoring, xdrop, workers, trace)`` signature
 so :func:`repro.engine.get_engine` can build any of them uniformly.  Every
-engine splits a batch across ``workers`` processes; ``trace`` is ignored
-by ``ksw2``, which records no band traces, and by ``logan``, which always
-records them.  Those values are fixed when the engine is built, and
+engine can split a batch across up to ``workers`` processes of the one
+process pool (:mod:`repro.perf.parallel`): the batch engines when the
+estimated cells give each chunk :data:`SPLIT_MIN_CELLS`, ``reference``
+and ``ksw2`` from 4 jobs per worker.  ``trace`` is ignored by ``ksw2``,
+which records no band traces, and by ``logan``, which always records
+them.  Those values are fixed when the engine is built, and
 checked there (``xdrop >= 0``, ``workers >= 1``): ``align_batch(jobs)``
 takes nothing else, so every batch of one engine runs with one scoring
 scheme and one X, as a LOGAN run does.
@@ -48,7 +51,7 @@ from dataclasses import replace
 from typing import Sequence
 
 from ..baselines.ksw2_batch import Ksw2BatchAligner
-from ..core.job import AlignmentJob, summarize_results
+from ..core.job import AlignmentJob, estimate_cells, summarize_results
 from ..core.result import ExtensionResult, SeedAlignmentResult, empty_extension
 from ..core.scoring import AffineScoringScheme, ScoringScheme
 from ..core.seed_extend import extend_seed, join_at_seed
@@ -65,7 +68,12 @@ from ..obs.runtime import (
     emit_kernel_batch,
     get_observability,
 )
-from ..perf.parallel import chunk_evenly, parallel_map
+from ..perf.parallel import (
+    available_workers,
+    balance_by_weight,
+    parallel_map,
+    run_chunks,
+)
 from ..perf.timers import Timer
 from .base import EngineBatchResult, register_engine
 
@@ -75,7 +83,18 @@ __all__ = [
     "WavefrontEngine",
     "Ksw2Engine",
     "LoganEngine",
+    "SPLIT_MIN_CELLS",
 ]
+
+#: Estimated DP cells (:func:`~repro.core.job.estimate_cells`) each chunk
+#: of a split call must get.  Sized from a warm-pool ladder on a 2-vCPU
+#: host (X = 50, 200-900 bp pairs, median of 7): 64 extensions (2.5 M
+#: estimated cells) took 104.9 ms in one sweep and 102.3 ms split in two,
+#: 128 (5.2 M) 139.7 against 120.9 ms, 256 (9.5 M) 173.2 against
+#: 149.3 ms.  Serving calls (at most 0.75 M) and 64-pair service batches
+#: stay in-process; BELLA's one wide call (330.5 M on bella_ecoli's first
+#: read set) splits.
+SPLIT_MIN_CELLS = 4_000_000
 
 
 def _extend_job(job, scoring, xdrop, trace) -> SeedAlignmentResult:
@@ -162,21 +181,33 @@ class _EngineBase:
     def _extend_split(
         self, pairs: list
     ) -> tuple[list[ExtensionResult], BatchKernelStats | None]:
-        """:attr:`extend` over *pairs*; with ``workers > 1``, one contiguous
-        chunk per worker process, the chunks' stats merged (their ``steps``
-        and ``row_steps`` count each chunk's sweep separately)."""
+        """:attr:`extend` over *pairs*, split across the process pool when
+        the estimated cells give every chunk at least
+        :data:`SPLIT_MIN_CELLS`.
+
+        The chunks (at most ``workers``, capped at the core count) are
+        balanced by estimated cells, as LOGAN balances a batch across GPUs;
+        each result goes back to its pair's index, and the chunks' stats
+        are merged (their ``steps`` and ``row_steps`` count each chunk's
+        sweep separately).
+        """
         args = (self.scoring, self.xdrop, self.trace)
-        if self.workers == 1 or len(pairs) < 2:
+        weights = [
+            estimate_cells(len(q), len(t), self.xdrop, self.scoring.gap)
+            for q, t in pairs
+        ]
+        chunks = min(
+            available_workers(self.workers), len(pairs), sum(weights) // SPLIT_MIN_CELLS
+        )
+        if chunks < 2:
             return self.extend(pairs, *args)
-        extensions, stats = [], None
-        for part, part_stats in parallel_map(
-            self.extend,
-            chunk_evenly(pairs, self.workers),
-            args=args,
-            workers=self.workers,
-            min_items_per_worker=1,
-        ):
-            extensions += part
+        parts = balance_by_weight(weights, chunks)
+        extensions: list = [None] * len(pairs)
+        stats = None
+        swept = run_chunks(self.extend, [[pairs[i] for i in part] for part in parts], args)
+        for part, (part_extensions, part_stats) in zip(parts, swept):
+            for index, extension in zip(part, part_extensions):
+                extensions[index] = extension
             if part_stats is not None:
                 stats = part_stats if stats is None else stats.merge(part_stats)
         return extensions, stats
@@ -249,9 +280,9 @@ class BatchedEngine(_EngineBase):
 
     Its ``extend`` is :func:`repro.logan.kernel.sweep`: every non-empty
     extension the shared loop splits off is one row of the batch kernel,
-    mirroring LOGAN's one-block-per-extension GPU layout.  With
-    ``workers > 1`` each worker process sweeps one contiguous chunk of
-    extensions (scores and traces are unaffected).
+    mirroring LOGAN's one-block-per-extension GPU layout.  A split call
+    sweeps one cell-balanced chunk of extensions per worker process
+    (scores and traces are unaffected).
 
     Every call attaches the kernel's
     :class:`~repro.core.xdrop_batch.BatchKernelStats` telemetry to the
@@ -275,9 +306,11 @@ class WavefrontEngine(_EngineBase):
 
     It differs from :class:`BatchedEngine` only in its ``extend``: the
     same loop splits the jobs at their seeds, keeps empty sides away
-    from the kernel and, with ``workers > 1``, hands each worker process
-    one contiguous chunk of extensions.  It keeps no kernel stats, so its
-    results carry no ``extras["kernel_stats"]``.
+    from the kernel and, on a split call, hands each worker process one
+    cell-balanced chunk of extensions.  It keeps no kernel stats, so its
+    results carry no ``extras["kernel_stats"]``; its
+    ``repro_kernel_*{kernel="wavefront"}`` metrics are counted here, in
+    the calling process, from the joined extensions.
 
     Exact on scores, end positions and early-termination for the unit
     scheme (match=+1, mismatch=-1, gap=-1) only; any other scheme raises
@@ -300,6 +333,17 @@ class WavefrontEngine(_EngineBase):
     ) -> None:
         super().__init__(scoring=scoring, xdrop=xdrop, workers=workers, trace=trace)
         ensure_unit_scoring(self.scoring)
+
+    def _extend_split(self, pairs: list) -> tuple[list[ExtensionResult], None]:
+        swept, stats = super()._extend_split(pairs)
+        if swept:
+            emit_kernel_batch(
+                "wavefront",
+                pairs=len(swept),
+                cells=sum(r.cells_computed for r in swept),
+                steps=sum(r.anti_diagonals for r in swept),
+            )
+        return swept, stats
 
 
 class Ksw2Engine(_EngineBase):
@@ -384,7 +428,7 @@ class LoganEngine(BatchedEngine):
     A :class:`BatchedEngine` with tracing forced on (``trace`` is accepted
     for signature uniformity and ignored): the shared loop sweeps every
     extension as one row of :func:`repro.logan.kernel.sweep` (one
-    contiguous chunk per worker process when ``workers > 1``), and the
+    cell-balanced chunk per worker process on a split call), and the
     band traces of its results are replayed through
     :meth:`repro.logan.LoganAligner.model_existing` on the configured
     system (``system``, or ``gpus`` homogeneous V100s); a split changes

@@ -59,3 +59,14 @@ class ServiceError(ReproError):
     Typical causes: submitting to a service that has been shut down, or a
     bounded submission queue staying full past the backpressure timeout.
     """
+
+
+class PoolWorkerError(ReproError):
+    """Raised when a worker of the process pool dies during a split call.
+
+    The call fails and the broken pool is dropped; the next split starts a
+    fresh one.  A worker killed from outside or out of memory dies this
+    way, and so does every worker of a script that starts a split without
+    an ``if __name__ == "__main__":`` guard: spawned workers re-import the
+    main module.
+    """

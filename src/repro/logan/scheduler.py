@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ..core.job import AlignmentJob
 from ..errors import ConfigurationError
+from ..perf.parallel import balance_by_weight
 
 __all__ = ["DeviceAssignment", "LoadBalancer"]
 
@@ -117,31 +116,18 @@ class LoadBalancer:
         return assignments
 
     def _split_by_cells(self, jobs: Sequence[AlignmentJob]) -> list[DeviceAssignment]:
-        estimates = np.array(
-            [job.estimated_cells(self.xdrop, self.gap_penalty) for job in jobs],
-            dtype=np.int64,
-        )
-        assignments = [
-            DeviceAssignment(device_index=d, job_indices=[], estimated_cells=0)
-            for d in range(self.num_devices)
-        ]
-        if len(jobs) == 0:
-            return assignments
-        # Greedy longest-processing-time: place the heaviest job on the
-        # currently lightest device.  O(n log n) and within 4/3 of optimal,
+        # Greedy longest-processing-time (balance_by_weight): the heaviest
+        # job goes to the currently lightest device, within 4/3 of optimal,
         # which is more than enough balance for thousands of similar jobs.
-        order = np.argsort(-estimates, kind="stable")
-        loads = np.zeros(self.num_devices, dtype=np.int64)
-        for index in order:
-            dev = int(np.argmin(loads))
-            assignments[dev].job_indices.append(int(index))
-            cells = int(estimates[index])
-            assignments[dev].estimated_cells += cells
-            loads[dev] += cells
-        # Keep per-device job order deterministic and cache-friendly.
-        for assignment in assignments:
-            assignment.job_indices.sort()
-        return assignments
+        estimates = [job.estimated_cells(self.xdrop, self.gap_penalty) for job in jobs]
+        return [
+            DeviceAssignment(
+                device_index=d,
+                job_indices=indices,
+                estimated_cells=sum(estimates[i] for i in indices),
+            )
+            for d, indices in enumerate(balance_by_weight(estimates, self.num_devices))
+        ]
 
     # ------------------------------------------------------------------ #
     def imbalance(self, assignments: Sequence[DeviceAssignment]) -> float:

@@ -1,7 +1,13 @@
 """Performance utilities: timers, metrics and CPU process-pool helpers."""
 
 from .metrics import BenchRow, BenchTable, gcups, speedup
-from .parallel import available_workers, chunk_evenly, parallel_map
+from .parallel import (
+    available_workers,
+    balance_by_weight,
+    chunk_evenly,
+    parallel_map,
+    run_chunks,
+)
 from .timers import StageTimer, Timer
 
 __all__ = [
@@ -12,6 +18,8 @@ __all__ = [
     "BenchRow",
     "BenchTable",
     "parallel_map",
+    "run_chunks",
     "available_workers",
     "chunk_evenly",
+    "balance_by_weight",
 ]

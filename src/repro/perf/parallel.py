@@ -1,30 +1,62 @@
 """Process-pool helpers for inter-sequence parallelism on the CPU.
 
 The paper exploits *inter-sequence* parallelism by assigning one GPU block
-per alignment; the CPU analogue used by BELLA is an OpenMP parallel-for over
-alignments.  In pure Python the equivalent is a process pool (threads would
-serialise on the GIL for the NumPy-light portions), with jobs submitted in
-chunks so the pickling overhead is amortised — the standard mpi4py/HPC
-idiom of communicating few, large messages rather than many small ones.
+per alignment, and splits a batch across GPUs by expected work.  In pure
+Python the CPU analogue is a process pool: threads would serialise on the
+GIL, and a split only pays when each process gets enough cells to outweigh
+shipping its chunk (the engines' gate, ``SPLIT_MIN_CELLS`` in
+:mod:`repro.engine.engines`).
 
-``parallel_map`` degrades gracefully to an in-process loop when ``workers=1``
-or when the input is small, so library code can call it unconditionally.
+One process-wide pool runs every split.  It starts at the first call that
+needs it, never earlier (a cold start costs about 0.6 s on a 2-vCPU host),
+with the ``spawn`` start method, so a multi-threaded service is never
+forked, and it holds one worker per core.  At interpreter exit it is shut
+down and multiprocessing's resource tracker is stopped, so the process
+leaves no child running.  Spawned workers re-import the main module: a
+script that splits must be a file that guards its entry point with
+``if __name__ == "__main__":``, or its workers die.  A worker that dies
+fails its call with :class:`~repro.errors.PoolWorkerError`, and the broken
+pool is dropped; the next split starts a fresh one.
+
+:func:`run_chunks` runs one function over a list of chunks on the pool;
+:func:`parallel_map` maps a function over items and stays in-process when
+``workers=1`` or the input is small, so library code can call it
+unconditionally.  :func:`chunk_evenly` and :func:`balance_by_weight` cut
+work into chunks, by count or by weight.
 """
 
 from __future__ import annotations
 
+import atexit
+import multiprocessing as mp
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import resource_tracker
 from typing import Callable, Sequence, TypeVar
 
-__all__ = ["parallel_map", "available_workers", "chunk_evenly"]
+from ..errors import PoolWorkerError
+
+__all__ = [
+    "parallel_map",
+    "run_chunks",
+    "available_workers",
+    "chunk_evenly",
+    "balance_by_weight",
+]
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-# Populated in worker processes by _init_worker; holds (func, args) so each
-# task submission only has to pickle the item, not the closure.
-_WORKER_STATE: dict = {}
+#: :func:`parallel_map` uses the pool only with at least this many items per
+#: worker; below that, shipping the items costs more than it saves.
+MIN_ITEMS_PER_WORKER = 4
+
+#: The process-wide pool, started by the first :func:`run_chunks`; the lock
+#: keeps two threads that split at once from starting two.
+_POOL: ProcessPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
 
 
 def available_workers(requested: int) -> int:
@@ -54,14 +86,83 @@ def chunk_evenly(items: Sequence[T], chunks: int) -> list[list[T]]:
     return out
 
 
-def _init_worker(func: Callable, args: tuple) -> None:
-    _WORKER_STATE["func"] = func
-    _WORKER_STATE["args"] = args
+def balance_by_weight(weights: Sequence[int], parts: int) -> list[list[int]]:
+    """Indices of *weights* in *parts* lists of nearly equal total weight.
+
+    Greedy longest-processing-time: the heaviest item goes to the
+    currently lightest part (ties to the lower part), which is within 4/3
+    of the optimal largest part.  This is LOGAN's ``"cells"`` load-balancing
+    policy across GPUs, and the engines' split across processes.  Each
+    list is in ascending index order; a part may be empty.
+    """
+    if parts <= 0:
+        raise ValueError(f"parts must be positive, got {parts}")
+    out: list[list[int]] = [[] for _ in range(parts)]
+    loads = [0] * parts
+    for index in sorted(range(len(weights)), key=lambda i: -weights[i]):
+        part = min(range(parts), key=loads.__getitem__)
+        out[part].append(index)
+        loads[part] += weights[index]
+    for indices in out:
+        indices.sort()
+    return out
 
 
-def _run_chunk(chunk: list) -> list:
-    func = _WORKER_STATE["func"]
-    args = _WORKER_STATE["args"]
+def _pool() -> ProcessPoolExecutor:
+    """The process-wide pool, started on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ProcessPoolExecutor(
+                max_workers=os.cpu_count() or 1, mp_context=mp.get_context("spawn")
+            )
+            # Registered once per started pool; a second run finds nothing left.
+            atexit.register(_close_at_exit)
+        return _POOL
+
+
+def _drop_pool() -> None:
+    global _POOL
+    with _POOL_LOCK:
+        pool, _POOL = _POOL, None
+    if pool is not None:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _close_at_exit() -> None:
+    """Shut the pool down, then stop the resource tracker its ``spawn``
+    context started, which would otherwise outlive this process.  The
+    tracker waits for every process that shares it, so it is left alone
+    while another multiprocessing child still runs."""
+    _drop_pool()
+    if not mp.active_children():
+        resource_tracker._resource_tracker._stop()
+
+
+def run_chunks(
+    func: Callable[..., R], chunks: Sequence, args: tuple = ()
+) -> list[R]:
+    """``func(chunk, *args)`` for every chunk on the process pool, in chunk
+    order.  *func* must be a module-level (picklable) callable.
+
+    Raises :class:`~repro.errors.PoolWorkerError` when a worker dies; the
+    broken pool is dropped, so the next call starts a fresh one.
+    """
+    pool = _pool()
+    try:
+        futures = [pool.submit(func, chunk, *args) for chunk in chunks]
+        return [future.result() for future in futures]
+    except BrokenProcessPool as error:
+        _drop_pool()
+        raise PoolWorkerError(
+            "a process-pool worker died during this call; spawned workers "
+            "re-import the main module, so a script that splits work must "
+            "be a file whose entry point is guarded with "
+            "'if __name__ == \"__main__\":'"
+        ) from error
+
+
+def _map_chunk(chunk: list, func: Callable, args: tuple) -> list:
     return [func(item, *args) for item in chunk]
 
 
@@ -70,7 +171,6 @@ def parallel_map(
     items: Sequence[T],
     args: tuple = (),
     workers: int = 1,
-    min_items_per_worker: int = 4,
 ) -> list[R]:
     """Apply ``func(item, *args)`` to every item, optionally across processes.
 
@@ -83,21 +183,16 @@ def parallel_map(
     args:
         Extra positional arguments passed to every call.
     workers:
-        Worker processes; ``1`` runs in-process (no pool, no pickling).
-    min_items_per_worker:
-        A pool is only spun up when there are at least this many items per
-        worker; below that the fixed fork/pickle cost dominates.
+        Most worker processes to use (capped at the core count); ``1``
+        runs in-process (no pool, no pickling), and so does an input
+        with fewer than :data:`MIN_ITEMS_PER_WORKER` items per worker.
+        The items are cut into one contiguous chunk per worker.
     """
     items = list(items)
     workers = available_workers(workers)
-    if workers <= 1 or len(items) < workers * min_items_per_worker:
+    if workers <= 1 or len(items) < workers * MIN_ITEMS_PER_WORKER:
         return [func(item, *args) for item in items]
-
-    chunks = chunk_evenly(items, workers * 4)
     results: list[R] = []
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(func, args)
-    ) as pool:
-        for chunk_result in pool.map(_run_chunk, chunks):
-            results.extend(chunk_result)
+    for part in run_chunks(_map_chunk, chunk_evenly(items, workers), (func, args)):
+        results.extend(part)
     return results

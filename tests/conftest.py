@@ -122,3 +122,21 @@ def tiny_reads(rng) -> list:
         error_model=ErrorModel.with_total(0.08),
         rng=rng,
     )
+
+
+@pytest.fixture(scope="session")
+def workload_above_split_gate():
+    """16 unrelated 2.5-3 kb pairs whose extensions (X = 50) estimate at
+    least two chunks of ``SPLIT_MIN_CELLS``, so an engine with two workers
+    splits them."""
+    from repro.core.job import estimate_cells
+    from repro.engine.engines import SPLIT_MIN_CELLS
+    from repro.logan.host import prepare_batch
+    from repro.workloads import WorkloadSpec, generate_workload
+
+    spec = WorkloadSpec(count=16, seed=5, min_length=2500, max_length=3000, xdrop=50)
+    workload = generate_workload("unrelated", spec)
+    sides = prepare_batch(workload.jobs, ScoringScheme()).sides
+    estimate = sum(estimate_cells(len(q), len(t), spec.xdrop) for q, t in sides)
+    assert estimate >= 2 * SPLIT_MIN_CELLS
+    return workload

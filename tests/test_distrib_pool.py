@@ -114,6 +114,18 @@ class TestBatchPolicy:
         assert run.results == expected.results
 
 
+class TestSplitConfig:
+    def test_batch_above_the_split_gate_runs_whole(self, workload_above_split_gate):
+        # A daemonic worker cannot start the process pool a split uses, so
+        # it builds its engine with workers=1 whatever the config says.
+        jobs = workload_above_split_gate.jobs
+        xdrop = workload_above_split_gate.spec.xdrop
+        config = AlignConfig(engine="batched", xdrop=xdrop, workers=2)
+        expected = config.replace(workers=1).build_engine().align_batch(jobs)
+        with ProcessWorkerPool(config) as pool:
+            assert pool.run_batch(jobs).results == expected.results
+
+
 class TestValidation:
     def test_trace_config_rejected(self):
         with pytest.raises(ConfigurationError, match="trace"):

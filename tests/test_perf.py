@@ -130,11 +130,11 @@ class TestParallelMap:
     def test_process_pool_matches_serial(self):
         items = list(range(64))
         serial = parallel_map(_square, items, workers=1)
-        parallel = parallel_map(_square, items, workers=2, min_items_per_worker=1)
+        parallel = parallel_map(_square, items, workers=2)
         assert parallel == serial
 
     def test_small_inputs_stay_serial(self):
-        # Fewer items than workers * min_items_per_worker: no pool is used,
+        # Fewer items than workers * MIN_ITEMS_PER_WORKER: no pool is used,
         # results still correct.
         assert parallel_map(_square, [3], workers=8) == [9]
 
