@@ -296,13 +296,19 @@ class AlignConfig:
         way to align in parallel (LOGAN's split of a batch across GPUs,
         balanced by estimated cells, on CPU processes).  Defaults to the
         host's cores.  Results are bit-identical to ``workers=1``.  A call
-        splits only when each chunk gets at least
-        :data:`~repro.engine.engines.SPLIT_MIN_CELLS` (4 M) estimated
-        cells, so serving calls and 64-pair service batches stay
-        in-process, while BELLA's one wide call splits.  The split runs on
-        one process-wide ``spawn`` pool (:mod:`repro.perf.parallel`),
-        started by the first call that splits; a script that splits must
-        guard its entry point with ``if __name__ == "__main__":``.
+        of any engine splits only when each chunk gets at least
+        :data:`~repro.perf.parallel.SPLIT_MIN_CELLS` (4 M) estimated
+        cells, so serving calls and 64-pair service batches at X = 50
+        stay in-process, while BELLA's one wide call splits.  The split
+        runs on one process-wide ``spawn`` pool
+        (:mod:`repro.perf.parallel`), started by the first call that
+        splits, whose workers stay resident until the process exits; a
+        script that splits must guard its entry point with
+        ``if __name__ == "__main__":``.  The default is resolved when the
+        config is built and :meth:`to_dict` writes the number, so a saved
+        config pins its core count (one saved on a 2-core host caps a
+        larger host at 2), and the provenance ``config_hash`` of the
+        default config differs between hosts with different core counts.
     trace:
         Record per-anti-diagonal band traces in every result.
     seed_policy:

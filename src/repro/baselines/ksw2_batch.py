@@ -173,6 +173,8 @@ class Ksw2BatchAligner:
             triples = parallel_map(
                 _align_one_ksw2,
                 jobs,
+                # The static band is 2 * bandwidth + 1 wide.
+                [job.estimated_cells(self.bandwidth) for job in jobs],
                 args=(self.scoring, self.zdrop, self.bandwidth),
                 workers=self.workers,
             )

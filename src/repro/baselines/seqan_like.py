@@ -124,6 +124,7 @@ class SeqAnBatchAligner:
             results = parallel_map(
                 _align_one,
                 jobs,
+                [job.estimated_cells(self.xdrop, self.scoring.gap) for job in jobs],
                 args=(self.scoring, self.xdrop, self.trace),
                 workers=self.workers,
             )

@@ -35,14 +35,15 @@ batch aligner; every engine builds its results with
 All constructors share the ``(scoring, xdrop, workers, trace)`` signature
 so :func:`repro.engine.get_engine` can build any of them uniformly.  Every
 engine can split a batch across up to ``workers`` processes of the one
-process pool (:mod:`repro.perf.parallel`): the batch engines when the
-estimated cells give each chunk :data:`SPLIT_MIN_CELLS`, ``reference``
-and ``ksw2`` from 4 jobs per worker.  ``trace`` is ignored by ``ksw2``,
-which records no band traces, and by ``logan``, which always records
-them.  Those values are fixed when the engine is built, and
-checked there (``xdrop >= 0``, ``workers >= 1``): ``align_batch(jobs)``
-takes nothing else, so every batch of one engine runs with one scoring
-scheme and one X, as a LOGAN run does.
+process pool (:mod:`repro.perf.parallel`), in chunks balanced by
+estimated cells, when those cells give each chunk
+:data:`~repro.perf.parallel.SPLIT_MIN_CELLS`: the batch engines split
+their extensions, ``reference`` and ``ksw2`` their jobs.  ``trace`` is
+ignored by ``ksw2``, which records no band traces, and by ``logan``,
+which always records them.  Those values are fixed when the engine is
+built, and checked there (``xdrop >= 0``, ``workers >= 1``):
+``align_batch(jobs)`` takes nothing else, so every batch of one engine
+runs with one scoring scheme and one X, as a LOGAN run does.
 """
 
 from __future__ import annotations
@@ -68,12 +69,7 @@ from ..obs.runtime import (
     emit_kernel_batch,
     get_observability,
 )
-from ..perf.parallel import (
-    available_workers,
-    balance_by_weight,
-    parallel_map,
-    run_chunks,
-)
+from ..perf.parallel import parallel_map, run_split
 from ..perf.timers import Timer
 from .base import EngineBatchResult, register_engine
 
@@ -83,18 +79,7 @@ __all__ = [
     "WavefrontEngine",
     "Ksw2Engine",
     "LoganEngine",
-    "SPLIT_MIN_CELLS",
 ]
-
-#: Estimated DP cells (:func:`~repro.core.job.estimate_cells`) each chunk
-#: of a split call must get.  Sized from a warm-pool ladder on a 2-vCPU
-#: host (X = 50, 200-900 bp pairs, median of 7): 64 extensions (2.5 M
-#: estimated cells) took 104.9 ms in one sweep and 102.3 ms split in two,
-#: 128 (5.2 M) 139.7 against 120.9 ms, 256 (9.5 M) 173.2 against
-#: 149.3 ms.  Serving calls (at most 0.75 M) and 64-pair service batches
-#: stay in-process; BELLA's one wide call (330.5 M on bella_ecoli's first
-#: read set) splits.
-SPLIT_MIN_CELLS = 4_000_000
 
 
 def _extend_job(job, scoring, xdrop, trace) -> SeedAlignmentResult:
@@ -183,7 +168,8 @@ class _EngineBase:
     ) -> tuple[list[ExtensionResult], BatchKernelStats | None]:
         """:attr:`extend` over *pairs*, split across the process pool when
         the estimated cells give every chunk at least
-        :data:`SPLIT_MIN_CELLS`.
+        :data:`~repro.perf.parallel.SPLIT_MIN_CELLS`
+        (:func:`~repro.perf.parallel.run_split`).
 
         The chunks (at most ``workers``, capped at the core count) are
         balanced by estimated cells, as LOGAN balances a batch across GPUs;
@@ -196,16 +182,11 @@ class _EngineBase:
             estimate_cells(len(q), len(t), self.xdrop, self.scoring.gap)
             for q, t in pairs
         ]
-        chunks = min(
-            available_workers(self.workers), len(pairs), sum(weights) // SPLIT_MIN_CELLS
-        )
-        if chunks < 2:
-            return self.extend(pairs, *args)
-        parts = balance_by_weight(weights, chunks)
         extensions: list = [None] * len(pairs)
         stats = None
-        swept = run_chunks(self.extend, [[pairs[i] for i in part] for part in parts], args)
-        for part, (part_extensions, part_stats) in zip(parts, swept):
+        for part, (part_extensions, part_stats) in run_split(
+            self.extend, pairs, weights, args, self.workers
+        ):
             for index, extension in zip(part, part_extensions):
                 extensions[index] = extension
             if part_stats is not None:
@@ -263,7 +244,8 @@ class ReferenceEngine(_EngineBase):
         with timer:
             results = parallel_map(
                 _extend_job,
-                list(jobs),
+                jobs,
+                [job.estimated_cells(self.xdrop, self.scoring.gap) for job in jobs],
                 args=(self.scoring, self.xdrop, self.trace),
                 workers=self.workers,
             )

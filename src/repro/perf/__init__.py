@@ -2,11 +2,12 @@
 
 from .metrics import BenchRow, BenchTable, gcups, speedup
 from .parallel import (
+    SPLIT_MIN_CELLS,
     available_workers,
     balance_by_weight,
-    chunk_evenly,
     parallel_map,
     run_chunks,
+    run_split,
 )
 from .timers import StageTimer, Timer
 
@@ -17,9 +18,10 @@ __all__ = [
     "speedup",
     "BenchRow",
     "BenchTable",
+    "SPLIT_MIN_CELLS",
     "parallel_map",
+    "run_split",
     "run_chunks",
     "available_workers",
-    "chunk_evenly",
     "balance_by_weight",
 ]

@@ -3,26 +3,28 @@
 The paper exploits *inter-sequence* parallelism by assigning one GPU block
 per alignment, and splits a batch across GPUs by expected work.  In pure
 Python the CPU analogue is a process pool: threads would serialise on the
-GIL, and a split only pays when each process gets enough cells to outweigh
-shipping its chunk (the engines' gate, ``SPLIT_MIN_CELLS`` in
-:mod:`repro.engine.engines`).
+GIL, and a split only pays when each process gets enough work to outweigh
+shipping its chunk.  Every caller weighs its items by estimated DP cells
+(:func:`~repro.core.job.estimate_cells`), and a call splits only when
+every chunk gets :data:`SPLIT_MIN_CELLS` of them.
 
 One process-wide pool runs every split.  It starts at the first call that
 needs it, never earlier (a cold start costs about 0.6 s on a 2-vCPU host),
 with the ``spawn`` start method, so a multi-threaded service is never
-forked, and it holds one worker per core.  At interpreter exit it is shut
-down and multiprocessing's resource tracker is stopped, so the process
-leaves no child running.  Spawned workers re-import the main module: a
-script that splits must be a file that guards its entry point with
+forked, and it holds one worker per core; the workers stay resident until
+the process exits.  At interpreter exit the pool is shut down and
+multiprocessing's resource tracker is stopped, so the process leaves no
+child running.  Spawned workers re-import the main module: a script that
+splits must be a file that guards its entry point with
 ``if __name__ == "__main__":``, or its workers die.  A worker that dies
 fails its call with :class:`~repro.errors.PoolWorkerError`, and the broken
 pool is dropped; the next split starts a fresh one.
 
-:func:`run_chunks` runs one function over a list of chunks on the pool;
-:func:`parallel_map` maps a function over items and stays in-process when
-``workers=1`` or the input is small, so library code can call it
-unconditionally.  :func:`chunk_evenly` and :func:`balance_by_weight` cut
-work into chunks, by count or by weight.
+:func:`run_split` runs one function over weight-balanced chunks of a
+batch, or over the whole batch in-process when the gate is not met, so
+library code can call it unconditionally; :func:`parallel_map` maps a
+function over items the same way.  :func:`run_chunks` is the pool itself,
+and :func:`balance_by_weight` the longest-processing-time split.
 """
 
 from __future__ import annotations
@@ -39,19 +41,29 @@ from typing import Callable, Sequence, TypeVar
 from ..errors import PoolWorkerError
 
 __all__ = [
+    "SPLIT_MIN_CELLS",
     "parallel_map",
+    "run_split",
     "run_chunks",
     "available_workers",
-    "chunk_evenly",
     "balance_by_weight",
 ]
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: :func:`parallel_map` uses the pool only with at least this many items per
-#: worker; below that, shipping the items costs more than it saves.
-MIN_ITEMS_PER_WORKER = 4
+#: Estimated DP cells (:func:`~repro.core.job.estimate_cells`) each chunk
+#: of a split call must get.  Sized from a warm-pool ladder of the batched
+#: kernel, the cheapest per cell, on a 2-vCPU host (X = 50, 200-900 bp
+#: pairs, median of 7): 64 extensions (2.5 M estimated cells) took
+#: 104.9 ms in one sweep and 102.3 ms split in two, 128 (5.2 M) 139.7
+#: against 120.9 ms, 256 (9.5 M) 173.2 against 149.3 ms.  The scalar
+#: ``reference`` loop costs about 20 times as much per estimated cell and
+#: ``ksw2`` about 12 times (64 such pairs), so a call that passes the gate
+#: pays for its split there too.  Serving calls (at most 0.75 M) and 64-pair service
+#: batches at X = 50 stay in-process; BELLA's one wide call (330.5 M on
+#: bella_ecoli's first read set) splits.
+SPLIT_MIN_CELLS = 4_000_000
 
 #: The process-wide pool, started by the first :func:`run_chunks`; the lock
 #: keeps two threads that split at once from starting two.
@@ -63,27 +75,6 @@ def available_workers(requested: int) -> int:
     """Worker processes to use: *requested*, at least 1, capped at the
     machine's core count."""
     return max(1, min(int(requested), os.cpu_count() or 1))
-
-
-def chunk_evenly(items: Sequence[T], chunks: int) -> list[list[T]]:
-    """Split *items* into at most *chunks* contiguous, nearly-equal lists.
-
-    The first ``len(items) % chunks`` lists receive one extra element, so
-    sizes differ by at most one — the same splitting rule the multi-GPU load
-    balancer uses for its naive (count-based) mode.
-    """
-    if chunks <= 0:
-        raise ValueError(f"chunks must be positive, got {chunks}")
-    n = len(items)
-    chunks = min(chunks, n) if n else 1
-    base, extra = divmod(n, chunks)
-    out: list[list[T]] = []
-    start = 0
-    for c in range(chunks):
-        size = base + (1 if c < extra else 0)
-        out.append(list(items[start : start + size]))
-        start += size
-    return out
 
 
 def balance_by_weight(weights: Sequence[int], parts: int) -> list[list[int]]:
@@ -121,12 +112,14 @@ def _pool() -> ProcessPoolExecutor:
         return _POOL
 
 
-def _drop_pool() -> None:
+def _drop_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut *pool* down, and forget it if it is still the process-wide
+    pool: another thread may already have replaced a broken one."""
     global _POOL
     with _POOL_LOCK:
-        pool, _POOL = _POOL, None
-    if pool is not None:
-        pool.shutdown(wait=True, cancel_futures=True)
+        if _POOL is pool:
+            _POOL = None
+    pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _close_at_exit() -> None:
@@ -134,7 +127,9 @@ def _close_at_exit() -> None:
     context started, which would otherwise outlive this process.  The
     tracker waits for every process that shares it, so it is left alone
     while another multiprocessing child still runs."""
-    _drop_pool()
+    pool = _POOL
+    if pool is not None:
+        _drop_pool(pool)
     if not mp.active_children():
         resource_tracker._resource_tracker._stop()
 
@@ -153,13 +148,41 @@ def run_chunks(
         futures = [pool.submit(func, chunk, *args) for chunk in chunks]
         return [future.result() for future in futures]
     except BrokenProcessPool as error:
-        _drop_pool()
+        _drop_pool(pool)
         raise PoolWorkerError(
             "a process-pool worker died during this call; spawned workers "
             "re-import the main module, so a script that splits work must "
             "be a file whose entry point is guarded with "
             "'if __name__ == \"__main__\":'"
         ) from error
+
+
+def run_split(
+    func: Callable[..., R],
+    items: Sequence[T],
+    weights: Sequence[int],
+    args: tuple = (),
+    workers: int = 1,
+) -> list[tuple[list[int], R]]:
+    """``func(chunk, *args)`` over *items*, split by weight across the pool.
+
+    *weights* are the items' estimated DP cells.  The items are cut into
+    min(``workers`` capped at the core count, items, total weight //
+    :data:`SPLIT_MIN_CELLS`) chunks of nearly equal weight
+    (:func:`balance_by_weight`), one :func:`run_chunks` task each.  Below
+    two chunks there is one in-process call over all items: no pool, no
+    pickling.  Returns each chunk's item indices (ascending) with its
+    result, so the caller can scatter per-item results back.
+    """
+    items = list(items)
+    chunks = min(
+        available_workers(workers), len(items), sum(weights) // SPLIT_MIN_CELLS
+    )
+    if chunks < 2:
+        return [(list(range(len(items))), func(items, *args))]
+    parts = balance_by_weight(weights, chunks)
+    results = run_chunks(func, [[items[i] for i in part] for part in parts], args)
+    return list(zip(parts, results))
 
 
 def _map_chunk(chunk: list, func: Callable, args: tuple) -> list:
@@ -169,30 +192,18 @@ def _map_chunk(chunk: list, func: Callable, args: tuple) -> list:
 def parallel_map(
     func: Callable[..., R],
     items: Sequence[T],
+    weights: Sequence[int],
     args: tuple = (),
     workers: int = 1,
 ) -> list[R]:
-    """Apply ``func(item, *args)`` to every item, optionally across processes.
+    """``func(item, *args)`` for every item, in item order, split across
+    the pool by :func:`run_split`'s rule.
 
-    Parameters
-    ----------
-    func:
-        A module-level (picklable) callable.
-    items:
-        The work items; results are returned in the same order.
-    args:
-        Extra positional arguments passed to every call.
-    workers:
-        Most worker processes to use (capped at the core count); ``1``
-        runs in-process (no pool, no pickling), and so does an input
-        with fewer than :data:`MIN_ITEMS_PER_WORKER` items per worker.
-        The items are cut into one contiguous chunk per worker.
+    *func* must be a module-level (picklable) callable, and *weights* are
+    the items' estimated DP cells.
     """
-    items = list(items)
-    workers = available_workers(workers)
-    if workers <= 1 or len(items) < workers * MIN_ITEMS_PER_WORKER:
-        return [func(item, *args) for item in items]
-    results: list[R] = []
-    for part in run_chunks(_map_chunk, chunk_evenly(items, workers), (func, args)):
-        results.extend(part)
+    results: list = [None] * len(items)
+    for part, values in run_split(_map_chunk, items, weights, (func, args), workers):
+        for index, value in zip(part, values):
+            results[index] = value
     return results

@@ -130,8 +130,8 @@ def workload_above_split_gate():
     least two chunks of ``SPLIT_MIN_CELLS``, so an engine with two workers
     splits them."""
     from repro.core.job import estimate_cells
-    from repro.engine.engines import SPLIT_MIN_CELLS
     from repro.logan.host import prepare_batch
+    from repro.perf.parallel import SPLIT_MIN_CELLS
     from repro.workloads import WorkloadSpec, generate_workload
 
     spec = WorkloadSpec(count=16, seed=5, min_length=2500, max_length=3000, xdrop=50)

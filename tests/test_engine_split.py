@@ -1,14 +1,13 @@
 """``AlignConfig.workers``, the one way to align in parallel.
 
 An engine with ``workers > 1`` splits one batch across the process pool,
-the CPU counterpart of LOGAN dividing a batch across GPUs: ``batched``,
-``logan`` and ``wavefront`` cut the non-empty extensions into chunks
+the CPU counterpart of LOGAN dividing a batch across GPUs, in chunks
 balanced by estimated cells, but only when every chunk gets
-``SPLIT_MIN_CELLS``; ``reference`` maps jobs (at least 4 per worker, so 8
-pairs split across 2).  The ``split_gate`` fixture lowers the gate so the
-small batches here really split.  The split must return what the unsplit
-call returns on every field, band traces included, and report the same
-kernel work.  The tier-2 matrix repeats the comparison on every
+``SPLIT_MIN_CELLS``: ``batched``, ``logan`` and ``wavefront`` cut the
+non-empty extensions, ``reference`` and ``ksw2`` the jobs.  The
+``split_gate`` fixture lowers the gate so the small batches here really
+split.  The split must return what the unsplit call returns on every
+field, band traces included, and report the same kernel work.  The tier-2 matrix repeats the comparison on every
 workload-bank profile.
 
 The pool is one per process: it starts at the first split, survives
@@ -23,11 +22,11 @@ import signal
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 
 import pytest
 
 import repro
-import repro.engine.engines as engines_mod
 import repro.perf.parallel as parallel_mod
 from repro import obs
 from repro.api import AlignConfig
@@ -52,7 +51,7 @@ two_cores = pytest.mark.skipif(
 def split_gate(monkeypatch):
     """Lower the split gate to one estimated cell per chunk, so every call
     with two or more non-empty sides splits."""
-    monkeypatch.setattr(engines_mod, "SPLIT_MIN_CELLS", 1)
+    monkeypatch.setattr(parallel_mod, "SPLIT_MIN_CELLS", 1)
 
 
 @pytest.fixture
@@ -159,9 +158,28 @@ def test_serve_sized_call_stays_in_process(pool_calls):
     jobs = generate_workload("pacbio", SERVE).jobs
     sides = prepare_batch(jobs, AlignConfig().scoring).sides
     estimate = sum(estimate_cells(len(q), len(t), SERVE.xdrop) for q, t in sides)
-    assert estimate < engines_mod.SPLIT_MIN_CELLS
+    assert estimate < parallel_mod.SPLIT_MIN_CELLS
     _batch("batched", 2, jobs, xdrop=SERVE.xdrop)
     assert pool_calls == []
+
+
+@pytest.mark.parametrize("engine", ["reference", "ksw2"])
+def test_serve_sized_job_map_stays_in_process(engine, pool_calls):
+    # The job-mapping engines weigh whole jobs against the same gate: eight
+    # serve pairs are far below it, so they never pay for the pool.
+    jobs = generate_workload("pacbio", replace(SERVE, count=8)).jobs
+    _batch(engine, 2, jobs, xdrop=SERVE.xdrop)
+    assert pool_calls == []
+
+
+@two_cores
+def test_ksw2_split_matches_unsplit(split_gate, pool_calls):
+    jobs = generate_workload("pacbio", SPLIT).jobs
+    unsplit = _batch("ksw2", 1, jobs)
+    split = _batch("ksw2", 2, jobs)
+    assert len(pool_calls) == 1
+    assert split.results == unsplit.results
+    assert split.summary == unsplit.summary
 
 
 @two_cores
@@ -209,14 +227,25 @@ def test_dead_worker_fails_the_call_and_the_next_split_recovers(split_gate):
     assert parallel_mod._POOL is not None
 
 
+@two_cores
+def test_dropping_a_replaced_pool_leaves_the_new_one():
+    # Two threads can both see one pool break: the late one must shut down
+    # only the broken pool, never the fresh one another thread started.
+    broken = parallel_mod._pool()
+    parallel_mod._drop_pool(broken)
+    fresh = parallel_mod._pool()
+    parallel_mod._drop_pool(broken)
+    assert parallel_mod._POOL is fresh
+    assert parallel_mod.run_chunks(abs, [-1, -2]) == [1, 2]
+
+
 _SPLITTING_SCRIPT = textwrap.dedent(
     """
-    import repro.engine.engines as engines
     import repro.perf.parallel as parallel
     from repro.api import AlignConfig
     from repro.workloads import WorkloadSpec, generate_workload
 
-    engines.SPLIT_MIN_CELLS = 1
+    parallel.SPLIT_MIN_CELLS = 1
     jobs = generate_workload("pacbio", WorkloadSpec(count=8, seed=13, xdrop=20)).jobs
     AlignConfig(engine="batched", xdrop=20, workers=2).build_engine().align_batch(jobs)
     assert parallel._POOL is not None

@@ -10,15 +10,17 @@ import time
 import pytest
 
 from repro.perf import (
+    SPLIT_MIN_CELLS,
     BenchTable,
     StageTimer,
     Timer,
     available_workers,
-    chunk_evenly,
+    balance_by_weight,
     gcups,
     parallel_map,
     speedup,
 )
+from repro.perf import parallel
 
 
 class TestTimer:
@@ -122,39 +124,50 @@ def _add(x: int, offset: int) -> int:
 
 class TestParallelMap:
     def test_in_process_path(self):
-        assert parallel_map(_square, [1, 2, 3], workers=1) == [1, 4, 9]
+        assert parallel_map(_square, [1, 2, 3], [1, 1, 1], workers=1) == [1, 4, 9]
 
     def test_extra_args(self):
-        assert parallel_map(_add, [1, 2, 3], args=(10,), workers=1) == [11, 12, 13]
+        result = parallel_map(_add, [1, 2, 3], [1, 1, 1], args=(10,), workers=1)
+        assert result == [11, 12, 13]
 
     def test_process_pool_matches_serial(self):
         items = list(range(64))
-        serial = parallel_map(_square, items, workers=1)
-        parallel = parallel_map(_square, items, workers=2)
-        assert parallel == serial
+        # Every item alone fills a chunk, so two workers split the items.
+        weights = [SPLIT_MIN_CELLS] * len(items)
+        serial = parallel_map(_square, items, weights, workers=1)
+        split = parallel_map(_square, items, weights, workers=2)
+        assert split == serial
 
-    def test_small_inputs_stay_serial(self):
-        # Fewer items than workers * MIN_ITEMS_PER_WORKER: no pool is used,
-        # results still correct.
-        assert parallel_map(_square, [3], workers=8) == [9]
+    def test_light_inputs_stay_in_process(self, monkeypatch):
+        # Below SPLIT_MIN_CELLS per chunk no pool is used, however many
+        # items there are.
+        def no_pool(*args):
+            raise AssertionError("the pool was used")
+
+        monkeypatch.setattr(parallel, "run_chunks", no_pool)
+        items = list(range(64))
+        weights = [SPLIT_MIN_CELLS // len(items)] * len(items)
+        result = parallel_map(_square, items, weights, workers=8)
+        assert result == [x * x for x in items]
 
     def test_empty_input(self):
-        assert parallel_map(_square, [], workers=4) == []
+        assert parallel_map(_square, [], [], workers=4) == []
 
 
 class TestChunking:
-    def test_chunk_evenly_sizes(self):
-        chunks = chunk_evenly(list(range(10)), 3)
-        assert [len(c) for c in chunks] == [4, 3, 3]
-        assert sum(chunks, []) == list(range(10))
+    def test_balance_by_weight_is_longest_processing_time(self):
+        parts = balance_by_weight([5, 1, 4, 2, 3], 2)
+        # 5 -> part 0, 4 -> 1, 3 -> 1, 2 -> 0, 1 -> 0 (ties to the lower part).
+        assert parts == [[0, 1, 3], [2, 4]]
 
-    def test_more_chunks_than_items(self):
-        chunks = chunk_evenly([1, 2], 5)
-        assert sum(chunks, []) == [1, 2]
+    def test_more_parts_than_weights(self):
+        parts = balance_by_weight([2, 1], 5)
+        assert sorted(sum(parts, [])) == [0, 1]
+        assert parts[2:] == [[], [], []]
 
-    def test_invalid_chunks(self):
+    def test_invalid_parts(self):
         with pytest.raises(ValueError):
-            chunk_evenly([1], 0)
+            balance_by_weight([1], 0)
 
     def test_available_workers_caps_at_core_count(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
