@@ -28,9 +28,9 @@ import numpy as np
 from repro.baselines import (
     CUDASW_GPU_ONLY,
     CUDASW_HYBRID_SIMD,
+    KSW2_SKYLAKE_BAND_MODEL,
     MANYMAP,
-    Ksw2BatchAligner,
-    SeqAnBatchAligner,
+    SEQAN_POWER9_MODEL,
     banded_smith_waterman,
     smith_waterman,
 )
@@ -39,6 +39,7 @@ from repro.core import ScoringScheme, random_sequence, xdrop_extend
 from repro.core.job import AlignmentJob
 from repro.data import PairSetSpec, generate_pair_set, load_dataset
 from repro.data.datasets import CELEGANS_LIKE, ECOLI_LIKE, DatasetPreset
+from repro.engine import get_engine
 from repro.gpusim import KernelExecutionModel, KernelWorkload, MultiGpuSystem, TESLA_V100
 from repro.logan import LoganAligner, threads_for_xdrop
 from repro.perf import BenchTable
@@ -307,8 +308,7 @@ def run_table2(scale: float = 1.0, x_values: Sequence[int] | None = None) -> Ben
         logan6 = LoganAligner(system=MultiGpuSystem.homogeneous(6), xdrop=x).model_existing(
             jobs6, results6, replication=replication / copies
         )
-        seqan_model = SeqAnBatchAligner(xdrop=x)
-        seqan_seconds = seqan_model.modeled_seconds_for(
+        seqan_seconds = SEQAN_POWER9_MODEL.seconds_for(
             logan1.summary.scaled(replication)
         )
         paper = PAPER_TABLE2.get(x, (float("nan"),) * 3)
@@ -356,9 +356,10 @@ def run_table3(scale: float = 1.0, x_values: Sequence[int] | None = None) -> Ben
         ),
     )
     for x in x_values:
-        ksw2 = Ksw2BatchAligner(zdrop=x)
-        ksw2_batch = ksw2.align_batch(jobs)
-        ksw2_seconds = ksw2.modeled_seconds_for(ksw2_batch.summary.scaled(replication))
+        ksw2_batch = get_engine("ksw2", xdrop=x).align_batch(jobs)
+        ksw2_seconds = KSW2_SKYLAKE_BAND_MODEL.seconds_for(
+            ksw2_batch.summary.scaled(replication)
+        )
 
         logan1 = LoganAligner(system=MultiGpuSystem.homogeneous(1), xdrop=x).align_batch(
             jobs, replication=replication
@@ -450,7 +451,7 @@ def _run_bella_table(
         logan6 = LoganAligner(system=MultiGpuSystem.homogeneous(6), xdrop=x).model_existing(
             jobs6, results6, replication=replication / copies
         )
-        seqan_seconds = SeqAnBatchAligner(xdrop=x).modeled_seconds_for(
+        seqan_seconds = SEQAN_POWER9_MODEL.seconds_for(
             logan1.summary.scaled(replication)
         )
         paper = paper_rows.get(x, (float("nan"),) * 3)

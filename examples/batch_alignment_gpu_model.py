@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import sys
 
-from repro.baselines import SeqAnBatchAligner
+from repro.baselines import SEQAN_POWER9_MODEL
 from repro.data import PairSetSpec, generate_pair_set
+from repro.engine import get_engine
 from repro.gpusim import MultiGpuSystem
 from repro.logan import LoganAligner
 
@@ -58,18 +59,17 @@ def main(num_pairs: int = 8, xdrop: int = 100) -> None:
           f"imbalance {result6.multi_gpu.load_imbalance:.2f})")
 
     # The paper's CPU baseline, modeled from the identical work trace --------
-    seqan = SeqAnBatchAligner(xdrop=xdrop)
-    seqan_seconds = seqan.modeled_seconds_for(result1.summary.scaled(replication))
+    seqan_seconds = SEQAN_POWER9_MODEL.seconds_for(result1.summary.scaled(replication))
     print(f"modeled SeqAn, 168 thr. : {seqan_seconds:8.2f} s")
     print()
     print(f"speed-up vs SeqAn, 1 GPU: {seqan_seconds / result1.modeled_seconds:6.1f}x")
     print(f"speed-up vs SeqAn, 6 GPU: {seqan_seconds / result6.modeled_seconds:6.1f}x")
 
-    # Accuracy: identical scores to the SeqAn-style reference ---------------
-    reference = seqan.align_batch(jobs)
-    identical = [r.score for r in reference.results] == result1.scores()
+    # Accuracy: identical scores to the scalar X-drop reference -------------
+    reference = get_engine("reference", xdrop=xdrop).align_batch(jobs)
+    identical = reference.scores() == result1.scores()
     print()
-    print(f"scores identical to the SeqAn-style reference: {identical}")
+    print(f"scores identical to the scalar X-drop reference: {identical}")
     print(f"per-device breakdown    : "
           f"{[round(t, 3) for t in result6.multi_gpu.per_device_seconds]} s "
           f"+ {result6.multi_gpu.host_overhead_seconds:.2f} s balancer overhead "

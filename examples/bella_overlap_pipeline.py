@@ -17,7 +17,7 @@ Run with::
 from __future__ import annotations
 
 from repro.api import AlignConfig
-from repro.baselines import SeqAnBatchAligner
+from repro.baselines import SEQAN_POWER9_MODEL
 from repro.bella import BellaPipeline
 from repro.data import ErrorModel, RepeatSpec, simulate_genome, simulate_reads, true_overlap
 
@@ -75,7 +75,7 @@ def main() -> None:
     ]
     print(f"BELLA+SeqAn and BELLA+LOGAN produce identical overlaps: {same_pairs}")
     print(f"... and identical alignment scores                    : {same_scores}")
-    power9_seconds = SeqAnBatchAligner(xdrop=25).modeled_seconds_for(seqan_result.work)
+    power9_seconds = SEQAN_POWER9_MODEL.seconds_for(seqan_result.work)
     print(f"modeled alignment stage (POWER9, 168 threads) : "
           f"{power9_seconds:10.4f} s")
     print(f"modeled alignment stage (6x V100, LOGAN)      : "

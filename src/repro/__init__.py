@@ -16,7 +16,8 @@ pure Python/NumPy:
   ``align_batch(jobs)`` interface, each fixed to one scoring scheme and X
   when built (:func:`repro.get_engine`, :func:`repro.list_engines`);
 * :mod:`repro.baselines` — Smith–Waterman, Needleman–Wunsch, banded SW,
-  ksw2-style Z-drop, SeqAn-like CPU batch runner, CUDASW++/manymap
+  the ksw2-style Z-drop kernel, the SeqAn-on-POWER9 and ksw2-on-Skylake
+  cost models that read an engine's work summary, CUDASW++/manymap
   throughput models;
 * :mod:`repro.gpusim` — an execution/performance model of an NVIDIA V100
   class GPU (SMs, warp schedulers, occupancy, HBM) used in place of real

@@ -262,6 +262,19 @@ class ServiceConfig:
         return cls(**dict(data))
 
 
+def _json_object(text: str) -> dict[str, Any]:
+    """The JSON object *text* holds; anything else raises."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as error:
+        raise ConfigurationError(f"config: invalid JSON ({error})") from error
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"config: JSON document must be an object, got {type(data).__name__}"
+        )
+    return data
+
+
 # --------------------------------------------------------------------------- #
 # AlignConfig
 # --------------------------------------------------------------------------- #
@@ -423,19 +436,11 @@ class AlignConfig:
     @classmethod
     def from_json(cls, text: str) -> "AlignConfig":
         """Parse a config from JSON text (inverse of :meth:`to_json`)."""
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise ConfigurationError(f"config: invalid JSON ({error})") from error
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"config: JSON document must be an object, got {type(data).__name__}"
-            )
-        return cls.from_dict(data)
+        return cls.from_dict(_json_object(text))
 
     @classmethod
     def load(cls, path) -> "AlignConfig":
-        """Read a config from a JSON file (the CLI ``--config`` loader)."""
+        """Read a full config from a JSON file (inverse of :meth:`save`)."""
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_json(handle.read())
 
@@ -632,12 +637,12 @@ def add_config_arguments(
     """Add the shared ``AlignConfig`` argument group to *parser*.
 
     One group serves every aligning CLI subcommand: ``--config
-    config.json`` loads a full :class:`AlignConfig`, and the per-field flags
-    (generated from the config's fields) override whatever the file or
-    *defaults* carry.  *defaults* supplies the per-command baseline shown in
-    ``--help``; *exclude* drops fields a command never reads (e.g.
-    ``bin_width`` where BELLA never runs); *include_service* adds the
-    nested :class:`ServiceConfig` flags.
+    config.json`` overrides the keys of *defaults* that the file names, and
+    the per-field flags (generated from the config's fields) override
+    whatever the file or *defaults* carry.  *defaults* supplies the
+    per-command baseline shown in ``--help``; *exclude* drops fields a
+    command never reads (e.g. ``bin_width`` where BELLA never runs);
+    *include_service* adds the nested :class:`ServiceConfig` flags.
     """
     shown = defaults if defaults is not None else AlignConfig()
     group = parser.add_argument_group(
@@ -649,7 +654,8 @@ def add_config_arguments(
         type=str,
         default=None,
         metavar="JSON",
-        help="load an AlignConfig from this JSON file (see AlignConfig.to_dict)",
+        help="AlignConfig JSON file (see AlignConfig.to_dict); the keys it "
+        "names override the command's defaults",
     )
     for name, flag, ftype, help_text in _CONFIG_FLAGS:
         if name in exclude:
@@ -703,15 +709,24 @@ def config_from_args(
     """Resolve the effective :class:`AlignConfig` of one CLI invocation.
 
     Precedence (lowest to highest): the command's *defaults*, the
-    ``--config`` JSON file, explicit per-field flags.  Pass the same
-    *exclude* as :func:`add_config_arguments` so fields a command defines
-    itself (with different semantics) are not read back as overrides.
+    ``--config`` JSON file, explicit per-field flags.  The file overrides
+    only the keys it names (a ``scoring`` or ``service`` object only its
+    own keys), so ``{"trace": true}`` keeps the command's engine and X.
+    Pass the same *exclude* as :func:`add_config_arguments` so fields a
+    command defines itself (with different semantics) are not read back
+    as overrides.
     """
+    base = defaults if defaults is not None else AlignConfig()
     config_path = getattr(args, "config", None)
     if config_path:
-        base = AlignConfig.load(config_path)
-    else:
-        base = defaults if defaults is not None else AlignConfig()
+        with open(config_path, "r", encoding="utf-8") as handle:
+            named = _json_object(handle.read())
+        merged = base.to_dict()
+        for key, value in named.items():
+            if key in ("scoring", "service") and isinstance(value, Mapping):
+                value = {**merged[key], **value}
+            merged[key] = value
+        base = AlignConfig.from_dict(merged)
 
     overrides: dict[str, Any] = {}
     for name, flag, _, _ in _CONFIG_FLAGS:

@@ -2,11 +2,15 @@
 
 * Exact quadratic algorithms: :func:`smith_waterman`, :func:`needleman_wunsch`,
   :func:`banded_smith_waterman` (accuracy oracles and Fig. 2 / Fig. 12 inputs);
-* :func:`ksw2_extend` + :class:`Ksw2BatchAligner` — minimap2's Z-drop kernel
-  and its 80-thread Skylake configuration (Table III / Fig. 9);
-* :class:`SeqAnBatchAligner` — the SeqAn X-drop + OpenMP configuration BELLA
-  uses on the 168-thread POWER9 node (Table II / Fig. 8);
-* CPU platform specs and cost models (:mod:`repro.baselines.platforms`);
+* :func:`ksw2_extend` — minimap2's Z-drop kernel, which the ``ksw2`` engine
+  runs on every job;
+* CPU platform specs and cost models (:mod:`repro.baselines.platforms`).
+  The paper's CPU baselines are an engine's work summary fed to a model:
+  SeqAn's X-drop on 168 POWER9 threads (Table II / Fig. 8, and BELLA's
+  alignment stage in Tables IV and V) is
+  ``SEQAN_POWER9_MODEL.seconds_for(summary)`` of an exact engine's run,
+  and ksw2 on 80 Skylake threads (Table III / Fig. 9) is
+  ``KSW2_SKYLAKE_BAND_MODEL.seconds_for(summary)`` of a ``ksw2`` run;
 * GPU competitor throughput models (:mod:`repro.baselines.gpu_competitors`).
 """
 
@@ -17,23 +21,17 @@ from .gpu_competitors import (
     MANYMAP,
     GpuThroughputModel,
 )
-from .ksw2 import Ksw2Result, ksw2_extend, ksw2_extend_affine_oracle
-from .ksw2_batch import (
-    KSW2_SKYLAKE_BAND_MODEL,
-    Ksw2BatchAligner,
-    Ksw2BatchResult,
-    Ksw2CostModel,
-)
+from .ksw2 import ksw2_extend, ksw2_extend_affine_oracle
 from .needleman_wunsch import needleman_wunsch, needleman_wunsch_matrix
 from .platforms import (
-    KSW2_SKYLAKE_MODEL,
+    KSW2_SKYLAKE_BAND_MODEL,
     POWER9_PLATFORM,
     SEQAN_POWER9_MODEL,
     SKYLAKE_PLATFORM,
     CpuCostModel,
     CpuPlatformSpec,
+    Ksw2CostModel,
 )
-from .seqan_like import SeqAnBatchAligner, SeqAnBatchResult
 from .smith_waterman import smith_waterman, smith_waterman_matrix
 
 __all__ = [
@@ -45,19 +43,13 @@ __all__ = [
     "band_cells",
     "ksw2_extend",
     "ksw2_extend_affine_oracle",
-    "Ksw2Result",
-    "Ksw2BatchAligner",
-    "Ksw2BatchResult",
     "Ksw2CostModel",
     "KSW2_SKYLAKE_BAND_MODEL",
-    "SeqAnBatchAligner",
-    "SeqAnBatchResult",
     "CpuPlatformSpec",
     "CpuCostModel",
     "POWER9_PLATFORM",
     "SKYLAKE_PLATFORM",
     "SEQAN_POWER9_MODEL",
-    "KSW2_SKYLAKE_MODEL",
     "GpuThroughputModel",
     "CUDASW_GPU_ONLY",
     "CUDASW_HYBRID_SIMD",

@@ -23,41 +23,16 @@ affine model (validated against a brute-force oracle in the tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..core.encoding import SequenceLike, encode
-from ..core.result import NEG_INF
+from ..core.result import NEG_INF, ExtensionResult
 from ..core.scoring import AffineScoringScheme
 from ..errors import ConfigurationError
 
-__all__ = ["Ksw2Result", "ksw2_extend", "ksw2_extend_affine_oracle"]
+__all__ = ["ksw2_extend", "ksw2_extend_affine_oracle"]
 
 _NEG = np.int64(NEG_INF)
-
-
-@dataclass
-class Ksw2Result:
-    """Outcome of a ksw2-style extension.
-
-    Mirrors :class:`repro.core.result.ExtensionResult` but also records the
-    number of DP rows evaluated before the Z-drop rule fired, which the
-    Skylake cost model uses to estimate CPU runtime.
-    """
-
-    best_score: int
-    query_end: int
-    target_end: int
-    rows_computed: int
-    cells_computed: int
-    terminated_early: bool
-
-    def gcups(self, seconds: float) -> float:
-        """Cells computed per second in units of 1e9."""
-        if seconds <= 0:
-            return float("inf")
-        return self.cells_computed / seconds / 1e9
 
 
 def _row_scan(h0: np.ndarray, js: np.ndarray, gap_open: int, gap_extend: int) -> np.ndarray:
@@ -85,7 +60,7 @@ def ksw2_extend(
     scoring: AffineScoringScheme = AffineScoringScheme(),
     zdrop: int = 400,
     bandwidth: int | None = None,
-) -> Ksw2Result:
+) -> ExtensionResult:
     """Affine-gap extension of *query* against *target* with Z-drop termination.
 
     Parameters
@@ -107,7 +82,10 @@ def ksw2_extend(
 
     Returns
     -------
-    Ksw2Result
+    ExtensionResult
+        Its ``anti_diagonals`` counts the DP rows evaluated (row 0
+        included) before the Z-drop rule fired: ksw2 sweeps rows, and the
+        Skylake cost model charges per row.  No band trace is recorded.
     """
     if zdrop < 0:
         raise ConfigurationError(f"zdrop must be non-negative, got {zdrop}")
@@ -182,11 +160,11 @@ def ksw2_extend(
         new_f_prev[j_lo : j_hi + 1] = f_cur
         h_prev, f_prev = new_h_prev, new_f_prev
 
-    return Ksw2Result(
+    return ExtensionResult(
         best_score=int(best),
         query_end=int(best_i),
         target_end=int(best_j),
-        rows_computed=int(rows),
+        anti_diagonals=int(rows),
         cells_computed=int(cells),
         terminated_early=terminated,
     )

@@ -22,15 +22,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..core.job import BatchWorkSummary
 from ..errors import ConfigurationError
 
 __all__ = [
     "CpuPlatformSpec",
     "CpuCostModel",
+    "Ksw2CostModel",
     "POWER9_PLATFORM",
     "SKYLAKE_PLATFORM",
     "SEQAN_POWER9_MODEL",
-    "KSW2_SKYLAKE_MODEL",
+    "KSW2_SKYLAKE_BAND_MODEL",
 ]
 
 
@@ -139,12 +141,84 @@ class CpuCostModel:
         effective_threads = self.threads * self.parallel_efficiency
         return single_thread_ns / effective_threads / 1e9
 
+    def seconds_for(self, summary: BatchWorkSummary) -> float:
+        """:meth:`seconds` of an engine's work summary, possibly
+        extrapolated to the paper's pair count with
+        :meth:`~repro.core.job.BatchWorkSummary.scaled`."""
+        return self.seconds(
+            cells=summary.cells,
+            iterations=summary.iterations,
+            alignments=summary.alignments,
+        )
+
     def gcups(self, cells: int, iterations: int, alignments: int) -> float:
         """Modeled giga cell-updates per second for the same batch."""
         secs = self.seconds(cells, iterations, alignments)
         if secs <= 0:
             return float("inf")
         return cells / secs / 1e9
+
+
+@dataclass(frozen=True)
+class Ksw2CostModel:
+    """Band-aware runtime model for ksw2 on a multi-threaded CPU.
+
+    ``time = (cells * ns_per_cell * (1 + band / band_halfcost)
+              + rows * ns_per_row + alignments * ns_per_alignment)
+             / (threads * parallel_efficiency)``
+
+    ksw2's striped SSE2 kernel is extremely fast on narrow bands but loses
+    efficiency as the band (and with it the working set per row) grows:
+    rows stop fitting in L1/L2, the striped layout needs more passes and
+    the lazy-F loop triggers more often.  The ``(1 + band /
+    band_halfcost)`` factor models that loss; ``band_halfcost`` is the band
+    width at which the per-cell cost doubles.  This is what produces the
+    runtime explosion the paper reports for large X (3213 s at X = 5000
+    against 7 s at X = 10) while LOGAN saturates.
+    """
+
+    platform: CpuPlatformSpec
+    threads: int = 80
+    ns_per_cell: float = 0.9
+    ns_per_row: float = 40.0
+    ns_per_alignment: float = 3_400_000.0
+    band_halfcost: float = 60.0
+    parallel_efficiency: float = 0.75
+
+    def __post_init__(self) -> None:
+        if self.threads <= 0 or self.threads > self.platform.threads:
+            raise ConfigurationError(
+                f"threads must be in [1, {self.platform.threads}] for "
+                f"{self.platform.name!r}, got {self.threads}"
+            )
+        if self.band_halfcost <= 0:
+            raise ConfigurationError("band_halfcost must be positive")
+        if not 0 < self.parallel_efficiency <= 1:
+            raise ConfigurationError("parallel_efficiency must be in (0, 1]")
+
+    def seconds(
+        self, cells: int, rows: int, alignments: int, band: float
+    ) -> float:
+        """Modeled wall-clock seconds for a batch with the given work totals."""
+        if min(cells, rows, alignments) < 0 or band < 0:
+            raise ConfigurationError("work totals must be non-negative")
+        cell_ns = self.ns_per_cell * (1.0 + band / self.band_halfcost)
+        total_ns = (
+            cells * cell_ns
+            + rows * self.ns_per_row
+            + alignments * self.ns_per_alignment
+        )
+        return total_ns / (self.threads * self.parallel_efficiency) / 1e9
+
+    def seconds_for(self, summary: BatchWorkSummary) -> float:
+        """:meth:`seconds` of the ``ksw2`` engine's work summary, whose
+        iterations are DP rows and whose widest band is the static one."""
+        return self.seconds(
+            cells=summary.cells,
+            rows=summary.iterations,
+            alignments=summary.alignments,
+            band=summary.max_band_width,
+        )
 
 
 #: Dual-socket IBM POWER9 (Summit-class node) used for the SeqAn baseline.
@@ -184,14 +258,6 @@ SEQAN_POWER9_MODEL = CpuCostModel(
     parallel_efficiency=0.70,
 )
 
-#: ksw2 (SSE2) on 80 Skylake threads.  The SIMD kernel is far cheaper per
-#: cell, but without an adaptive band it computes many more cells at large
-#: Z — which is why Table III shows its runtime exploding for X >= 500.
-KSW2_SKYLAKE_MODEL = CpuCostModel(
-    platform=SKYLAKE_PLATFORM,
-    threads=80,
-    ns_per_cell=0.9,
-    ns_per_iteration=40.0,
-    ns_per_alignment=15_000.0,
-    parallel_efficiency=0.75,
-)
+#: ksw2 on 80 Skylake threads, calibrated so the 100 K-pair workload lands
+#: near Table III (about 7 s at small X, thousands of seconds at X = 5000).
+KSW2_SKYLAKE_BAND_MODEL = Ksw2CostModel(platform=SKYLAKE_PLATFORM)

@@ -10,7 +10,7 @@ The public surface of this subpackage:
 * :func:`repro.core.xdrop_extend_reference` — scalar reference oracle;
 * :func:`repro.core.exact_extension_score` — un-pruned full-DP oracle;
 * :func:`repro.core.extend_seed` / :class:`repro.core.Seed` — seed-and-extend
-  driver used by BELLA and the batch runners;
+  driver used by BELLA and the ``reference`` engine;
 * :class:`repro.core.ScoringScheme` / :class:`repro.core.AffineScoringScheme`
   — scoring configuration;
 * encoding helpers (:func:`repro.core.encode`, :func:`repro.core.decode`,

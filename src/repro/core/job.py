@@ -1,10 +1,9 @@
-"""Batch alignment job containers shared by every batch runner.
+"""Batch alignment job containers shared by every alignment engine.
 
 A *job* is one candidate pair to align: the two sequences plus the seed that
-anchors the extension.  BELLA's overlap stage produces jobs; the SeqAn-like
-CPU runner, the ksw2 runner and the LOGAN GPU-model runner all consume the
-same job type, which is what makes the aligner pluggable inside the BELLA
-pipeline (Section V of the paper).
+anchors the extension.  BELLA's overlap stage produces jobs, and every
+alignment engine consumes the same job type, which is what makes the aligner
+pluggable inside the BELLA pipeline (Section V of the paper).
 
 ``BatchWorkSummary`` aggregates the work accounting of a finished batch —
 cells, iterations, alignments — in the exact units the CPU and GPU cost

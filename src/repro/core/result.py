@@ -44,7 +44,9 @@ class ExtensionResult:
         (i.e. the extension reached ``query[:query_end]`` / ``target[:target_end]``).
     anti_diagonals:
         Number of anti-diagonal iterations executed before the X-drop
-        condition emptied the band (or the matrix was exhausted).
+        condition emptied the band (or the matrix was exhausted).  ksw2
+        sweeps DP rows instead, so for it this counts the rows evaluated
+        (row 0 included) before the Z-drop rule fired.
     cells_computed:
         Total DP cells evaluated — the numerator of the CUPS metric.
     terminated_early:

@@ -295,7 +295,7 @@ def xdrop_extend_batch(
         encoded ``uint8`` arrays).  Every extension starts at its own
         position (0, 0), as in :func:`repro.core.xdrop.xdrop_extend_reference`.
         Empty sequences are rejected (the shared kernel contract): callers
-        must filter seed-flush extensions, as the batch runners do.
+        must filter seed-flush extensions, as the engines do.
     scoring:
         Linear-gap scoring scheme shared by the whole batch.
     xdrop:

@@ -13,7 +13,7 @@ name            implementation                                         exact
 ``wavefront``   WFA-style furthest-reaching-point extension, unit
                 scoring only
                 (:func:`repro.core.wavefront.wavefront_extend_batch`)  yes*
-``ksw2``        ksw2-style affine Z-drop runner                        no
+``ksw2``        ksw2-style affine Z-drop extension                     no
 ``logan``       the ``batched`` sweep, traced, + post-hoc V100
                 multi-GPU execution model                              yes
 ==============  =====================================================  ======
@@ -27,9 +27,11 @@ work rather than a bit-identical replay (``work_exact = False``).
 
 ``batched``, ``logan`` and ``wavefront`` share one seed-and-extend loop,
 :meth:`_EngineBase._align_batch`, and differ only in their ``extend``
-kernel function.  ``reference`` keeps its own per-job path, because it is
-the oracle the others are checked against, and ``ksw2`` runs its affine
-batch aligner; every engine builds its results with
+kernel function.  ``reference`` and ``ksw2`` map one function over the
+jobs instead (:meth:`_EngineBase._map_jobs`): ``reference`` because it is
+the oracle the others are checked against, ``ksw2`` because its seed
+score and band come from its affine scheme and static band, not from the
+linear scheme and X.  Every engine builds its results with
 :func:`repro.core.seed_extend.join_at_seed`.
 
 All constructors share the ``(scoring, xdrop, workers, trace)`` signature
@@ -51,11 +53,11 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Sequence
 
-from ..baselines.ksw2_batch import Ksw2BatchAligner
+from ..baselines.ksw2 import ksw2_extend
 from ..core.job import AlignmentJob, estimate_cells, summarize_results
 from ..core.result import ExtensionResult, SeedAlignmentResult, empty_extension
 from ..core.scoring import AffineScoringScheme, ScoringScheme
-from ..core.seed_extend import extend_seed, join_at_seed
+from ..core.seed_extend import extend_seed, join_at_seed, split_on_seed
 from ..core.wavefront import ensure_unit_scoring, wavefront_extend_batch
 from ..core.xdrop import xdrop_extend_reference
 from ..core.xdrop_batch import BatchKernelStats
@@ -90,6 +92,18 @@ def _extend_job(job, scoring, xdrop, trace) -> SeedAlignmentResult:
     )
 
 
+def _extend_job_ksw2(job, affine, zdrop, bandwidth) -> SeedAlignmentResult:
+    """Worker: one job's two ksw2 extensions, joined at its seed
+    (picklable)."""
+    left, right = (
+        ksw2_extend(q, t, affine, zdrop=zdrop, bandwidth=bandwidth)
+        if len(q) and len(t)
+        else empty_extension(False)
+        for q, t in split_on_seed(job.query, job.target, job.seed)
+    )
+    return join_at_seed(job.seed, left, right, job.seed.length * affine.match)
+
+
 def _sweep_wavefront(pairs, scoring, xdrop, trace) -> tuple[list, None]:
     """Worker: one wavefront sweep over *pairs*; it keeps no kernel stats
     (picklable)."""
@@ -98,8 +112,9 @@ def _sweep_wavefront(pairs, scoring, xdrop, trace) -> tuple[list, None]:
 
 
 class _EngineBase:
-    """Shared configuration plumbing, and the batch engines' one
-    seed-and-extend loop (:meth:`_align_batch`)."""
+    """Shared configuration plumbing, the batch engines' one
+    seed-and-extend loop (:meth:`_align_batch`), and the job map of
+    ``reference`` and ``ksw2`` (:meth:`_map_jobs`)."""
 
     name = "abstract"
     exact = True
@@ -193,6 +208,22 @@ class _EngineBase:
                 stats = part_stats if stats is None else stats.merge(part_stats)
         return extensions, stats
 
+    def _map_jobs(
+        self, func, jobs: Sequence[AlignmentJob], weights: list[int], args: tuple
+    ) -> EngineBatchResult:
+        """``func(job, *args)`` for every job, split by the estimated cells
+        *weights* (:func:`~repro.perf.parallel.parallel_map`): the per-job
+        loop of ``reference`` and ``ksw2``."""
+        timer = Timer()
+        with timer:
+            results = parallel_map(func, jobs, weights, args=args, workers=self.workers)
+        return EngineBatchResult(
+            engine=self.name,
+            results=results,
+            summary=summarize_results(results),
+            elapsed_seconds=timer.elapsed,
+        )
+
     def _observe_batch(
         self, ob, result: EngineBatchResult, jobs: int
     ) -> None:
@@ -240,20 +271,11 @@ class ReferenceEngine(_EngineBase):
     name = "reference"
 
     def _align_batch(self, jobs: Sequence[AlignmentJob]) -> EngineBatchResult:
-        timer = Timer()
-        with timer:
-            results = parallel_map(
-                _extend_job,
-                jobs,
-                [job.estimated_cells(self.xdrop, self.scoring.gap) for job in jobs],
-                args=(self.scoring, self.xdrop, self.trace),
-                workers=self.workers,
-            )
-        return EngineBatchResult(
-            engine=self.name,
-            results=list(results),
-            summary=summarize_results(results),
-            elapsed_seconds=timer.elapsed,
+        return self._map_jobs(
+            _extend_job,
+            jobs,
+            [job.estimated_cells(self.xdrop, self.scoring.gap) for job in jobs],
+            (self.scoring, self.xdrop, self.trace),
         )
 
 
@@ -329,22 +351,21 @@ class WavefrontEngine(_EngineBase):
 
 
 class Ksw2Engine(_EngineBase):
-    """ksw2-style affine-gap Z-drop runner (minimap2 map-pb scoring).
+    """ksw2-style affine-gap Z-drop extension (minimap2 map-pb scoring).
 
     Not score-exact with the X-drop reference: the recurrence is affine-gap
     and the termination rule is Z-drop, so scores are comparable but not
-    identical (``exact = False``).  The ``xdrop`` parameter is used as the
-    Z-drop threshold, the mapping of LOGAN's benchmark harness.
+    identical (``exact = False``).  ``xdrop`` is the Z-drop threshold and
+    the default of ``bandwidth``, ksw2's static band half-width: the
+    mapping of LOGAN's benchmark harness.
 
-    A non-default linear ``scoring`` has its match/mismatch scores carried
-    over into the affine scheme (the gap terms keep ksw2's minimap2
-    defaults, which have no linear equivalent).  ``aligner`` is the
-    :class:`~repro.baselines.Ksw2BatchAligner` built once from that scheme,
-    X and ``bandwidth``; it runs every batch.
-
-    Like the SeqAn baseline, the modeled 80-thread Skylake runtime of the
-    paper's Table III is a post-hoc function of the work summary,
-    :meth:`repro.baselines.Ksw2BatchAligner.modeled_seconds_for`, so
+    ``affine`` is minimap2's scheme, with a non-default linear
+    ``scoring``'s match and mismatch carried over (its gap terms have no
+    linear equivalent); the seed scores ``affine.match`` per base.
+    Extensions count DP rows as ``anti_diagonals``, and the summary's
+    ``max_band_width`` is the static band, ``2 * bandwidth + 1``.  The
+    paper's Table III time on 80 Skylake threads is
+    ``repro.baselines.KSW2_SKYLAKE_BAND_MODEL.seconds_for(summary)``, so
     ``modeled_seconds`` stays ``None``.
     """
 
@@ -360,48 +381,27 @@ class Ksw2Engine(_EngineBase):
         bandwidth: int | None = None,
     ) -> None:
         super().__init__(scoring=scoring, xdrop=xdrop, workers=workers, trace=trace)
-        affine = AffineScoringScheme()  # minimap2 map-pb defaults
-        if self.scoring != ScoringScheme():
-            affine = replace(
-                affine, match=self.scoring.match, mismatch=self.scoring.mismatch
+        if bandwidth is not None and bandwidth < 0:
+            raise ConfigurationError(
+                f"bandwidth must be non-negative, got {bandwidth}"
             )
-        self.aligner = Ksw2BatchAligner(
-            scoring=affine,
-            zdrop=self.xdrop,
-            bandwidth=bandwidth,
-            workers=self.workers,
-        )
+        self.bandwidth = self.xdrop if bandwidth is None else int(bandwidth)
+        self.affine = AffineScoringScheme()  # minimap2 map-pb defaults
+        if self.scoring != ScoringScheme():
+            self.affine = replace(
+                self.affine, match=self.scoring.match, mismatch=self.scoring.mismatch
+            )
 
     def _align_batch(self, jobs: Sequence[AlignmentJob]) -> EngineBatchResult:
-        batch = self.aligner.align_batch(jobs)
-        match = self.aligner.scoring.match
-        results = [
-            join_at_seed(
-                job.seed,
-                self._to_extension(left),
-                self._to_extension(right),
-                job.seed.length * match,
-            )
-            for job, (left, right) in zip(jobs, batch.results)
-        ]
-        return EngineBatchResult(
-            engine=self.name,
-            results=results,
-            summary=batch.summary,
-            elapsed_seconds=batch.elapsed_seconds,
-            extras={"batch": batch, "band": batch.band},
+        batch = self._map_jobs(
+            _extend_job_ksw2,
+            jobs,
+            # The static band is 2 * bandwidth + 1 wide.
+            [job.estimated_cells(self.bandwidth) for job in jobs],
+            (self.affine, self.xdrop, self.bandwidth),
         )
-
-    @staticmethod
-    def _to_extension(res) -> ExtensionResult:
-        return ExtensionResult(
-            best_score=res.best_score,
-            query_end=res.query_end,
-            target_end=res.target_end,
-            anti_diagonals=res.rows_computed,
-            cells_computed=res.cells_computed,
-            terminated_early=res.terminated_early,
-        )
+        batch.summary.max_band_width = 2 * self.bandwidth + 1
+        return batch
 
 
 class LoganEngine(BatchedEngine):

@@ -287,9 +287,10 @@ class ConformanceRunner:
     Parameters
     ----------
     config:
-        The :class:`repro.api.AlignConfig` supplying ``scoring``, ``xdrop``
-        and ``trace`` (shared by every engine) plus the engine/serving
-        parameters of the service path.  Defaults to ``AlignConfig()``.
+        The :class:`repro.api.AlignConfig` supplying ``scoring``, ``xdrop``,
+        ``workers`` and ``trace`` (shared by every engine, the oracle
+        included) plus the engine/serving parameters of the service path.
+        Defaults to ``AlignConfig()``.
     engines:
         Engine names to test (default: every registered engine).  The
         oracle (``reference``) is never compared to itself.
@@ -362,6 +363,7 @@ class ConformanceRunner:
                 name,
                 scoring=self.config.scoring,
                 xdrop=self.config.xdrop,
+                workers=self.config.workers,
                 trace=self.config.trace,
             )
         return self._engines[name]

@@ -213,7 +213,7 @@ class TestEngineFromConfig:
         engine = engine_from_config(
             AlignConfig(engine="ksw2", engine_options={"bandwidth": 77})
         )
-        assert engine.aligner.bandwidth == 77
+        assert engine.bandwidth == 77
 
     def test_bandwidth_is_an_engine_option_only(self):
         # engine_options is the one spelling: the config field is gone, and
@@ -459,3 +459,31 @@ class TestConfigFromArgs:
         assert cfg.engine == "logan"  # from the file
         assert cfg.xdrop == 44  # flag wins
         assert cfg.service.max_batch_size == 8
+
+    def test_file_overrides_only_the_keys_it_names(self, tmp_path):
+        # defaults < file < flags: a partial file keeps the command's
+        # defaults for every key it leaves out, nested ones included.
+        import argparse
+
+        from repro.api import add_config_arguments
+
+        defaults = AlignConfig(
+            engine="logan",
+            xdrop=25,
+            scoring=ScoringScheme(match=1, mismatch=-2, gap=-3),
+            service=ServiceConfig(max_batch_size=8),
+        )
+        path = tmp_path / "partial.json"
+        path.write_text(
+            json.dumps(
+                {"trace": True, "scoring": {"match": 4}, "service": {"cache_capacity": 0}}
+            )
+        )
+        parser = argparse.ArgumentParser()
+        add_config_arguments(parser, defaults=defaults, include_service=True)
+        cfg = config_from_args(parser.parse_args(["--config", str(path)]), defaults)
+        assert cfg == defaults.replace(
+            trace=True,
+            scoring=ScoringScheme(match=4, mismatch=-2, gap=-3),
+            service=ServiceConfig(max_batch_size=8, cache_capacity=0),
+        )

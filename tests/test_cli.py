@@ -51,6 +51,32 @@ class TestReproAlign:
         assert payload["baseline_modeled_seconds"] > 0
         assert payload["modeled_speedup"] > 0
 
+    @pytest.mark.parametrize(
+        "engine, modeled_speedup, scores_identical",
+        [("logan", 7.797070442344987e-05, True), ("ksw2", None, False)],
+        ids=["logan", "ksw2"],
+    )
+    def test_baseline_values_are_pinned(
+        self, engine, modeled_speedup, scores_identical, capsys
+    ):
+        # SeqAn's POWER9 time is modeled from a batched run of the same
+        # pairs, whichever engine is under test.
+        exit_code = main_align(
+            ["--pairs", "6", "--baseline", "--json", "--engine", engine]
+        )
+        assert exit_code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["baseline_modeled_seconds"] == pytest.approx(
+            0.00014476198979591838, rel=1e-12
+        )
+        if modeled_speedup is None:
+            assert payload["modeled_speedup"] is None
+        else:
+            assert payload["modeled_speedup"] == pytest.approx(
+                modeled_speedup, rel=1e-12
+            )
+        assert payload["scores_identical"] is scores_identical
+
     def test_fasta_inputs(self, tmp_path, capsys):
         q = tmp_path / "q.fasta"
         t = tmp_path / "t.fasta"
@@ -307,6 +333,20 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError, match="balancer_policy"):
             entry(["--config", str(path), *flags, "--json"])
 
+    def test_partial_config_keeps_the_command_defaults(self, tmp_path, capsys):
+        # The file names only xdrop: repro-align keeps its logan engine.
+        path = tmp_path / "xdrop.json"
+        path.write_text(json.dumps({"xdrop": 30}))
+        exit_code = main_align(
+            ["--config", str(path), "--pairs", "2",
+             "--min-length", "100", "--max-length", "120", "--json"]
+        )
+        assert exit_code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["engine"] == "logan"
+        assert payload["xdrop"] == 30
+        assert payload["modeled_seconds"] > 0
+
     def test_flags_override_config(self, config_path, capsys):
         exit_code = main_align(
             ["--config", config_path, "--xdrop", "25", "--pairs", "2",
@@ -480,7 +520,9 @@ class TestReproFuzz:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload["per_profile"]) == {"degenerate"}
 
-    def test_failure_exit_code_and_artifact(self, tmp_path, capsys):
+    @pytest.fixture
+    def broken_engine(self):
+        """An exact-claiming engine that adds one to every score."""
         from repro.engine import register_engine, unregister_engine
         from repro.engine.engines import ReferenceEngine
 
@@ -495,25 +537,46 @@ class TestReproFuzz:
                 return batch
 
         register_engine("broken_cli", BrokenEngine)
-        try:
-            artifact = tmp_path / "fuzz-report.json"
-            exit_code = main_fuzz(
-                ["--seed", "0", "--count", "8", "--batch", "8", "--quiet",
-                 "--no-service", "--engines", "reference",
-                 "--engines", "broken_cli", "--artifact", str(artifact)]
-            )
-            assert exit_code == 1
-            out = capsys.readouterr().out
-            assert "FAILURE" in out and "replay" in out
-            payload = json.loads(artifact.read_text())
-            assert payload["ok"] is False
-            failure = payload["failures"][0]
-            assert failure["engine"] == "broken_cli"
-            assert failure["shrunk"] is True
-            assert failure["query"] and failure["target"]
-            assert failure["config"]["xdrop"] == 20  # the fuzz default config
-        finally:
-            unregister_engine("broken_cli")
+        yield "broken_cli"
+        unregister_engine("broken_cli")
+
+    def test_failure_exit_code_and_artifact(self, broken_engine, tmp_path, capsys):
+        artifact = tmp_path / "fuzz-report.json"
+        exit_code = main_fuzz(
+            ["--seed", "0", "--count", "8", "--batch", "8", "--quiet",
+             "--no-service", "--engines", "reference",
+             "--engines", broken_engine, "--artifact", str(artifact)]
+        )
+        assert exit_code == 1
+        out = capsys.readouterr().out
+        assert "FAILURE" in out and "replay" in out
+        payload = json.loads(artifact.read_text())
+        assert payload["ok"] is False
+        failure = payload["failures"][0]
+        assert failure["engine"] == "broken_cli"
+        assert failure["shrunk"] is True
+        assert failure["query"] and failure["target"]
+        assert failure["config"]["xdrop"] == 20  # the fuzz default config
+
+    def test_partial_config_keeps_the_fuzz_defaults(
+        self, broken_engine, tmp_path, capsys
+    ):
+        # CI's traced fuzz steps pass {"trace": true}: X stays the fuzz
+        # default 20 and the config's engine stays batched.
+        path = tmp_path / "trace.json"
+        path.write_text(json.dumps({"trace": True}))
+        artifact = tmp_path / "fuzz-report.json"
+        exit_code = main_fuzz(
+            ["--seed", "0", "--count", "8", "--batch", "8", "--quiet",
+             "--no-service", "--no-shrink", "--engines", "reference",
+             "--engines", broken_engine, "--config", str(path),
+             "--artifact", str(artifact)]
+        )
+        assert exit_code == 1
+        config = json.loads(artifact.read_text())["failures"][0]["config"]
+        assert config["trace"] is True
+        assert config["xdrop"] == 20
+        assert config["engine"] == "batched"
 
     def test_config_flags_reach_the_run(self, capsys):
         exit_code = main_fuzz(

@@ -2,11 +2,10 @@
 
 The tier-2 matrix (`-m tier2`) replays every workload-bank profile
 through every registered engine, the service path (default and small
-fixed batches, the latter also over the network) and the two exact
-aligners that live outside the registry (the per-pair kernel and the
-SeqAn-like baseline); the remaining tests exercise the harness machinery
-itself — shrink-on-failure with an injected off-by-one engine, fuzz
-determinism and bounds.
+fixed batches, the latter also over the network) and the per-pair
+kernel, the one exact aligner that lives outside the registry; the
+remaining tests exercise the harness machinery itself — shrink-on-failure
+with an injected off-by-one engine, fuzz determinism and bounds.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.api import AlignConfig, ServiceConfig
-from repro.baselines import SeqAnBatchAligner
 from repro.core import extend_seed
 from repro.core.job import summarize_results
 from repro.engine import (
@@ -105,36 +103,14 @@ class _PerPairKernelEngine(ReferenceEngine):
         )
 
 
-class _SeqAnBaselineEngine(ReferenceEngine):
-    """The SeqAn-like CPU baseline the paper tables model (POWER9)."""
-
-    name = "seqan_baseline"
-
-    def _align_batch(self, jobs):
-        batch = SeqAnBatchAligner(
-            scoring=self.scoring, xdrop=self.xdrop, trace=self.trace
-        ).align_batch(jobs)
-        return EngineBatchResult(
-            engine=self.name,
-            results=batch.results,
-            summary=batch.summary,
-            elapsed_seconds=batch.elapsed_seconds,
-            modeled_seconds=batch.modeled_seconds,
-        )
-
-
 @pytest.mark.tier2
-@pytest.mark.parametrize(
-    "engine_cls", [_PerPairKernelEngine, _SeqAnBaselineEngine], ids=lambda c: c.name
-)
+@pytest.mark.parametrize("engine_cls", [_PerPairKernelEngine], ids=lambda c: c.name)
 @pytest.mark.parametrize("profile", list_profiles())
 class TestUnregisteredAlignerConformance:
     """Exact aligners outside the registry, under temporary registrations.
 
-    ``xdrop_extend`` is ``extend_seed``'s default kernel and
-    ``SeqAnBatchAligner`` produces the work summaries behind the paper
-    tables' POWER9 numbers, so both are held to the full-field (band
-    traces included) contract on every profile.
+    ``xdrop_extend`` is ``extend_seed``'s default kernel, so it is held to
+    the full-field (band traces included) contract on every profile.
     """
 
     def test_profile_conformance_with_traces(self, profile, engine_cls):

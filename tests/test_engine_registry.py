@@ -137,7 +137,8 @@ class TestOnePath:
         assert engine.scoring == config.scoring
         assert engine.xdrop == 7
         if not engine.exact:
-            assert engine.aligner.zdrop == 7  # ksw2 runs X as its Z-drop
+            # ksw2 runs X as its Z-drop, and as its band by default.
+            assert engine.bandwidth == 7
             return
         jobs = job_batch(3, num_pairs=4)
         oracle = reference_results(jobs, config.scoring, 7)
@@ -234,7 +235,7 @@ class TestEngineParity:
 
     def test_ksw2_engine_runs_and_reports_measured_time_only(self):
         # The Skylake model is the post-hoc
-        # Ksw2BatchAligner.modeled_seconds_for(summary) of table 3.
+        # KSW2_SKYLAKE_BAND_MODEL.seconds_for(summary) of table 3.
         jobs = job_batch(7, num_pairs=4)
         batch = get_engine("ksw2", xdrop=20).align_batch(jobs)
         assert len(batch.results) == len(jobs)

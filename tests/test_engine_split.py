@@ -34,7 +34,7 @@ from repro.core.job import estimate_cells
 from repro.errors import PoolWorkerError
 from repro.logan.host import prepare_batch
 from repro.service import AlignmentService
-from repro.testing import compare_results
+from repro.testing import ConformanceRunner, compare_results
 from repro.workloads import WorkloadSpec, generate_workload, list_profiles
 
 SPLIT = WorkloadSpec(count=8, seed=13, min_length=60, max_length=200, xdrop=20)
@@ -271,3 +271,16 @@ def test_splitting_process_leaves_no_process_behind():
     assert child.returncode == 0, stderr
     with pytest.raises(ProcessLookupError):
         os.killpg(child.pid, 0)
+
+
+@two_cores
+def test_conformance_runner_splits_its_engines(split_gate, pool_calls):
+    # The engines under test and the reference oracle are built with the
+    # config's workers, as the service path's engine is: the oracle's call
+    # and the direct batched call each go to the pool.
+    jobs = generate_workload("pacbio", SPLIT).jobs
+    config = AlignConfig(engine="batched", xdrop=SPLIT.xdrop, workers=2)
+    runner = ConformanceRunner(config, engines=["batched"], include_service=False)
+    report = runner.run_jobs(jobs)
+    assert report.ok, report.summary()
+    assert len(pool_calls) == 2

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import Ksw2Result, ksw2_extend, ksw2_extend_affine_oracle
-from repro.core import AffineScoringScheme, random_sequence
+from repro.baselines import ksw2_extend, ksw2_extend_affine_oracle
+from repro.core import AffineScoringScheme, ExtensionResult, random_sequence
 from repro.errors import ConfigurationError
 
 SEQ = st.text(alphabet="ACGT", min_size=1, max_size=30)
@@ -37,10 +37,12 @@ class TestKsw2Basics:
         with pytest.raises(ConfigurationError):
             ksw2_extend("ACGT", "ACGT", AFFINE, zdrop=10, bandwidth=-2)
 
-    def test_gcups_helper(self):
-        res = Ksw2Result(0, 0, 0, 1, 1_000_000_000, False)
-        assert res.gcups(1.0) == pytest.approx(1.0)
-        assert res.gcups(0.0) == float("inf")
+    def test_returns_an_extension_result_without_a_band_trace(self):
+        res = ksw2_extend("ACGTACGT", "ACGTACGT", AFFINE, zdrop=1000)
+        assert isinstance(res, ExtensionResult)
+        assert res.band_widths is None
+        # Its anti_diagonals count DP rows, row 0 included.
+        assert res.anti_diagonals == 8 + 1
 
 
 class TestKsw2AgainstOracle:
@@ -73,13 +75,13 @@ class TestKsw2Termination:
         t = random_sequence(300, rng)
         res = ksw2_extend(q, t, AFFINE, zdrop=20)
         assert res.terminated_early
-        assert res.rows_computed < 300
+        assert res.anti_diagonals < 300
 
     def test_similar_sequences_do_not_terminate(self, rng):
         q = random_sequence(200, rng)
         res = ksw2_extend(q, q, AFFINE, zdrop=100)
         assert not res.terminated_early
-        assert res.rows_computed == 201
+        assert res.anti_diagonals == 201
 
     def test_band_reduces_cells(self, rng):
         q = random_sequence(150, rng)

@@ -1,4 +1,4 @@
-"""Tests for CPU platform cost models and the SeqAn/ksw2 batch runners."""
+"""Tests for the CPU platform cost models and the engine runs they model."""
 
 from __future__ import annotations
 
@@ -11,11 +11,10 @@ from repro.baselines import (
     SKYLAKE_PLATFORM,
     CpuCostModel,
     CpuPlatformSpec,
-    Ksw2BatchAligner,
     Ksw2CostModel,
-    SeqAnBatchAligner,
 )
 from repro.core import AffineScoringScheme
+from repro.engine import get_engine
 from repro.errors import ConfigurationError
 
 
@@ -84,59 +83,56 @@ class TestKsw2CostModel:
             KSW2_SKYLAKE_BAND_MODEL.seconds(cells=1, rows=1, alignments=1, band=-1)
 
 
-class TestSeqAnBatchAligner:
-    def test_align_batch_produces_results_and_summary(self, small_jobs, scoring):
-        aligner = SeqAnBatchAligner(scoring=scoring, xdrop=15)
-        result = aligner.align_batch(small_jobs)
-        assert len(result.results) == len(small_jobs)
-        assert result.summary.alignments == len(small_jobs)
-        assert result.summary.cells > 0
-        assert result.elapsed_seconds > 0
-        assert result.modeled_seconds > 0
-        assert result.measured_gcups() > 0
-        assert result.modeled_gcups() > result.measured_gcups()
-
-    def test_scores_positive_for_related_pairs(self, small_jobs, scoring):
-        aligner = SeqAnBatchAligner(scoring=scoring, xdrop=25)
-        result = aligner.align_batch(small_jobs)
-        assert all(r.score > 0 for r in result.results)
-
-    def test_modeled_seconds_for_extrapolated_summary(self, small_jobs, scoring):
-        aligner = SeqAnBatchAligner(scoring=scoring, xdrop=15)
-        result = aligner.align_batch(small_jobs)
-        base = aligner.modeled_seconds_for(result.summary)
-        scaled = aligner.modeled_seconds_for(result.summary.scaled(10))
+class TestSeqAnModelOfAnEngineRun:
+    def test_seconds_for_reads_an_extrapolated_summary(self, small_jobs, scoring):
+        summary = get_engine("batched", scoring=scoring, xdrop=15).align_batch(
+            small_jobs
+        ).summary
+        base = SEQAN_POWER9_MODEL.seconds_for(summary)
+        assert base == SEQAN_POWER9_MODEL.seconds(
+            cells=summary.cells,
+            iterations=summary.iterations,
+            alignments=summary.alignments,
+        )
+        assert base > 0
+        scaled = SEQAN_POWER9_MODEL.seconds_for(summary.scaled(10))
         assert scaled == pytest.approx(10 * base, rel=0.01)
 
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_workers_below_one_rejected(self, workers):
-        with pytest.raises(ConfigurationError, match="workers"):
-            SeqAnBatchAligner(xdrop=15, workers=workers)
 
+class TestKsw2Engine:
+    """The ``ksw2`` engine, whose work summary Table III's Skylake model reads.
 
-class TestKsw2BatchAligner:
-    def test_align_batch(self, small_jobs):
-        aligner = Ksw2BatchAligner(zdrop=50)
-        result = aligner.align_batch(small_jobs)
-        assert len(result.results) == len(small_jobs)
-        assert len(result.scores) == len(small_jobs)
-        assert result.summary.cells > 0
-        assert result.band == 50
-        assert result.modeled_seconds > 0
-        assert result.modeled_gcups() > 0
+    A negative band and ``workers < 1`` are refused when it is built
+    (``test_engine_registry.TestConstructionChecks``).
+    """
 
-    def test_bandwidth_defaults_to_zdrop(self):
-        assert Ksw2BatchAligner(zdrop=123).bandwidth == 123
-        assert Ksw2BatchAligner(zdrop=123, bandwidth=7).bandwidth == 7
+    def test_align_batch_summary_feeds_the_skylake_model(self, small_jobs):
+        batch = get_engine("ksw2", xdrop=50).align_batch(small_jobs)
+        assert len(batch.results) == len(small_jobs)
+        assert batch.summary.alignments == len(small_jobs)
+        assert batch.summary.cells > 0
+        assert batch.summary.max_band_width == 2 * 50 + 1
+        seconds = KSW2_SKYLAKE_BAND_MODEL.seconds_for(batch.summary)
+        assert seconds == KSW2_SKYLAKE_BAND_MODEL.seconds(
+            cells=batch.summary.cells,
+            rows=batch.summary.iterations,
+            alignments=batch.summary.alignments,
+            band=2 * 50 + 1,
+        )
+        assert seconds > 0
 
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_workers_below_one_rejected(self, workers):
-        with pytest.raises(ConfigurationError, match="workers"):
-            Ksw2BatchAligner(zdrop=50, workers=workers)
+    def test_bandwidth_defaults_to_x(self):
+        assert get_engine("ksw2", xdrop=123).bandwidth == 123
+        assert get_engine("ksw2", xdrop=123, bandwidth=7).bandwidth == 7
+
+    def test_explicit_bandwidth_is_the_summary_band(self, small_jobs):
+        narrow = get_engine("ksw2", xdrop=50, bandwidth=7).align_batch(small_jobs)
+        wide = get_engine("ksw2", xdrop=50).align_batch(small_jobs)
+        assert narrow.summary.max_band_width == 2 * 7 + 1
+        assert narrow.summary.cells < wide.summary.cells
 
     def test_scores_positive_for_related_pairs(self, small_jobs):
-        aligner = Ksw2BatchAligner(
-            scoring=AffineScoringScheme(), zdrop=100, bandwidth=100
-        )
-        result = aligner.align_batch(small_jobs)
-        assert all(score > 0 for score in result.scores)
+        engine = get_engine("ksw2", xdrop=100, bandwidth=100)
+        assert engine.affine == AffineScoringScheme()
+        batch = engine.align_batch(small_jobs)
+        assert all(score > 0 for score in batch.scores())

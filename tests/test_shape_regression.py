@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import Ksw2BatchAligner, SeqAnBatchAligner
+from repro.baselines import KSW2_SKYLAKE_BAND_MODEL, SEQAN_POWER9_MODEL
 from repro.data import PairSetSpec, generate_pair_set
+from repro.engine import get_engine
 from repro.gpusim import MultiGpuSystem
 from repro.logan import LoganAligner
 
@@ -46,9 +47,7 @@ class TestTable2Shape:
     def test_seqan_grows_faster_than_logan_with_x(self, shape_jobs, logan_runs):
         replication = PAPER_PAIRS / len(shape_jobs)
         seqan = {
-            x: SeqAnBatchAligner(xdrop=x).modeled_seconds_for(
-                run.summary.scaled(replication)
-            )
+            x: SEQAN_POWER9_MODEL.seconds_for(run.summary.scaled(replication))
             for x, run in logan_runs.items()
         }
         logan_growth = logan_runs[1000].modeled_seconds / logan_runs[10].modeled_seconds
@@ -57,7 +56,7 @@ class TestTable2Shape:
 
     def test_logan_beats_seqan_at_large_x(self, shape_jobs, logan_runs):
         replication = PAPER_PAIRS / len(shape_jobs)
-        seqan_large = SeqAnBatchAligner(xdrop=1000).modeled_seconds_for(
+        seqan_large = SEQAN_POWER9_MODEL.seconds_for(
             logan_runs[1000].summary.scaled(replication)
         )
         assert seqan_large > logan_runs[1000].modeled_seconds
@@ -75,9 +74,10 @@ class TestTable3Shape:
         replication = PAPER_PAIRS / len(shape_jobs)
         ksw2_times = {}
         for x in (10, 1000):
-            runner = Ksw2BatchAligner(zdrop=x)
-            batch = runner.align_batch(shape_jobs)
-            ksw2_times[x] = runner.modeled_seconds_for(batch.summary.scaled(replication))
+            batch = get_engine("ksw2", xdrop=x).align_batch(shape_jobs)
+            ksw2_times[x] = KSW2_SKYLAKE_BAND_MODEL.seconds_for(
+                batch.summary.scaled(replication)
+            )
         ksw2_growth = ksw2_times[1000] / ksw2_times[10]
         logan_growth = logan_runs[1000].modeled_seconds / logan_runs[10].modeled_seconds
         assert ksw2_growth > 3 * logan_growth
