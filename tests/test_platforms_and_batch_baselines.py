@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.baselines import (
@@ -16,6 +18,34 @@ from repro.baselines import (
 from repro.core import AffineScoringScheme
 from repro.engine import get_engine
 from repro.errors import ConfigurationError
+from repro.workloads import WorkloadSpec, generate_workload, list_profiles
+
+PROFILE_SPEC = WorkloadSpec(count=4, seed=11, min_length=50, max_length=120, xdrop=15)
+
+
+def _assert_same_seqan_work(jobs, xdrop):
+    """``logan``'s and ``batched``'s runs give the POWER9 model SeqAn's work.
+
+    Tables II, IV and V model SeqAn from a ``logan`` run's summary and
+    ``repro-align --baseline`` from a ``batched`` run's. SeqAn's X-drop is
+    the scalar recurrence of the ``reference`` engine, so both summaries
+    must carry its work and scores. ``logan`` may report another widest
+    band (its kernel's), which the POWER9 model does not read.
+    """
+    runs = {
+        name: get_engine(name, xdrop=xdrop).align_batch(jobs)
+        for name in ("reference", "batched", "logan")
+    }
+    work = runs["reference"].summary
+    assert runs["batched"].summary == work
+    assert (
+        dataclasses.replace(runs["logan"].summary, max_band_width=work.max_band_width)
+        == work
+    )
+    seconds = SEQAN_POWER9_MODEL.seconds_for(work)
+    for run in runs.values():
+        assert SEQAN_POWER9_MODEL.seconds_for(run.summary) == seconds
+        assert run.scores() == runs["reference"].scores()
 
 
 class TestCpuPlatformSpec:
@@ -97,6 +127,15 @@ class TestSeqAnModelOfAnEngineRun:
         assert base > 0
         scaled = SEQAN_POWER9_MODEL.seconds_for(summary.scaled(10))
         assert scaled == pytest.approx(10 * base, rel=0.01)
+
+    @pytest.mark.parametrize("profile", list_profiles())
+    def test_engine_runs_carry_seqan_work_on_every_profile(self, profile):
+        jobs = generate_workload(profile, PROFILE_SPEC).jobs
+        _assert_same_seqan_work(jobs, PROFILE_SPEC.xdrop)
+
+    @pytest.mark.parametrize("xdrop", [10, 100, 500])
+    def test_engine_runs_carry_seqan_work_at_x(self, small_jobs, xdrop):
+        _assert_same_seqan_work(small_jobs, xdrop)
 
 
 class TestKsw2Engine:
