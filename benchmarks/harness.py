@@ -39,9 +39,9 @@ from repro.core import ScoringScheme, random_sequence, xdrop_extend
 from repro.core.job import AlignmentJob
 from repro.data import PairSetSpec, generate_pair_set, load_dataset
 from repro.data.datasets import CELEGANS_LIKE, ECOLI_LIKE, DatasetPreset
-from repro.engine import get_engine
+from repro.engine import EngineBatchResult, get_engine
 from repro.gpusim import KernelExecutionModel, KernelWorkload, MultiGpuSystem, TESLA_V100
-from repro.logan import LoganAligner, threads_for_xdrop
+from repro.logan import LoganModel, threads_for_xdrop
 from repro.perf import BenchTable
 from repro.roofline import analyze_kernel, build_series, render_ascii
 
@@ -167,6 +167,16 @@ def expand_sample(jobs, results, min_blocks: int):
     return list(jobs) * copies, list(results) * copies, copies
 
 
+def logan_sweep(jobs: Sequence[AlignmentJob], xdrop: int) -> EngineBatchResult:
+    """The alignment of a LOGAN run: one traced ``batched`` sweep of *jobs*.
+
+    Its results carry the band traces every :class:`LoganModel` below
+    replays, on any GPU count, thread schedule or ablated cost, and its
+    summary is the work SeqAn's POWER9 model reads.
+    """
+    return get_engine("batched", xdrop=xdrop, trace=True).align_batch(jobs)
+
+
 def benchmark_pairs(
     num_pairs: int,
     min_length: int = 2500,
@@ -221,8 +231,8 @@ def run_table1(scale: float = 1.0) -> BenchTable:
     # Row 3: intra-sequence only, 100 K pairs executed one after the other.
     sequential_seconds = intra_timing.total_seconds * _PAPER_PAIRS
     # Row 4: intra + inter — the full batched launch.
-    full = LoganAligner(xdrop=xdrop, threads_per_block=128).align_batch(
-        jobs, replication=_PAPER_PAIRS / len(jobs)
+    full = LoganModel(xdrop=xdrop, threads_per_block=128).replay(
+        jobs, logan_sweep(jobs, xdrop).results, replication=_PAPER_PAIRS / len(jobs)
     )
 
     table = BenchTable(
@@ -302,15 +312,15 @@ def run_table2(scale: float = 1.0, x_values: Sequence[int] | None = None) -> Ben
         ),
     )
     for x in x_values:
-        aligner1 = LoganAligner(system=MultiGpuSystem.homogeneous(1), xdrop=x)
-        logan1 = aligner1.align_batch(jobs, replication=replication)
-        jobs6, results6, copies = expand_sample(jobs, logan1.results, min_blocks=24)
-        logan6 = LoganAligner(system=MultiGpuSystem.homogeneous(6), xdrop=x).model_existing(
+        sweep = logan_sweep(jobs, x)
+        logan1 = LoganModel(system=MultiGpuSystem.homogeneous(1), xdrop=x).replay(
+            jobs, sweep.results, replication=replication
+        )
+        jobs6, results6, copies = expand_sample(jobs, sweep.results, min_blocks=24)
+        logan6 = LoganModel(system=MultiGpuSystem.homogeneous(6), xdrop=x).replay(
             jobs6, results6, replication=replication / copies
         )
-        seqan_seconds = SEQAN_POWER9_MODEL.seconds_for(
-            logan1.summary.scaled(replication)
-        )
+        seqan_seconds = SEQAN_POWER9_MODEL.seconds_for(sweep.summary.scaled(replication))
         paper = PAPER_TABLE2.get(x, (float("nan"),) * 3)
         table.add_row(
             x,
@@ -361,11 +371,12 @@ def run_table3(scale: float = 1.0, x_values: Sequence[int] | None = None) -> Ben
             ksw2_batch.summary.scaled(replication)
         )
 
-        logan1 = LoganAligner(system=MultiGpuSystem.homogeneous(1), xdrop=x).align_batch(
-            jobs, replication=replication
+        sweep = logan_sweep(jobs, x)
+        logan1 = LoganModel(system=MultiGpuSystem.homogeneous(1), xdrop=x).replay(
+            jobs, sweep.results, replication=replication
         )
-        jobs8, results8, copies = expand_sample(jobs, logan1.results, min_blocks=32)
-        logan8 = LoganAligner(system=MultiGpuSystem.homogeneous(8), xdrop=x).model_existing(
+        jobs8, results8, copies = expand_sample(jobs, sweep.results, min_blocks=32)
+        logan8 = LoganModel(system=MultiGpuSystem.homogeneous(8), xdrop=x).replay(
             jobs8, results8, replication=replication / copies
         )
         paper = PAPER_TABLE3.get(x, (float("nan"),) * 3)
@@ -444,16 +455,15 @@ def _run_bella_table(
         ),
     )
     for x in x_values:
-        logan1 = LoganAligner(system=MultiGpuSystem.homogeneous(1), xdrop=x).align_batch(
-            jobs, replication=replication
+        sweep = logan_sweep(jobs, x)
+        logan1 = LoganModel(system=MultiGpuSystem.homogeneous(1), xdrop=x).replay(
+            jobs, sweep.results, replication=replication
         )
-        jobs6, results6, copies = expand_sample(jobs, logan1.results, min_blocks=24)
-        logan6 = LoganAligner(system=MultiGpuSystem.homogeneous(6), xdrop=x).model_existing(
+        jobs6, results6, copies = expand_sample(jobs, sweep.results, min_blocks=24)
+        logan6 = LoganModel(system=MultiGpuSystem.homogeneous(6), xdrop=x).replay(
             jobs6, results6, replication=replication / copies
         )
-        seqan_seconds = SEQAN_POWER9_MODEL.seconds_for(
-            logan1.summary.scaled(replication)
-        )
+        seqan_seconds = SEQAN_POWER9_MODEL.seconds_for(sweep.summary.scaled(replication))
         paper = paper_rows.get(x, (float("nan"),) * 3)
         table.add_row(
             x,
@@ -493,9 +503,7 @@ def run_fig12(scale: float = 1.0, xdrop: int = 5000) -> BenchTable:
     """Fig. 12: GCUPS of LOGAN, CUDASW++ and manymap for 1-8 GPUs."""
     jobs = benchmark_pairs(sample_count(6, scale), rng_seed=3)
     replication = _PAPER_PAIRS / len(jobs)
-    base = LoganAligner(system=MultiGpuSystem.homogeneous(1), xdrop=xdrop).align_batch(
-        jobs, replication=replication
-    )
+    base = logan_sweep(jobs, xdrop)
 
     table = BenchTable(
         title="Fig. 12 — GPU-based aligner throughput (GCUPS) vs GPU count",
@@ -513,9 +521,9 @@ def run_fig12(scale: float = 1.0, xdrop: int = 5000) -> BenchTable:
     )
     jobs_x, results_x, copies = expand_sample(jobs, base.results, min_blocks=32)
     for gpus in range(1, 9):
-        logan = LoganAligner(
-            system=MultiGpuSystem.homogeneous(gpus), xdrop=xdrop
-        ).model_existing(jobs_x, results_x, replication=replication / copies)
+        logan = LoganModel(system=MultiGpuSystem.homogeneous(gpus), xdrop=xdrop).replay(
+            jobs_x, results_x, replication=replication / copies
+        )
         table.add_row(
             gpus,
             logan_gcups=logan.modeled_gcups,
@@ -535,11 +543,13 @@ def run_fig13(scale: float = 1.0, xdrop: int = 100) -> BenchTable:
     """Fig. 13: instruction Roofline of the LOGAN kernel (X=100, 100 K pairs)."""
     jobs = benchmark_pairs(sample_count(10, scale), rng_seed=17)
     replication = _PAPER_PAIRS / len(jobs)
-    aligner = LoganAligner(system=MultiGpuSystem.homogeneous(1), xdrop=xdrop)
-    batch = aligner.align_batch(jobs, replication=replication)
+    batch = logan_sweep(jobs, xdrop)
+    logan = LoganModel(system=MultiGpuSystem.homogeneous(1), xdrop=xdrop).replay(
+        jobs, batch.results, replication=replication
+    )
 
     # With start-placed seeds the right-extension stream carries all the work.
-    timing = batch.kernel_timings[0][0]
+    timing = logan.kernel_timings[0][0]
     from repro.gpusim import BlockWorkTrace
 
     workload = KernelWorkload(replication=replication)
@@ -647,7 +657,7 @@ def run_accuracy(scale: float = 1.0) -> BenchTable:
     from repro.core.seed_extend import extend_seed
 
     for x in (5, 25, 100, 500):
-        logan = LoganAligner(xdrop=x).align_batch(jobs)
+        logan = logan_sweep(jobs, x)
         identical = 0
         ratio_sum = 0.0
         for job, result in zip(jobs, logan.results):
@@ -701,13 +711,13 @@ def run_ablation_threads(scale: float = 1.0) -> BenchTable:
         "launch geometry (and therefore occupancy / active warps) differs.",
     )
     for x in (50, 100, 500):
-        base = LoganAligner(system=MultiGpuSystem.homogeneous(1), xdrop=x).align_batch(
-            jobs, replication=replication
-        )
-        proportional = base.modeled_seconds
-        fixed = LoganAligner(
+        results = logan_sweep(jobs, x).results
+        proportional = LoganModel(system=MultiGpuSystem.homogeneous(1), xdrop=x).replay(
+            jobs, results, replication=replication
+        ).modeled_seconds
+        fixed = LoganModel(
             system=MultiGpuSystem.homogeneous(1), xdrop=x, threads_per_block=1024
-        ).model_existing(jobs, base.results, replication=replication)
+        ).replay(jobs, results, replication=replication)
         table.add_row(
             x,
             threads_proportional=threads_for_xdrop(x, TESLA_V100),
@@ -725,9 +735,7 @@ def run_ablation_memory(scale: float = 1.0, xdrop: int = 500) -> BenchTable:
 
     jobs = benchmark_pairs(sample_count(5, scale), rng_seed=42)
     replication = _PAPER_PAIRS / len(jobs)
-    base = LoganAligner(system=MultiGpuSystem.homogeneous(1), xdrop=xdrop).align_batch(
-        jobs, replication=replication
-    )
+    base = logan_sweep(jobs, xdrop)
     threads = threads_for_xdrop(xdrop, TESLA_V100)
 
     workload = KernelWorkload(replication=replication)
@@ -778,9 +786,7 @@ def run_ablation_reversal(scale: float = 1.0, xdrop: int = 100) -> BenchTable:
 
     jobs = benchmark_pairs(sample_count(5, scale), rng_seed=43)
     replication = _PAPER_PAIRS / len(jobs)
-    base = LoganAligner(system=MultiGpuSystem.homogeneous(1), xdrop=xdrop).align_batch(
-        jobs, replication=replication
-    )
+    base = logan_sweep(jobs, xdrop)
     threads = threads_for_xdrop(xdrop, TESLA_V100)
     workload = KernelWorkload(replication=replication)
     for job, result in zip(jobs, base.results):
@@ -830,9 +836,7 @@ def run_ablation_reduction(scale: float = 1.0, xdrop: int = 50) -> BenchTable:
 
     jobs = benchmark_pairs(sample_count(5, scale), rng_seed=44)
     replication = _PAPER_PAIRS / len(jobs)
-    base = LoganAligner(system=MultiGpuSystem.homogeneous(1), xdrop=xdrop).align_batch(
-        jobs, replication=replication
-    )
+    base = logan_sweep(jobs, xdrop)
     threads = threads_for_xdrop(xdrop, TESLA_V100)
     workload = KernelWorkload(replication=replication)
     for job, result in zip(jobs, base.results):
@@ -885,9 +889,7 @@ def run_ablation_loadbalance(scale: float = 1.0, xdrop: int = 500) -> BenchTable
     )
     jobs = long_jobs + short_jobs
     replication = _PAPER_PAIRS / len(jobs)
-    base = LoganAligner(system=MultiGpuSystem.homogeneous(1), xdrop=xdrop).align_batch(
-        jobs, replication=replication
-    )
+    base = logan_sweep(jobs, xdrop)
 
     table = BenchTable(
         title="Ablation — multi-GPU load balancing: estimated-cells vs equal counts",
@@ -896,12 +898,12 @@ def run_ablation_loadbalance(scale: float = 1.0, xdrop: int = 500) -> BenchTable
         notes="row 1 = LOGAN's length-aware split, row 2 = naive round-robin by count; "
         "6 GPUs, skewed read-length distribution.",
     )
-    cells_policy = LoganAligner(
+    cells_policy = LoganModel(
         system=MultiGpuSystem.homogeneous(6), xdrop=xdrop, balancer_policy="cells"
-    ).model_existing(jobs, base.results, replication=replication)
-    count_policy = LoganAligner(
+    ).replay(jobs, base.results, replication=replication)
+    count_policy = LoganModel(
         system=MultiGpuSystem.homogeneous(6), xdrop=xdrop, balancer_policy="count"
-    ).model_existing(jobs, base.results, replication=replication)
+    ).replay(jobs, base.results, replication=replication)
     table.add_row(
         1,
         imbalance=cells_policy.multi_gpu.load_imbalance,

@@ -2,7 +2,8 @@
 """Batch alignment with the LOGAN GPU execution model (the Table II scenario).
 
 Generates a laptop-scale sample of the paper's synthetic 100 K-pair workload,
-aligns it with the LOGAN batch aligner, and reports
+aligns it with the ``logan`` engine, replays its band traces on the V100
+model (:class:`repro.logan.LoganModel`), and reports
 
 * measured Python wall-clock and GCUPS of the real alignment work,
 * the modeled runtime of the same batch on 1 and 6 NVIDIA V100s,
@@ -23,7 +24,7 @@ from repro.baselines import SEQAN_POWER9_MODEL
 from repro.data import PairSetSpec, generate_pair_set
 from repro.engine import get_engine
 from repro.gpusim import MultiGpuSystem
-from repro.logan import LoganAligner
+from repro.logan import LoganModel
 
 PAPER_PAIRS = 100_000
 
@@ -43,23 +44,24 @@ def main(num_pairs: int = 8, xdrop: int = 100) -> None:
           f"at X={xdrop}")
     print()
 
-    # One modeled V100 -------------------------------------------------------
-    one_gpu = LoganAligner(system=MultiGpuSystem.homogeneous(1), xdrop=xdrop)
-    result1 = one_gpu.align_batch(jobs, replication=replication)
-    print(f"measured Python run     : {result1.elapsed_seconds:8.2f} s "
-          f"({result1.measured_gcups():.4f} GCUPS)")
+    # One modeled V100: the logan engine's own model -------------------------
+    engine = get_engine("logan", xdrop=xdrop)
+    batch = engine.align_batch(jobs)
+    result1 = engine.model.replay(jobs, batch.results, replication=replication)
+    print(f"measured Python run     : {batch.elapsed_seconds:8.2f} s "
+          f"({batch.measured_gcups():.4f} GCUPS)")
     print(f"modeled 1x V100         : {result1.modeled_seconds:8.2f} s "
           f"({result1.modeled_gcups:.1f} GCUPS, {result1.threads_per_block} threads/block)")
 
     # Six modeled V100s (re-modeled from the same results, no re-alignment) --
-    six_gpu = LoganAligner(system=MultiGpuSystem.homogeneous(6), xdrop=xdrop)
-    result6 = six_gpu.model_existing(jobs, result1.results, replication=replication)
+    six_gpu = LoganModel(system=MultiGpuSystem.homogeneous(6), xdrop=xdrop)
+    result6 = six_gpu.replay(jobs, batch.results, replication=replication)
     print(f"modeled 6x V100         : {result6.modeled_seconds:8.2f} s "
           f"({result6.modeled_gcups:.1f} GCUPS, "
           f"imbalance {result6.multi_gpu.load_imbalance:.2f})")
 
     # The paper's CPU baseline, modeled from the identical work trace --------
-    seqan_seconds = SEQAN_POWER9_MODEL.seconds_for(result1.summary.scaled(replication))
+    seqan_seconds = SEQAN_POWER9_MODEL.seconds_for(batch.summary.scaled(replication))
     print(f"modeled SeqAn, 168 thr. : {seqan_seconds:8.2f} s")
     print()
     print(f"speed-up vs SeqAn, 1 GPU: {seqan_seconds / result1.modeled_seconds:6.1f}x")
@@ -67,7 +69,7 @@ def main(num_pairs: int = 8, xdrop: int = 100) -> None:
 
     # Accuracy: identical scores to the scalar X-drop reference -------------
     reference = get_engine("reference", xdrop=xdrop).align_batch(jobs)
-    identical = reference.scores() == result1.scores()
+    identical = reference.scores() == batch.scores()
     print()
     print(f"scores identical to the scalar X-drop reference: {identical}")
     print(f"per-device breakdown    : "

@@ -80,6 +80,17 @@ def main() -> None:
           f"{power9_seconds:10.4f} s")
     print(f"modeled alignment stage (6x V100, LOGAN)      : "
           f"{logan_result.alignment_modeled_seconds:10.4f} s")
+    # Nearly all of the V100 time is the model's fixed per-batch terms: the
+    # host set-up and the balancer overhead of each device.
+    model = logan_pipeline.aligner.model
+    host_fixed = model.host_model.fixed_seconds
+    balancer = model.system.per_device_overhead_seconds
+    gpus = model.system.num_devices
+    print(f"  of which fixed per batch                    : "
+          f"{host_fixed + gpus * balancer:10.4f} s "
+          f"(host set-up {host_fixed:.2f} s + balancer {gpus} x {balancer:.2f} s)")
+    print(f"The paper's runs spread this fixed cost over 10^6+ alignments; "
+          f"this {logan_result.num_alignments}-alignment sample does not.")
 
     # Recall / precision against the simulator's ground truth.
     truth = {

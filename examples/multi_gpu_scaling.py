@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Multi-GPU scaling and load balancing (Section IV-C / Fig. 12).
 
-Aligns one sample batch, then re-models it on 1-8 V100s with both load
-balancing policies (LOGAN's length-aware split and a naive equal-count
-split), showing how throughput scales and where the load-balancer overhead
-starts to bite — the effect the paper lists as future work to remove.
+Aligns one sample batch with the ``logan`` engine, then replays it on 1-8
+V100s (:class:`repro.logan.LoganModel`) with both load balancing policies
+(LOGAN's length-aware split and a naive equal-count split), showing how
+throughput scales and where the load-balancer overhead starts to bite — the
+effect the paper lists as future work to remove.
 
 Run with::
 
@@ -14,8 +15,9 @@ Run with::
 from __future__ import annotations
 
 from repro.data import PairSetSpec, generate_pair_set
+from repro.engine import get_engine
 from repro.gpusim import MultiGpuSystem
-from repro.logan import LoganAligner
+from repro.logan import LoganModel
 
 PAPER_PAIRS = 100_000
 XDROP = 1000
@@ -32,9 +34,9 @@ def main() -> None:
 
     print(f"aligning {len(jobs)} sampled pairs once (X={XDROP}), "
           f"then re-modeling on 1-8 GPUs")
-    base = LoganAligner(system=MultiGpuSystem.homogeneous(1), xdrop=XDROP).align_batch(
-        jobs, replication=replication
-    )
+    engine = get_engine("logan", xdrop=XDROP)
+    results = engine.align_batch(jobs).results
+    base = engine.model.replay(jobs, results, replication=replication)
     print(f"single-GPU modeled time: {base.modeled_seconds:.2f} s "
           f"({base.modeled_gcups:.1f} GCUPS)")
     print()
@@ -42,12 +44,12 @@ def main() -> None:
               f"{'GCUPS':>8s} {'speedup':>8s} {'imbalance':>10s}")
     print(header)
     for gpus in range(1, 9):
-        smart = LoganAligner(
+        smart = LoganModel(
             system=MultiGpuSystem.homogeneous(gpus), xdrop=XDROP, balancer_policy="cells"
-        ).model_existing(jobs, base.results, replication=replication)
-        naive = LoganAligner(
+        ).replay(jobs, results, replication=replication)
+        naive = LoganModel(
             system=MultiGpuSystem.homogeneous(gpus), xdrop=XDROP, balancer_policy="count"
-        ).model_existing(jobs, base.results, replication=replication)
+        ).replay(jobs, results, replication=replication)
         print(
             f"{gpus:>5d} {smart.modeled_seconds:>15.2f} {naive.modeled_seconds:>15.2f} "
             f"{smart.modeled_gcups:>8.1f} "

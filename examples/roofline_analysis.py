@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Instruction Roofline analysis of the LOGAN kernel (Section VII / Fig. 13).
 
-Aligns a sample batch at X=100, instruments the modeled kernel launch
-(warp instructions, HBM bytes, modeled time), derives the adapted ceiling of
-Eq. (1) from the anti-diagonal width trace, and renders the Roofline as an
-ASCII plot plus a JSON series that can be re-plotted with any tool.
+Aligns a sample batch at X=100 with the ``logan`` engine, instruments the
+modeled kernel launch (warp instructions, HBM bytes, modeled time), derives
+the adapted ceiling of Eq. (1) from the anti-diagonal width trace, and
+renders the Roofline as an ASCII plot plus a JSON series that can be
+re-plotted with any tool.
 
 Run with::
 
@@ -14,8 +15,8 @@ Run with::
 from __future__ import annotations
 
 from repro.data import PairSetSpec, generate_pair_set
-from repro.gpusim import BlockWorkTrace, KernelWorkload, MultiGpuSystem, TESLA_V100
-from repro.logan import LoganAligner
+from repro.engine import get_engine
+from repro.gpusim import BlockWorkTrace, KernelWorkload, TESLA_V100
 from repro.roofline import analyze_kernel, build_series, render_ascii
 
 PAPER_PAIRS = 100_000
@@ -30,9 +31,9 @@ def main() -> None:
     jobs = generate_pair_set(spec)
     replication = PAPER_PAIRS / len(jobs)
 
-    aligner = LoganAligner(system=MultiGpuSystem.homogeneous(1), xdrop=XDROP)
-    batch = aligner.align_batch(jobs, replication=replication)
-    timing = batch.kernel_timings[0][0]
+    engine = get_engine("logan", xdrop=XDROP)
+    batch = engine.align_batch(jobs)
+    timing = engine.model.replay(jobs, batch.results, replication).kernel_timings[0][0]
 
     workload = KernelWorkload(replication=replication)
     for job, result in zip(jobs, batch.results):

@@ -36,9 +36,9 @@ Quickstart
 8
 
 Every consumer accepts the same object: ``get_engine.from_config(cfg)``,
-``AlignmentService(config=cfg)``, ``BellaPipeline(config=cfg)``.  The LOGAN
-aligner with its V100 model is ``cfg.build_engine().aligner`` for
-``engine="logan"``, so one config gets one answer everywhere.
+``AlignmentService(config=cfg)``, ``BellaPipeline(config=cfg)``.  For
+``engine="logan"`` the V100 model is ``cfg.build_engine().model``, which
+replays the engine's results, so one config gets one answer everywhere.
 """
 
 from __future__ import annotations
@@ -289,7 +289,7 @@ class AlignConfig:
     so adding a scenario means adding a field here instead of plumbing a
     kwarg through five layers.  ``engine_options`` are checked in one place,
     :func:`~repro.engine.engine_from_config`; ``repro-align`` takes its
-    :class:`~repro.logan.LoganAligner` from the built ``logan`` engine.
+    :class:`~repro.logan.LoganModel` from the built ``logan`` engine.
 
     Attributes
     ----------

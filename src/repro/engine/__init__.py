@@ -2,7 +2,7 @@
 
 One registry, one interface, five engines: the scalar reference (the
 oracle), the inter-sequence batched kernel, the WFA-style wavefront kernel,
-the ksw2 affine Z-drop runner and the LOGAN GPU-model aligner, all behind
+the ksw2 affine Z-drop runner and LOGAN's sweep plus V100 model, all behind
 ``align_batch(jobs)``; an engine's scoring and X are fixed when it is
 built.  Consumers — the BELLA pipeline, the CLI and the benchmark
 harness — select an engine by name:

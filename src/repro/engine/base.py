@@ -2,10 +2,10 @@
 
 Every engine in the library — the scalar reference loop (the oracle), the
 inter-sequence batched kernel, the WFA-style wavefront kernel, the ksw2
-affine Z-drop runner and the LOGAN GPU-model aligner — is exposed through
-one uniform interface so that consumers (the BELLA pipeline, the CLI, the
-benchmark harness) select an implementation by *name* instead of importing a
-concrete class:
+affine Z-drop runner and LOGAN (the batched sweep plus its V100 model) — is
+exposed through one uniform interface so that consumers (the BELLA
+pipeline, the CLI, the benchmark harness) select an implementation by
+*name* instead of importing a concrete class:
 
 >>> from repro.engine import get_engine, list_engines
 >>> engine = get_engine("batched", xdrop=50)
@@ -57,8 +57,8 @@ class EngineBatchResult:
         Modeled wall-clock on LOGAN's V100(s) for the ``logan`` engine,
         otherwise ``None``.
     extras:
-        Engine-specific detail (e.g. the full LOGAN batch result) for
-        callers that need more than the uniform surface.
+        Engine-specific detail (e.g. the ``logan`` engine's modeled
+        ``timing``) for callers that need more than the uniform surface.
     """
 
     engine: str

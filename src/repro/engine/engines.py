@@ -63,7 +63,7 @@ from ..core.xdrop import xdrop_extend_reference
 from ..core.xdrop_batch import BatchKernelStats
 from ..errors import ConfigurationError
 from ..gpusim.multi_gpu import MultiGpuSystem
-from ..logan.batch import LoganAligner
+from ..logan.batch import LoganModel
 from ..logan.host import prepare_batch
 from ..logan.kernel import sweep
 from ..obs.runtime import (
@@ -407,18 +407,15 @@ class Ksw2Engine(_EngineBase):
 class LoganEngine(BatchedEngine):
     """LOGAN: the batched sweep with the modeled V100 multi-GPU runtime.
 
-    A :class:`BatchedEngine` with tracing forced on (``trace`` is accepted
-    for signature uniformity and ignored): the shared loop sweeps every
-    extension as one row of :func:`repro.logan.kernel.sweep` (one
-    cell-balanced chunk per worker process on a split call), and the
-    band traces of its results are replayed through
-    :meth:`repro.logan.LoganAligner.model_existing` on the configured
-    system (``system``, or ``gpus`` homogeneous V100s); a split changes
-    neither.  The modeled time lands in ``modeled_seconds``, the full
-    :class:`~repro.logan.LoganBatchResult` in ``extras["batch"]``.
-    ``aligner`` is that model's :class:`~repro.logan.LoganAligner`, built
-    once with the engine's scoring and X, which set its thread schedule
-    and its balancer's work estimate.
+    The one code path that runs LOGAN: a :class:`BatchedEngine` with
+    tracing forced on (``trace`` is accepted for signature uniformity and
+    ignored), whose results its ``model`` replays.  That
+    :class:`~repro.logan.LoganModel` is built once with the engine's
+    scoring and X on ``system`` (or ``gpus`` homogeneous V100s); a split
+    sweep changes neither the results nor their model.  The modeled time
+    lands in ``modeled_seconds`` and the :class:`~repro.logan.LoganTiming`
+    in ``extras["timing"]``; ``model.replay(jobs, batch.results,
+    replication)`` models a replicated workload.
     """
 
     name = "logan"
@@ -436,21 +433,19 @@ class LoganEngine(BatchedEngine):
         super().__init__(scoring=scoring, xdrop=xdrop, workers=workers, trace=True)
         if system is None and gpus is not None:
             system = MultiGpuSystem.homogeneous(gpus)
-        self.aligner = LoganAligner(
+        self.model = LoganModel(
             system=system,
             scoring=self.scoring,
             xdrop=self.xdrop,
             threads_per_block=threads_per_block,
-            workers=self.workers,
         )
 
     def align_batch(self, jobs: Sequence[AlignmentJob]) -> EngineBatchResult:
         """The traced batched sweep, then the V100 model of its results."""
         batch = super().align_batch(jobs)
-        modeled = self.aligner.model_existing(jobs, batch.results)
-        modeled.elapsed_seconds = batch.elapsed_seconds
-        batch.modeled_seconds = modeled.modeled_seconds
-        batch.extras.update(batch=modeled, modeled_gcups=modeled.modeled_gcups)
+        timing = self.model.replay(jobs, batch.results)
+        batch.modeled_seconds = timing.modeled_seconds
+        batch.extras["timing"] = timing
         return batch
 
 

@@ -2,9 +2,12 @@
 
 Public surface:
 
-* :class:`repro.logan.LoganAligner` — one traced sweep of the ``batched``
-  engine plus the V100 multi-GPU execution model replayed over its band
-  traces (the reproduction of the paper's contribution);
+* :class:`repro.logan.LoganModel` — the V100 multi-GPU execution model,
+  replayed over the band traces of an aligned batch
+  (:meth:`~repro.logan.LoganModel.replay`); the ``logan`` engine
+  (:class:`repro.engine.LoganEngine`) is the one code path that runs
+  LOGAN, its traced ``batched`` sweep followed by that replay (the
+  reproduction of the paper's contribution);
 * :class:`repro.logan.LoadBalancer` — the multi-GPU work splitter;
 * :func:`repro.logan.threads_for_xdrop` — the X-proportional thread
   scheduling rule;
@@ -16,7 +19,7 @@ The kernel launch itself is :func:`repro.logan.kernel.sweep`, the
 ``extend`` function of the ``batched`` and ``logan`` engines.
 """
 
-from .batch import LoganAligner, LoganBatchResult
+from .batch import LoganModel, LoganTiming
 from .host import (
     HostModel,
     PreparedBatch,
@@ -26,8 +29,8 @@ from .host import (
 from .scheduler import DeviceAssignment, LoadBalancer
 
 __all__ = [
-    "LoganAligner",
-    "LoganBatchResult",
+    "LoganModel",
+    "LoganTiming",
     "LoadBalancer",
     "DeviceAssignment",
     "HostModel",

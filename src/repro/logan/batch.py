@@ -1,22 +1,17 @@
-"""LOGAN batch aligner: the library's main public entry point.
+"""LOGAN's V100 execution model, replayed over an aligned batch.
 
-``LoganAligner`` reproduces a LOGAN batch run as two steps:
-
-1. alignment — one traced sweep of the ``batched`` engine
-   (:class:`repro.engine.engines.BatchedEngine`): the host preprocessing
-   splits every job at its seed (:mod:`repro.logan.host`) and every left
-   and right extension is one row of the inter-sequence batched kernel,
-   LOGAN's one-block-per-extension layout.  Scores are identical to the
-   SeqAn-style reference;
-2. the V100 replay (:meth:`LoganAligner.model_existing`) — jobs are divided
-   across devices by estimated work (:mod:`repro.logan.scheduler`), each
-   device runs its left and right extensions as two concurrent streams,
-   threads per block are scheduled proportionally to X, and
-   :mod:`repro.gpusim` models the time from the extensions' band traces.
-
-Every run returns both the *measured* wall-clock of the Python sweep and
-the *modeled* wall-clock on the paper's V100 platform, plus the breakdown
-(host, per-device, load-balancer overhead) needed by the benchmarks.
+The ``logan`` engine (:class:`repro.engine.LoganEngine`) runs LOGAN: one
+traced sweep of the ``batched`` engine, whose host loop splits every job
+at its seed (:mod:`repro.logan.host`) and sweeps every left and right
+extension as one row of the batched kernel, LOGAN's one block per
+extension.  :meth:`LoganModel.replay` then models that batch on a V100
+system: jobs are divided across devices by estimated work
+(:mod:`repro.logan.scheduler`), each device runs its left and right
+extensions as two concurrent streams, threads per block are scheduled
+proportionally to X, and :mod:`repro.gpusim` models the time from the
+extensions' band traces, with the breakdown (host, per device, balancer
+overhead) the benchmarks need.  The model aligns nothing; the measured
+wall-clock is the engine result's ``elapsed_seconds``.
 """
 
 from __future__ import annotations
@@ -24,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core.job import AlignmentJob, BatchWorkSummary, summarize_results
+from ..core.job import AlignmentJob, summarize_results
 from ..core.result import SeedAlignmentResult
 from ..core.scoring import ScoringScheme
 from ..errors import ConfigurationError
@@ -37,23 +32,17 @@ from ..gpusim.warp import KernelCostParameters
 from .host import HostModel, threads_for_xdrop
 from .scheduler import DeviceAssignment, LoadBalancer
 
-__all__ = ["LoganBatchResult", "LoganAligner"]
+__all__ = ["LoganTiming", "LoganModel"]
 
 
 @dataclass
-class LoganBatchResult:
-    """Results and timing of one LOGAN batch run.
+class LoganTiming:
+    """Modeled timing of one LOGAN batch on the paper's platform.
 
     Attributes
     ----------
-    results:
-        Per-job seed alignment results, in job order.
-    summary:
-        Aggregate work accounting (cells, extensions, iterations).
-    elapsed_seconds:
-        Measured wall-clock of the Python alignment sweep only; the model
-        replay is not timed.  ``0.0`` from
-        :meth:`LoganAligner.model_existing`, which aligns nothing.
+    cells:
+        DP cells of the sampled batch (the summary's ``cells``).
     host_seconds:
         Modeled host preprocessing time on the paper's platform.
     multi_gpu:
@@ -66,14 +55,12 @@ class LoganBatchResult:
         The individual (left, right) kernel timings per device, for the
         Roofline instrumentation and ablation benchmarks.
     threads_per_block:
-        The thread count the aligner scheduled (proportional to X).
+        The thread count the model scheduled (proportional to X).
     replication:
         The sample-to-full-workload replication factor used for modeling.
     """
 
-    results: list[SeedAlignmentResult]
-    summary: BatchWorkSummary
-    elapsed_seconds: float
+    cells: int
     host_seconds: float
     multi_gpu: MultiGpuTiming
     per_device: list[StreamedTiming]
@@ -90,22 +77,14 @@ class LoganBatchResult:
     @property
     def modeled_gcups(self) -> float:
         """Modeled GCUPS (cells of the full represented workload / modeled time)."""
-        cells = self.summary.cells * self.replication
+        cells = self.cells * self.replication
         if self.modeled_seconds <= 0:
             return float("inf")
         return cells / self.modeled_seconds / 1e9
 
-    def measured_gcups(self) -> float:
-        """GCUPS of the measured Python run (sampled workload only)."""
-        return self.summary.gcups(self.elapsed_seconds)
 
-    def scores(self) -> list[int]:
-        """Per-job alignment scores (left + seed + right)."""
-        return [r.score for r in self.results]
-
-
-class LoganAligner:
-    """Batch X-drop aligner with the LOGAN execution model.
+class LoganModel:
+    """The LOGAN execution model of a multi-GPU system.
 
     Parameters
     ----------
@@ -114,15 +93,12 @@ class LoganAligner:
         :meth:`~repro.gpusim.multi_gpu.MultiGpuSystem.homogeneous` for the
         paper's 6- and 8-GPU configurations.
     scoring:
-        Linear-gap scoring scheme.
+        Linear-gap scoring scheme of the aligned batch.
     xdrop:
-        X-drop threshold.
+        X-drop threshold of the aligned batch.
     threads_per_block:
         Threads scheduled per block; ``None`` (default) picks the
         X-proportional count the paper describes.
-    workers:
-        Local worker processes for the alignment sweep (passed to the
-        ``batched`` engine; never changes scores or traces).
     host_model:
         Host preprocessing cost model.
     kernel_params:
@@ -130,11 +106,11 @@ class LoganAligner:
     balancer_policy:
         ``"cells"`` (default) or ``"count"`` — see :class:`LoadBalancer`.
 
-    :meth:`align_batch` is one traced sweep of the ``batched`` engine
-    followed by :meth:`model_existing`; the GPU configuration only
-    changes the modeled time, never the alignments.  Config-driven callers
-    build the ``logan`` engine (``AlignConfig(engine="logan").build_engine()``)
-    and use its ``aligner``.
+    The scoring scheme and X set the thread schedule and the balancer's
+    work estimate; the GPU configuration only changes the modeled time,
+    never the alignments, so one aligned batch can be replayed on any
+    number of models.  Config-driven callers take the model of the
+    ``logan`` engine (``AlignConfig(engine="logan").build_engine().model``).
     """
 
     def __init__(
@@ -143,7 +119,6 @@ class LoganAligner:
         scoring: ScoringScheme | None = None,
         xdrop: int = 100,
         threads_per_block: int | None = None,
-        workers: int = 1,
         host_model: HostModel = HostModel(),
         kernel_params: KernelCostParameters | None = None,
         balancer_policy: str = "cells",
@@ -155,9 +130,6 @@ class LoganAligner:
         self.system = system or MultiGpuSystem.homogeneous(1)
         self.scoring = scoring if scoring is not None else ScoringScheme()
         self.xdrop = int(xdrop)
-        self.workers = int(workers)
-        if self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
         self.host_model = host_model
         self.kernel_params = kernel_params or KernelCostParameters()
         self.balancer_policy = balancer_policy
@@ -175,61 +147,39 @@ class LoganAligner:
         return threads_for_xdrop(self.xdrop, device, gap_penalty=abs(self.scoring.gap))
 
     # ------------------------------------------------------------------ #
-    def align_batch(
-        self, jobs: Sequence[AlignmentJob], replication: float = 1.0
-    ) -> LoganBatchResult:
-        """Align a batch of jobs and model its execution on the GPU system.
+    def replay(
+        self,
+        jobs: Sequence[AlignmentJob],
+        results: Sequence[SeedAlignmentResult],
+        replication: float = 1.0,
+    ) -> LoganTiming:
+        """Model aligned jobs on this system.
 
         Parameters
         ----------
         jobs:
             The alignment jobs (candidate pairs plus seeds).
+        results:
+            Their results from a traced run (``trace=True``; the ``logan``
+            engine always traces), in the same order as ``jobs``.
         replication:
             How many real alignments each job stands for.  ``1.0`` models
             exactly this batch; ``500.0`` models a workload 500x larger with
             the same per-pair distribution (used to extrapolate laptop-scale
             samples to the paper's 100 K-pair runs).
-        """
-        if not jobs:
-            raise ConfigurationError("align_batch requires at least one job")
-        if replication <= 0:
-            raise ConfigurationError("replication must be positive")
-        # Imported here: repro.engine imports this package's host layer.
-        from ..engine.engines import BatchedEngine
-
-        sweep = BatchedEngine(
-            scoring=self.scoring, xdrop=self.xdrop, workers=self.workers, trace=True
-        ).align_batch(jobs)
-        batch = self.model_existing(jobs, sweep.results, replication)
-        batch.elapsed_seconds = sweep.elapsed_seconds
-        return batch
-
-    def model_existing(
-        self,
-        jobs: Sequence[AlignmentJob],
-        results: Sequence[SeedAlignmentResult],
-        replication: float = 1.0,
-    ) -> LoganBatchResult:
-        """Model already-aligned jobs on this aligner's GPU system.
 
         The functional output of a LOGAN batch (scores, extents, band
-        traces) is independent of the GPU configuration, so a batch aligned
-        once can be modeled on any system (6 GPUs, different thread
-        schedule, ablated cost parameters) without re-running the X-drop
-        kernels.  :meth:`align_batch` ends here, and the benchmark harness
-        uses it to sweep GPU counts at the cost of a single alignment pass.
-
-        ``results`` must come from a traced run (``trace=True``; every
-        ``align_batch`` of this class and of the ``logan`` engine traces),
-        in the same order as ``jobs``.  An extension that computed cells but
-        carries no band trace raises :class:`ConfigurationError` instead of
-        being modeled as free.  Empty sides (the seed touches a sequence
-        end) launch no block.
+        traces) is independent of the GPU configuration, so the benchmark
+        harness sweeps GPU counts, thread schedules and ablated cost
+        parameters over a single alignment pass.  An extension that
+        computed cells but carries no band trace raises
+        :class:`ConfigurationError` instead of being modeled as free.
+        Empty sides (the seed touches a sequence end) launch no block.
         """
         if len(jobs) != len(results):
             raise ConfigurationError("jobs and results must have the same length")
         if not jobs:
-            raise ConfigurationError("model_existing requires at least one job")
+            raise ConfigurationError("replay requires at least one job")
         if replication <= 0:
             raise ConfigurationError("replication must be positive")
 
@@ -288,10 +238,8 @@ class LoganAligner:
             total_bases=int(round(total_bases * replication)),
             alignments=int(round(len(jobs) * replication)),
         )
-        return LoganBatchResult(
-            results=list(results),
-            summary=summarize_results(results),
-            elapsed_seconds=0.0,
+        return LoganTiming(
+            cells=summarize_results(results).cells,
             host_seconds=host_seconds,
             multi_gpu=multi,
             per_device=[t for t in per_device_streams if t is not None],

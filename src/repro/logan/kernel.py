@@ -6,12 +6,11 @@ work is performed by the inter-sequence batched NumPy X-drop kernel
 (:func:`repro.core.xdrop_batch.xdrop_extend_batch`), one batch row per
 extension.  :func:`sweep` is that launch: the ``extend`` function of the
 ``batched`` and ``logan`` engines, whose shared seed-and-extend loop
-splits the jobs at their seeds, keeps empty sides away from it and, with
-``workers > 1``, hands each worker process one contiguous chunk.  With
+splits the jobs at their seeds, keeps empty sides away from it and, on a
+split call, hands each worker process one cell-balanced chunk.  With
 ``trace=True`` every extension also records its anti-diagonal width trace,
 which is what the GPU execution model
-(:meth:`repro.logan.LoganAligner.model_existing`) replays to estimate V100
-time.
+(:meth:`repro.logan.LoganModel.replay`) replays to estimate V100 time.
 
 The kernel is *functionally exact*: the scores and end positions it returns
 are the library's single source of truth and are identical to the scalar

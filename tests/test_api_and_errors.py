@@ -40,9 +40,9 @@ class TestPublicApi:
 
     def test_headline_entry_points_are_exported(self):
         from repro.bella import BellaPipeline
-        from repro.logan import LoganAligner
+        from repro.logan import LoganModel
 
-        assert callable(LoganAligner)
+        assert callable(LoganModel)
         assert callable(BellaPipeline)
 
 

@@ -27,7 +27,8 @@ from repro.core import ScoringScheme, Seed, extend_seed
 from repro.engine import get_engine, list_engines
 from repro.engine.base import engine_from_config
 from repro.errors import ConfigurationError
-from repro.logan import LoganAligner
+from repro.gpusim import MultiGpuSystem
+from repro.logan import LoganModel
 from repro.service import AlignmentService
 
 
@@ -207,7 +208,7 @@ class TestEngineFromConfig:
         engine = engine_from_config(
             AlignConfig(engine="logan", engine_options={"gpus": 3})
         )
-        assert engine.aligner.system.num_devices == 3
+        assert engine.model.system.num_devices == 3
 
     def test_bandwidth_reaches_ksw2(self):
         engine = engine_from_config(
@@ -386,17 +387,18 @@ class TestConsumersFromConfig:
             AlignConfig(engine="logan", engine_options={"xdrop": 5}).build_engine()
         assert "xdrop" in str(excinfo.value)
 
-    def test_logan_build_engine_aligner(self, start_seed_jobs):
+    def test_logan_build_engine_model(self, start_seed_jobs):
         config = AlignConfig(
             engine="logan", xdrop=20, engine_options={"gpus": 2}
         )
-        aligner = config.build_engine().aligner
-        assert aligner.system.num_devices == 2
-        assert aligner.xdrop == 20
-        direct = LoganAligner(xdrop=20)
-        assert aligner.align_batch(start_seed_jobs).scores() == direct.align_batch(
-            start_seed_jobs
-        ).scores()
+        engine = config.build_engine()
+        assert engine.model.system.num_devices == 2
+        assert engine.model.xdrop == 20
+        batch = engine.align_batch(start_seed_jobs)
+        direct = LoganModel(system=MultiGpuSystem.homogeneous(2), xdrop=20)
+        assert batch.modeled_seconds == direct.replay(
+            start_seed_jobs, batch.results
+        ).modeled_seconds
 
     def test_pipeline_scoring_default_is_fresh_per_instance(self):
         first = BellaPipeline()

@@ -59,8 +59,9 @@ class TestReproAlign:
     def test_baseline_values_are_pinned(
         self, engine, modeled_speedup, scores_identical, capsys
     ):
-        # SeqAn's POWER9 time is modeled from a batched run of the same
-        # pairs, whichever engine is under test.
+        # SeqAn's POWER9 time is modeled from a batched sweep of the same
+        # pairs, whichever engine is under test: logan's own, or a second
+        # run beside ksw2's.
         exit_code = main_align(
             ["--pairs", "6", "--baseline", "--json", "--engine", engine]
         )
@@ -76,6 +77,61 @@ class TestReproAlign:
                 modeled_speedup, rel=1e-12
             )
         assert payload["scores_identical"] is scores_identical
+
+    @pytest.mark.parametrize("engine", ["logan", "batched", "reference"])
+    def test_baseline_runs_one_batched_sweep(self, engine, monkeypatch, capsys):
+        # batched and logan already are the sweep SeqAn's model reads; the
+        # other engines get a second run, whose scores cross-check theirs.
+        import repro.logan.kernel as kernel
+
+        real = kernel.xdrop_extend_batch
+        calls = []
+
+        def counting(pairs, *args, **kwargs):
+            calls.append(len(pairs))
+            return real(pairs, *args, **kwargs)
+
+        monkeypatch.setattr(kernel, "xdrop_extend_batch", counting)
+        argv = ["--pairs", "6", "--min-length", "150", "--max-length", "250"]
+        argv += ["--xdrop", "20", "--engine", engine, "--workers", "1"]
+        assert main_align(argv + ["--baseline", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert len(calls) == 1
+        assert payload["scores_identical"] is True
+        assert payload["baseline_modeled_seconds"] > 0
+
+    def test_replicated_logan_values_are_pinned(self, capsys):
+        # The engine's results replayed on one V100 as 100 000 pairs.
+        exit_code = main_align(
+            ["--pairs", "6", "--engine", "logan", "--replicate-to", "100000", "--json"]
+        )
+        assert exit_code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["replication"] == pytest.approx(100000 / 6, rel=1e-12)
+        assert payload["modeled_seconds"] == pytest.approx(2.419209128930131, rel=1e-12)
+        assert payload["modeled_gcups"] == pytest.approx(9.054818675261643, rel=1e-12)
+        assert payload["threads_per_block"] == 128
+        assert payload["gpus"] == 1
+
+    def test_replicate_to_warns_for_other_engines(self, capsys):
+        # Replication belongs to the V100 model: other engines report the
+        # sample as it ran.
+        exit_code = main_align(
+            [
+                "--pairs", "2",
+                "--min-length", "100",
+                "--max-length", "120",
+                "--engine", "batched",
+                "--replicate-to", "1000",
+                "--json",
+            ]
+        )
+        assert exit_code == 0
+        captured = capsys.readouterr()
+        assert "--replicate-to applies only to the logan engine" in captured.err
+        payload = json.loads(captured.out)
+        assert payload["replication"] == 1.0
+        assert payload["modeled_seconds"] is None
 
     def test_fasta_inputs(self, tmp_path, capsys):
         q = tmp_path / "q.fasta"

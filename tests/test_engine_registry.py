@@ -26,7 +26,7 @@ from repro.engine import (
     unregister_engine,
 )
 from repro.errors import ConfigurationError
-from repro.logan import LoganAligner
+from repro.logan import LoganModel
 
 BUNDLED_ENGINES = {"reference", "batched", "wavefront", "ksw2", "logan"}
 # The parity tests use the default (unit) scoring, which wavefront requires.
@@ -253,19 +253,20 @@ class TestEngineParity:
 
 
 class TestConsumersRouteThroughEngines:
-    def test_logan_aligner_matches_batched_engine(self):
+    def test_logan_engine_matches_batched_engine(self):
         jobs = job_batch(8, num_pairs=5)
-        logan = LoganAligner(xdrop=20).align_batch(jobs)
+        logan = get_engine("logan", xdrop=20).align_batch(jobs)
         batched = get_engine("batched", xdrop=20, trace=True).align_batch(jobs)
         assert logan.scores() == batched.scores()
         for a, b in zip(logan.results, batched.results):
             assert np.array_equal(a.left.band_widths, b.left.band_widths)
             assert np.array_equal(a.right.band_widths, b.right.band_widths)
 
-    def test_logan_aligner_rejects_engine_keyword(self):
-        # The batched kernel is the only one LOGAN runs.
+    def test_logan_model_rejects_engine_keyword(self):
+        # The model aligns nothing; the batched kernel is the only one the
+        # logan engine runs.
         with pytest.raises(TypeError, match="engine"):
-            LoganAligner(engine="vectorized")
+            LoganModel(engine="vectorized")
 
     def test_logan_engine_rejects_execution_option(self):
         config = AlignConfig(engine="logan", engine_options={"execution": "vectorized"})

@@ -1,4 +1,4 @@
-"""Tests for the LOGAN batch aligner (batched sweep + multi-GPU model)."""
+"""Tests for LOGAN: the ``logan`` engine and the V100 model it replays."""
 
 from __future__ import annotations
 
@@ -15,13 +15,18 @@ from repro.gpusim import (
     MultiGpuSystem,
 )
 from repro.gpusim.stream import compose_streams
-from repro.logan import HostModel, LoadBalancer, LoganAligner, threads_for_xdrop
+from repro.logan import HostModel, LoadBalancer, LoganModel, threads_for_xdrop
 from repro.workloads import WorkloadSpec, generate_workload, list_profiles
 
 MODEL_XDROP = 20
 MODEL_SPEC = WorkloadSpec(
     count=12, seed=7, min_length=60, max_length=240, xdrop=MODEL_XDROP
 )
+
+
+def traced(jobs, xdrop):
+    """Results of one traced ``batched`` sweep: what the model replays."""
+    return get_engine("batched", xdrop=xdrop, trace=True).align_batch(jobs).results
 
 
 def hand_modeled(jobs, gpus, replication):
@@ -77,14 +82,13 @@ def hand_modeled(jobs, gpus, replication):
 
 
 def assert_matches_hand_model(jobs, gpus, replication=1000.0):
-    batch = LoganAligner(
-        system=MultiGpuSystem.homogeneous(gpus), xdrop=MODEL_XDROP
-    ).align_batch(jobs, replication=replication)
+    engine = get_engine("logan", xdrop=MODEL_XDROP, gpus=gpus)
+    timing = engine.model.replay(jobs, engine.align_batch(jobs).results, replication)
     kernel_timings, per_device, modeled = hand_modeled(jobs, gpus, replication)
-    assert batch.kernel_timings == kernel_timings
-    assert batch.multi_gpu.per_device_seconds == per_device
-    assert batch.modeled_seconds == modeled
-    return batch
+    assert timing.kernel_timings == kernel_timings
+    assert timing.multi_gpu.per_device_seconds == per_device
+    assert timing.modeled_seconds == modeled
+    return timing
 
 
 class TestModelAgainstHandBuiltStreams:
@@ -97,9 +101,9 @@ class TestModelAgainstHandBuiltStreams:
     def test_start_seed_batch_has_no_left_stream(self, start_seed_jobs, gpus):
         # Seeds at position 0 leave every left side empty: each busy device
         # launches the right stream only, one block per job.
-        batch = assert_matches_hand_model(start_seed_jobs, gpus, replication=1.0)
-        assert all(len(timings) <= 1 for timings in batch.kernel_timings)
-        assert sum(t.blocks for d in batch.kernel_timings for t in d) == len(
+        timing = assert_matches_hand_model(start_seed_jobs, gpus, replication=1.0)
+        assert all(len(timings) <= 1 for timings in timing.kernel_timings)
+        assert sum(t.blocks for d in timing.kernel_timings for t in d) == len(
             start_seed_jobs
         )
 
@@ -113,110 +117,122 @@ class TestModelAgainstHandBuiltStreamsMatrix:
         assert_matches_hand_model(jobs, gpus)
 
 
-class TestLoganAligner:
-    def test_basic_batch(self, small_jobs):
-        aligner = LoganAligner(xdrop=20)
-        result = aligner.align_batch(small_jobs)
-        assert len(result.results) == len(small_jobs)
-        assert result.summary.alignments == len(small_jobs)
-        assert result.modeled_seconds > 0
-        assert result.host_seconds > 0
-        assert result.multi_gpu.total_seconds > 0
-        assert result.modeled_gcups > 0
-        assert result.measured_gcups() > 0
-        assert all(score > 0 for score in result.scores())
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LoganAligner(xdrop=20).align_batch([])
-
-    def test_invalid_replication_rejected(self, small_jobs):
-        with pytest.raises(ConfigurationError):
-            LoganAligner(xdrop=20).align_batch(small_jobs, replication=0)
+class TestLoganModel:
+    def test_basic_replay(self, small_jobs):
+        sweep = get_engine("batched", xdrop=20, trace=True).align_batch(small_jobs)
+        timing = LoganModel(xdrop=20).replay(small_jobs, sweep.results)
+        assert timing.cells == sweep.summary.cells
+        assert timing.replication == 1.0
+        assert timing.modeled_seconds > 0
+        assert timing.host_seconds > 0
+        assert timing.multi_gpu.total_seconds > 0
+        assert timing.modeled_gcups > 0
 
     def test_negative_xdrop_rejected(self):
         with pytest.raises(ConfigurationError):
-            LoganAligner(xdrop=-1)
+            LoganModel(xdrop=-1)
 
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_workers_below_one_rejected(self, workers):
-        with pytest.raises(ConfigurationError, match="workers"):
-            LoganAligner(xdrop=20, workers=workers)
+    def test_workers_parameter_removed(self):
+        # The model aligns nothing: the logan engine's workers split its
+        # sweep.
+        with pytest.raises(TypeError, match="workers"):
+            LoganModel(xdrop=20, workers=2)
 
-    def test_start_seed_jobs(self, start_seed_jobs):
-        aligner = LoganAligner(xdrop=20)
-        result = aligner.align_batch(start_seed_jobs)
-        assert all(r.left.best_score == 0 for r in result.results)
-        assert all(r.query_begin == 0 for r in result.results)
-
-    def test_replication_scales_model_not_scores(self, small_jobs):
-        aligner = LoganAligner(xdrop=20)
-        base = aligner.align_batch(small_jobs, replication=1.0)
-        scaled = aligner.align_batch(small_jobs, replication=250.0)
-        assert scaled.scores() == base.scores()
+    def test_replication_scales_model(self, small_jobs):
+        model = LoganModel(xdrop=20)
+        results = traced(small_jobs, 20)
+        base = model.replay(small_jobs, results, replication=1.0)
+        scaled = model.replay(small_jobs, results, replication=250.0)
         assert scaled.modeled_seconds > base.modeled_seconds
         # The variable part of the host time scales with replication; the
         # fixed per-batch setup cost does not.
-        fixed = LoganAligner(xdrop=20).host_model.fixed_seconds
+        fixed = model.host_model.fixed_seconds
         assert scaled.host_seconds - fixed == pytest.approx(
             250 * (base.host_seconds - fixed), rel=0.01
         )
 
     def test_explicit_threads_override(self, small_jobs):
-        aligner = LoganAligner(xdrop=20, threads_per_block=512)
-        result = aligner.align_batch(small_jobs)
-        assert result.threads_per_block == 512
+        model = LoganModel(xdrop=20, threads_per_block=512)
+        timing = model.replay(small_jobs, traced(small_jobs, 20))
+        assert timing.threads_per_block == 512
 
     def test_invalid_explicit_threads(self):
         with pytest.raises(ConfigurationError, match="threads_per_block"):
-            LoganAligner(xdrop=20, threads_per_block=-1)
+            LoganModel(xdrop=20, threads_per_block=-1)
 
     def test_multi_gpu_distributes_jobs(self, small_jobs):
-        aligner = LoganAligner(system=MultiGpuSystem.homogeneous(4), xdrop=20)
-        result = aligner.align_batch(small_jobs)
-        assigned = sorted(i for a in result.assignments for i in a.job_indices)
+        model = LoganModel(system=MultiGpuSystem.homogeneous(4), xdrop=20)
+        timing = model.replay(small_jobs, traced(small_jobs, 20))
+        assigned = sorted(i for a in timing.assignments for i in a.job_indices)
         assert assigned == list(range(len(small_jobs)))
-        assert len(result.per_device) >= 1
-        assert result.multi_gpu.devices >= 1
+        assert len(timing.per_device) >= 1
+        assert timing.multi_gpu.devices >= 1
 
     def test_multi_gpu_reduces_device_time_for_large_batches(self, small_jobs):
-        one = LoganAligner(system=MultiGpuSystem.homogeneous(1), xdrop=20)
-        six = LoganAligner(system=MultiGpuSystem.homogeneous(6), xdrop=20)
+        one = LoganModel(system=MultiGpuSystem.homogeneous(1), xdrop=20)
+        six = LoganModel(system=MultiGpuSystem.homogeneous(6), xdrop=20)
+        results = traced(small_jobs, 20)
         # The fixture pairs are tiny (a few hundred bases); a large
         # replication factor makes the device work dominate the fixed
         # balancer overhead, which is the regime the paper's Tables show.
         replication = 2_000_000
-        t1 = one.align_batch(small_jobs, replication=replication)
-        t6 = six.align_batch(small_jobs, replication=replication)
+        t1 = one.replay(small_jobs, results, replication=replication)
+        t6 = six.replay(small_jobs, results, replication=replication)
         # The per-device execution time shrinks with more GPUs...
         assert max(t6.multi_gpu.per_device_seconds) < max(t1.multi_gpu.per_device_seconds)
         # ...and the end-to-end modeled time improves despite the balancer overhead.
         assert t6.modeled_seconds < t1.modeled_seconds
 
     def test_count_policy_option(self, small_jobs):
-        aligner = LoganAligner(xdrop=20, balancer_policy="count")
-        result = aligner.align_batch(small_jobs)
-        assert len(result.results) == len(small_jobs)
+        model = LoganModel(xdrop=20, balancer_policy="count")
+        timing = model.replay(small_jobs, traced(small_jobs, 20))
+        assigned = sorted(i for a in timing.assignments for i in a.job_indices)
+        assert assigned == list(range(len(small_jobs)))
 
-    def test_model_existing_matches_full_run(self, small_jobs):
-        # Re-modeling an aligned batch on the same system must reproduce the
-        # full run's modeled time without re-running any alignment.
-        aligner = LoganAligner(xdrop=25)
-        full = aligner.align_batch(small_jobs, replication=1000.0)
-        remodeled = aligner.model_existing(small_jobs, full.results, replication=1000.0)
-        assert remodeled.modeled_seconds == pytest.approx(full.modeled_seconds, rel=1e-6)
-        assert remodeled.scores() == full.scores()
-
-    def test_model_existing_on_other_system(self, small_jobs):
-        one = LoganAligner(system=MultiGpuSystem.homogeneous(1), xdrop=25)
-        six = LoganAligner(system=MultiGpuSystem.homogeneous(6), xdrop=25)
-        full1 = one.align_batch(small_jobs, replication=500_000.0)
-        remodeled6 = six.model_existing(small_jobs, full1.results, replication=500_000.0)
-        full6 = six.align_batch(small_jobs, replication=500_000.0)
-        assert remodeled6.modeled_seconds == pytest.approx(full6.modeled_seconds, rel=1e-6)
-        assert max(remodeled6.multi_gpu.per_device_seconds) < max(
-            full1.multi_gpu.per_device_seconds
+    def test_replay_rejects_untraced_results(self):
+        jobs = generate_workload(
+            "pacbio", WorkloadSpec(count=16, seed=1, xdrop=20)
+        ).jobs
+        untraced = (
+            AlignConfig(engine="batched", xdrop=20).build_engine().align_batch(jobs)
         )
+        assert untraced.summary.cells > 0
+        with pytest.raises(ConfigurationError, match="trace=True"):
+            LoganModel(xdrop=20).replay(jobs, untraced.results, replication=1000.0)
+
+    def test_replay_validation(self, small_jobs):
+        model = LoganModel(xdrop=25)
+        results = traced(small_jobs, 25)
+        with pytest.raises(ConfigurationError, match="same length"):
+            model.replay(small_jobs, results[:-1])
+        with pytest.raises(ConfigurationError, match="at least one job"):
+            model.replay([], [])
+        for replication in (0, -2.0):
+            with pytest.raises(ConfigurationError, match="replication"):
+                model.replay(small_jobs, results, replication=replication)
+
+
+class TestLoganEngine:
+    def test_engine_is_the_sweep_plus_the_model(self, small_jobs):
+        batch = get_engine("logan", xdrop=20, gpus=6).align_batch(small_jobs)
+        sweep = get_engine("batched", xdrop=20, trace=True).align_batch(small_jobs)
+        direct = LoganModel(
+            system=MultiGpuSystem.homogeneous(6), xdrop=20
+        ).replay(small_jobs, sweep.results)
+        assert batch.scores() == sweep.scores()
+        assert batch.modeled_seconds == direct.modeled_seconds
+        assert batch.extras["timing"].kernel_timings == direct.kernel_timings
+        assert batch.extras["kernel_stats"].rows == 2 * len(small_jobs)
+        assert sorted(batch.extras) == ["kernel_stats", "timing"]
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ConfigurationError):
+            get_engine("logan", xdrop=20).align_batch([])
+
+    def test_start_seed_jobs(self, start_seed_jobs):
+        batch = get_engine("logan", xdrop=20).align_batch(start_seed_jobs)
+        assert all(r.left.best_score == 0 for r in batch.results)
+        assert all(r.query_begin == 0 for r in batch.results)
 
     def test_six_gpu_batch_is_one_kernel_sweep(self, small_jobs, monkeypatch):
         import repro.logan.kernel as kernel
@@ -229,46 +245,9 @@ class TestLoganAligner:
             return real(pairs, *args, **kwargs)
 
         monkeypatch.setattr(kernel, "xdrop_extend_batch", counting)
-        LoganAligner(system=MultiGpuSystem.homogeneous(6), xdrop=20).align_batch(
-            small_jobs
-        )
+        get_engine("logan", xdrop=20, gpus=6).align_batch(small_jobs)
         # Mid-read seeds: every job has a live left and right extension.
         assert calls == [2 * len(small_jobs)]
-
-    def test_model_existing_rejects_untraced_results(self):
-        jobs = generate_workload(
-            "pacbio", WorkloadSpec(count=16, seed=1, xdrop=20)
-        ).jobs
-        untraced = (
-            AlignConfig(engine="batched", xdrop=20).build_engine().align_batch(jobs)
-        )
-        assert untraced.summary.cells > 0
-        with pytest.raises(ConfigurationError, match="trace=True"):
-            LoganAligner(xdrop=20).model_existing(
-                jobs, untraced.results, replication=1000.0
-            )
-
-    def test_model_existing_validation(self, small_jobs):
-        aligner = LoganAligner(xdrop=25)
-        full = aligner.align_batch(small_jobs)
-        with pytest.raises(ConfigurationError):
-            aligner.model_existing(small_jobs, full.results[:-1])
-        with pytest.raises(ConfigurationError):
-            aligner.model_existing([], [])
-        with pytest.raises(ConfigurationError):
-            aligner.model_existing(small_jobs, full.results, replication=0)
-
-
-class TestLoganEngine:
-    def test_engine_is_the_sweep_plus_the_model(self, small_jobs):
-        batch = get_engine("logan", xdrop=20, gpus=6).align_batch(small_jobs)
-        direct = LoganAligner(
-            system=MultiGpuSystem.homogeneous(6), xdrop=20
-        ).align_batch(small_jobs)
-        assert batch.scores() == direct.scores()
-        assert batch.modeled_seconds == direct.modeled_seconds
-        assert batch.extras["batch"].kernel_timings == direct.kernel_timings
-        assert batch.extras["kernel_stats"].rows == 2 * len(small_jobs)
 
 
 class TestAccuracyEquivalence:
@@ -279,18 +258,18 @@ class TestAccuracyEquivalence:
 
     @pytest.mark.parametrize("xdrop", [5, 15, 50])
     def test_scores_match_seqan_reference(self, small_jobs, xdrop):
-        logan = LoganAligner(xdrop=xdrop).align_batch(small_jobs)
+        logan = get_engine("logan", xdrop=xdrop).align_batch(small_jobs)
         seqan = get_engine("reference", xdrop=xdrop).align_batch(small_jobs)
         assert logan.scores() == seqan.scores()
 
     def test_extents_match_seqan_reference(self, small_jobs):
-        logan = LoganAligner(xdrop=25).align_batch(small_jobs)
+        logan = get_engine("logan", xdrop=25).align_batch(small_jobs)
         seqan = get_engine("reference", xdrop=25).align_batch(small_jobs)
         for a, b in zip(logan.results, seqan.results):
             assert (a.query_begin, a.query_end) == (b.query_begin, b.query_end)
             assert (a.target_begin, a.target_end) == (b.target_begin, b.target_end)
 
     def test_multi_gpu_does_not_change_scores(self, small_jobs):
-        one = LoganAligner(system=MultiGpuSystem.homogeneous(1), xdrop=30)
-        eight = LoganAligner(system=MultiGpuSystem.homogeneous(8), xdrop=30)
+        one = get_engine("logan", xdrop=30, gpus=1)
+        eight = get_engine("logan", xdrop=30, gpus=8)
         assert one.align_batch(small_jobs).scores() == eight.align_batch(small_jobs).scores()

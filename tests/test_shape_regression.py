@@ -14,7 +14,7 @@ from repro.baselines import KSW2_SKYLAKE_BAND_MODEL, SEQAN_POWER9_MODEL
 from repro.data import PairSetSpec, generate_pair_set
 from repro.engine import get_engine
 from repro.gpusim import MultiGpuSystem
-from repro.logan import LoganAligner
+from repro.logan import LoganModel
 
 PAPER_PAIRS = 100_000
 
@@ -33,38 +33,46 @@ def shape_jobs():
 
 
 @pytest.fixture(scope="module")
-def logan_runs(shape_jobs):
-    """LOGAN runs at a small and a large X, reused across the tests below."""
+def logan_batches(shape_jobs):
+    """``logan`` engine runs at a small and a large X, reused across the
+    tests below."""
+    return {x: get_engine("logan", xdrop=x).align_batch(shape_jobs) for x in (10, 1000)}
+
+
+@pytest.fixture(scope="module")
+def logan_runs(shape_jobs, logan_batches):
+    """The single-GPU V100 model of each run at the paper's pair count."""
     replication = PAPER_PAIRS / len(shape_jobs)
-    runs = {}
-    for x in (10, 1000):
-        aligner = LoganAligner(system=MultiGpuSystem.homogeneous(1), xdrop=x)
-        runs[x] = aligner.align_batch(shape_jobs, replication=replication)
-    return runs
+    return {
+        x: LoganModel(xdrop=x).replay(shape_jobs, batch.results, replication)
+        for x, batch in logan_batches.items()
+    }
 
 
 class TestTable2Shape:
-    def test_seqan_grows_faster_than_logan_with_x(self, shape_jobs, logan_runs):
+    def test_seqan_grows_faster_than_logan_with_x(
+        self, shape_jobs, logan_batches, logan_runs
+    ):
         replication = PAPER_PAIRS / len(shape_jobs)
         seqan = {
-            x: SEQAN_POWER9_MODEL.seconds_for(run.summary.scaled(replication))
-            for x, run in logan_runs.items()
+            x: SEQAN_POWER9_MODEL.seconds_for(batch.summary.scaled(replication))
+            for x, batch in logan_batches.items()
         }
         logan_growth = logan_runs[1000].modeled_seconds / logan_runs[10].modeled_seconds
         seqan_growth = seqan[1000] / seqan[10]
         assert seqan_growth > logan_growth
 
-    def test_logan_beats_seqan_at_large_x(self, shape_jobs, logan_runs):
+    def test_logan_beats_seqan_at_large_x(self, shape_jobs, logan_batches, logan_runs):
         replication = PAPER_PAIRS / len(shape_jobs)
         seqan_large = SEQAN_POWER9_MODEL.seconds_for(
-            logan_runs[1000].summary.scaled(replication)
+            logan_batches[1000].summary.scaled(replication)
         )
         assert seqan_large > logan_runs[1000].modeled_seconds
 
-    def test_multi_gpu_helps_at_large_x(self, shape_jobs, logan_runs):
+    def test_multi_gpu_helps_at_large_x(self, shape_jobs, logan_batches, logan_runs):
         replication = PAPER_PAIRS / len(shape_jobs)
-        six = LoganAligner(system=MultiGpuSystem.homogeneous(6), xdrop=1000).model_existing(
-            shape_jobs * 8, list(logan_runs[1000].results) * 8, replication=replication / 8
+        six = LoganModel(system=MultiGpuSystem.homogeneous(6), xdrop=1000).replay(
+            shape_jobs * 8, list(logan_batches[1000].results) * 8, replication=replication / 8
         )
         assert six.modeled_seconds < logan_runs[1000].modeled_seconds
 
@@ -90,9 +98,8 @@ class TestGcupsShape:
         # Wider bands keep more GPU lanes busy: throughput rises with X.
         assert logan_runs[1000].modeled_gcups > logan_runs[10].modeled_gcups
 
-    def test_measured_python_gcups_are_far_below_modeled(self, logan_runs):
+    def test_measured_python_gcups_are_far_below_modeled(self, logan_batches, logan_runs):
         # Sanity check on the honesty of the reporting: the measured pure
         # Python throughput must never be conflated with the modeled V100
         # throughput.
-        run = logan_runs[1000]
-        assert run.measured_gcups() < run.modeled_gcups
+        assert logan_batches[1000].measured_gcups() < logan_runs[1000].modeled_gcups
