@@ -1,9 +1,9 @@
-"""``python -m repro <tool>`` — console-script dispatch without installation.
+"""``python -m repro <tool>`` — the one entry point of the six tools.
 
-The package ships six console entry points (``repro-align``,
-``repro-bella``, ``repro-bench``, ``repro-service``, ``repro-fuzz``,
-``repro-obs``); when the package is used straight off ``PYTHONPATH=src``
-— the CI and laptop workflow — this module provides the same surface:
+The repository has no packaging metadata, so no console scripts are
+installed: with the package on ``PYTHONPATH=src`` (the CI and laptop
+workflow) this module runs ``align``, ``bella``, ``bench``, ``service``,
+``fuzz`` and ``obs``, whose usage lines call them ``repro-<tool>``:
 
 .. code-block:: console
 

@@ -702,9 +702,7 @@ def add_config_arguments(
 
 
 def config_from_args(
-    args: argparse.Namespace,
-    defaults: AlignConfig | None = None,
-    exclude: Sequence[str] = (),
+    args: argparse.Namespace, defaults: AlignConfig | None = None
 ) -> AlignConfig:
     """Resolve the effective :class:`AlignConfig` of one CLI invocation.
 
@@ -712,9 +710,8 @@ def config_from_args(
     ``--config`` JSON file, explicit per-field flags.  The file overrides
     only the keys it names (a ``scoring`` or ``service`` object only its
     own keys), so ``{"trace": true}`` keeps the command's engine and X.
-    Pass the same *exclude* as :func:`add_config_arguments` so fields a
-    command defines itself (with different semantics) are not read back
-    as overrides.
+    A flag :func:`add_config_arguments` left out is absent from *args* and
+    overrides nothing.
     """
     base = defaults if defaults is not None else AlignConfig()
     config_path = getattr(args, "config", None)
@@ -728,18 +725,15 @@ def config_from_args(
             merged[key] = value
         base = AlignConfig.from_dict(merged)
 
-    overrides: dict[str, Any] = {}
-    for name, flag, _, _ in _CONFIG_FLAGS:
-        if name in exclude:
-            continue
-        value = getattr(args, _dest(flag), None)
-        if value is not None:
-            overrides[name] = value
-
+    overrides: dict[str, Any] = {
+        name: getattr(args, _dest(flag))
+        for name, flag, _, _ in _CONFIG_FLAGS
+        if getattr(args, _dest(flag), None) is not None
+    }
     scoring_overrides = {
         name: getattr(args, _dest(flag))
         for name, flag, _, _ in _SCORING_FLAGS
-        if name not in exclude and getattr(args, _dest(flag), None) is not None
+        if getattr(args, _dest(flag), None) is not None
     }
     if scoring_overrides:
         overrides["scoring"] = dataclasses.replace(base.scoring, **scoring_overrides)
@@ -747,7 +741,7 @@ def config_from_args(
     service_overrides = {
         name: getattr(args, _dest(flag))
         for name, flag, _, _ in _SERVICE_FLAGS
-        if name not in exclude and getattr(args, _dest(flag), None) is not None
+        if getattr(args, _dest(flag), None) is not None
     }
     if service_overrides:
         overrides["service"] = dataclasses.replace(base.service, **service_overrides)

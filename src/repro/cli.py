@@ -1,6 +1,9 @@
 """Command-line interface.
 
-Six console scripts are installed with the package:
+Six tools, each run from the source tree as ``python -m repro <tool>``
+(:mod:`repro.__main__` dispatches to the ``main_*`` functions below; the
+repository carries no packaging metadata, so nothing installs them as
+console scripts).  Their usage lines name them ``repro-<tool>``:
 
 ``repro-align``
     Align a synthetic benchmark pair set (or two FASTA files) with LOGAN (or
@@ -25,8 +28,10 @@ Six console scripts are installed with the package:
 
 ``repro-service``
     Drive the asynchronous alignment service: ``serve`` runs a workload
-    through the queue/batcher/cache/worker stack and reports service stats;
-    ``submit`` aligns ad-hoc pairs through a short-lived service.
+    through the queue/batcher/cache/worker stack and reports service stats
+    (``--metrics-format prom`` exports the Prometheus exposition, ``--trace``
+    with ``--flight-recorder-out`` the flight-recorder dump); ``submit``
+    aligns ad-hoc pairs through a short-lived service.
 
 ``repro-fuzz``
     Bounded differential conformance fuzzing: replay generated scenario
@@ -35,11 +40,9 @@ Six console scripts are installed with the package:
     printing the shrunk minimal failing pair on a violation.
 
 ``repro-obs``
-    The telemetry subsystem's front door: ``demo`` runs a small traced
-    workload and prints/exports the resulting metrics; ``read`` parses a
-    JSON-lines metrics file back into snapshots; ``overhead`` measures the
-    cost of full observability against a disabled run on the quick bench
-    workload.
+    The telemetry subsystem's tools: ``read`` parses a JSON-lines metrics
+    file back into snapshots; ``overhead`` measures the cost of full
+    observability against a disabled run on the quick bench workload.
 
 ``repro-align``, ``repro-bella``, ``repro-service`` and ``repro-fuzz``
 share one declarative configuration surface: the ``alignment
@@ -68,6 +71,7 @@ from .core import encode
 from .core.job import AlignmentJob
 from .data import PairSetSpec, generate_pair_set, load_dataset, read_fasta
 from .engine import BatchedEngine, LoganEngine, describe_engines, list_engines
+from .errors import DatasetError
 
 __all__ = [
     "main_align",
@@ -109,6 +113,72 @@ def _with_gpus(config: AlignConfig, args: argparse.Namespace) -> AlignConfig:
     return config.replace(engine_options={**config.engine_options, "gpus": gpus})
 
 
+def _emit(payload: dict, as_json: bool, skip: Sequence[str] = ()) -> None:
+    """Print *payload* as JSON, or one ``key: value`` line per key not in *skip*."""
+    if as_json:
+        print(json.dumps(payload, indent=2))
+        return
+    for key, value in payload.items():
+        if key not in skip:
+            print(f"{key:>26s}: {value}")
+
+
+def _add_pair_arguments(
+    parser: argparse.ArgumentParser, pairs: int, min_length: int, max_length: int
+) -> None:
+    """The pair input: a synthetic set with these defaults, or two FASTA files."""
+    parser.add_argument("--pairs", type=int, default=pairs, help="number of synthetic pairs")
+    parser.add_argument("--min-length", type=int, default=min_length)
+    parser.add_argument("--max-length", type=int, default=max_length)
+    parser.add_argument("--error-rate", type=float, default=0.15)
+    parser.add_argument("--seed", type=int, default=2020, help="random seed")
+    parser.add_argument(
+        "--query-fasta", type=str, default=None, help="align records of this FASTA"
+    )
+    parser.add_argument(
+        "--target-fasta", type=str, default=None, help="against records of this FASTA"
+    )
+
+
+def _pair_jobs(args, parser, seed_policy: str) -> list[AlignmentJob]:
+    """The paired FASTA records if the FASTA flags are given, else the synthetic set."""
+    if args.query_fasta or args.target_fasta:
+        if not (args.query_fasta and args.target_fasta):
+            parser.error("--query-fasta and --target-fasta must be given together")
+        jobs = _fasta_jobs(parser, args.query_fasta, args.target_fasta, seed_policy)
+        if not jobs:
+            parser.error("the FASTA files hold no records")
+        return jobs
+    try:
+        spec = PairSetSpec(
+            num_pairs=args.pairs,
+            min_length=args.min_length,
+            max_length=args.max_length,
+            pairwise_error_rate=args.error_rate,
+            seed_placement=seed_policy,
+            rng_seed=args.seed,
+        )
+    except DatasetError as error:
+        parser.error(str(error))
+    return generate_pair_set(spec)
+
+
+def _fasta_jobs(
+    parser, query_fasta: str, target_fasta: str, seed_policy: str
+) -> list[AlignmentJob]:
+    queries = [r.sequence for r in read_fasta(query_fasta)]
+    targets = [r.sequence for r in read_fasta(target_fasta)]
+    if len(queries) != len(targets):
+        parser.error("query and target FASTA files must have the same record count")
+    return [
+        AlignmentJob(
+            query=encode(q),
+            target=encode(t),
+            seed=default_seed(seed_policy, len(q), len(t)),
+            pair_id=i,
+        )
+        for i, (q, t) in enumerate(zip(queries, targets))
+    ]
 
 
 # Fields only BELLA reads: commands that never run it take no flag for them.
@@ -127,12 +197,8 @@ def main_align(argv: Sequence[str] | None = None) -> int:
         prog="repro-align",
         description="Batch X-drop alignment with the LOGAN GPU execution model.",
     )
-    parser.add_argument("--pairs", type=int, default=100, help="number of synthetic pairs")
-    parser.add_argument("--min-length", type=int, default=1000)
-    parser.add_argument("--max-length", type=int, default=2000)
-    parser.add_argument("--error-rate", type=float, default=0.15)
+    _add_pair_arguments(parser, pairs=100, min_length=1000, max_length=2000)
     parser.add_argument("--gpus", type=int, default=None, help="modeled GPU count")
-    parser.add_argument("--seed", type=int, default=2020, help="random seed")
     parser.add_argument(
         "--replicate-to",
         type=int,
@@ -145,45 +211,13 @@ def main_align(argv: Sequence[str] | None = None) -> int:
         help="also model SeqAn on 168 POWER9 threads from a batched run of "
         "the same pairs, and report the speed-up",
     )
-    parser.add_argument(
-        "--query-fasta", type=str, default=None, help="align records of this FASTA"
-    )
-    parser.add_argument(
-        "--target-fasta", type=str, default=None, help="against records of this FASTA"
-    )
     parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     add_config_arguments(parser, defaults=_ALIGN_DEFAULTS, exclude=_BELLA_ONLY)
     _add_engine_discovery(parser)
     args = parser.parse_args(argv)
 
-    config = _with_gpus(
-        config_from_args(args, _ALIGN_DEFAULTS, exclude=_BELLA_ONLY), args
-    )
-    if args.query_fasta and args.target_fasta:
-        queries = [r.sequence for r in read_fasta(args.query_fasta)]
-        targets = [r.sequence for r in read_fasta(args.target_fasta)]
-        if len(queries) != len(targets):
-            parser.error("query and target FASTA files must have the same record count")
-        jobs = [
-            AlignmentJob(
-                query=encode(q),
-                target=encode(t),
-                seed=default_seed(config.seed_policy, len(q), len(t)),
-                pair_id=i,
-            )
-            for i, (q, t) in enumerate(zip(queries, targets))
-        ]
-    else:
-        spec = PairSetSpec(
-            num_pairs=args.pairs,
-            min_length=args.min_length,
-            max_length=args.max_length,
-            pairwise_error_rate=args.error_rate,
-            seed_placement=config.seed_policy,
-            rng_seed=args.seed,
-        )
-        jobs = generate_pair_set(spec)
-
+    config = _with_gpus(config_from_args(args, _ALIGN_DEFAULTS), args)
+    jobs = _pair_jobs(args, parser, config.seed_policy)
     engine = config.build_engine()
     result = engine.align_batch(jobs)
     replication = 1.0
@@ -242,12 +276,7 @@ def main_align(argv: Sequence[str] | None = None) -> int:
             else None
         )
         payload["scores_identical"] = result.scores() == seqan.scores()
-
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            print(f"{key:>26s}: {value}")
+    _emit(payload, args.json)
     return 0
 
 
@@ -282,9 +311,7 @@ def main_bella(argv: Sequence[str] | None = None) -> int:
     _add_engine_discovery(parser)
     args = parser.parse_args(argv)
 
-    config = _with_gpus(
-        config_from_args(args, _BELLA_DEFAULTS, exclude=("seed_policy",)), args
-    )
+    config = _with_gpus(config_from_args(args, _BELLA_DEFAULTS), args)
 
     if args.fasta:
         reads = [r.sequence for r in read_fasta(args.fasta)]
@@ -318,13 +345,8 @@ def main_bella(argv: Sequence[str] | None = None) -> int:
         "stage_seconds": dict(result.timer.stages),
         "stage_breakdown": result.timer.to_dict(),
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            if key == "stage_breakdown":
-                continue
-            print(f"{key:>26s}: {value}")
+    _emit(payload, args.json, skip=("stage_breakdown",))
+    if not args.json:
         print(result.timer.report())
     return 0
 
@@ -697,22 +719,12 @@ def main_service(argv: Sequence[str] | None = None) -> int:
             "and print the service statistics."
         ),
     )
-    serve.add_argument("--pairs", type=int, default=200, help="synthetic pairs")
-    serve.add_argument("--min-length", type=int, default=500)
-    serve.add_argument("--max-length", type=int, default=1500)
-    serve.add_argument("--error-rate", type=float, default=0.15)
-    serve.add_argument("--seed", type=int, default=2020)
+    _add_pair_arguments(serve, pairs=200, min_length=500, max_length=1500)
     serve.add_argument(
         "--repeat",
         type=int,
         default=2,
         help="submission rounds of the same workload (>=2 exercises the cache)",
-    )
-    serve.add_argument(
-        "--query-fasta", type=str, default=None, help="serve records of this FASTA"
-    )
-    serve.add_argument(
-        "--target-fasta", type=str, default=None, help="against records of this FASTA"
     )
     serve.add_argument(
         "--inline",
@@ -792,24 +804,6 @@ def main_service(argv: Sequence[str] | None = None) -> int:
     return _run_submit(args, parser)
 
 
-def _fasta_jobs(
-    parser, query_fasta: str, target_fasta: str, seed_policy: str = "start"
-) -> list[AlignmentJob]:
-    queries = [r.sequence for r in read_fasta(query_fasta)]
-    targets = [r.sequence for r in read_fasta(target_fasta)]
-    if len(queries) != len(targets):
-        parser.error("query and target FASTA files must have the same record count")
-    return [
-        AlignmentJob(
-            query=encode(q),
-            target=encode(t),
-            seed=default_seed(seed_policy, len(q), len(t)),
-            pair_id=i,
-        )
-        for i, (q, t) in enumerate(zip(queries, targets))
-    ]
-
-
 def _parse_endpoint(value: str, flag: str, parser) -> tuple[str, int]:
     """Split a ``HOST:PORT`` CLI value, tolerating a bare port."""
     host, _, port_text = value.rpartition(":")
@@ -859,11 +853,7 @@ def _serve_network(args, parser, config) -> int:
     }
     if args.flight_recorder_out:
         payload["flight_recorder_out"] = args.flight_recorder_out
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            print(f"{key:>20s}: {value}")
+    _emit(payload, args.json)
     return 0
 
 
@@ -873,27 +863,12 @@ def _run_serve(args, parser) -> int:
     from .perf.timers import Timer
     from .service import AlignmentService
 
-    config = config_from_args(args, _SERVE_DEFAULTS, exclude=_BELLA_ONLY)
+    config = config_from_args(args, _SERVE_DEFAULTS)
     if args.trace or args.flight_recorder_out:
         obs_mod.configure(tracing=True, flight_recorder=True)
     if args.listen:
         return _serve_network(args, parser, config)
-    if args.query_fasta and args.target_fasta:
-        jobs = _fasta_jobs(
-            parser, args.query_fasta, args.target_fasta, config.seed_policy
-        )
-    else:
-        jobs = generate_pair_set(
-            PairSetSpec(
-                num_pairs=args.pairs,
-                min_length=args.min_length,
-                max_length=args.max_length,
-                pairwise_error_rate=args.error_rate,
-                seed_placement=config.seed_policy,
-                rng_seed=args.seed,
-            )
-        )
-
+    jobs = _pair_jobs(args, parser, config.seed_policy)
     service = AlignmentService(config=config)
     exporter = None
     if args.metrics_out:
@@ -952,18 +927,14 @@ def _run_serve(args, parser) -> int:
         payload["metrics_exports"] = exporter.exports
     if args.flight_recorder_out:
         payload["flight_recorder_out"] = args.flight_recorder_out
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            print(f"{key:>20s}: {value}")
+    _emit(payload, args.json)
     return 0
 
 
 def _run_submit(args, parser) -> int:
     from .service import AlignmentService
 
-    config = config_from_args(args, _SUBMIT_DEFAULTS, exclude=_BELLA_ONLY)
+    config = config_from_args(args, _SUBMIT_DEFAULTS)
     if args.query and args.target:
         jobs = [
             AlignmentJob(
@@ -1008,11 +979,7 @@ def _run_submit(args, parser) -> int:
     if args.connect:
         payload["connected"] = args.connect
         payload["cached"] = cached
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for key, value in payload.items():
-            print(f"{key:>20s}: {value}")
+    _emit(payload, args.json)
     return 0
 
 
@@ -1111,7 +1078,7 @@ def main_fuzz(argv: Sequence[str] | None = None) -> int:
             print(f"{row['name']:>16s}  {row['summary']}")
         return 0
 
-    config = config_from_args(args, _FUZZ_DEFAULTS, exclude=_BELLA_ONLY)
+    config = config_from_args(args, _FUZZ_DEFAULTS)
     progress = None
     if not args.quiet and not args.json:
         progress = lambda line: print(line, file=sys.stderr)  # noqa: E731
@@ -1143,17 +1110,15 @@ def main_fuzz(argv: Sequence[str] | None = None) -> int:
 
 
 def main_obs(argv: Sequence[str] | None = None) -> int:
-    """Entry point of ``repro-obs``: telemetry demo, reader, and overhead gate.
+    """Entry point of ``repro-obs``: telemetry reader and overhead gate.
 
-    ``demo`` runs a small mixed workload through the alignment service with
-    tracing and the flight recorder enabled, then prints the resulting
-    metrics snapshot (Prometheus text or JSON).  ``read`` parses a
-    JSON-lines metrics file written by ``repro-service serve --metrics-out``
-    back into snapshots and summarises the series.  ``overhead`` times the
-    quick engine benchmark with observability disabled and again with full
-    tracing + flight recorder, printing the relative cost against the
-    subsystem's < 5 % budget (``--check`` turns the budget into the exit
-    status).
+    ``read`` parses a JSON-lines metrics file written by ``repro-service
+    serve --metrics-out`` back into snapshots and summarises the series
+    (``serve --metrics-format prom`` writes the Prometheus exposition
+    itself).  ``overhead`` times the quick engine benchmark with
+    observability disabled and again with full tracing + flight recorder,
+    printing the relative cost against the subsystem's < 5 % budget
+    (``--check`` turns the budget into the exit status).
     """
     from . import obs as obs_mod
 
@@ -1162,33 +1127,6 @@ def main_obs(argv: Sequence[str] | None = None) -> int:
         description="Inspect and exercise the unified telemetry subsystem.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    demo = sub.add_parser(
-        "demo",
-        help="run a small traced workload and print its metrics snapshot",
-    )
-    demo.add_argument("--pairs", type=int, default=48, help="workload size")
-    demo.add_argument("--seed", type=int, default=2020, help="workload RNG seed")
-    demo.add_argument(
-        "--format",
-        choices=("prom", "json"),
-        default="prom",
-        help="snapshot rendering (Prometheus text or JSON)",
-    )
-    demo.add_argument(
-        "--out",
-        type=str,
-        default=None,
-        metavar="FILE",
-        help="also write the rendered snapshot to this file",
-    )
-    demo.add_argument(
-        "--flight-recorder-out",
-        type=str,
-        default=None,
-        metavar="JSON",
-        help="dump the flight recorder ring to this file on exit",
-    )
 
     read = sub.add_parser(
         "read",
@@ -1226,82 +1164,9 @@ def main_obs(argv: Sequence[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
-    if args.command == "demo":
-        return _run_obs_demo(args, obs_mod)
     if args.command == "read":
         return _run_obs_read(args, obs_mod)
     return _run_obs_overhead(args, obs_mod)
-
-
-def _obs_demo_workload(pairs: int, seed: int) -> "list[AlignmentJob]":
-    return generate_pair_set(
-        PairSetSpec(
-            num_pairs=pairs,
-            min_length=200,
-            max_length=600,
-            pairwise_error_rate=0.15,
-            unrelated_fraction=0.1,
-            seed_placement="middle",
-            rng_seed=seed,
-        )
-    )
-
-
-def _run_obs_demo(args, obs_mod) -> int:
-    from .api import ServiceConfig
-    from .service import AlignmentService
-
-    obs_mod.configure(tracing=True, flight_recorder=True)
-    try:
-        jobs = _obs_demo_workload(args.pairs, args.seed)
-        config = AlignConfig(
-            engine="batched",
-            service=ServiceConfig(cache_capacity=4 * len(jobs)),
-        )
-        service = AlignmentService(config=config)
-        try:
-            tickets = service.submit_many(jobs)
-            service.drain()
-            for ticket in tickets:
-                ticket.result(timeout=120.0)
-            # A resubmission round so the demo snapshot shows cache hits.
-            tickets = service.submit_many(jobs)
-            service.drain()
-            for ticket in tickets:
-                ticket.result(timeout=120.0)
-            snapshot = service.metrics_snapshot()
-        finally:
-            service.shutdown()
-        if args.format == "prom":
-            rendered = obs_mod.render_prometheus(snapshot)
-        else:
-            rendered = json.dumps(snapshot.to_dict(), indent=2, sort_keys=True) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(rendered)
-        print(rendered, end="")
-        recorder = obs_mod.get_observability().recorder
-        if recorder is not None:
-            print(
-                f"# flight recorder: {recorder.span_count} spans, "
-                f"{recorder.event_count} events",
-                file=sys.stderr,
-            )
-            if args.flight_recorder_out:
-                recorder.dump(
-                    path=args.flight_recorder_out,
-                    reason="obs_demo",
-                    provenance=obs_mod.build_provenance(
-                        config=config, seed=args.seed
-                    ),
-                )
-                print(
-                    f"# flight recorder dump: {args.flight_recorder_out}",
-                    file=sys.stderr,
-                )
-        return 0
-    finally:
-        obs_mod.reset()
 
 
 def _run_obs_read(args, obs_mod) -> int:
@@ -1381,7 +1246,3 @@ def _run_obs_overhead(args, obs_mod) -> int:
         print("overhead budget exceeded", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    sys.exit(main_align())

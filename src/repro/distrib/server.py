@@ -80,29 +80,15 @@ class AlignmentServer:
     host, port:
         Bind address; ``port=0`` picks a free port (read it back from
         :attr:`port`).
-    service:
-        Pre-built service to serve instead of constructing one (the server
-        then does not own its shutdown).
+
+    The server owns its service and shuts it down in :meth:`close`.
     """
 
-    def __init__(
-        self,
-        config=None,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        service=None,
-    ) -> None:
-        if (config is None) == (service is None):
-            raise ServiceError("pass exactly one of config= or service=")
-        if service is None:
-            from ..service import AlignmentService
+    def __init__(self, config, host: str = "127.0.0.1", port: int = 0) -> None:
+        from ..service import AlignmentService
 
-            service = AlignmentService(config=config)
-            self._owns_service = True
-        else:
-            self._owns_service = False
-        self.service = service
-        self.config = config if config is not None else service.config
+        self.service = AlignmentService(config=config)
+        self.config = self.service.config
         self._sock = socket.create_server((host, port))
         self.host, self.port = self._sock.getsockname()[:2]
         self._stop = threading.Event()
@@ -166,8 +152,7 @@ class AlignmentServer:
             self._accept_thread.join(timeout=5.0)
         for thread in list(self._conn_threads):
             thread.join(timeout=10.0)
-        if self._owns_service:
-            self.service.shutdown(drain=drain)
+        self.service.shutdown(drain=drain)
 
     def __enter__(self) -> "AlignmentServer":
         return self.start()
@@ -266,10 +251,9 @@ class AlignmentServer:
         }
 
     def _identity(self) -> dict[str, Any]:
-        svc = self.config.service if self.config is not None else None
         return {
             "pid": os.getpid(),
-            "engine": self.config.engine if self.config is not None else None,
-            "transport": svc.transport if svc is not None else None,
-            "state_path": svc.state_path if svc is not None else None,
+            "engine": self.config.engine,
+            "transport": self.config.service.transport,
+            "state_path": self.config.service.state_path,
         }

@@ -441,8 +441,15 @@ class LoganEngine(BatchedEngine):
         )
 
     def align_batch(self, jobs: Sequence[AlignmentJob]) -> EngineBatchResult:
-        """The traced batched sweep, then the V100 model of its results."""
+        """The traced batched sweep, then the V100 model of its results.
+
+        An empty batch, like every engine's, returns an empty result; its
+        modeled time is 0.0 and it carries no ``extras["timing"]``.
+        """
         batch = super().align_batch(jobs)
+        if not jobs:
+            batch.modeled_seconds = 0.0
+            return batch
         timing = self.model.replay(jobs, batch.results)
         batch.modeled_seconds = timing.modeled_seconds
         batch.extras["timing"] = timing

@@ -166,6 +166,60 @@ class TestReproAlign:
         assert excinfo.value.code == 2
 
 
+class TestPairInput:
+    """``repro-align`` and ``repro-service serve`` share one pair reader."""
+
+    COMMANDS = pytest.mark.parametrize(
+        "entry, prefix",
+        [(main_align, []), (main_service, ["serve", "--inline"])],
+        ids=["align", "serve"],
+    )
+
+    @COMMANDS
+    @pytest.mark.parametrize("flag", ["--query-fasta", "--target-fasta"])
+    def test_lone_fasta_flag_is_an_error(self, entry, prefix, flag, tmp_path, capsys):
+        # A lone file used to be ignored in favour of the synthetic set.
+        path = tmp_path / "one.fasta"
+        write_fasta(path, [SequenceRecord("a", "ACGT" * 8)])
+        with pytest.raises(SystemExit) as excinfo:
+            entry(prefix + [flag, str(path), "--pairs", "2", "--json"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--query-fasta and --target-fasta must be given together" in err
+
+    @COMMANDS
+    def test_zero_pairs_is_an_error(self, entry, prefix, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            entry(prefix + ["--pairs", "0", "--json"])
+        assert excinfo.value.code == 2
+        assert "num_pairs must be positive" in capsys.readouterr().err
+
+    @COMMANDS
+    def test_empty_fasta_files_are_an_error(self, entry, prefix, tmp_path, capsys):
+        # align's logan default used to fail in the model with a traceback.
+        empty = tmp_path / "empty.fasta"
+        empty.write_text("")
+        argv = ["--query-fasta", str(empty), "--target-fasta", str(empty), "--json"]
+        with pytest.raises(SystemExit) as excinfo:
+            entry(prefix + argv)
+        assert excinfo.value.code == 2
+        assert "the FASTA files hold no records" in capsys.readouterr().err
+
+    def test_serve_reads_fasta_pairs(self, tmp_path, capsys):
+        q = tmp_path / "q.fasta"
+        t = tmp_path / "t.fasta"
+        write_fasta(q, [SequenceRecord("a", "ACGTACGTACGTACGT" * 4)])
+        write_fasta(t, [SequenceRecord("b", "ACGTACGTACGTACGT" * 4)])
+        exit_code = main_service(
+            ["serve", "--query-fasta", str(q), "--target-fasta", str(t),
+             "--xdrop", "10", "--repeat", "1", "--inline", "--json"]
+        )
+        assert exit_code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["pairs"] == 1
+        assert payload["mean_score"] == 64.0
+
+
 class TestReproBella:
     def test_dataset_run_json(self, capsys):
         exit_code = main_bella(
@@ -295,7 +349,7 @@ class TestReproBench:
 
 
 class TestModuleDispatcher:
-    """``python -m repro <tool>`` mirrors the console scripts."""
+    """``python -m repro <tool>`` is the entry point of every tool."""
 
     def test_usage_and_unknown_tool(self, capsys):
         from repro.__main__ import main

@@ -196,6 +196,39 @@ class TestDatasetPresets:
         assert dataset.total_bases() > 0
         assert len(dataset.genome) < ECOLI_LIKE.genome_length
 
+    def test_default_generator_ignores_the_string_hash_seed(self):
+        # Interpreters with different PYTHONHASHSEED values must load the
+        # same reads when no generator is passed.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        code = (
+            "import hashlib; from repro.data import load_dataset; "
+            "reads = load_dataset('ecoli_like', scale=0.05).reads; "
+            "print(hashlib.sha256(b'|'.join(r.sequence.tobytes() for r in reads)).hexdigest())"
+        )
+        digests = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH")) if p
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
+
     def test_unknown_preset_rejected(self):
         with pytest.raises(DatasetError):
             load_dataset("human")

@@ -96,10 +96,6 @@ class TestRoundTrip:
             with pytest.raises(ServiceError, match="op"):
                 client._request({"op": "frobnicate"})
 
-    def test_constructor_rejects_config_and_service_together(self, server):
-        with pytest.raises(ServiceError, match="exactly one"):
-            AlignmentServer(config=AlignConfig(), service=server.service)
-
     def test_connect_failure_is_a_service_error(self):
         with pytest.raises(ServiceError):
             ServiceClient("127.0.0.1", 1, timeout=2)

@@ -225,9 +225,12 @@ class TestLoganEngine:
         assert batch.extras["kernel_stats"].rows == 2 * len(small_jobs)
         assert sorted(batch.extras) == ["kernel_stats", "timing"]
 
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            get_engine("logan", xdrop=20).align_batch([])
+    def test_empty_batch_is_an_empty_result(self):
+        # As every other engine does; the model has nothing to replay.
+        batch = get_engine("logan", xdrop=20).align_batch([])
+        assert batch.results == []
+        assert batch.modeled_seconds == 0.0
+        assert "timing" not in batch.extras
 
     def test_start_seed_jobs(self, start_seed_jobs):
         batch = get_engine("logan", xdrop=20).align_batch(start_seed_jobs)

@@ -326,31 +326,44 @@ class TestBenchMetrics:
 # CLI surface.
 # --------------------------------------------------------------------------- #
 class TestObsCli:
-    def test_demo_prometheus_output(self, capsys, tmp_path):
-        from repro.cli import main_obs
+    def test_serve_writes_prometheus_and_flight_recorder(self, capsys, tmp_path):
+        from repro.cli import main_service
 
         out = tmp_path / "snap.prom"
         fr = tmp_path / "fr.json"
-        code = main_obs(
+        code = main_service(
             [
-                "demo",
-                "--pairs",
-                "8",
-                "--out",
-                str(out),
-                "--flight-recorder-out",
-                str(fr),
+                "serve",
+                "--pairs", "8",
+                "--min-length", "120",
+                "--max-length", "240",
+                "--repeat", "2",
+                "--inline",
+                "--trace",
+                "--metrics-out", str(out),
+                "--metrics-format", "prom",
+                "--flight-recorder-out", str(fr),
+                "--json",
             ]
         )
         assert code == 0
-        text = capsys.readouterr().out
+        text = out.read_text()
         assert "repro_cache_hit_rate 0.5" in text
         assert "repro_queue_depth" in text
-        assert out.read_text() == text
+        assert json.loads(capsys.readouterr().out)["metrics_out"] == str(out)
         dump = json.loads(fr.read_text())
-        assert dump["reason"] == "obs_demo"
-        # The demo resets the global bundle on exit.
-        assert not obs.get_observability().enabled
+        assert dump["kind"] == "flight_recorder_dump"
+        assert dump["reason"] == "serve_exit"
+        assert dump["spans"]
+
+    def test_demo_removed(self, capsys):
+        # `repro-service serve` writes the exposition and the dump (above).
+        from repro.cli import main_obs
+
+        with pytest.raises(SystemExit) as excinfo:
+            main_obs(["demo"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_read_summarises_jsonl(self, capsys, tmp_path):
         from repro.cli import main_obs
